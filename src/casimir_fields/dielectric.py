@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_finite_real
 
 __all__ = [
     "Drude",
@@ -43,7 +43,7 @@ class Drude:
 
     def __post_init__(self):
         wp = self.plasma_frequency
-        if not (isinstance(wp, (int, float)) and math.isfinite(wp) and wp > 0):
+        if not (is_finite_real(wp) and wp > 0):
             raise DomainError(f"plasma_frequency must be positive and finite, got {wp!r}")
 
 
@@ -55,7 +55,7 @@ class ConstantEpsilon:
 
     def __post_init__(self):
         eps = self.epsilon
-        if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 1):
+        if not (is_finite_real(eps) and eps > 1):
             raise DomainError(f"epsilon must be finite and greater than 1, got {eps!r}")
 
 
@@ -152,7 +152,8 @@ def reflection_values(model: DielectricModel, u, t):
     Returns
     -------
     (ndarray, ndarray)
-        Arrays of r and r_prime broadcast to the common shape.
+        Read-only views of r and r_prime broadcast to the common shape;
+        a coefficient that depends on one axis only is stored once.
 
     Notes
     -----
@@ -170,9 +171,9 @@ def reflection_values(model: DielectricModel, u, t):
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(u.shape, t.shape)
     if isinstance(model, Vacuum):
-        return np.zeros(shape), np.zeros(shape)
+        return np.broadcast_to(0.0, shape), np.broadcast_to(0.0, shape)
     if isinstance(model, PerfectConductor):
-        return np.full(shape, -1.0), np.full(shape, 1.0)
+        return np.broadcast_to(-1.0, shape), np.broadcast_to(1.0, shape)
     if isinstance(model, Drude):
         wp = model.plasma_frequency
         w = np.hypot(u, wp)
@@ -181,13 +182,13 @@ def reflection_values(model: DielectricModel, u, t):
         num = wp * wp * (1.0 - (u / (u + w)) * tt)
         den = wp * wp + tt * u * (u + w)
         r_prime = num / den
-        return np.broadcast_to(r, shape).copy(), np.broadcast_to(r_prime, shape).copy()
+        return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
     if isinstance(model, ConstantEpsilon):
         eps = model.epsilon
         q = np.sqrt(1.0 + (eps - 1.0) * t * t)
         r = (1.0 - q) / (1.0 + q)
         r_prime = (eps - q) / (eps + q)
-        return np.broadcast_to(r, shape).copy(), np.broadcast_to(r_prime, shape).copy()
+        return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
     raise TypeError(f"unknown dielectric model {model!r}")
 
 

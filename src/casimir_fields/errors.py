@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types, and the number check behind every input validation."""
+
+import math
+import numbers
 
 __all__ = [
     "CasimirFieldsError",
@@ -44,3 +47,8 @@ class NoSignChange(CasimirFieldsError):
 
 class NotApplicableError(CasimirFieldsError):
     """The requested diagnostic is undefined for the given model."""
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite Python or numpy real number; False for bool, NaN and infinities."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)

@@ -9,6 +9,10 @@ energy density) and a position bracket riding on
 exp(-u a) cosh(u (2z - a)) (always >= 0 for the energy density). The
 divergent free-space piece is never represented; its subtraction is built
 into these expressions.
+
+None of the brackets depends on z: position enters only through the
+envelope. `integrand_function` therefore also offers the bracket form, which
+the batched engine integrates once for every position of a profile.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .dielectric import DielectricModel, PolarNode, reflection_values
-from .errors import DomainError
+from .errors import DomainError, is_finite_real
 
 __all__ = [
     "SingleInterface",
@@ -35,6 +39,7 @@ __all__ = [
     "cavity_integrand_terms",
     "cavity_integrand",
     "integrand_function",
+    "position_envelope",
     "decay_scale_for",
     "SINGLE_PREFACTOR",
     "CAVITY_PREFACTOR",
@@ -56,7 +61,7 @@ class Cavity:
     width: float
 
     def __post_init__(self):
-        if not (isinstance(self.width, (int, float)) and math.isfinite(self.width) and self.width > 0):
+        if not (is_finite_real(self.width) and self.width > 0):
             raise DomainError(f"cavity width must be positive and finite, got {self.width!r}")
 
 
@@ -101,6 +106,25 @@ def single_bracket(kind: FieldKind, r, rp, t):
     raise TypeError(f"unknown field kind {kind!r}")
 
 
+def _cavity_dressing(r, rp, u, t, a):
+    """Constant bracket and the multiply reflected coefficients r/D, r'/D' of a cavity.
+
+    No growing exponential is ever formed: the geometric denominators use
+
+        D = 1 - r^2 e^{-2ua} = (1 - r)(1 + r) + r^2 (1 - e^{-2ua})
+
+    with the last factor from expm1. The position bracket of any field is
+    `single_bracket` evaluated on the dressed pair.
+    """
+    tt = t * t
+    em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
+    damp = np.exp(-2.0 * u * a)
+    dr = (1.0 - r) * (1.0 + r) + r * r * em
+    drp = (1.0 - rp) * (1.0 + rp) + rp * rp * em
+    term_constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
+    return term_constant, r / dr, rp / drp
+
+
 def cavity_terms(kind: FieldKind, r, rp, u, t, a, z):
     """Constant and position brackets of the cavity integrand, overflow safe.
 
@@ -124,32 +148,15 @@ def cavity_terms(kind: FieldKind, r, rp, u, t, a, z):
 
     Notes
     -----
-    No growing exponential is ever formed: the geometric denominators use
-
-        1 - x^2 e^{-2ua} = (1 - x)(1 + x) + x^2 (1 - e^{-2ua})
-
-    with the last factor from expm1, and the position envelope uses
-
-        e^{-ua} cosh(u(2z - a)) = (e^{-2u(a-z)} + e^{-2uz}) / 2.
+    The constant bracket is the same for every kind.
     """
-    tt = t * t
-    em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
-    damp = np.exp(-2.0 * u * a)
-    dr = (1.0 - r) * (1.0 + r) + r * r * em
-    drp = (1.0 - rp) * (1.0 + rp) + rp * rp * em
-    term_constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
-    envelope = 0.5 * (np.exp(-2.0 * u * (a - z)) + np.exp(-2.0 * u * z))
-    gr = r / dr
-    grp = rp / drp
-    if kind is FieldKind.E_SQUARED:
-        pos = -tt * gr + (2.0 - tt) * grp
-    elif kind is FieldKind.B_SQUARED:
-        pos = (2.0 - tt) * gr - tt * grp
-    elif kind is FieldKind.ENERGY_DENSITY:
-        pos = (1.0 - tt) * (gr + grp)
-    else:
-        raise TypeError(f"unknown field kind {kind!r}")
-    return term_constant, pos * envelope
+    term_constant, gr, grp = _cavity_dressing(r, rp, u, t, a)
+    return term_constant, single_bracket(kind, gr, grp, t) * _cavity_envelope(u, a, z)
+
+
+def _cavity_envelope(u, a, z):
+    """e^{-ua} cosh(u(2z - a)), formed as (e^{-2u(a-z)} + e^{-2uz}) / 2 so no exponential grows."""
+    return 0.5 * (np.exp(-2.0 * u * (a - z)) + np.exp(-2.0 * u * z))
 
 
 def single_integrand(kind: FieldKind, model: DielectricModel, z: float, node: PolarNode) -> float:
@@ -159,17 +166,21 @@ def single_integrand(kind: FieldKind, model: DielectricModel, z: float, node: Po
     unit u and unit t of the selected expectation at distance z > 0 from
     the interface.
     """
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0):
-        raise DomainError(f"field point must lie in the vacuum region, got z = {z!r}")
+    _check_single_position(z)
     r, rp = reflection_values(model, node.u, node.t)
     bracket = single_bracket(kind, float(r), float(rp), node.t)
     return SINGLE_PREFACTOR * node.u**3 * bracket * math.exp(-2.0 * node.u * z)
 
 
-def _check_cavity_position(a: float, z: float) -> None:
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
+def _check_single_position(z) -> None:
+    if not (is_finite_real(z) and z > 0):
+        raise DomainError(f"field point must lie in the vacuum region, got z = {z!r}")
+
+
+def _check_cavity_position(a, z) -> None:
+    if not (is_finite_real(a) and a > 0):
         raise DomainError(f"cavity width must be positive and finite, got {a!r}")
-    if not (isinstance(z, (int, float)) and 0 < z < a):
+    if not (is_finite_real(z) and 0 < z < a):
         raise DomainError(f"field point must lie strictly inside the gap, got z = {z!r} with a = {a!r}")
 
 
@@ -208,26 +219,53 @@ def cavity_integrand(kind: FieldKind, model: DielectricModel, a: float, z: float
 def decay_scale_for(geometry: Geometry, z: float) -> float:
     """Exponential decay scale of the integrand in u: 2z, or 2 min(z, a-z)."""
     if isinstance(geometry, SingleInterface):
-        if not z > 0:
-            raise DomainError(f"field point must lie in the vacuum region, got z = {z!r}")
-        return 2.0 * z
+        _check_single_position(z)
+        return 2.0 * float(z)
     if isinstance(geometry, Cavity):
         _check_cavity_position(geometry.width, z)
-        return 2.0 * min(z, geometry.width - z)
+        return 2.0 * min(float(z), geometry.width - float(z))
+    raise TypeError(f"unknown geometry {geometry!r}")
+
+
+def position_envelope(geometry: Geometry, z_values) -> Callable[[np.ndarray], np.ndarray]:
+    """Weight of the position brackets at each z, as a function of u.
+
+    The returned callable maps u of shape (n,) to an array of shape
+    (len(z_values), n): exp(-2uz) outside a single interface, and
+    (exp(-2u(a-z)) + exp(-2uz)) / 2 inside a cavity. Positions are not
+    validated here; `decay_scale_for` does that.
+    """
+    z = np.asarray(z_values, dtype=float)[:, None]
+    if isinstance(geometry, SingleInterface):
+        return lambda u: np.exp(-2.0 * u * z)
+    if isinstance(geometry, Cavity):
+        return lambda u: _cavity_envelope(u, geometry.width, z)
     raise TypeError(f"unknown geometry {geometry!r}")
 
 
 def integrand_function(
-    kind: FieldKind, geometry: Geometry, model: DielectricModel, z: float
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    kind: FieldKind | None, geometry: Geometry, model: DielectricModel, z: float | None = None
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray | tuple]:
     """Vectorized integrand f(u, t) for the quadrature engine.
 
-    The returned callable accepts broadcastable arrays with u > 0 and
-    t in [0, 1] and returns the integrand on the broadcast grid.
+    With a field ``kind``, the returned callable accepts broadcastable
+    arrays with u > 0 and t in [0, 1] and returns that expectation's
+    integrand at position ``z`` on the broadcast grid.
+
+    With ``kind=None`` (and no ``z``) it returns the z-independent brackets
+    ``(constant, e2_position, b2_position)`` instead, each including the
+    u^3 prefactor; the single interface has no constant bracket and gives
+    ``None`` in its place. At position z, the <E^2> integrand is
+    ``constant + envelope * e2_position`` with the envelope of
+    `position_envelope`, and likewise for <B^2>; the energy density is
+    their mean. One call thus serves every position and both fields.
     """
+    if kind is None:
+        if z is not None:
+            raise DomainError("the bracket form does not depend on z; pass z=None")
+        return _bracket_function(geometry, model)
     if isinstance(geometry, SingleInterface):
-        if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0):
-            raise DomainError(f"field point must lie in the vacuum region, got z = {z!r}")
+        _check_single_position(z)
 
         def f_single(u, t):
             r, rp = reflection_values(model, u, t)
@@ -244,4 +282,27 @@ def integrand_function(
             return CAVITY_PREFACTOR * u**3 * (const + pos)
 
         return f_cavity
+    raise TypeError(f"unknown geometry {geometry!r}")
+
+
+def _bracket_function(geometry: Geometry, model: DielectricModel):
+    e2, b2 = FieldKind.E_SQUARED, FieldKind.B_SQUARED
+    if isinstance(geometry, SingleInterface):
+
+        def brackets_single(u, t):
+            r, rp = reflection_values(model, u, t)
+            w = SINGLE_PREFACTOR * u**3
+            return None, w * single_bracket(e2, r, rp, t), w * single_bracket(b2, r, rp, t)
+
+        return brackets_single
+    if isinstance(geometry, Cavity):
+        a = geometry.width
+
+        def brackets_cavity(u, t):
+            r, rp = reflection_values(model, u, t)
+            const, gr, grp = _cavity_dressing(r, rp, u, t, a)
+            w = CAVITY_PREFACTOR * u**3
+            return w * const, w * single_bracket(e2, gr, grp, t), w * single_bracket(b2, gr, grp, t)
+
+        return brackets_cavity
     raise TypeError(f"unknown geometry {geometry!r}")

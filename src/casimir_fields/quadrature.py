@@ -8,6 +8,13 @@ u_max = tail_exponent_budget / decay_scale, and applies a fixed composite
 Gauss-Legendre rule on a geometrically graded t mesh at every u node, so
 the t spike stays resolved at every scale without 2-D adaptivity.
 
+In batched form one call integrates a family constant(u, t) +
+envelope_j(u) * position_k(u, t) for every position j and field k: the
+brackets are evaluated and t-reduced once per u node, and each position
+is a weighted sum of the reduced values. Every (position, field) pair
+keeps its own Kronrod error, tail bound and tolerance test on the shared
+panels.
+
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
 adaptive engine.
@@ -21,7 +28,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DivergesAtBoundary, DomainError, InvalidDecayScale, NonConvergence
+from .errors import DivergesAtBoundary, DomainError, InvalidDecayScale, NonConvergence, is_finite_real
 
 __all__ = [
     "QuadratureConfig",
@@ -59,9 +66,11 @@ _G7_WEIGHTS = np.array([
 ])
 
 _XK15 = np.concatenate((-_K15_ABSCISSAE[:-1], _K15_ABSCISSAE[::-1]))
-_WK15 = np.concatenate((_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1]))
-_G7_INDEX = np.array([1, 3, 5, 7, 9, 11, 13])
-_WG7 = np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
+# Columns: the Kronrod-15 weights, and the Gauss-7 weights on the same nodes
+# (zero on the seven nodes the Gauss rule does not use).
+_KG_WEIGHTS = np.zeros((15, 2))
+_KG_WEIGHTS[:, 0] = np.concatenate((_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1]))
+_KG_WEIGHTS[1::2, 1] = np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
 
 # Number of geometric seed splits of [0, u_max]; pre-resolves the decades
 # below the truncation point before adaptive refinement starts.
@@ -119,10 +128,14 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value, error estimate, work count and truncation point of one integral."""
+    """Value, error estimate, work count and truncation point of one integral.
 
-    value: float
-    error_estimate: float
+    A batched call returns one result whose value and error_estimate are
+    arrays of shape (fields, positions).
+    """
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
     truncation_u: float
 
@@ -161,7 +174,7 @@ def _log_simpson_rule(intervals: int = 2048, t_floor: float = 1e-16):
 
 
 def _check_decay_scale(decay_scale, floor) -> None:
-    if not (isinstance(decay_scale, (int, float)) and math.isfinite(decay_scale) and decay_scale > 0):
+    if not (is_finite_real(decay_scale) and decay_scale > 0):
         raise InvalidDecayScale(f"decay scale must be a positive finite number, got {decay_scale!r}")
     if decay_scale < floor:
         raise DivergesAtBoundary(
@@ -171,9 +184,10 @@ def _check_decay_scale(decay_scale, floor) -> None:
 
 
 def integrate_semi_infinite(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    decay_scale: float,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple],
+    decay_scale,
     cfg: QuadratureConfig | None = None,
+    envelope: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> IntegralResult:
     """Integrate f(u, t) du dt over [0, inf) x [0, 1] to the configured tolerance.
 
@@ -183,84 +197,126 @@ def integrate_semi_infinite(
         Vectorized integrand; called with broadcastable arrays
         (u of shape (n, 1), t of shape (1, m)) at interior nodes only,
         so endpoint singularities at u = 0, t = 0 or t = 1 are never
-        touched. Must be finite on (0, u_max] x (0, 1).
-    decay_scale : float
+        touched. Must be finite on (0, u_max] x (0, 1). Returns the
+        integrand on the grid or, in batched form, a tuple of brackets
+        ``(constant, position_1, ..., position_K)``; ``constant`` may be
+        None for zero.
+    decay_scale : float or sequence of float
         The exponential scale of the integrand, exp(-u * decay_scale);
         for the field integrands this is 2z (single interface) or
         2 min(z, a - z) (cavity). Supplied by the caller, which knows
-        the geometry.
+        the geometry. In batched form, one scale per position.
     cfg : QuadratureConfig, optional
         Tolerances and budgets; defaults are suitable for all tests.
+    envelope : callable, optional
+        Selects the batched form: maps u of shape (n,) to the weights of
+        the position brackets, shape (positions, n). Field k at position
+        j integrates ``constant + envelope(u)[j] * position_k``.
 
     Returns
     -------
     IntegralResult
         The error estimate includes both the Kronrod panel estimates and
-        a bound on the truncated tail beyond u_max.
+        a bound on the truncated tail beyond u_max. In batched form value
+        and error_estimate have shape (K, positions) and every position
+        is integrated up to the u_max of the slowest decay.
 
     Raises
     ------
     InvalidDecayScale
-        If decay_scale is not a positive finite number.
+        If a decay scale is not a positive finite number.
     DivergesAtBoundary
-        If decay_scale is below the configured floor.
+        If a decay scale is below the configured floor.
     NonConvergence
         If the subdivision budget is exhausted first; the best estimate
         rides on the exception as ``result``.
+
+    Notes
+    -----
+    The seed panels form one ratio-2 geometric mesh from u_max down to
+    2**-16 of the smallest truncation point of any position, so each
+    position gets at least the seeding it would get alone. Refinement
+    then splits the worst panel of the (field, position) pair that is
+    furthest above its tolerance until every pair meets it.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    _check_decay_scale(decay_scale, cfg.decay_scale_floor)
-    u_max = cfg.tail_exponent_budget / decay_scale
+    batched = envelope is not None
+    for scale in decay_scale if batched else (decay_scale,):
+        _check_decay_scale(scale, cfg.decay_scale_floor)
+    scales = np.array(decay_scale if batched else [decay_scale], dtype=float)
+    if scales.size == 0:
+        raise DomainError("a batched integral needs at least one decay scale")
+    envelope = envelope if batched else _unit_envelope
+    u_max = cfg.tail_exponent_budget / float(scales.min())
     t_nodes, t_weights = _graded_t_rule(cfg.inner_rule_order)
     evaluations = 0
 
-    def eval_panel(lo: float, hi: float):
+    def reduced_brackets(u: np.ndarray, magnitude: bool = False):
+        """t-integrated constant and (K, n) position brackets at the u nodes."""
         nonlocal evaluations
+        out = f(u[:, None], t_nodes[None, :])
+        evaluations += u.size * t_nodes.size
+        constant, *position = out if isinstance(out, tuple) else (None, out)
+        reduce = (lambda b: np.abs(b) @ t_weights) if magnitude else (lambda b: b @ t_weights)
+        return (0.0 if constant is None else reduce(constant)), np.stack([reduce(p) for p in position])
+
+    def eval_panel(lo: float, hi: float):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         u = mid + half * _XK15
-        g = f(u[:, None], t_nodes[None, :]) @ t_weights
-        evaluations += u.size * t_nodes.size
-        k15 = half * float(g @ _WK15)
-        g7 = half * float(g[_G7_INDEX] @ _WG7)
-        return k15, abs(k15 - g7)
+        constant, position = reduced_brackets(u)
+        g = constant + envelope(u)[None, :, :] * position[:, None, :]  # (K, positions, 15)
+        kg = half * (g @ _KG_WEIGHTS)
+        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1])
 
-    edges = [0.0] + [u_max * 2.0**-j for j in range(_SEED_SPLITS, 0, -1)] + [u_max]
-    panels = []  # (lo, hi, value, error), kept sorted by lo
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        value, error = eval_panel(lo, hi)
-        panels.append((lo, hi, value, error))
+    levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
+    edges = [0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max]
+    panels = [(lo, hi, *eval_panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]  # sorted by lo
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
-    g_tail = (np.abs(f(np.array([[u_max]]), t_nodes[None, :])) @ t_weights).item()
-    evaluations += t_nodes.size
-    budget = u_max * decay_scale
-    tail = 2.0 * g_tail * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / decay_scale
+    # |constant + e * position| <= |constant| + e |position| bounds it per position.
+    u_tail = np.array([u_max])
+    constant, position = reduced_brackets(u_tail, magnitude=True)
+    g_tail = constant + envelope(u_tail)[:, 0] * position
+    budget = u_max * scales
+    tail = 2.0 * g_tail * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / scales
 
     splits = 0
     while True:
-        total = math.fsum(p[2] for p in panels)
-        err_total = math.fsum(p[3] for p in panels) + tail
-        if err_total <= max(cfg.rel_tol * abs(total), cfg.abs_tol):
+        total = np.sum([p[2] for p in panels], axis=0)
+        err_total = np.sum([p[3] for p in panels], axis=0) + tail
+        tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
+        if np.all(err_total <= tol):
             break
         if splits >= cfg.max_subdivisions:
-            best = IntegralResult(total, err_total, evaluations, u_max)
+            total_max = float(np.max(np.abs(total)))
             raise NonConvergence(
-                f"error estimate {err_total:.3e} still above tolerance after "
-                f"{splits} subdivisions (value {total:.6e})",
-                result=best,
+                f"error estimate {float(np.max(err_total)):.3e} still above tolerance after "
+                f"{splits} subdivisions (largest value {total_max:.6e})",
+                result=_result(batched, total, err_total, evaluations, u_max),
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = np.where(err_total <= tol, 0.0, err_total / tol)
+        pair = np.unravel_index(np.argmax(excess), excess.shape)
+        worst = max(range(len(panels)), key=lambda i: panels[i][3][pair])
         lo, hi, _, _ = panels.pop(worst)
         mid = 0.5 * (lo + hi)
-        v1, e1 = eval_panel(lo, mid)
-        v2, e2 = eval_panel(mid, hi)
-        panels.insert(worst, (mid, hi, v2, e2))
-        panels.insert(worst, (lo, mid, v1, e1))
+        panels[worst:worst] = [(lo, mid, *eval_panel(lo, mid)), (mid, hi, *eval_panel(mid, hi))]
         splits += 1
 
-    return IntegralResult(total, err_total, evaluations, u_max)
+    return _result(batched, total, err_total, evaluations, u_max)
+
+
+def _unit_envelope(u: np.ndarray) -> np.ndarray:
+    """Envelope of a plain integrand: one position, weight 1."""
+    return np.ones((1, u.size))
+
+
+def _result(batched: bool, total, err_total, evaluations: int, u_max: float) -> IntegralResult:
+    if batched:
+        return IntegralResult(total, err_total, evaluations, u_max)
+    return IntegralResult(float(total[0, 0]), float(err_total[0, 0]), evaluations, u_max)
 
 
 def integrate_fixed_grid(

@@ -5,6 +5,7 @@ import pytest
 
 from casimir_fields import (
     Cavity,
+    DivergesAtBoundary,
     DomainError,
     Drude,
     FieldKind,
@@ -15,7 +16,6 @@ from casimir_fields import (
     QuadratureConfig,
     SingleInterface,
     Vacuum,
-    WORKERS_ENV_VAR,
     compute_point,
     critical_lambda,
     critical_separation_physical,
@@ -134,12 +134,59 @@ class TestProfile:
             Profile(Cavity(1.0), Vacuum(), (FieldPoint(1.5, 0, 0, 0, 0),))
         Profile(SingleInterface(), Vacuum(), (good,))
 
-    def test_parallel_workers_give_identical_results(self, monkeypatch):
-        serial = profile(Cavity(1.0), Drude(50.0), 5, margin=0.2)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        parallel = profile(Cavity(1.0), Drude(50.0), 5, margin=0.2)
-        for a, b in zip(serial.points, parallel.points):
-            assert a == b
+    @pytest.mark.parametrize(
+        "geometry, zs, model",
+        [
+            (Cavity(1.0), np.linspace(0.05, 0.95, 7), Drude(200.0)),
+            (SingleInterface(), np.geomspace(1e-3, 5.0, 7), Drude(1.0)),
+        ],
+        ids=("cavity", "single"),
+    )
+    def test_profile_row_matches_compute_point(self, geometry, zs, model):
+        rows = profile_at(geometry, model, zs).points
+        for j in (0, 3, 6):
+            point = compute_point(geometry, model, zs[j])
+            bound = rows[j].err + point.err
+            for field in ("e2", "b2", "u"):
+                assert abs(getattr(rows[j], field) - getattr(point, field)) <= bound
+
+    @pytest.mark.parametrize(
+        "geometry, z, error",
+        [
+            (SingleInterface(), np.float32(0.5), None),
+            (SingleInterface(), np.int64(1), None),
+            (Cavity(1.0), np.float64(0.25), None),
+            (SingleInterface(), True, DomainError),
+            (SingleInterface(), np.bool_(True), DomainError),
+            (SingleInterface(), math.nan, DomainError),
+            (SingleInterface(), math.inf, DomainError),
+            (Cavity(1.0), -math.inf, DomainError),
+            (Cavity(1.0), math.nan, DomainError),
+            (Cavity(1.0), 0.0, DomainError),
+            (Cavity(1.0), 1.0, DomainError),
+            (Cavity(1.0), 1.5, DomainError),
+            (SingleInterface(), 1e-9, DivergesAtBoundary),
+            (Cavity(1.0), 1.0 - 1e-9, DivergesAtBoundary),
+        ],
+    )
+    def test_profile_position_checks(self, geometry, z, error, monkeypatch):
+        zs = [0.2, z]
+        if error is None:
+            result = profile_at(geometry, Drude(1.0), zs)
+            assert result.points[1].z == float(z) and isinstance(result.points[1].z, float)
+            return
+
+        def no_evaluation(*args):
+            raise AssertionError("integrand evaluated before the positions were checked")
+
+        monkeypatch.setattr("casimir_fields.integrand.reflection_values", no_evaluation)
+        with pytest.raises(error):
+            profile_at(geometry, Drude(1.0), zs)
+
+    def test_repeated_profile_is_bit_identical(self):
+        first = profile(Cavity(1.0), Drude(50.0), 5, margin=0.2)
+        second = profile(Cavity(1.0), Drude(50.0), 5, margin=0.2)
+        assert first.points == second.points
 
 
 class TestMidpointScan:

@@ -6,6 +6,7 @@ import pytest
 from casimir_fields import (
     CAVITY_PREFACTOR,
     Cavity,
+    ConstantEpsilon,
     DomainError,
     Drude,
     FieldKind,
@@ -22,8 +23,10 @@ from casimir_fields import (
     single_bracket,
     single_integrand,
 )
+from casimir_fields.integrand import position_envelope
 
 KINDS = (FieldKind.E_SQUARED, FieldKind.B_SQUARED, FieldKind.ENERGY_DENSITY)
+MODELS = (Drude(3.0), ConstantEpsilon(4.0), PerfectConductor(), Vacuum())
 
 
 class TestSingleIntegrand:
@@ -197,3 +200,35 @@ class TestCavityIntegrand:
             for j in range(2):
                 expected = cavity_integrand(FieldKind.B_SQUARED, model, 1.0, 0.6, PolarNode(u[i, 0], t[0, j]))
                 assert grid[i, j] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_energy_bracket_is_mean_of_field_brackets(model):
+    # the identity behind U = (e2 + b2)/2: it holds node by node, to roundoff
+    u = np.geomspace(1e-3, 1e3, 40)[:, None]
+    t = np.linspace(0.0, 1.0, 33)[None, :]
+    r, rp = reflection_values(model, u, t)
+    single = [single_bracket(kind, r, rp, t) for kind in KINDS]
+    cavity = [cavity_terms(kind, r, rp, u, t, 1.0, 0.3) for kind in KINDS]
+    position = [pos for _, pos in cavity]
+    for e2, b2, energy in (single, position):
+        scale = np.maximum(np.abs(e2), np.abs(b2))
+        assert np.all(np.abs(energy - 0.5 * (e2 + b2)) <= 1e-15 * scale)
+    for const, _ in cavity[1:]:
+        np.testing.assert_array_equal(const, cavity[0][0])
+
+
+@pytest.mark.parametrize("geometry", (SingleInterface(), Cavity(1.0)), ids=("single", "cavity"))
+def test_bracket_form_reassembles_field_integrands(geometry):
+    model, zs = Drude(2.0), np.array([0.1, 0.35, 0.8])
+    u = np.geomspace(0.05, 40.0, 12)
+    t = np.linspace(0.01, 0.99, 7)[None, :]
+    constant, e2_position, b2_position = integrand_function(None, geometry, model)(u[:, None], t)
+    envelope = position_envelope(geometry, zs)(u)
+    for j, z in enumerate(zs):
+        for kind, position in ((FieldKind.E_SQUARED, e2_position), (FieldKind.B_SQUARED, b2_position)):
+            assembled = envelope[j][:, None] * position
+            if constant is not None:
+                assembled = assembled + constant
+            expected = integrand_function(kind, geometry, model, z)(u[:, None], t)
+            np.testing.assert_allclose(assembled, expected, rtol=1e-13, atol=1e-300)

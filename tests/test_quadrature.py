@@ -80,9 +80,11 @@ class TestEngineBasics:
 
     def test_invalid_decay_scale(self):
         f = lambda u, t: u * 0.0 + t * 0.0
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        for bad in (0.0, -1.0, math.nan, math.inf, True, "1.0"):
             with pytest.raises(InvalidDecayScale):
                 integrate_semi_infinite(f, bad)
+        for good in (np.float32(1.0), np.int64(2)):
+            assert integrate_semi_infinite(f, good).value == 0.0
 
     def test_decay_scale_below_floor(self):
         f = lambda u, t: u * 0.0 + t * 0.0
@@ -106,6 +108,52 @@ class TestEngineBasics:
         assert result.error_estimate > 0.0
         # exact value: (1/2)(1 + 1/(1 + 6400))
         assert result.value == pytest.approx(0.5 * (1.0 + 1.0 / 6401.0), rel=1e-2)
+
+
+class TestBatchedEngine:
+    @staticmethod
+    def _family(c):
+        # position bracket c u^3 (1 - t^2) under envelope exp(-u s_j), no constant
+        return lambda u, t: (None, c * u**3 * (1.0 - t * t), -2.0 * c * u**3 * (1.0 - t * t))
+
+    def test_each_position_meets_its_exact_value(self):
+        c = 0.37
+        scales = np.array([0.02, 0.3, 1.0, 7.5])
+        res = integrate_semi_infinite(self._family(c), scales, envelope=lambda u: np.exp(-np.outer(scales, u)))
+        exact = c * (2.0 / 3.0) * 6.0 / scales**4
+        assert res.value.shape == res.error_estimate.shape == (2, 4)
+        np.testing.assert_allclose(res.value, [exact, -2.0 * exact], rtol=1e-10)
+        assert np.all(np.abs(res.value - [exact, -2.0 * exact]) <= res.error_estimate)
+        assert res.truncation_u == pytest.approx(60.0 / 0.02)
+
+    def test_refines_until_every_position_converges(self):
+        # the fast-decaying first position converges on the seed mesh; the
+        # second needs many splits to resolve cos^2(5u) up to u ~ 60
+        scales = np.array([50.0, 1.0])
+        f = lambda u, t: (None, np.cos(5.0 * u) ** 2 * np.ones_like(t))
+        res = integrate_semi_infinite(f, scales, envelope=lambda u: np.exp(-np.outer(scales, u)))
+        exact = 0.5 * (1.0 / scales + scales / (scales**2 + 100.0))
+        np.testing.assert_allclose(res.value[0], exact, rtol=1e-6)
+
+    def test_one_position_is_the_plain_call(self):
+        f = integrand_function(FieldKind.E_SQUARED, Cavity(1.0), Drude(30.0), 0.25)
+        plain = integrate_semi_infinite(f, 0.5)
+        batched = integrate_semi_infinite(lambda u, t: (None, f(u, t)), [0.5], envelope=lambda u: np.ones((1, u.size)))
+        assert batched.value[0, 0] == plain.value
+        assert batched.error_estimate[0, 0] == plain.error_estimate
+        assert batched.evaluations == plain.evaluations
+
+    def test_batched_scales_are_checked_before_evaluation(self):
+        def never(u, t):
+            raise AssertionError("evaluated")
+
+        envelope = lambda u: np.ones((2, u.size))
+        with pytest.raises(InvalidDecayScale):
+            integrate_semi_infinite(never, [1.0, math.nan], envelope=envelope)
+        with pytest.raises(DivergesAtBoundary):
+            integrate_semi_infinite(never, [1.0, 1e-9], envelope=envelope)
+        with pytest.raises(DomainError):
+            integrate_semi_infinite(never, [], envelope=envelope)
 
 
 class TestEngineProperties:
