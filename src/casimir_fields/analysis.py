@@ -66,6 +66,10 @@ class Profile:
 
     def __post_init__(self):
         zs = [p.z for p in self.points]
+        if not all(is_finite_real(z) for z in zs):
+            raise DomainError("profile positions must be finite real numbers")
+        if isinstance(self.geometry, SingleInterface) and any(z <= 0 for z in zs):
+            raise DomainError("single-interface profile positions must lie in the vacuum region z > 0")
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise DomainError("profile positions must be strictly increasing")
         if isinstance(self.geometry, Cavity):

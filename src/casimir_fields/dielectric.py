@@ -170,10 +170,22 @@ def reflection_values(model: DielectricModel, u, t):
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(u.shape, t.shape)
+    r, r_prime = _reflection_factors(model, u, t)
+    return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
+
+
+def _reflection_factors(model: DielectricModel, u: np.ndarray, t: np.ndarray):
+    """(r, r_prime) at their natural shapes; `reflection_values` broadcasts them.
+
+    The Drude r has the shape of u, constant-permittivity coefficients the
+    shape of t, and perfect-conductor and vacuum coefficients are scalars,
+    so callers that broadcast them later do only the work each axis needs.
+    u and t are numpy float arrays or scalars.
+    """
     if isinstance(model, Vacuum):
-        return np.broadcast_to(0.0, shape), np.broadcast_to(0.0, shape)
+        return 0.0, 0.0
     if isinstance(model, PerfectConductor):
-        return np.broadcast_to(-1.0, shape), np.broadcast_to(1.0, shape)
+        return -1.0, 1.0
     if isinstance(model, Drude):
         wp = model.plasma_frequency
         w = np.hypot(u, wp)
@@ -181,14 +193,11 @@ def reflection_values(model: DielectricModel, u, t):
         tt = t * t
         num = wp * wp * (1.0 - (u / (u + w)) * tt)
         den = wp * wp + tt * u * (u + w)
-        r_prime = num / den
-        return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
+        return r, num / den
     if isinstance(model, ConstantEpsilon):
         eps = model.epsilon
         q = np.sqrt(1.0 + (eps - 1.0) * t * t)
-        r = (1.0 - q) / (1.0 + q)
-        r_prime = (eps - q) / (eps + q)
-        return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
+        return (1.0 - q) / (1.0 + q), (eps - q) / (eps + q)
     raise TypeError(f"unknown dielectric model {model!r}")
 
 

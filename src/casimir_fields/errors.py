@@ -31,9 +31,11 @@ class InvalidDecayScale(CasimirFieldsError, ValueError):
 
 
 class NonConvergence(CasimirFieldsError):
-    """Adaptive integration exhausted its subdivision budget.
+    """Adaptive integration could not meet its tolerance.
 
-    The best available estimate is attached as ``result``.
+    Either the subdivision budget ran out, or the error estimate of the t
+    rule alone exceeds the tolerance. The best available estimate is
+    attached as ``result``.
     """
 
     def __init__(self, message, result=None):

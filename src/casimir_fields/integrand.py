@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .dielectric import DielectricModel, PolarNode, reflection_values
+from .dielectric import DielectricModel, PolarNode, _reflection_factors, reflection_values
 from .errors import DomainError, is_finite_real
 
 __all__ = [
@@ -114,7 +114,8 @@ def _cavity_dressing(r, rp, u, t, a):
         D = 1 - r^2 e^{-2ua} = (1 - r)(1 + r) + r^2 (1 - e^{-2ua})
 
     with the last factor from expm1. The position bracket of any field is
-    `single_bracket` evaluated on the dressed pair.
+    `single_bracket` evaluated on the dressed pair. Each term keeps the shape
+    of its factors, so a Drude r of shape (n_u, 1) is dressed on the u axis only.
     """
     tt = t * t
     em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
@@ -268,7 +269,7 @@ def integrand_function(
         _check_single_position(z)
 
         def f_single(u, t):
-            r, rp = reflection_values(model, u, t)
+            r, rp = _reflection_factors(model, u, t)
             return SINGLE_PREFACTOR * u**3 * single_bracket(kind, r, rp, t) * np.exp(-2.0 * u * z)
 
         return f_single
@@ -277,7 +278,7 @@ def integrand_function(
         _check_cavity_position(a, z)
 
         def f_cavity(u, t):
-            r, rp = reflection_values(model, u, t)
+            r, rp = _reflection_factors(model, u, t)
             const, pos = cavity_terms(kind, r, rp, u, t, a, z)
             return CAVITY_PREFACTOR * u**3 * (const + pos)
 
@@ -290,7 +291,7 @@ def _bracket_function(geometry: Geometry, model: DielectricModel):
     if isinstance(geometry, SingleInterface):
 
         def brackets_single(u, t):
-            r, rp = reflection_values(model, u, t)
+            r, rp = _reflection_factors(model, u, t)
             w = SINGLE_PREFACTOR * u**3
             return None, w * single_bracket(e2, r, rp, t), w * single_bracket(b2, r, rp, t)
 
@@ -299,7 +300,7 @@ def _bracket_function(geometry: Geometry, model: DielectricModel):
         a = geometry.width
 
         def brackets_cavity(u, t):
-            r, rp = reflection_values(model, u, t)
+            r, rp = _reflection_factors(model, u, t)
             const, gr, grp = _cavity_dressing(r, rp, u, t, a)
             w = CAVITY_PREFACTOR * u**3
             return w * const, w * single_bracket(e2, gr, grp, t), w * single_bracket(b2, gr, grp, t)

@@ -8,6 +8,13 @@ u_max = tail_exponent_budget / decay_scale, and applies a fixed composite
 Gauss-Legendre rule on a geometrically graded t mesh at every u node, so
 the t spike stays resolved at every scale without 2-D adaptivity.
 
+The order of that t rule is measured, not assumed. One probe at the seed
+panel centres compares the order-n and order-2n rules on every bracket;
+their largest relative difference rho picks the order (it doubles from
+``inner_rule_order`` while rho exceeds a tenth of ``rel_tol``), and rho
+times the panels' Kronrod sum of the bracket magnitudes is the t-rule part
+of the error estimate, beside the u-panel Kronrod part and the tail bound.
+
 In batched form one call integrates a family constant(u, t) +
 envelope_j(u) * position_k(u, t) for every position j and field k: the
 brackets are evaluated and t-reduced once per u node, and each position
@@ -78,6 +85,11 @@ _SEED_SPLITS = 16
 
 _T_RULE_RATIO = 8.0
 _T_RULE_LEVELS = 16
+# The t rule's order doubles while the probe's relative t error exceeds
+# _T_ERROR_FRACTION * rel_tol, at most _T_ORDER_DOUBLINGS times, so the
+# t-rule part takes a small share of the error budget.
+_T_ERROR_FRACTION = 0.1
+_T_ORDER_DOUBLINGS = 3
 
 _t_rule_cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
@@ -97,7 +109,11 @@ class QuadratureConfig:
     max_subdivisions : int
         Adaptive panel splits allowed beyond the initial seeding.
     inner_rule_order : int
-        Gauss-Legendre order used on each panel of the graded t mesh.
+        Starting Gauss-Legendre order on each panel of the graded t mesh.
+        A probe at the seed panel centres compares this order with its
+        double; while their relative difference exceeds rel_tol / 10 the
+        order doubles, at most three times. The difference measured for
+        the order finally used enters the error estimate.
     decay_scale_floor : float
         Smallest decay scale accepted, in the caller's length unit; the
         integrands genuinely diverge as the field point reaches a wall,
@@ -108,7 +124,7 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
     tail_exponent_budget: float = 60.0
     max_subdivisions: int = 2000
-    inner_rule_order: int = 64
+    inner_rule_order: int = 16
     decay_scale_floor: float = 1e-6
 
     def __post_init__(self):
@@ -157,7 +173,7 @@ def _graded_t_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _log_simpson_rule(intervals: int = 2048, t_floor: float = 1e-16):
+def _log_simpson_rule(intervals: int, t_floor: float = 1e-16):
     """Uniform composite Simpson rule in log(t) on [t_floor, 1]; the oracle's t rule.
 
     In the log variable the spike near t = 0 and its power-law tail both
@@ -216,8 +232,9 @@ def integrate_semi_infinite(
     Returns
     -------
     IntegralResult
-        The error estimate includes both the Kronrod panel estimates and
-        a bound on the truncated tail beyond u_max. In batched form value
+        The error estimate is the sum of the Kronrod panel estimates, a
+        bound on the truncated tail beyond u_max and the measured t-rule
+        term. ``evaluations`` includes the probe's nodes. In batched form value
         and error_estimate have shape (K, positions) and every position
         is integrated up to the u_max of the slowest decay.
 
@@ -228,8 +245,9 @@ def integrate_semi_infinite(
     DivergesAtBoundary
         If a decay scale is below the configured floor.
     NonConvergence
-        If the subdivision budget is exhausted first; the best estimate
-        rides on the exception as ``result``.
+        If the subdivision budget is exhausted first, or at once if the
+        t-rule term alone exceeds the tolerance; the best estimate rides
+        on the exception as ``result``.
 
     Notes
     -----
@@ -249,8 +267,11 @@ def integrate_semi_infinite(
         raise DomainError("a batched integral needs at least one decay scale")
     envelope = envelope if batched else _unit_envelope
     u_max = cfg.tail_exponent_budget / float(scales.min())
-    t_nodes, t_weights = _graded_t_rule(cfg.inner_rule_order)
-    evaluations = 0
+    levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
+    edges = [0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max]
+    centres = np.array([0.5 * (lo + hi) for lo, hi in zip(edges[:-1], edges[1:])])
+    order, rho, evaluations = _probe_t_rule(f, centres, cfg)
+    t_nodes, t_weights = _graded_t_rule(order)
 
     def reduced_brackets(u: np.ndarray, magnitude: bool = False):
         """t-integrated constant and (K, n) position brackets at the u nodes."""
@@ -262,15 +283,15 @@ def integrate_semi_infinite(
         return (0.0 if constant is None else reduce(constant)), np.stack([reduce(p) for p in position])
 
     def eval_panel(lo: float, hi: float):
+        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of |C| + |e P| per (field, position)."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         u = mid + half * _XK15
         constant, position = reduced_brackets(u)
-        g = constant + envelope(u)[None, :, :] * position[:, None, :]  # (K, positions, 15)
-        kg = half * (g @ _KG_WEIGHTS)
-        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1])
+        weighted = envelope(u)[None, :, :] * position[:, None, :]  # (K, positions, 15)
+        kg = half * ((constant + weighted) @ _KG_WEIGHTS)
+        magnitude = half * ((np.abs(constant) + np.abs(weighted)) @ _KG_WEIGHTS[:, 0])
+        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), magnitude
 
-    levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
-    edges = [0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max]
     panels = [(lo, hi, *eval_panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]  # sorted by lo
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
@@ -285,10 +306,23 @@ def integrate_semi_infinite(
     splits = 0
     while True:
         total = np.sum([p[2] for p in panels], axis=0)
-        err_total = np.sum([p[3] for p in panels], axis=0) + tail
+        # The t rule's error at a u node is estimated as rho times the node's
+        # t-reduced magnitude |C| + e|P|, which equals the integral of the
+        # brackets' magnitude when each keeps one sign in t, as the field
+        # brackets do. Splitting panels does not reduce it.
+        t_err = rho * np.sum([p[4] for p in panels], axis=0)
+        err_total = np.sum([p[3] for p in panels], axis=0) + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
         if np.all(err_total <= tol):
             break
+        if np.any(t_err > tol):
+            pair = np.unravel_index(np.argmax(t_err - tol), t_err.shape)
+            raise NonConvergence(
+                f"t-rule error estimate {float(t_err[pair]):.3e} alone exceeds the tolerance "
+                f"{float(tol[pair]):.3e} at inner_rule_order {order} (started at "
+                f"{cfg.inner_rule_order}); start from a higher inner_rule_order",
+                result=_result(batched, total, err_total, evaluations, u_max),
+            )
         if splits >= cfg.max_subdivisions:
             total_max = float(np.max(np.abs(total)))
             raise NonConvergence(
@@ -300,12 +334,50 @@ def integrate_semi_infinite(
             excess = np.where(err_total <= tol, 0.0, err_total / tol)
         pair = np.unravel_index(np.argmax(excess), excess.shape)
         worst = max(range(len(panels)), key=lambda i: panels[i][3][pair])
-        lo, hi, _, _ = panels.pop(worst)
+        lo, hi, *_ = panels.pop(worst)
         mid = 0.5 * (lo + hi)
         panels[worst:worst] = [(lo, mid, *eval_panel(lo, mid)), (mid, hi, *eval_panel(mid, hi))]
         splits += 1
 
     return _result(batched, total, err_total, evaluations, u_max)
+
+
+def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, float, int]:
+    """Choose the graded t rule's order from one probe of f at the u nodes.
+
+    One call evaluates every bracket on the concatenated t nodes of the
+    order-n and order-2n rules. rho = max |Q_n b - Q_2n b| / Q_2n |b| over
+    the nodes and brackets estimates the relative error of the order-n rule.
+    While rho exceeds _T_ERROR_FRACTION * rel_tol the order doubles, at most
+    _T_ORDER_DOUBLINGS times; each step evaluates only the new order-2n
+    rule, since the old one becomes the new order n.
+
+    Returns the order, its rho and the number of nodes evaluated.
+    """
+    order = cfg.inner_rule_order
+    t_lo, w_lo = _graded_t_rule(order)
+    t_hi, w_hi = _graded_t_rule(2 * order)
+    brackets = _bracket_list(f(u[:, None], np.concatenate((t_lo, t_hi))[None, :]))
+    evaluations = u.size * (t_lo.size + t_hi.size)
+    q_lo = np.stack([b[:, : t_lo.size] @ w_lo for b in brackets])
+    high = [b[:, t_lo.size :] for b in brackets]
+    doublings = 0
+    while True:
+        q_hi = np.stack([b @ w_hi for b in high])
+        magnitude = np.stack([np.abs(b) @ w_hi for b in high])
+        diff = np.abs(q_lo - q_hi)
+        rho = float(np.max(np.divide(diff, magnitude, out=np.zeros_like(diff), where=magnitude > 0)))
+        if rho <= _T_ERROR_FRACTION * cfg.rel_tol or doublings == _T_ORDER_DOUBLINGS:
+            return order, rho, evaluations
+        order, q_lo, doublings = 2 * order, q_hi, doublings + 1
+        t_hi, w_hi = _graded_t_rule(2 * order)
+        high = _bracket_list(f(u[:, None], t_hi[None, :]))
+        evaluations += u.size * t_hi.size
+
+
+def _bracket_list(out) -> list:
+    """The brackets of one integrand call: a plain array, or a tuple without its None constant."""
+    return [b for b in out if b is not None] if isinstance(out, tuple) else [out]
 
 
 def _unit_envelope(u: np.ndarray) -> np.ndarray:
@@ -330,20 +402,22 @@ def integrate_fixed_grid(
 
     Trapezoid rule in log(u) on [u_min_factor, budget] / decay_scale,
     crossed with a uniform composite Simpson rule in log(t). The integral
-    is evaluated at n_u and 2 n_u log-grid points and the difference is
-    the reported error gauge. Node placement, weights and refinement are
-    all disjoint from the adaptive engine, which this function cross-checks.
+    is evaluated on n_u log-u points against 1,024 log-t intervals, and on
+    2 n_u points against 2,048 intervals; the finer value is returned and
+    the difference, which refines both axes, is the reported error gauge.
+    Node placement, weights and refinement are all disjoint from the
+    adaptive engine, which this function cross-checks.
     """
     _check_decay_scale(decay_scale, 0.0)
     if n_u < 16:
         raise DomainError(f"n_u must be at least 16, got {n_u!r}")
     u_lo = u_min_factor / decay_scale
     u_hi = budget / decay_scale
-    t_nodes, t_weights = _log_simpson_rule()
     evaluations = 0
 
-    def once(n: int) -> float:
+    def once(n: int, t_intervals: int) -> float:
         nonlocal evaluations
+        t_nodes, t_weights = _log_simpson_rule(t_intervals)
         x = np.linspace(math.log(u_lo), math.log(u_hi), n)
         u = np.exp(x)
         g = np.empty(n)
@@ -353,6 +427,6 @@ def integrate_fixed_grid(
         evaluations += n * t_nodes.size
         return float(np.trapezoid(u * g, x))  # du = u dx
 
-    coarse = once(n_u)
-    fine = once(2 * n_u)
+    coarse = once(n_u, 1024)
+    fine = once(2 * n_u, 2048)
     return IntegralResult(fine, abs(fine - coarse), evaluations, u_hi)

@@ -134,6 +134,12 @@ class TestProfile:
             Profile(Cavity(1.0), Vacuum(), (FieldPoint(1.5, 0, 0, 0, 0),))
         Profile(SingleInterface(), Vacuum(), (good,))
 
+    @pytest.mark.parametrize("geometry", [SingleInterface(), Cavity(1.0)], ids=("single", "cavity"))
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_profile_rejects_positions_outside_the_vacuum(self, geometry, z):
+        with pytest.raises(DomainError):
+            Profile(geometry, Vacuum(), (FieldPoint(z, 0, 0, 0, 0),))
+
     @pytest.mark.parametrize(
         "geometry, zs, model",
         [

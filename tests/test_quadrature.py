@@ -5,6 +5,7 @@ import pytest
 
 from casimir_fields import (
     Cavity,
+    ConstantEpsilon,
     DivergesAtBoundary,
     DomainError,
     Drude,
@@ -19,6 +20,7 @@ from casimir_fields import (
     integrate_fixed_grid,
     integrate_semi_infinite,
 )
+from casimir_fields.integrand import position_envelope
 
 
 class TestConfigValidation:
@@ -27,7 +29,7 @@ class TestConfigValidation:
         assert cfg.rel_tol == 1e-8 and cfg.abs_tol == 1e-14
         assert cfg.tail_exponent_budget == 60.0
         assert cfg.max_subdivisions == 2000
-        assert cfg.inner_rule_order == 64
+        assert cfg.inner_rule_order == 16
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -193,6 +195,54 @@ class TestEngineProperties:
         assert abs(res.value - pc_cavity_e2(0.3, 1.0)) <= 50.0 * max(res.error_estimate, 1e-16)
 
 
+def _field_brackets(geometry, model, zs, cfg=None):
+    """e2 and b2 at every z from one batched engine call."""
+    f = integrand_function(None, geometry, model)
+    scales = [decay_scale_for(geometry, z) for z in zs]
+    return integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
+
+
+class TestTRuleError:
+    @pytest.mark.parametrize(
+        "geometry, model, zs",
+        [
+            (SingleInterface(), Drude(1.0), [1e-3]),
+            (SingleInterface(), Drude(1.0), [1.0]),
+            # the profile where the u-panel part alone fell short by 1.6x
+            (SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))),
+            (Cavity(1.0), Drude(200.0), [0.02]),
+            (Cavity(1.0), Drude(200.0), [0.5]),
+            (Cavity(1.0), Drude(8.5), [0.5]),
+            (SingleInterface(), ConstantEpsilon(4.0), [0.5]),
+            (Cavity(1.0), PerfectConductor(), [0.3]),
+        ],
+        ids=("drude1-1e-3", "drude1-1", "drude1-profile", "drude200-0.02", "drude200-0.5", "drude8.5", "eps4", "pc"),
+    )
+    def test_default_order_error_is_covered(self, geometry, model, zs):
+        res = _field_brackets(geometry, model, zs)
+        reference = _field_brackets(geometry, model, zs, QuadratureConfig(inner_rule_order=128))
+        assert np.all(np.abs(res.value - reference.value) <= res.error_estimate)
+
+    @pytest.mark.parametrize("start, rel_tol, order", [(4, 1e-8, 16), (16, 1e-13, 32)])
+    def test_short_start_order_escalates(self, start, rel_tol, order):
+        # Drude(1) at z = 1e-3 has the sharpest t spike of the field integrands
+        case = (SingleInterface(), Drude(1.0), [1e-3])
+        escalated = _field_brackets(*case, QuadratureConfig(inner_rule_order=start, rel_tol=rel_tol))
+        direct = _field_brackets(*case, QuadratureConfig(inner_rule_order=order, rel_tol=rel_tol))
+        np.testing.assert_array_equal(escalated.value, direct.value)
+        np.testing.assert_allclose(escalated.error_estimate, direct.error_estimate, rtol=1e-6)
+        assert escalated.evaluations > direct.evaluations  # the extra probes
+        reference = _field_brackets(*case, QuadratureConfig(inner_rule_order=128, rel_tol=rel_tol))
+        assert np.all(np.abs(escalated.value - reference.value) <= escalated.error_estimate)
+
+    def test_too_short_t_rule_stops_at_once(self):
+        # three doublings from order 2 reach 16, whose t error is far above 1e-13
+        cfg = QuadratureConfig(inner_rule_order=2, rel_tol=1e-13)
+        with pytest.raises(NonConvergence, match="inner_rule_order") as excinfo:
+            _field_brackets(SingleInterface(), Drude(1.0), [1e-3], cfg)
+        assert excinfo.value.result.evaluations < 300_000
+
+
 class TestFixedGridOracle:
     def test_matches_adaptive_on_mixed_cases(self):
         cases = [
@@ -214,6 +264,11 @@ class TestFixedGridOracle:
         assert res.error_estimate >= 0.0
         assert res.evaluations > 0
         assert res.truncation_u == pytest.approx(60.0)
+        # on the midgap Drude(200) integral the log-t rule, not the u grid,
+        # limits the oracle; the gauge refines both axes, so it covers that
+        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(200.0), 0.5)
+        oracle, engine = integrate_fixed_grid(f, 1.0), integrate_semi_infinite(f, 1.0)
+        assert abs(oracle.value - engine.value) <= oracle.error_estimate + engine.error_estimate
 
     def test_oracle_validation(self):
         f = lambda u, t: u * 0.0 + t * 0.0
