@@ -12,8 +12,9 @@ The order of that t rule is measured, not assumed. One probe at the seed
 panel centres compares the order-n and order-2n rules on every bracket;
 their largest relative difference rho picks the order (it doubles from
 ``inner_rule_order`` while rho exceeds a tenth of ``rel_tol``), and rho
-times the panels' Kronrod sum of the bracket magnitudes is the t-rule part
-of the error estimate, beside the u-panel Kronrod part and the tail bound.
+times the panels' Kronrod sum of the t integrals of the bracket magnitudes
+is the t-rule part of the error estimate, beside the u-panel Kronrod part
+and the tail bound.
 
 In batched form one call integrates a family constant(u, t) +
 envelope_j(u) * position_k(u, t) for every position j and field k: the
@@ -225,9 +226,9 @@ def integrate_semi_infinite(
     cfg : QuadratureConfig, optional
         Tolerances and budgets; defaults are suitable for all tests.
     envelope : callable, optional
-        Selects the batched form: maps u of shape (n,) to the weights of
-        the position brackets, shape (positions, n). Field k at position
-        j integrates ``constant + envelope(u)[j] * position_k``.
+        Selects the batched form: maps u of shape (n,) to the nonnegative
+        weights of the position brackets, shape (positions, n). Field k at
+        position j integrates ``constant + envelope(u)[j] * position_k``.
 
     Returns
     -------
@@ -273,23 +274,25 @@ def integrate_semi_infinite(
     order, rho, evaluations = _probe_t_rule(f, centres, cfg)
     t_nodes, t_weights = _graded_t_rule(order)
 
-    def reduced_brackets(u: np.ndarray, magnitude: bool = False):
-        """t-integrated constant and (K, n) position brackets at the u nodes."""
+    def reduced_brackets(u: np.ndarray):
+        """t integrals of the constant and the (K, n) position brackets at the u nodes, then of their magnitudes."""
         nonlocal evaluations
-        out = f(u[:, None], t_nodes[None, :])
+        constant, position = _split_brackets(f(u[:, None], t_nodes[None, :]))
         evaluations += u.size * t_nodes.size
-        constant, *position = out if isinstance(out, tuple) else (None, out)
-        reduce = (lambda b: np.abs(b) @ t_weights) if magnitude else (lambda b: b @ t_weights)
-        return (0.0 if constant is None else reduce(constant)), np.stack([reduce(p) for p in position])
+        brackets = np.stack(position if constant is None else [constant, *position])
+        signed, magnitude = brackets @ t_weights, np.abs(brackets) @ t_weights
+        if constant is None:
+            return 0.0, signed, 0.0, magnitude
+        return signed[0], signed[1:], magnitude[0], magnitude[1:]
 
     def eval_panel(lo: float, hi: float):
-        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of |C| + |e P| per (field, position)."""
+        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| per (field, position)."""
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         u = mid + half * _XK15
-        constant, position = reduced_brackets(u)
-        weighted = envelope(u)[None, :, :] * position[:, None, :]  # (K, positions, 15)
-        kg = half * ((constant + weighted) @ _KG_WEIGHTS)
-        magnitude = half * ((np.abs(constant) + np.abs(weighted)) @ _KG_WEIGHTS[:, 0])
+        constant, position, constant_abs, position_abs = reduced_brackets(u)
+        weights = envelope(u)[None, :, :]  # (1, positions, 15)
+        kg = half * ((constant + weights * position[:, None, :]) @ _KG_WEIGHTS)
+        magnitude = half * ((constant_abs + weights * position_abs[:, None, :]) @ _KG_WEIGHTS[:, 0])
         return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), magnitude
 
     panels = [(lo, hi, *eval_panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]  # sorted by lo
@@ -298,7 +301,7 @@ def integrate_semi_infinite(
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
     # |constant + e * position| <= |constant| + e |position| bounds it per position.
     u_tail = np.array([u_max])
-    constant, position = reduced_brackets(u_tail, magnitude=True)
+    _, _, constant, position = reduced_brackets(u_tail)
     g_tail = constant + envelope(u_tail)[:, 0] * position
     budget = u_max * scales
     tail = 2.0 * g_tail * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / scales
@@ -306,10 +309,10 @@ def integrate_semi_infinite(
     splits = 0
     while True:
         total = np.sum([p[2] for p in panels], axis=0)
-        # The t rule's error at a u node is estimated as rho times the node's
-        # t-reduced magnitude |C| + e|P|, which equals the integral of the
-        # brackets' magnitude when each keeps one sign in t, as the field
-        # brackets do. Splitting panels does not reduce it.
+        # The t rule's error at a u node is estimated as rho times the t
+        # integral of |C| + e|P|, the quantity rho is measured against; a
+        # plain integrand that changes sign in t is covered too. Splitting
+        # panels does not reduce it.
         t_err = rho * np.sum([p[4] for p in panels], axis=0)
         err_total = np.sum([p[3] for p in panels], axis=0) + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
@@ -375,9 +378,15 @@ def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, float, 
         evaluations += u.size * t_hi.size
 
 
+def _split_brackets(out) -> Tuple[np.ndarray | None, list]:
+    """(constant or None, position brackets) of one integrand call; a plain array is one position bracket."""
+    return (out[0], list(out[1:])) if isinstance(out, tuple) else (None, [out])
+
+
 def _bracket_list(out) -> list:
-    """The brackets of one integrand call: a plain array, or a tuple without its None constant."""
-    return [b for b in out if b is not None] if isinstance(out, tuple) else [out]
+    """Every bracket of one integrand call, without a None constant."""
+    constant, position = _split_brackets(out)
+    return position if constant is None else [constant, *position]
 
 
 def _unit_envelope(u: np.ndarray) -> np.ndarray:

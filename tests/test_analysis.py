@@ -186,6 +186,7 @@ class TestProfile:
             raise AssertionError("integrand evaluated before the positions were checked")
 
         monkeypatch.setattr("casimir_fields.integrand.reflection_values", no_evaluation)
+        monkeypatch.setattr("casimir_fields.integrand._reflection_factors", no_evaluation)
         with pytest.raises(error):
             profile_at(geometry, Drude(1.0), zs)
 

@@ -202,26 +202,49 @@ def _field_brackets(geometry, model, zs, cfg=None):
     return integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
 
 
+def _energy_density(geometry, model, zs, cfg=None):
+    """U at the one position in zs from a plain engine call."""
+    (z,) = zs
+    f = integrand_function(FieldKind.ENERGY_DENSITY, geometry, model, z)
+    return integrate_semi_infinite(f, decay_scale_for(geometry, z), cfg)
+
+
 class TestTRuleError:
     @pytest.mark.parametrize(
-        "geometry, model, zs",
+        "integrate, geometry, model, zs",
         [
-            (SingleInterface(), Drude(1.0), [1e-3]),
-            (SingleInterface(), Drude(1.0), [1.0]),
+            (_field_brackets, SingleInterface(), Drude(1.0), [1e-3]),
+            (_field_brackets, SingleInterface(), Drude(1.0), [1.0]),
             # the profile where the u-panel part alone fell short by 1.6x
-            (SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))),
-            (Cavity(1.0), Drude(200.0), [0.02]),
-            (Cavity(1.0), Drude(200.0), [0.5]),
-            (Cavity(1.0), Drude(8.5), [0.5]),
-            (SingleInterface(), ConstantEpsilon(4.0), [0.5]),
-            (Cavity(1.0), PerfectConductor(), [0.3]),
+            (_field_brackets, SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))),
+            (_field_brackets, Cavity(1.0), Drude(200.0), [0.02]),
+            (_field_brackets, Cavity(1.0), Drude(200.0), [0.5]),
+            (_field_brackets, Cavity(1.0), Drude(8.5), [0.5]),
+            (_field_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5]),
+            (_field_brackets, Cavity(1.0), PerfectConductor(), [0.3]),
+            # a plain Drude cavity energy density C + e P changes sign in t at every u
+            (_energy_density, Cavity(1.0), Drude(97.0), [0.5]),
+            (_energy_density, Cavity(1.0), Drude(200.0), [0.5]),
         ],
-        ids=("drude1-1e-3", "drude1-1", "drude1-profile", "drude200-0.02", "drude200-0.5", "drude8.5", "eps4", "pc"),
+        ids=(
+            "drude1-1e-3", "drude1-1", "drude1-profile", "drude200-0.02", "drude200-0.5", "drude8.5", "eps4", "pc",
+            "plain-u-drude97", "plain-u-drude200",
+        ),
     )
-    def test_default_order_error_is_covered(self, geometry, model, zs):
-        res = _field_brackets(geometry, model, zs)
-        reference = _field_brackets(geometry, model, zs, QuadratureConfig(inner_rule_order=128))
+    def test_default_order_error_is_covered(self, integrate, geometry, model, zs):
+        res = integrate(geometry, model, zs)
+        reference = integrate(geometry, model, zs, QuadratureConfig(inner_rule_order=128))
         assert np.all(np.abs(res.value - reference.value) <= res.error_estimate)
+
+    @pytest.mark.parametrize("a", [9.0, 5.0 * math.pi])
+    def test_t_term_of_a_sign_changing_integrand(self, a):
+        # cos(a t) - sin(a)/a integrates to zero in t at every u, so the value
+        # is the t rule's error alone; a t term scaled by |integral of f dt|
+        # instead of the integral of |f| would report 1e-5 of it or less
+        f = lambda u, t: np.exp(-u) * (np.cos(a * t) - math.sin(a) / a)
+        res = integrate_semi_infinite(f, 1.0, QuadratureConfig(inner_rule_order=4, rel_tol=1e-3, abs_tol=1e-3))
+        assert res.value != 0.0
+        assert res.error_estimate >= 0.5 * abs(res.value)
 
     @pytest.mark.parametrize("start, rel_tol, order", [(4, 1e-8, 16), (16, 1e-13, 32)])
     def test_short_start_order_escalates(self, start, rel_tol, order):
