@@ -1,4 +1,4 @@
-"""Exception types, and the number check behind every input validation."""
+"""Exception types, and the number checks behind every input validation."""
 
 import math
 import numbers
@@ -34,8 +34,8 @@ class NonConvergence(CasimirFieldsError):
     """Adaptive integration could not meet its tolerance.
 
     Either the subdivision budget ran out, or the error estimate of the t
-    rule alone exceeds the tolerance. The best available estimate is
-    attached as ``result``.
+    rule or the tail bound alone exceeds the tolerance. The best available
+    estimate is attached as ``result``.
     """
 
     def __init__(self, message, result=None):
@@ -54,3 +54,8 @@ class NotApplicableError(CasimirFieldsError):
 def is_finite_real(value) -> bool:
     """True for a finite Python or numpy real number; False for bool, NaN and infinities."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for bool and for floats, even integral ones."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)

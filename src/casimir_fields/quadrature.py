@@ -8,13 +8,18 @@ u_max = tail_exponent_budget / decay_scale, and applies a fixed composite
 Gauss-Legendre rule on a geometrically graded t mesh at every u node, so
 the t spike stays resolved at every scale without 2-D adaptivity.
 
-The order of that t rule is measured, not assumed. One probe at the seed
-panel centres compares the order-n and order-2n rules on every bracket;
-their largest relative difference rho picks the order (it doubles from
-``inner_rule_order`` while rho exceeds a tenth of ``rel_tol``), and rho
-times the panels' Kronrod sum of the t integrals of the bracket magnitudes
-is the t-rule part of the error estimate, beside the u-panel Kronrod part
-and the tail bound.
+The order and the depth of that t rule are measured, not assumed. One
+probe at the seed panel centres and at u_max, where the spike is narrowest,
+evaluates every bracket on the order-n rule at every depth and on the
+order-2n rule at full depth. Their largest relative difference rho picks
+the order (it doubles from ``inner_rule_order`` while rho at full depth
+exceeds a tenth of ``rel_tol``) and then the depth (the fewest graded levels
+whose rho is within that bound). rho of the chosen rule times the panels'
+Kronrod sum of the t integrals of the bracket magnitudes is the t-rule part
+of the error estimate, beside the u-panel Kronrod part and the tail bound.
+The seed panels and the tail node are then evaluated in one integrand call,
+and the probe in one, each split only where it would exceed a fixed node
+cap.
 
 In batched form one call integrates a family constant(u, t) +
 envelope_j(u) * position_k(u, t) for every position j and field k: the
@@ -30,13 +35,14 @@ adaptive engine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DivergesAtBoundary, DomainError, InvalidDecayScale, NonConvergence, is_finite_real
+from .errors import DivergesAtBoundary, DomainError, InvalidDecayScale, NonConvergence, is_finite_real, is_integer
 
 __all__ = [
     "QuadratureConfig",
@@ -85,6 +91,10 @@ _KG_WEIGHTS[1::2, 1] = np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
 _SEED_SPLITS = 16
 
 _T_RULE_RATIO = 8.0
+# Maximum depth of the graded t mesh: levels [8^-k-1, 8^-k] for k below the
+# depth, above one bottom panel [0, 8^-depth]. The probe picks the shallowest
+# depth that meets the t error budget; the narrowest spike an accepted decay
+# scale produces needs 9 levels.
 _T_RULE_LEVELS = 16
 # The t rule's order doubles while the probe's relative t error exceeds
 # _T_ERROR_FRACTION * rel_tol, at most _T_ORDER_DOUBLINGS times, so the
@@ -92,7 +102,13 @@ _T_RULE_LEVELS = 16
 _T_ERROR_FRACTION = 0.1
 _T_ORDER_DOUBLINGS = 3
 
-_t_rule_cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+# Largest (u, t) grid of one integrand call. The probe calls f on whole u
+# rows within it; panel evaluation on whole panels whose u nodes times the
+# larger of the t nodes and 2 x positions (the envelope step's values per u
+# node for two fields) stay within it. It bounds the temporaries of a seed
+# mesh evaluated at once; calls of about this size also ran fastest per node
+# (2-vCPU x86 host, numpy 2.4).
+_NODE_CAP = 16_384
 
 
 @dataclass(frozen=True)
@@ -111,10 +127,12 @@ class QuadratureConfig:
         Adaptive panel splits allowed beyond the initial seeding.
     inner_rule_order : int
         Starting Gauss-Legendre order on each panel of the graded t mesh.
-        A probe at the seed panel centres compares this order with its
-        double; while their relative difference exceeds rel_tol / 10 the
-        order doubles, at most three times. The difference measured for
-        the order finally used enters the error estimate.
+        A probe at the seed panel centres and at u_max compares this order
+        with its double at full depth; while their relative difference
+        exceeds rel_tol / 10 the order doubles, at most three times. The
+        probe then takes the fewest graded levels whose difference from the
+        double is within that bound, and the difference of the rule finally
+        used enters the error estimate.
     decay_scale_floor : float
         Smallest decay scale accepted, in the caller's length unit; the
         integrands genuinely diverge as the field point reaches a wall,
@@ -129,18 +147,18 @@ class QuadratureConfig:
     decay_scale_floor: float = 1e-6
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not self.abs_tol >= 0:
-            raise DomainError(f"abs_tol must be nonnegative, got {self.abs_tol!r}")
-        if not self.tail_exponent_budget >= 30:
-            raise DomainError(f"tail_exponent_budget must be at least 30, got {self.tail_exponent_budget!r}")
-        if not self.max_subdivisions >= 10:
-            raise DomainError(f"max_subdivisions must be at least 10, got {self.max_subdivisions!r}")
-        if not self.inner_rule_order >= 2:
-            raise DomainError(f"inner_rule_order must be at least 2, got {self.inner_rule_order!r}")
-        if not self.decay_scale_floor > 0:
-            raise DomainError(f"decay_scale_floor must be positive, got {self.decay_scale_floor!r}")
+        if not (is_finite_real(self.rel_tol) and self.rel_tol > 0):
+            raise DomainError(f"rel_tol must be a positive finite number, got {self.rel_tol!r}")
+        if not (is_finite_real(self.abs_tol) and self.abs_tol >= 0):
+            raise DomainError(f"abs_tol must be a nonnegative finite number, got {self.abs_tol!r}")
+        if not (is_finite_real(self.tail_exponent_budget) and self.tail_exponent_budget >= 30):
+            raise DomainError(f"tail_exponent_budget must be finite and at least 30, got {self.tail_exponent_budget!r}")
+        if not (is_integer(self.max_subdivisions) and self.max_subdivisions >= 10):
+            raise DomainError(f"max_subdivisions must be an integer of at least 10, got {self.max_subdivisions!r}")
+        if not (is_integer(self.inner_rule_order) and self.inner_rule_order >= 2):
+            raise DomainError(f"inner_rule_order must be an integer of at least 2, got {self.inner_rule_order!r}")
+        if not (is_finite_real(self.decay_scale_floor) and self.decay_scale_floor > 0):
+            raise DomainError(f"decay_scale_floor must be a positive finite number, got {self.decay_scale_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -148,29 +166,63 @@ class IntegralResult:
     """Value, error estimate, work count and truncation point of one integral.
 
     A batched call returns one result whose value and error_estimate are
-    arrays of shape (fields, positions).
+    arrays of shape (fields, positions). ``t_order`` and ``t_levels`` are the
+    order and the depth of the graded t rule the probe chose; they are None
+    for `integrate_fixed_grid`, whose t rule is fixed.
     """
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
     truncation_u: float
+    t_order: int | None = None
+    t_levels: int | None = None
 
 
-def _graded_t_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, 1], geometrically graded toward 0."""
-    cached = _t_rule_cache.get(order)
-    if cached is not None:
-        return cached
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.concatenate(([0.0], _T_RULE_RATIO ** -np.arange(_T_RULE_LEVELS, -1.0, -1.0)))
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    rule = (np.concatenate(nodes), np.concatenate(weights))
-    _t_rule_cache[order] = rule
+@functools.cache
+def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(order)
+
+
+@functools.cache
+def _graded_t_rule(order: int, levels: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, 1]: panels [8^-k-1, 8^-k] for k < levels, then [0, 8^-levels].
+
+    The nodes run from the top panel down, so a shallower rule shares its
+    graded levels' nodes with every deeper one.
+    """
+    x, w = _leggauss(order)
+    hi = _T_RULE_RATIO ** -np.arange(levels + 1.0)
+    lo = np.append(hi[1:], 0.0)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    rule = ((mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel())
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
+@functools.cache
+def _depth_rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The order-n graded rule at every depth, as shared nodes and one weight column per depth.
+
+    The nodes are those of the full-depth rule followed by the bottom panels
+    [0, 8^-L] of the shallower rules, L = 1 .. _T_RULE_LEVELS - 1; column
+    L - 1 of the weights is the depth-L rule on them, so one product with
+    the weights gives the t integral at every depth.
+    """
+    full_nodes, full_weights = _graded_t_rule(order, _T_RULE_LEVELS)
+    nodes = [full_nodes]
+    weights = np.zeros((full_nodes.size + (_T_RULE_LEVELS - 1) * order, _T_RULE_LEVELS))
+    weights[: full_nodes.size, -1] = full_weights
+    for levels in range(1, _T_RULE_LEVELS):
+        t, w = _graded_t_rule(order, levels)
+        nodes.append(t[-order:])
+        bottom = full_nodes.size + (levels - 1) * order
+        weights[: levels * order, levels - 1] = w[:-order]
+        weights[bottom : bottom + order, levels - 1] = w[-order:]
+    rule = (np.concatenate(nodes), weights)
+    for array in rule:
+        array.setflags(write=False)
     return rule
 
 
@@ -235,9 +287,10 @@ def integrate_semi_infinite(
     IntegralResult
         The error estimate is the sum of the Kronrod panel estimates, a
         bound on the truncated tail beyond u_max and the measured t-rule
-        term. ``evaluations`` includes the probe's nodes. In batched form value
-        and error_estimate have shape (K, positions) and every position
-        is integrated up to the u_max of the slowest decay.
+        term. ``evaluations`` includes the probe's nodes, and ``t_order``
+        and ``t_levels`` record the t rule the probe chose. In batched form
+        value and error_estimate have shape (K, positions) and every
+        position is integrated up to the u_max of the slowest decay.
 
     Raises
     ------
@@ -247,8 +300,9 @@ def integrate_semi_infinite(
         If a decay scale is below the configured floor.
     NonConvergence
         If the subdivision budget is exhausted first, or at once if the
-        t-rule term alone exceeds the tolerance; the best estimate rides
-        on the exception as ``result``.
+        t-rule term or the tail bound alone exceeds the tolerance, since
+        splitting panels reduces neither; the best estimate rides on the
+        exception as ``result``.
 
     Notes
     -----
@@ -269,10 +323,11 @@ def integrate_semi_infinite(
     envelope = envelope if batched else _unit_envelope
     u_max = cfg.tail_exponent_budget / float(scales.min())
     levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
-    edges = [0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max]
-    centres = np.array([0.5 * (lo + hi) for lo, hi in zip(edges[:-1], edges[1:])])
-    order, rho, evaluations = _probe_t_rule(f, centres, cfg)
-    t_nodes, t_weights = _graded_t_rule(order)
+    edges = np.array([0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max])
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    order, t_levels, rho, evaluations = _probe_t_rule(f, np.append(centres, u_max), cfg)
+    t_nodes, t_weights = _graded_t_rule(order, t_levels)
+    panels_per_call = max(1, _NODE_CAP // max(t_nodes.size, 2 * scales.size) // 15)
 
     def reduced_brackets(u: np.ndarray):
         """t integrals of the constant and the (K, n) position brackets at the u nodes, then of their magnitudes."""
@@ -285,97 +340,143 @@ def integrate_semi_infinite(
             return 0.0, signed, 0.0, magnitude
         return signed[0], signed[1:], magnitude[0], magnitude[1:]
 
-    def eval_panel(lo: float, hi: float):
-        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| per (field, position)."""
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid + half * _XK15
-        constant, position, constant_abs, position_abs = reduced_brackets(u)
-        weights = envelope(u)[None, :, :]  # (1, positions, 15)
-        kg = half * ((constant + weights * position[:, None, :]) @ _KG_WEIGHTS)
-        magnitude = half * ((constant_abs + weights * position_abs[:, None, :]) @ _KG_WEIGHTS[:, 0])
-        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), magnitude
+    def eval_panels(lo: np.ndarray, hi: np.ndarray, with_tail: bool = False):
+        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel [lo, hi].
 
-    panels = [(lo, hi, *eval_panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]  # sorted by lo
+        Each is (panels, fields, positions). Whole panels share one f call up
+        to the node cap. With ``with_tail`` the last call also takes the node
+        u_max, and the t-integrated magnitude there, (fields, positions), is
+        returned fourth.
+        """
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * _XK15
+        kg, magnitude, g_tail = [], [], None
+        for start in range(0, lo.size, panels_per_call):
+            stop = min(start + panels_per_call, lo.size)
+            u = nodes[start:stop].ravel()
+            if with_tail and stop == lo.size:
+                u = np.append(u, u_max)
+            constant, position, constant_abs, position_abs = reduced_brackets(u)
+            weights = envelope(u)[None, :, :]  # (1, positions, n)
+            values = constant + weights * position[:, None, :]
+            magnitudes = constant_abs + weights * position_abs[:, None, :]
+            g_tail = magnitudes[..., -1] if with_tail else None
+            shape, n = values.shape[:2] + (stop - start, 15), (stop - start) * 15
+            kg.append(values[..., :n].reshape(shape) @ _KG_WEIGHTS * half[start:stop, None])
+            magnitude.append(magnitudes[..., :n].reshape(shape) @ _KG_WEIGHTS[:, 0] * half[start:stop])
+        kg, magnitude = np.moveaxis(np.concatenate(kg, axis=2), 2, 0), np.moveaxis(np.concatenate(magnitude, axis=2), 2, 0)
+        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), magnitude, g_tail
+
+    # panel_value, panel_err, panel_magnitude: (panels, fields, positions), panels sorted by lo
+    panel_value, panel_err, panel_magnitude, g_tail = eval_panels(edges[:-1], edges[1:], with_tail=True)
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
     # |constant + e * position| <= |constant| + e |position| bounds it per position.
-    u_tail = np.array([u_max])
-    _, _, constant, position = reduced_brackets(u_tail)
-    g_tail = constant + envelope(u_tail)[:, 0] * position
     budget = u_max * scales
     tail = 2.0 * g_tail * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / scales
 
+    def unreducible(part, what: str, hint: str) -> NonConvergence:
+        # splitting panels reduces neither the t-rule term nor the tail bound
+        pair = np.unravel_index(np.argmax(part - tol), part.shape)
+        return NonConvergence(
+            f"{what} {float(part[pair]):.3e} alone exceeds the tolerance {float(tol[pair]):.3e} {hint}",
+            result=_result(batched, total, err_total, evaluations, u_max, order, t_levels),
+        )
+
     splits = 0
     while True:
-        total = np.sum([p[2] for p in panels], axis=0)
+        total = panel_value.sum(axis=0)
         # The t rule's error at a u node is estimated as rho times the t
         # integral of |C| + e|P|, the quantity rho is measured against; a
-        # plain integrand that changes sign in t is covered too. Splitting
-        # panels does not reduce it.
-        t_err = rho * np.sum([p[4] for p in panels], axis=0)
-        err_total = np.sum([p[3] for p in panels], axis=0) + tail + t_err
+        # plain integrand that changes sign in t is covered too.
+        t_err = rho * panel_magnitude.sum(axis=0)
+        err_total = panel_err.sum(axis=0) + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
         if np.all(err_total <= tol):
             break
         if np.any(t_err > tol):
-            pair = np.unravel_index(np.argmax(t_err - tol), t_err.shape)
-            raise NonConvergence(
-                f"t-rule error estimate {float(t_err[pair]):.3e} alone exceeds the tolerance "
-                f"{float(tol[pair]):.3e} at inner_rule_order {order} (started at "
-                f"{cfg.inner_rule_order}); start from a higher inner_rule_order",
-                result=_result(batched, total, err_total, evaluations, u_max),
+            raise unreducible(
+                t_err,
+                "t-rule error estimate",
+                f"at inner_rule_order {order} with {t_levels} levels (started at {cfg.inner_rule_order}); "
+                "start from a higher inner_rule_order",
+            )
+        if np.any(tail > tol):
+            raise unreducible(
+                tail,
+                "tail bound",
+                f"at tail_exponent_budget {cfg.tail_exponent_budget!r}; use a larger tail_exponent_budget",
             )
         if splits >= cfg.max_subdivisions:
             total_max = float(np.max(np.abs(total)))
             raise NonConvergence(
                 f"error estimate {float(np.max(err_total)):.3e} still above tolerance after "
                 f"{splits} subdivisions (largest value {total_max:.6e})",
-                result=_result(batched, total, err_total, evaluations, u_max),
+                result=_result(batched, total, err_total, evaluations, u_max, order, t_levels),
             )
         with np.errstate(divide="ignore", invalid="ignore"):
             excess = np.where(err_total <= tol, 0.0, err_total / tol)
         pair = np.unravel_index(np.argmax(excess), excess.shape)
-        worst = max(range(len(panels)), key=lambda i: panels[i][3][pair])
-        lo, hi, *_ = panels.pop(worst)
+        worst = int(np.argmax(panel_err[(slice(None), *pair)]))
+        lo, hi = edges[worst], edges[worst + 1]
         mid = 0.5 * (lo + hi)
-        panels[worst:worst] = [(lo, mid, *eval_panel(lo, mid)), (mid, hi, *eval_panel(mid, hi))]
+        *halves, _ = eval_panels(np.array([lo, mid]), np.array([mid, hi]))
+        edges = np.insert(edges, worst + 1, mid)
+        panel_value, panel_err, panel_magnitude = (
+            np.concatenate((old[:worst], new, old[worst + 1 :]))
+            for old, new in zip((panel_value, panel_err, panel_magnitude), halves)
+        )
         splits += 1
 
-    return _result(batched, total, err_total, evaluations, u_max)
+    return _result(batched, total, err_total, evaluations, u_max, order, t_levels)
 
 
-def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, float, int]:
-    """Choose the graded t rule's order from one probe of f at the u nodes.
+def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, float, int]:
+    """Choose the graded t rule's order and depth from one probe of f at the u nodes.
 
-    One call evaluates every bracket on the concatenated t nodes of the
-    order-n and order-2n rules. rho = max |Q_n b - Q_2n b| / Q_2n |b| over
-    the nodes and brackets estimates the relative error of the order-n rule.
-    While rho exceeds _T_ERROR_FRACTION * rel_tol the order doubles, at most
-    _T_ORDER_DOUBLINGS times; each step evaluates only the new order-2n
-    rule, since the old one becomes the new order n.
+    The probe evaluates every bracket on the order-n rule at every depth
+    (`_depth_rules`) and on the order-2n rule at full depth, in calls of
+    whole u rows within _NODE_CAP nodes. rho_L = max |Q_n,L b - Q_2n b| /
+    Q_2n |b| over the nodes and brackets estimates the relative error of
+    the order-n rule with L graded levels. While rho at full depth exceeds
+    _T_ERROR_FRACTION * rel_tol the order doubles and the probe is repeated,
+    at most _T_ORDER_DOUBLINGS times. The depth is then the fewest levels
+    whose rho_L is within that bound, or full depth if none is.
 
-    Returns the order, its rho and the number of nodes evaluated.
+    Returns the order, the depth, its rho and the number of nodes evaluated.
     """
-    order = cfg.inner_rule_order
-    t_lo, w_lo = _graded_t_rule(order)
-    t_hi, w_hi = _graded_t_rule(2 * order)
-    brackets = _bracket_list(f(u[:, None], np.concatenate((t_lo, t_hi))[None, :]))
-    evaluations = u.size * (t_lo.size + t_hi.size)
-    q_lo = np.stack([b[:, : t_lo.size] @ w_lo for b in brackets])
-    high = [b[:, t_lo.size :] for b in brackets]
-    doublings = 0
-    while True:
-        q_hi = np.stack([b @ w_hi for b in high])
-        magnitude = np.stack([np.abs(b) @ w_hi for b in high])
-        diff = np.abs(q_lo - q_hi)
-        rho = float(np.max(np.divide(diff, magnitude, out=np.zeros_like(diff), where=magnitude > 0)))
-        if rho <= _T_ERROR_FRACTION * cfg.rel_tol or doublings == _T_ORDER_DOUBLINGS:
-            return order, rho, evaluations
-        order, q_lo, doublings = 2 * order, q_hi, doublings + 1
-        t_hi, w_hi = _graded_t_rule(2 * order)
-        high = _bracket_list(f(u[:, None], t_hi[None, :]))
-        evaluations += u.size * t_hi.size
+    threshold = _T_ERROR_FRACTION * cfg.rel_tol
+    evaluations = 0
+    for doublings in range(_T_ORDER_DOUBLINGS + 1):
+        order = cfg.inner_rule_order * 2**doublings
+        t_depths, w_depths = _depth_rules(order)
+        t_hi, w_hi = _graded_t_rule(2 * order, _T_RULE_LEVELS)
+        t = np.concatenate((t_depths, t_hi))
+        calls = min(u.size, -(-u.size * t.size // _NODE_CAP))
+        rho = np.max(
+            [
+                _depth_errors(bracket, w_depths, w_hi)
+                for rows in np.array_split(u, calls)
+                for bracket in _bracket_list(f(rows[:, None], t[None, :]))
+            ],
+            axis=0,
+        )
+        evaluations += u.size * t.size
+        if rho[-1] <= threshold:
+            break
+    qualified = np.flatnonzero(rho <= threshold)
+    levels = int(qualified[0]) + 1 if qualified.size else _T_RULE_LEVELS
+    return order, levels, float(rho[levels - 1]), evaluations
+
+
+def _depth_errors(bracket: np.ndarray, w_depths: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
+    """max over u of |Q_n,L b - Q_2n b| / Q_2n |b| for every depth L; bracket holds the depth nodes, then the order-2n ones."""
+    depth_nodes = w_depths.shape[0]
+    high = bracket[:, depth_nodes:]
+    q_hi, magnitude = (high @ w_hi)[:, None], (np.abs(high) @ w_hi)[:, None]
+    diff = np.abs(bracket[:, :depth_nodes] @ w_depths - q_hi)
+    return np.max(np.divide(diff, magnitude, out=np.zeros_like(diff), where=magnitude > 0), axis=0)
 
 
 def _split_brackets(out) -> Tuple[np.ndarray | None, list]:
@@ -394,10 +495,10 @@ def _unit_envelope(u: np.ndarray) -> np.ndarray:
     return np.ones((1, u.size))
 
 
-def _result(batched: bool, total, err_total, evaluations: int, u_max: float) -> IntegralResult:
+def _result(batched: bool, total, err_total, evaluations: int, u_max: float, order: int, levels: int) -> IntegralResult:
     if batched:
-        return IntegralResult(total, err_total, evaluations, u_max)
-    return IntegralResult(float(total[0, 0]), float(err_total[0, 0]), evaluations, u_max)
+        return IntegralResult(total, err_total, evaluations, u_max, order, levels)
+    return IntegralResult(float(total[0, 0]), float(err_total[0, 0]), evaluations, u_max, order, levels)
 
 
 def integrate_fixed_grid(

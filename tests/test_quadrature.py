@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from casimir_fields import (
     Cavity,
@@ -20,6 +21,7 @@ from casimir_fields import (
     integrate_fixed_grid,
     integrate_semi_infinite,
 )
+from casimir_fields import quadrature
 from casimir_fields.integrand import position_envelope
 
 
@@ -41,11 +43,38 @@ class TestConfigValidation:
             {"max_subdivisions": 9},
             {"inner_rule_order": 1},
             {"decay_scale_floor": 0.0},
+            # non-finite floats would "converge" with a meaningless err or burn every split on NaN
+            {"rel_tol": math.inf},
+            {"rel_tol": math.nan},
+            {"abs_tol": math.inf},
+            {"tail_exponent_budget": math.inf},
+            {"tail_exponent_budget": math.nan},
+            {"decay_scale_floor": math.inf},
+            {"rel_tol": "1e-8"},
+            {"rel_tol": True},
+            # counts must be integers; a float order used to fail inside numpy's leggauss
+            {"inner_rule_order": 16.0},
+            {"inner_rule_order": True},
+            {"max_subdivisions": 2000.0},
+            {"max_subdivisions": np.float64(2000.0)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(DomainError):
             QuadratureConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"inner_rule_order": np.int64(8)},
+            {"max_subdivisions": np.int32(100)},
+            {"rel_tol": np.float32(1e-6), "abs_tol": 0},
+            {"tail_exponent_budget": 30, "decay_scale_floor": np.float64(1e-3)},
+        ],
+    )
+    def test_numpy_and_int_configs_accepted(self, kwargs):
+        res = integrate_semi_infinite(lambda u, t: np.exp(-u) * (1.0 + 0.0 * t), 1.0, QuadratureConfig(**kwargs))
+        assert res.value == pytest.approx(1.0, rel=1e-5)
 
 
 class TestEngineBasics:
@@ -209,6 +238,19 @@ def _energy_density(geometry, model, zs, cfg=None):
     return integrate_semi_infinite(f, decay_scale_for(geometry, z), cfg)
 
 
+def _full_depth(monkeypatch, integrate, *args):
+    """integrate(*args) with the probe's depth pinned to the maximum: a reference free of t-depth error."""
+    probe = quadrature._probe_t_rule
+
+    def full_depth_probe(*probe_args):
+        order, _, rho, evaluations = probe(*probe_args)
+        return order, quadrature._T_RULE_LEVELS, rho, evaluations
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_probe_t_rule", full_depth_probe)
+        return integrate(*args)
+
+
 class TestTRuleError:
     @pytest.mark.parametrize(
         "integrate, geometry, model, zs",
@@ -231,9 +273,12 @@ class TestTRuleError:
             "plain-u-drude97", "plain-u-drude200",
         ),
     )
-    def test_default_order_error_is_covered(self, integrate, geometry, model, zs):
+    def test_default_order_error_is_covered(self, monkeypatch, integrate, geometry, model, zs):
+        # the reference runs at order 128 and full depth, so err must cover
+        # the error of both the order and the depth the probe chose
         res = integrate(geometry, model, zs)
-        reference = integrate(geometry, model, zs, QuadratureConfig(inner_rule_order=128))
+        reference = _full_depth(monkeypatch, integrate, geometry, model, zs, QuadratureConfig(inner_rule_order=128))
+        assert reference.t_levels == quadrature._T_RULE_LEVELS
         assert np.all(np.abs(res.value - reference.value) <= res.error_estimate)
 
     @pytest.mark.parametrize("a", [9.0, 5.0 * math.pi])
@@ -247,16 +292,25 @@ class TestTRuleError:
         assert res.error_estimate >= 0.5 * abs(res.value)
 
     @pytest.mark.parametrize("start, rel_tol, order", [(4, 1e-8, 16), (16, 1e-13, 32)])
-    def test_short_start_order_escalates(self, start, rel_tol, order):
+    def test_short_start_order_escalates(self, monkeypatch, start, rel_tol, order):
         # Drude(1) at z = 1e-3 has the sharpest t spike of the field integrands
         case = (SingleInterface(), Drude(1.0), [1e-3])
         escalated = _field_brackets(*case, QuadratureConfig(inner_rule_order=start, rel_tol=rel_tol))
         direct = _field_brackets(*case, QuadratureConfig(inner_rule_order=order, rel_tol=rel_tol))
         np.testing.assert_array_equal(escalated.value, direct.value)
         np.testing.assert_allclose(escalated.error_estimate, direct.error_estimate, rtol=1e-6)
+        assert (escalated.t_order, escalated.t_levels) == (direct.t_order, direct.t_levels)
+        assert escalated.t_order == order
         assert escalated.evaluations > direct.evaluations  # the extra probes
-        reference = _field_brackets(*case, QuadratureConfig(inner_rule_order=128, rel_tol=rel_tol))
+        reference = _full_depth(monkeypatch, _field_brackets, *case, QuadratureConfig(inner_rule_order=128, rel_tol=rel_tol))
         assert np.all(np.abs(escalated.value - reference.value) <= escalated.error_estimate)
+
+    def test_tail_above_tolerance_stops_at_once(self):
+        # the tail bound beyond u_max = 30 exceeds 1e-10 relative, and no split reduces it
+        cfg = QuadratureConfig(tail_exponent_budget=30.0, rel_tol=1e-10)
+        with pytest.raises(NonConvergence, match="tail_exponent_budget") as excinfo:
+            _energy_density(SingleInterface(), Drude(1.0), [0.5], cfg)
+        assert excinfo.value.result.evaluations < 300_000
 
     def test_too_short_t_rule_stops_at_once(self):
         # three doublings from order 2 reach 16, whose t error is far above 1e-13
@@ -264,6 +318,40 @@ class TestTRuleError:
         with pytest.raises(NonConvergence, match="inner_rule_order") as excinfo:
             _field_brackets(SingleInterface(), Drude(1.0), [1e-3], cfg)
         assert excinfo.value.result.evaluations < 300_000
+
+
+def _spike(width):
+    """Engine result and scipy reference for e^-u / (1 + (u t / w)^2), whose t spike is w / u wide.
+
+    Its t integral is (w / u) arctan(u / w); scipy integrates that over u to 1e-13.
+    """
+    f = lambda u, t: np.exp(-u) / (1.0 + (u * t / width) ** 2)
+    g = lambda u: math.exp(-u) * (width / u) * math.atan(u / width)
+    points = [width, 10.0 * width, 100.0 * width] if width < 1.0 else None
+    near = quad(g, 0.0, 1.0, points=points, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    far = quad(g, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+    return integrate_semi_infinite(f, 1.0), near + far
+
+
+class TestTRuleDepth:
+    @pytest.mark.parametrize("width", [1.0, 1e-2, 1e-3])
+    def test_depth_error_is_covered(self, width):
+        res, reference = _spike(width)
+        assert abs(res.value - reference) <= res.error_estimate
+
+    def test_depth_grows_as_the_spike_narrows(self):
+        levels = [_spike(width)[0].t_levels for width in (1.0, 1e-2, 1e-3)]
+        assert levels[0] < levels[1] < levels[2] < quadrature._T_RULE_LEVELS
+
+    def test_midgap_integral_stays_shallow(self):
+        # the Drude t spike, about wp / u wide, is wider than 1 on the midgap integrals
+        res = _energy_density(Cavity(1.0), Drude(97.0), [0.5])
+        assert res.t_order == 16 and res.t_levels <= 2
+        assert res.evaluations < 40_000
+
+    def test_near_wall_integral_goes_deep(self):
+        res = _field_brackets(SingleInterface(), Drude(1.0), [1e-3])
+        assert res.t_levels >= 5
 
 
 class TestFixedGridOracle:
