@@ -98,12 +98,31 @@ def single_bracket(kind: FieldKind, r, rp, t):
     """
     tt = t * t
     if kind is FieldKind.E_SQUARED:
-        return -tt * r + (2.0 - tt) * rp
+        minus = -tt * r
+        return _into(np.add, minus, (2.0 - tt) * rp, minus)
     if kind is FieldKind.B_SQUARED:
-        return (2.0 - tt) * r - tt * rp
+        plus = (2.0 - tt) * r
+        return _into(np.subtract, plus, tt * rp, plus)
     if kind is FieldKind.ENERGY_DENSITY:
-        return (1.0 - tt) * (r + rp)
+        total = r + rp
+        return _into(np.multiply, 1.0 - tt, total, total)
     raise TypeError(f"unknown field kind {kind!r}")
+
+
+def _into(ufunc, a, b, out):
+    """ufunc(a, b), written over ``out`` when it is an array of the result's shape, else into a new array.
+
+    ``out`` must be a temporary of the caller's that nothing else reads
+    afterwards; the arithmetic, and so every bit of the result, is that of
+    ``ufunc(a, b)``. This keeps a chain of full-grid products from holding
+    a new float64 array per step.
+    """
+    if isinstance(out, np.ndarray):
+        try:
+            return ufunc(a, b, out=out)
+        except ValueError:  # the result has a dimension that out lacks; nothing was written
+            pass
+    return ufunc(a, b)
 
 
 def _cavity_dressing(r, rp, u, t, a):
@@ -120,10 +139,20 @@ def _cavity_dressing(r, rp, u, t, a):
     tt = t * t
     em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
     damp = np.exp(-2.0 * u * a)
-    dr = (1.0 - r) * (1.0 + r) + r * r * em
-    drp = (1.0 - rp) * (1.0 + rp) + rp * rp * em
-    term_constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
-    return term_constant, r / dr, rp / drp
+    dr, drp = _dressing_denominator(r, em), _dressing_denominator(rp, em)
+    reflected = rp * rp * damp
+    reflected = _into(np.divide, reflected, drp, reflected)
+    reflected = _into(np.add, r * r * damp / dr, reflected, reflected)
+    term_constant = _into(np.multiply, -tt, reflected, reflected)
+    return term_constant, r / dr, _into(np.divide, rp, drp, drp)
+
+
+def _dressing_denominator(r, em):
+    """(1 - r)(1 + r) + r^2 em, the denominator D of `_cavity_dressing`."""
+    product = 1.0 - r
+    product = _into(np.multiply, product, 1.0 + r, product)
+    square = r * r * em
+    return _into(np.add, product, square, square)
 
 
 def cavity_terms(kind: FieldKind, r, rp, u, t, a, z):
@@ -152,7 +181,8 @@ def cavity_terms(kind: FieldKind, r, rp, u, t, a, z):
     The constant bracket is the same for every kind.
     """
     term_constant, gr, grp = _cavity_dressing(r, rp, u, t, a)
-    return term_constant, single_bracket(kind, gr, grp, t) * _cavity_envelope(u, a, z)
+    position = single_bracket(kind, gr, grp, t)
+    return term_constant, _into(np.multiply, position, _cavity_envelope(u, a, z), position)
 
 
 def _cavity_envelope(u, a, z):
@@ -269,8 +299,8 @@ def integrand_function(
         _check_single_position(z)
 
         def f_single(u, t):
-            r, rp = _reflection_factors(model, u, t)
-            return SINGLE_PREFACTOR * u**3 * single_bracket(kind, r, rp, t) * np.exp(-2.0 * u * z)
+            bracket = _scaled(SINGLE_PREFACTOR * u**3, single_bracket(kind, *_reflection_factors(model, u, t), t))
+            return _into(np.multiply, bracket, np.exp(-2.0 * u * z), bracket)
 
         return f_single
     if isinstance(geometry, Cavity):
@@ -278,9 +308,8 @@ def integrand_function(
         _check_cavity_position(a, z)
 
         def f_cavity(u, t):
-            r, rp = _reflection_factors(model, u, t)
-            const, pos = cavity_terms(kind, r, rp, u, t, a, z)
-            return CAVITY_PREFACTOR * u**3 * (const + pos)
+            const, pos = cavity_terms(kind, *_reflection_factors(model, u, t), u, t, a, z)
+            return _scaled(CAVITY_PREFACTOR * u**3, _into(np.add, const, pos, const))
 
         return f_cavity
     raise TypeError(f"unknown geometry {geometry!r}")
@@ -293,17 +322,21 @@ def _bracket_function(geometry: Geometry, model: DielectricModel):
         def brackets_single(u, t):
             r, rp = _reflection_factors(model, u, t)
             w = SINGLE_PREFACTOR * u**3
-            return None, w * single_bracket(e2, r, rp, t), w * single_bracket(b2, r, rp, t)
+            return None, _scaled(w, single_bracket(e2, r, rp, t)), _scaled(w, single_bracket(b2, r, rp, t))
 
         return brackets_single
     if isinstance(geometry, Cavity):
         a = geometry.width
 
         def brackets_cavity(u, t):
-            r, rp = _reflection_factors(model, u, t)
-            const, gr, grp = _cavity_dressing(r, rp, u, t, a)
+            const, gr, grp = _cavity_dressing(*_reflection_factors(model, u, t), u, t, a)
             w = CAVITY_PREFACTOR * u**3
-            return w * const, w * single_bracket(e2, gr, grp, t), w * single_bracket(b2, gr, grp, t)
+            return _scaled(w, const), _scaled(w, single_bracket(e2, gr, grp, t)), _scaled(w, single_bracket(b2, gr, grp, t))
 
         return brackets_cavity
     raise TypeError(f"unknown geometry {geometry!r}")
+
+
+def _scaled(w, bracket):
+    """w * bracket, written over the temporary bracket where its shape allows."""
+    return _into(np.multiply, w, bracket, bracket)

@@ -8,18 +8,21 @@ u_max = tail_exponent_budget / decay_scale, and applies a fixed composite
 Gauss-Legendre rule on a geometrically graded t mesh at every u node, so
 the t spike stays resolved at every scale without 2-D adaptivity.
 
-The order and the depth of that t rule are measured, not assumed. One
-probe at the seed panel centres and at u_max, where the spike is narrowest,
-evaluates every bracket on the order-n rule at every depth and on the
-order-2n rule at full depth. Their largest relative difference rho picks
-the order (it doubles from ``inner_rule_order`` while rho at full depth
-exceeds a tenth of ``rel_tol``) and then the depth (the fewest graded levels
-whose rho is within that bound). rho of the chosen rule times the panels'
-Kronrod sum of the t integrals of the bracket magnitudes is the t-rule part
-of the error estimate, beside the u-panel Kronrod part and the tail bound.
-The seed panels and the tail node are then evaluated in one integrand call,
-and the probe in one, each split only where it would exceed a fixed node
-cap.
+The order and the depth of that t rule are measured, not assumed. A probe
+compares every bracket on the order-n rule with the order-2n rule at full
+depth; their largest relative difference rho estimates the order-n rule's
+error. Its first stage evaluates the order-n rule at every depth, but only
+at u_max and the two highest seed panel centres, where the spike is
+narrowest: these rows pick the order (it doubles from ``inner_rule_order``
+while rho at full depth exceeds a tenth of ``rel_tol``) and then the depth
+(the fewest graded levels whose rho is within that bound). Its second stage
+checks the chosen rule at the other seed centres and deepens it if one of
+them exceeds the bound. rho of the chosen rule over every probed row, times
+the panels' Kronrod sum of the t integrals of the bracket magnitudes, is the
+t-rule part of the error estimate, beside the u-panel Kronrod part and the
+tail bound. The seed panels and the tail node are then evaluated in one
+integrand call, and each probe stage in one, each split only where it would
+exceed a fixed node cap.
 
 In batched form one call integrates a family constant(u, t) +
 envelope_j(u) * position_k(u, t) for every position j and field k: the
@@ -87,8 +90,11 @@ _KG_WEIGHTS[:, 0] = np.concatenate((_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1]))
 _KG_WEIGHTS[1::2, 1] = np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
 
 # Number of geometric seed splits of [0, u_max]; pre-resolves the decades
-# below the truncation point before adaptive refinement starts.
-_SEED_SPLITS = 16
+# below the truncation point, down to u_max / 2^8, before adaptive refinement
+# starts. 16 splits left the midgap values within 1e-15 relative of these on
+# nearly twice the seed nodes; 4 saved nodes but brought back panel splits,
+# one integrand call each, and ran slower (2-vCPU x86 host, numpy 2.4).
+_SEED_SPLITS = 8
 
 _T_RULE_RATIO = 8.0
 # Maximum depth of the graded t mesh: levels [8^-k-1, 8^-k] for k below the
@@ -101,13 +107,18 @@ _T_RULE_LEVELS = 16
 # t-rule part takes a small share of the error budget.
 _T_ERROR_FRACTION = 0.1
 _T_ORDER_DOUBLINGS = 3
+# The probe's first stage measures every depth on this many of the largest u
+# rows (u_max and the highest seed centres), where the t spike is narrowest.
+_PROBE_TOP_ROWS = 3
 
-# Largest (u, t) grid of one integrand call. The probe calls f on whole u
-# rows within it; panel evaluation on whole panels whose u nodes times the
-# larger of the t nodes and 2 x positions (the envelope step's values per u
-# node for two fields) stay within it. It bounds the temporaries of a seed
-# mesh evaluated at once; calls of about this size also ran fastest per node
-# (2-vCPU x86 host, numpy 2.4).
+# Largest (u, t) grid of one integrand call. Each probe stage calls f on
+# whole u rows within it; panel evaluation on whole panels whose u nodes
+# times the larger of the t nodes and 2 x positions (the envelope step's
+# values per u node for two fields) stay within it. It bounds the
+# temporaries of a seed mesh evaluated at once, which peak at about 43 B
+# per node in the cavity bracket form (tracemalloc); the CLI's scan and
+# profiles also ran fastest at this cap among 8,192 to 65,536 (2-vCPU x86
+# host, numpy 2.4).
 _NODE_CAP = 16_384
 
 
@@ -127,12 +138,13 @@ class QuadratureConfig:
         Adaptive panel splits allowed beyond the initial seeding.
     inner_rule_order : int
         Starting Gauss-Legendre order on each panel of the graded t mesh.
-        A probe at the seed panel centres and at u_max compares this order
-        with its double at full depth; while their relative difference
+        A probe at u_max and the highest seed panel centres compares this
+        order with its double at full depth; while their relative difference
         exceeds rel_tol / 10 the order doubles, at most three times. The
         probe then takes the fewest graded levels whose difference from the
-        double is within that bound, and the difference of the rule finally
-        used enters the error estimate.
+        double is within that bound, deepens them if the other seed centres
+        need it, and the difference of the rule finally used enters the
+        error estimate.
     decay_scale_floor : float
         Smallest decay scale accepted, in the caller's length unit; the
         integrands genuinely diverge as the field point reaches a wall,
@@ -307,7 +319,7 @@ def integrate_semi_infinite(
     Notes
     -----
     The seed panels form one ratio-2 geometric mesh from u_max down to
-    2**-16 of the smallest truncation point of any position, so each
+    2**-8 of the smallest truncation point of any position, so each
     position gets at least the seeding it would get alone. Refinement
     then splits the worst panel of the (field, position) pair that is
     furthest above its tolerance until every pair meets it.
@@ -433,49 +445,77 @@ def integrate_semi_infinite(
 
 
 def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, float, int]:
-    """Choose the graded t rule's order and depth from one probe of f at the u nodes.
+    """Choose the graded t rule's order and depth from a two-stage probe of f at the ascending u nodes.
 
-    The probe evaluates every bracket on the order-n rule at every depth
-    (`_depth_rules`) and on the order-2n rule at full depth, in calls of
-    whole u rows within _NODE_CAP nodes. rho_L = max |Q_n,L b - Q_2n b| /
-    Q_2n |b| over the nodes and brackets estimates the relative error of
-    the order-n rule with L graded levels. While rho at full depth exceeds
-    _T_ERROR_FRACTION * rel_tol the order doubles and the probe is repeated,
-    at most _T_ORDER_DOUBLINGS times. The depth is then the fewest levels
-    whose rho_L is within that bound, or full depth if none is.
+    rho_L = max |Q_n,L b - Q_2n b| / Q_2n |b| over u rows and brackets
+    estimates the relative error of the order-n rule with L graded levels
+    against the order-2n rule at full depth. Stage 1 measures rho_L at every
+    depth (`_depth_rules`) on the _PROBE_TOP_ROWS largest u only, where the
+    t spike is narrowest. While rho at full depth exceeds _T_ERROR_FRACTION
+    * rel_tol the order doubles and stage 1 is repeated, at most
+    _T_ORDER_DOUBLINGS times; the depth is then the fewest levels whose
+    rho_L is within that bound, or full depth if none is. Stage 2 measures
+    the other rows at the chosen rule only; if one of them exceeds the
+    bound, they are probed at every depth too and the depth becomes the
+    fewest levels within it on every row. The rho returned is the maximum
+    over every row at the chosen rule.
 
     Returns the order, the depth, its rho and the number of nodes evaluated.
     """
     threshold = _T_ERROR_FRACTION * cfg.rel_tol
+    top, rest = u[-_PROBE_TOP_ROWS:], u[:-_PROBE_TOP_ROWS]
     evaluations = 0
     for doublings in range(_T_ORDER_DOUBLINGS + 1):
         order = cfg.inner_rule_order * 2**doublings
-        t_depths, w_depths = _depth_rules(order)
-        t_hi, w_hi = _graded_t_rule(2 * order, _T_RULE_LEVELS)
-        t = np.concatenate((t_depths, t_hi))
-        calls = min(u.size, -(-u.size * t.size // _NODE_CAP))
-        rho = np.max(
-            [
-                _depth_errors(bracket, w_depths, w_hi)
-                for rows in np.array_split(u, calls)
-                for bracket in _bracket_list(f(rows[:, None], t[None, :]))
-            ],
-            axis=0,
-        )
-        evaluations += u.size * t.size
+        rho, nodes = _rule_errors(f, top, order, *_depth_rules(order))
+        evaluations += nodes
         if rho[-1] <= threshold:
             break
-    qualified = np.flatnonzero(rho <= threshold)
-    levels = int(qualified[0]) + 1 if qualified.size else _T_RULE_LEVELS
+    levels = _fewest_levels(rho, threshold)
+    t_rule, w_rule = _graded_t_rule(order, levels)
+    (rho_rest,), nodes = _rule_errors(f, rest, order, t_rule, w_rule[:, None])
+    evaluations += nodes
+    if rho_rest <= threshold:
+        return order, levels, float(max(rho[levels - 1], rho_rest)), evaluations
+    rho_rest, nodes = _rule_errors(f, rest, order, *_depth_rules(order))
+    evaluations += nodes
+    rho = np.maximum(rho, rho_rest)
+    levels = _fewest_levels(rho, threshold)
     return order, levels, float(rho[levels - 1]), evaluations
 
 
-def _depth_errors(bracket: np.ndarray, w_depths: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-    """max over u of |Q_n,L b - Q_2n b| / Q_2n |b| for every depth L; bracket holds the depth nodes, then the order-2n ones."""
-    depth_nodes = w_depths.shape[0]
-    high = bracket[:, depth_nodes:]
+def _fewest_levels(rho: np.ndarray, threshold: float) -> int:
+    """The fewest graded levels whose rho is within threshold, or full depth if none is."""
+    qualified = np.flatnonzero(rho <= threshold)
+    return int(qualified[0]) + 1 if qualified.size else _T_RULE_LEVELS
+
+
+def _rule_errors(f, u: np.ndarray, order: int, t_rule: np.ndarray, w_rule: np.ndarray) -> Tuple[np.ndarray, int]:
+    """rho of every weight column of the order-n rule (t_rule, w_rule) over the u rows, and the nodes evaluated.
+
+    f is called on the rule's nodes followed by those of the order-2n rule
+    at full depth, in calls of whole u rows within _NODE_CAP nodes.
+    """
+    t_hi, w_hi = _graded_t_rule(2 * order, _T_RULE_LEVELS)
+    t = np.concatenate((t_rule, t_hi))
+    calls = min(u.size, -(-u.size * t.size // _NODE_CAP))
+    rho = np.max(
+        [
+            _depth_errors(bracket, w_rule, w_hi)
+            for rows in np.array_split(u, calls)
+            for bracket in _bracket_list(f(rows[:, None], t[None, :]))
+        ],
+        axis=0,
+    )
+    return rho, u.size * t.size
+
+
+def _depth_errors(bracket: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
+    """max over u of |Q b - Q_2n b| / Q_2n |b| for every weight column Q of w_rule; bracket holds the rule's nodes, then the order-2n ones."""
+    rule_nodes = w_rule.shape[0]
+    high = bracket[:, rule_nodes:]
     q_hi, magnitude = (high @ w_hi)[:, None], (np.abs(high) @ w_hi)[:, None]
-    diff = np.abs(bracket[:, :depth_nodes] @ w_depths - q_hi)
+    diff = np.abs(bracket[:, :rule_nodes] @ w_rule - q_hi)
     return np.max(np.divide(diff, magnitude, out=np.zeros_like(diff), where=magnitude > 0), axis=0)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from casimir_fields import (
     CAVITY_PREFACTOR,
+    SINGLE_PREFACTOR,
     Cavity,
     ConstantEpsilon,
     DomainError,
@@ -232,3 +233,54 @@ def test_bracket_form_reassembles_field_integrands(geometry):
                 assembled = assembled + constant
             expected = integrand_function(kind, geometry, model, z)(u[:, None], t)
             np.testing.assert_allclose(assembled, expected, rtol=1e-13, atol=1e-300)
+
+
+
+def _plain_brackets(geometry, model, u, t):
+    """Constant bracket (None for one wall) and each kind's bracket of the reflected pair, one plain expression each."""
+    r, rp = reflection_values(model, u, t)
+    tt = t * t
+    constant = None
+    if isinstance(geometry, Cavity):
+        a = geometry.width
+        em, damp = -np.expm1(-2.0 * u * a), np.exp(-2.0 * u * a)
+        dr = (1.0 - r) * (1.0 + r) + r * r * em
+        drp = (1.0 - rp) * (1.0 + rp) + rp * rp * em
+        constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
+        r, rp = r / dr, rp / drp
+    e2, b2, energy = -tt * r + (2.0 - tt) * rp, (2.0 - tt) * r - tt * rp, (1.0 - tt) * (r + rp)
+    return constant, dict(zip(KINDS, (e2, b2, energy)))
+
+
+@pytest.mark.parametrize("geometry", (SingleInterface(), Cavity(1.0)), ids=("single", "cavity"))
+@pytest.mark.parametrize(
+    "u, t",
+    [
+        (np.geomspace(1e-3, 1e3, 23)[:, None], np.linspace(0.01, 0.99, 17)[None, :]),
+        (np.geomspace(1e-3, 1e3, 5), 0.3),
+        (2.5, np.linspace(0.0, 1.0, 5)),
+        (0.7, 0.3),
+    ],
+    ids=("grid", "u-axis", "t-axis", "node"),
+)
+def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
+    # the closures write products over their own temporaries; that must not change a bit
+    z = 0.3
+    for model in (*MODELS, Drude(97.0)):
+        constant, brackets = _plain_brackets(geometry, model, u, t)
+        if isinstance(geometry, SingleInterface):
+            w = SINGLE_PREFACTOR * u**3
+            form = (None, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
+            plain = {kind: w * b * np.exp(-2.0 * u * z) for kind, b in brackets.items()}
+        else:
+            w = CAVITY_PREFACTOR * u**3
+            form = (w * constant, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
+            envelope = 0.5 * (np.exp(-2.0 * u * (geometry.width - z)) + np.exp(-2.0 * u * z))
+            plain = {kind: w * (constant + b * envelope) for kind, b in brackets.items()}
+        for got, expected in zip(integrand_function(None, geometry, model)(u, t), form, strict=True):
+            if expected is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, expected, strict=True)
+        for kind, expected in plain.items():
+            np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)

@@ -320,23 +320,36 @@ class TestTRuleError:
         assert excinfo.value.result.evaluations < 300_000
 
 
-def _spike(width):
-    """Engine result and scipy reference for e^-u / (1 + (u t / w)^2), whose t spike is w / u wide.
+def _spike_integrand(width, narrow_at_small_u=False):
+    """e^-u / (1 + (t / s)^2), whose t spike is s = w / u wide, or s = w u wide with ``narrow_at_small_u``."""
+    if narrow_at_small_u:
+        return lambda u, t: np.exp(-u) / (1.0 + (t / (width * u)) ** 2)
+    return lambda u, t: np.exp(-u) / (1.0 + (u * t / width) ** 2)
 
-    Its t integral is (w / u) arctan(u / w); scipy integrates that over u to 1e-13.
+
+def _spike(width, narrow_at_small_u=False):
+    """Engine result and scipy reference for `_spike_integrand`.
+
+    Its t integral is s arctan(1 / s); scipy integrates that over u to 1e-13.
     """
-    f = lambda u, t: np.exp(-u) / (1.0 + (u * t / width) ** 2)
-    g = lambda u: math.exp(-u) * (width / u) * math.atan(u / width)
+    width_at = (lambda u: width * u) if narrow_at_small_u else (lambda u: width / u)
+    g = lambda u: math.exp(-u) * width_at(u) * math.atan(1.0 / width_at(u))
     points = [width, 10.0 * width, 100.0 * width] if width < 1.0 else None
     near = quad(g, 0.0, 1.0, points=points, epsabs=0.0, epsrel=1e-13, limit=500)[0]
     far = quad(g, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=500)[0]
-    return integrate_semi_infinite(f, 1.0), near + far
+    return integrate_semi_infinite(_spike_integrand(width, narrow_at_small_u), 1.0), near + far
 
 
 class TestTRuleDepth:
     @pytest.mark.parametrize("width", [1.0, 1e-2, 1e-3])
     def test_depth_error_is_covered(self, width):
         res, reference = _spike(width)
+        assert abs(res.value - reference) <= res.error_estimate
+
+    @pytest.mark.parametrize("width", [1e-1, 1e-2, 1e-3])
+    def test_depth_error_is_covered_when_small_u_needs_it(self, width):
+        # the spike narrows towards u = 0, so the probe rows below the top ones set the depth
+        res, reference = _spike(width, narrow_at_small_u=True)
         assert abs(res.value - reference) <= res.error_estimate
 
     def test_depth_grows_as_the_spike_narrows(self):
@@ -347,11 +360,103 @@ class TestTRuleDepth:
         # the Drude t spike, about wp / u wide, is wider than 1 on the midgap integrals
         res = _energy_density(Cavity(1.0), Drude(97.0), [0.5])
         assert res.t_order == 16 and res.t_levels <= 2
-        assert res.evaluations < 40_000
+        # two probe stages (3 rows x 1,056 t nodes, 7 x 576) and the 136 x 32 seed mesh: 11,552, then 2 splits of 960
+        assert res.evaluations < 14_000
 
     def test_near_wall_integral_goes_deep(self):
         res = _field_brackets(SingleInterface(), Drude(1.0), [1e-3])
         assert res.t_levels >= 5
+        # the top probe rows pick this depth alone, so no row is probed at every depth
+        # twice: 7,648 probe nodes, the 136 x 96 seed mesh and 3 splits of 2,880 make 29,344
+        assert res.evaluations < 32_000
+
+
+def _reference_probe(f, u, cfg):
+    """Order, depth and rho from every u row at every depth of the order-n rule: what the two-stage probe must match."""
+    threshold = quadrature._T_ERROR_FRACTION * cfg.rel_tol
+    for doublings in range(quadrature._T_ORDER_DOUBLINGS + 1):
+        order = cfg.inner_rule_order * 2**doublings
+        t_depths, w_depths = quadrature._depth_rules(order)
+        t_hi, w_hi = quadrature._graded_t_rule(2 * order, quadrature._T_RULE_LEVELS)
+        t = np.concatenate((t_depths, t_hi))
+        brackets = quadrature._bracket_list(f(u[:, None], t[None, :]))
+        rho = np.max([quadrature._depth_errors(bracket, w_depths, w_hi) for bracket in brackets], axis=0)
+        if rho[-1] <= threshold:
+            break
+    qualified = np.flatnonzero(rho <= threshold)
+    levels = int(qualified[0]) + 1 if qualified.size else quadrature._T_RULE_LEVELS
+    return order, levels, float(rho[levels - 1])
+
+
+def _probe_calls(monkeypatch, integrate, *args):
+    """integrate(*args), and the (arguments, result) of every probe it ran."""
+    probe, calls = quadrature._probe_t_rule, []
+
+    def recording_probe(*probe_args):
+        calls.append((probe_args, probe(*probe_args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_probe_t_rule", recording_probe)
+        return integrate(*args), calls
+
+
+def _counted(f):
+    """f, counting the (u, t) nodes it is called on, and the one-element list that holds the count."""
+    nodes = [0]
+
+    def counted(u, t):
+        nodes[0] += np.broadcast(u, t).size
+        return f(u, t)
+
+    return counted, nodes
+
+
+_MIDGAP_WPS, _SINGLE_ZS = (1.0, 10.0, 97.0, 100.0, 1e3, 1e4), (1e-5, 1e-3, 0.1, 0.5)
+
+
+class TestTwoStageProbe:
+    @pytest.mark.parametrize(
+        "integrate, geometry, model, zs",
+        [(_energy_density, Cavity(1.0), Drude(wp), [0.5]) for wp in _MIDGAP_WPS]
+        + [(_field_brackets, SingleInterface(), Drude(1.0), [z]) for z in _SINGLE_ZS]
+        + [(_field_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5])],
+        ids=[f"midgap-drude{wp:g}" for wp in _MIDGAP_WPS] + [f"drude1-{z:g}" for z in _SINGLE_ZS] + ["eps4"],
+    )
+    def test_matches_the_all_rows_probe(self, monkeypatch, integrate, geometry, model, zs):
+        res, calls = _probe_calls(monkeypatch, integrate, geometry, model, zs)
+        ((args, (order, levels, rho, _)),) = calls
+        ref_order, ref_levels, ref_rho = _reference_probe(*args)
+        assert (order, levels) == (ref_order, ref_levels) == (res.t_order, res.t_levels)
+        # both reduce the same bracket values, in products of different shapes, so
+        # their rho agree to a few float64 ulps of the unit-normalised t sums
+        assert rho >= ref_rho - 32 * np.finfo(float).eps
+
+    def test_stage_two_deepens_for_the_lower_rows(self, monkeypatch):
+        f = _spike_integrand(1e-2, narrow_at_small_u=True)
+        _, ((args, (order, levels, rho, _)),) = _probe_calls(monkeypatch, integrate_semi_infinite, f, 1.0)
+        _, u, cfg = args
+        top_levels = _reference_probe(f, u[-quadrature._PROBE_TOP_ROWS :], cfg)[1]
+        assert (order, levels) == _reference_probe(*args)[:2]
+        assert levels > top_levels
+        assert rho <= quadrature._T_ERROR_FRACTION * cfg.rel_tol
+
+
+class TestEvaluationCount:
+    def test_plain_call(self):
+        f, nodes = _counted(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5))
+        assert integrate_semi_infinite(f, 1.0).evaluations == nodes[0]
+
+    def test_batched_call(self):
+        geometry, zs = SingleInterface(), [1e-3, 0.1, 2.0]
+        f, nodes = _counted(integrand_function(None, geometry, Drude(1.0)))
+        scales = [decay_scale_for(geometry, z) for z in zs]
+        res = integrate_semi_infinite(f, scales, envelope=position_envelope(geometry, zs))
+        assert res.evaluations == nodes[0]
+
+    def test_call_whose_probe_deepens_in_stage_two(self):
+        f, nodes = _counted(_spike_integrand(1e-2, narrow_at_small_u=True))
+        assert integrate_semi_infinite(f, 1.0).evaluations == nodes[0]
 
 
 class TestFixedGridOracle:
