@@ -10,13 +10,14 @@ input order, so output is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dielectric import DielectricModel, Drude, PerfectConductor, Vacuum
-from .errors import DomainError, NoSignChange, NotApplicableError, is_finite_real
+from .errors import DomainError, NoSignChange, NotApplicableError, is_finite_real, is_integer
 from .integrand import (
     Cavity,
     FieldKind,
@@ -43,6 +44,13 @@ __all__ = [
 ]
 
 HBAR_C_EV_NM = 197.3269804  # CODATA hbar*c in eV nm
+
+# ITP parameters of `critical_lambda`: kappa_1 times the initial bracket
+# width, kappa_2, and the slack n_0 over bisection's step count. With n_0 = 0
+# the default bracket took 11 integrals, as bisection does; with 1 it takes 7.
+_ITP_KAPPA_1 = 0.2
+_ITP_KAPPA_2 = 2.0
+_ITP_N0 = 1
 
 
 @dataclass(frozen=True)
@@ -182,10 +190,13 @@ def midpoint_scan(
     The scaled value decreases monotonically with wp*a and approaches the
     perfect-conductor constant -pi^2/720 from above for large arguments.
     """
+    for name, value in (("lambda_min", lambda_min), ("lambda_max", lambda_max)):
+        if not is_finite_real(value):
+            raise DomainError(f"{name} must be a finite real number, got {value!r}")
     if not (0 < lambda_min < lambda_max):
         raise DomainError(f"need 0 < lambda_min < lambda_max, got {lambda_min!r}, {lambda_max!r}")
-    if n < 2:
-        raise DomainError(f"a scan needs at least 2 points, got {n!r}")
+    if not (is_integer(n) and n >= 2):
+        raise DomainError(f"n must be an integer of at least 2 scan points, got {n!r}")
     if spacing == "log":
         grid = np.geomspace(lambda_min, lambda_max, n)
     elif spacing == "linear":
@@ -205,16 +216,41 @@ def critical_lambda(
     bracket: tuple[float, float] = (50.0, 200.0),
     tol: float = 0.5,
 ) -> float:
-    """The wp*a at which the midgap energy density changes sign, by bisection.
+    """The wp*a at which the midgap energy density changes sign, by the ITP method.
 
-    Bisection is used deliberately: quadrature noise near the root favors
-    a bracketing method over secant-type iterations.
+    ITP (interpolate, truncate, project; Oliveira and Takahashi, ACM TOMS
+    47, 2020) keeps a bracket [a, b] with a sign change, as bisection does.
+    Each step starts from the regula falsi point, moves it towards the
+    midpoint by delta = kappa_1 (b - a)^kappa_2, and projects it into a
+    ball about the midpoint of radius eps 2^(n_max - j) - (b - a) / 2,
+    where eps = tol / 2, n_max = ceil(log2((b0 - a0) / tol)) + n_0 and j
+    counts the steps taken. Here kappa_1 = 0.2 / (b0 - a0), kappa_2 = 2
+    and n_0 = 1, with [a0, b0] the given bracket. The projection caps the
+    steps at n_max, one more than bisection takes to reach the same width,
+    while on a smooth function the bracket shrinks superlinearly: the
+    default bracket needs 5 steps instead of bisection's 9. A bracketing
+    method is used deliberately, since quadrature noise near the root
+    would mislead secant-type iterations.
+
+    The search stops once the bracket is at most ``tol`` wide, or after
+    n_max steps, which in exact arithmetic leave it at most that wide, and
+    returns its midpoint: the root lies within tol / 2 of the value, up to
+    rounding of the bracket ends. A bracket end or a step where the energy
+    density is exactly zero is returned at once.
+
+    Raises
+    ------
+    DomainError
+        If the bracket ends are not finite with 0 < lo < hi, or ``tol`` is
+        not a positive finite number.
+    NoSignChange
+        If the energy density has the same sign at both bracket ends.
     """
+    if not (len(bracket) == 2 and all(is_finite_real(end) for end in bracket) and 0 < bracket[0] < bracket[1]):
+        raise DomainError(f"bracket must be two finite numbers with 0 < lo < hi, got {bracket!r}")
+    if not (is_finite_real(tol) and tol > 0):
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0 < lo < hi):
-        raise DomainError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     cfg = cfg or QuadratureConfig()
     f_lo = _midgap_energy_scaled(lo, cfg).value
     f_hi = _midgap_energy_scaled(hi, cfg).value
@@ -224,15 +260,29 @@ def critical_lambda(
         return hi
     if (f_lo > 0) == (f_hi > 0):
         raise NoSignChange(f"midgap energy density does not change sign on [{lo}, {hi}]")
-    while hi - lo > tol:
+    eps, kappa_1 = 0.5 * tol, _ITP_KAPPA_1 / (hi - lo)
+    n_max = math.ceil(math.log2((hi - lo) / tol)) + _ITP_N0
+    step = 0
+    # n_max steps bring the bracket to tol in exact arithmetic; the cap also
+    # ends the search where rounding leaves it a few ulps wider, or where tol
+    # is below the float spacing at the root
+    while hi - lo > tol and step < n_max:
         mid = 0.5 * (lo + hi)
-        f_mid = _midgap_energy_scaled(mid, cfg).value
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+        radius = eps * 2.0 ** (n_max - step) - 0.5 * (hi - lo)
+        delta = kappa_1 * (hi - lo) ** _ITP_KAPPA_2
+        falsi = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
+        sigma = math.copysign(1.0, mid - falsi)
+        # truncate the regula falsi point towards the midpoint, then project it into the ball
+        target = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        x = target if abs(target - mid) <= radius else mid - sigma * radius
+        f_x = _midgap_energy_scaled(x, cfg).value
+        if f_x == 0.0:
+            return x
+        if (f_x > 0) == (f_lo > 0):
+            lo, f_lo = x, f_x
         else:
-            hi, f_hi = mid, f_mid
+            hi, f_hi = x, f_x
+        step += 1
     return 0.5 * (lo + hi)
 
 
@@ -251,6 +301,8 @@ def critical_separation_physical(
         raise DomainError(f"plasma frequency must be positive, got {omega_p_ev!r}")
     if lambda_c is None:
         lambda_c = critical_lambda(cfg)
+    elif not (is_finite_real(lambda_c) and lambda_c > 0):
+        raise DomainError(f"lambda_c must be a positive finite number, got {lambda_c!r}")
     return lambda_c * HBAR_C_EV_NM / omega_p_ev / 1000.0
 
 

@@ -24,6 +24,14 @@ tail bound. The seed panels and the tail node are then evaluated in one
 integrand call, and each probe stage in one, each split only where it would
 exceed a fixed node cap.
 
+What does not depend on the integrand is built once and kept read-only:
+the graded t rules per order and depth, the probe's t grids (the order-n
+nodes followed by the order-2n reference nodes) per order and depth, and
+the seed mesh (edges, probe rows, Kronrod nodes with the tail node, half
+widths) per truncation point and seed depth. The last two sit in small
+bounded caches, so a run of integrals with one decay scale, such as a
+midgap scan, builds its mesh once.
+
 In batched form one call integrates a family constant(u, t) +
 envelope_j(u) * position_k(u, t) for every position j and field k: the
 brackets are evaluated and t-reduced once per u node, and each position
@@ -120,6 +128,11 @@ _PROBE_TOP_ROWS = 3
 # profiles also ran fastest at this cap among 8,192 to 65,536 (2-vCPU x86
 # host, numpy 2.4).
 _NODE_CAP = 16_384
+# Largest (u, t) grid of one integrand call in `integrate_fixed_grid`: its
+# finer grid, 1,536 log-u rows by 2,049 log-t nodes, takes two calls. In the
+# bracket form the cavity integrand then peaks at about the memory that one
+# call on the whole plain grid took (tracemalloc).
+_ORACLE_NODE_CAP = 2**21
 
 
 @dataclass(frozen=True)
@@ -238,6 +251,44 @@ def _depth_rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+@functools.lru_cache(maxsize=32)
+def _probe_grid(order: int, levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t row (1, m) of one probe call, the order-n weight columns and the order-2n weights.
+
+    The row holds the order-n rule's nodes, then those of the order-2n rule
+    at full depth. levels 0 selects the order-n rule at every depth
+    (`_depth_rules`), one weight column per depth; otherwise the one column
+    of the rule with that many levels.
+    """
+    t_rule, w_rule = _depth_rules(order) if levels == 0 else _graded_t_rule(order, levels)
+    t_hi, w_hi = _graded_t_rule(2 * order, _T_RULE_LEVELS)
+    t = np.concatenate((t_rule, t_hi))[None, :]
+    t.setflags(write=False)
+    return t, w_rule.reshape(w_rule.shape[0], -1), w_hi
+
+
+@functools.lru_cache(maxsize=16)
+def _seed_mesh(u_max: float, levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The seed mesh of [0, u_max]: edges, probe rows, Kronrod nodes and half widths.
+
+    The edges are 0 and u_max 2^-j for j = levels .. 0. The probe rows are
+    the panel centres, then u_max; the Kronrod nodes are the panels' 15
+    nodes, panel by panel, then the tail node u_max.
+    """
+    edges = np.array([0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max])
+    nodes, half = _kronrod_nodes(edges[:-1], edges[1:])
+    mesh = (edges, np.append(0.5 * (edges[:-1] + edges[1:]), u_max), np.append(nodes, u_max), half)
+    for array in mesh:
+        array.setflags(write=False)
+    return mesh
+
+
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The 15 Kronrod nodes of each panel [lo, hi], panel by panel, and the panels' half widths."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * _XK15).ravel(), half
+
+
 def _log_simpson_rule(intervals: int, t_floor: float = 1e-16):
     """Uniform composite Simpson rule in log(t) on [t_floor, 1]; the oracle's t rule.
 
@@ -335,52 +386,55 @@ def integrate_semi_infinite(
     envelope = envelope if batched else _unit_envelope
     u_max = cfg.tail_exponent_budget / float(scales.min())
     levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
-    edges = np.array([0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max])
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    order, t_levels, rho, evaluations = _probe_t_rule(f, np.append(centres, u_max), cfg)
+    edges, probe_u, seed_u, seed_half = _seed_mesh(u_max, levels)
+    order, t_levels, rho, evaluations = _probe_t_rule(f, probe_u, cfg)
     t_nodes, t_weights = _graded_t_rule(order, t_levels)
+    t_row = t_nodes[None, :]
     panels_per_call = max(1, _NODE_CAP // max(t_nodes.size, 2 * scales.size) // 15)
 
     def reduced_brackets(u: np.ndarray):
         """t integrals of the constant and the (K, n) position brackets at the u nodes, then of their magnitudes."""
         nonlocal evaluations
-        constant, position = _split_brackets(f(u[:, None], t_nodes[None, :]))
+        out = f(u[:, None], t_row)
         evaluations += u.size * t_nodes.size
-        brackets = np.stack(position if constant is None else [constant, *position])
+        if isinstance(out, tuple):
+            constant, brackets = out[0], np.stack(_bracket_list(out))
+        else:
+            constant, brackets = None, out[None]
         signed, magnitude = brackets @ t_weights, np.abs(brackets) @ t_weights
         if constant is None:
             return 0.0, signed, 0.0, magnitude
         return signed[0], signed[1:], magnitude[0], magnitude[1:]
 
-    def eval_panels(lo: np.ndarray, hi: np.ndarray, with_tail: bool = False):
-        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel [lo, hi].
+    def eval_panels(u: np.ndarray, half: np.ndarray, with_tail: bool = False):
+        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel.
 
-        Each is (panels, fields, positions). Whole panels share one f call up
-        to the node cap. With ``with_tail`` the last call also takes the node
-        u_max, and the t-integrated magnitude there, (fields, positions), is
-        returned fourth.
+        u holds the 15 Kronrod nodes of each panel, panel by panel, then the
+        node u_max if ``with_tail``; half holds the panels' half widths. Each
+        result is (panels, fields, positions). Whole panels share one f call
+        up to the node cap, and the last call takes the tail node; with
+        ``with_tail`` the t-integrated magnitude there, (fields, positions),
+        is returned fourth.
         """
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * _XK15
-        kg, magnitude, g_tail = [], [], None
-        for start in range(0, lo.size, panels_per_call):
-            stop = min(start + panels_per_call, lo.size)
-            u = nodes[start:stop].ravel()
-            if with_tail and stop == lo.size:
-                u = np.append(u, u_max)
-            constant, position, constant_abs, position_abs = reduced_brackets(u)
-            weights = envelope(u)[None, :, :]  # (1, positions, n)
+        panels = half.size
+        kg = magnitude = None
+        for start in range(0, panels, panels_per_call):
+            stop = min(start + panels_per_call, panels)
+            chunk = u[15 * start : 15 * stop + (with_tail and stop == panels)]
+            constant, position, constant_abs, position_abs = reduced_brackets(chunk)
+            weights = envelope(chunk)[None, :, :]  # (1, positions, n)
             values = constant + weights * position[:, None, :]
             magnitudes = constant_abs + weights * position_abs[:, None, :]
-            g_tail = magnitudes[..., -1] if with_tail else None
+            if kg is None:
+                kg, magnitude = np.empty(values.shape[:2] + (panels, 2)), np.empty(values.shape[:2] + (panels,))
             shape, n = values.shape[:2] + (stop - start, 15), (stop - start) * 15
-            kg.append(values[..., :n].reshape(shape) @ _KG_WEIGHTS * half[start:stop, None])
-            magnitude.append(magnitudes[..., :n].reshape(shape) @ _KG_WEIGHTS[:, 0] * half[start:stop])
-        kg, magnitude = np.moveaxis(np.concatenate(kg, axis=2), 2, 0), np.moveaxis(np.concatenate(magnitude, axis=2), 2, 0)
-        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), magnitude, g_tail
+            np.multiply(values[..., :n].reshape(shape) @ _KG_WEIGHTS, half[start:stop, None], out=kg[:, :, start:stop])
+            np.multiply(magnitudes[..., :n].reshape(shape) @ _KG_WEIGHTS[:, 0], half[start:stop], out=magnitude[:, :, start:stop])
+        kg = kg.transpose(2, 0, 1, 3)
+        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), magnitude.transpose(2, 0, 1), magnitudes[..., -1] if with_tail else None
 
     # panel_value, panel_err, panel_magnitude: (panels, fields, positions), panels sorted by lo
-    panel_value, panel_err, panel_magnitude, g_tail = eval_panels(edges[:-1], edges[1:], with_tail=True)
+    panel_value, panel_err, panel_magnitude, g_tail = eval_panels(seed_u, seed_half, with_tail=True)
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
@@ -405,16 +459,16 @@ def integrate_semi_infinite(
         t_err = rho * panel_magnitude.sum(axis=0)
         err_total = panel_err.sum(axis=0) + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
-        if np.all(err_total <= tol):
+        if (err_total <= tol).all():
             break
-        if np.any(t_err > tol):
+        if (t_err > tol).any():
             raise unreducible(
                 t_err,
                 "t-rule error estimate",
                 f"at inner_rule_order {order} with {t_levels} levels (started at {cfg.inner_rule_order}); "
                 "start from a higher inner_rule_order",
             )
-        if np.any(tail > tol):
+        if (tail > tol).any():
             raise unreducible(
                 tail,
                 "tail bound",
@@ -433,7 +487,7 @@ def integrate_semi_infinite(
         worst = int(np.argmax(panel_err[(slice(None), *pair)]))
         lo, hi = edges[worst], edges[worst + 1]
         mid = 0.5 * (lo + hi)
-        *halves, _ = eval_panels(np.array([lo, mid]), np.array([mid, hi]))
+        *halves, _ = eval_panels(*_kronrod_nodes(np.array([lo, mid]), np.array([mid, hi])))
         edges = np.insert(edges, worst + 1, mid)
         panel_value, panel_err, panel_magnitude = (
             np.concatenate((old[:worst], new, old[worst + 1 :]))
@@ -456,28 +510,33 @@ def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, fl
     _T_ORDER_DOUBLINGS times; the depth is then the fewest levels whose
     rho_L is within that bound, or full depth if none is. Stage 2 measures
     the other rows at the chosen rule only; if one of them exceeds the
-    bound, they are probed at every depth too and the depth becomes the
-    fewest levels within it on every row. The rho returned is the maximum
-    over every row at the chosen rule.
+    bound, they are probed again on the order-n rule at every depth, against
+    the order-2n sums kept from the first call, and the depth becomes the
+    fewest levels within the bound on every row. The rho returned is the
+    maximum over every row at the chosen rule.
 
     Returns the order, the depth, its rho and the number of nodes evaluated.
     """
     threshold = _T_ERROR_FRACTION * cfg.rel_tol
-    top, rest = u[-_PROBE_TOP_ROWS:], u[:-_PROBE_TOP_ROWS]
+    column = u[:, None]
+    top, rest = column[-_PROBE_TOP_ROWS:], column[:-_PROBE_TOP_ROWS]
     evaluations = 0
     for doublings in range(_T_ORDER_DOUBLINGS + 1):
         order = cfg.inner_rule_order * 2**doublings
-        rho, nodes = _rule_errors(f, top, order, *_depth_rules(order))
+        t, w_depths, w_hi = _probe_grid(order, 0)
+        rho, _, nodes = _rule_errors(f, _row_chunks(top, t.size), t, w_depths, w_hi)
         evaluations += nodes
         if rho[-1] <= threshold:
             break
     levels = _fewest_levels(rho, threshold)
-    t_rule, w_rule = _graded_t_rule(order, levels)
-    (rho_rest,), nodes = _rule_errors(f, rest, order, t_rule, w_rule[:, None])
+    t, w_rule, w_hi = _probe_grid(order, levels)
+    rows = _row_chunks(rest, t.size)
+    (rho_rest,), sums, nodes = _rule_errors(f, rows, t, w_rule, w_hi)
     evaluations += nodes
     if rho_rest <= threshold:
         return order, levels, float(max(rho[levels - 1], rho_rest)), evaluations
-    rho_rest, nodes = _rule_errors(f, rest, order, *_depth_rules(order))
+    t_depths, w_depths = _depth_rules(order)
+    rho_rest, _, nodes = _rule_errors(f, rows, t_depths[None, :], w_depths, sums=sums)
     evaluations += nodes
     rho = np.maximum(rho, rho_rest)
     levels = _fewest_levels(rho, threshold)
@@ -486,48 +545,59 @@ def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, fl
 
 def _fewest_levels(rho: np.ndarray, threshold: float) -> int:
     """The fewest graded levels whose rho is within threshold, or full depth if none is."""
-    qualified = np.flatnonzero(rho <= threshold)
-    return int(qualified[0]) + 1 if qualified.size else _T_RULE_LEVELS
+    qualified = rho <= threshold
+    return int(qualified.argmax()) + 1 if qualified.any() else _T_RULE_LEVELS
 
 
-def _rule_errors(f, u: np.ndarray, order: int, t_rule: np.ndarray, w_rule: np.ndarray) -> Tuple[np.ndarray, int]:
-    """rho of every weight column of the order-n rule (t_rule, w_rule) over the u rows, and the nodes evaluated.
+def _row_chunks(u: np.ndarray, width: int):
+    """The u rows (n, 1) in as few equal calls of whole rows as keep each within _NODE_CAP nodes of width t nodes."""
+    calls = min(u.shape[0], -(-u.shape[0] * width // _NODE_CAP))
+    return (u,) if calls == 1 else np.array_split(u, calls)
 
-    f is called on the rule's nodes followed by those of the order-2n rule
-    at full depth, in calls of whole u rows within _NODE_CAP nodes.
+
+def _rule_errors(f, rows, t: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | None = None, sums: list | None = None):
+    """rho of every weight column of the order-n rule over the u rows, the order-2n sums, and the nodes evaluated.
+
+    f is called once per chunk of rows on the t row (1, m): the rule's
+    nodes, then those of the order-2n rule at full depth, whose weights are
+    w_hi. Given the ``sums`` an earlier call on the same chunks returned, t
+    holds the rule's nodes alone and those sums are the reference. The sums
+    are (Q_2n b, Q_2n |b|) per chunk and bracket.
     """
-    t_hi, w_hi = _graded_t_rule(2 * order, _T_RULE_LEVELS)
-    t = np.concatenate((t_rule, t_hi))
-    calls = min(u.size, -(-u.size * t.size // _NODE_CAP))
-    rho = np.max(
-        [
-            _depth_errors(bracket, w_rule, w_hi)
-            for rows in np.array_split(u, calls)
-            for bracket in _bracket_list(f(rows[:, None], t[None, :]))
-        ],
-        axis=0,
-    )
-    return rho, u.size * t.size
-
-
-def _depth_errors(bracket: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray) -> np.ndarray:
-    """max over u of |Q b - Q_2n b| / Q_2n |b| for every weight column Q of w_rule; bracket holds the rule's nodes, then the order-2n ones."""
     rule_nodes = w_rule.shape[0]
-    high = bracket[:, rule_nodes:]
-    q_hi, magnitude = (high @ w_hi)[:, None], (np.abs(high) @ w_hi)[:, None]
+    reference = iter(sums) if sums is not None else None
+    rho, kept = None, []
+    for chunk in rows:
+        for bracket in _bracket_list(f(chunk, t)):
+            pair = next(reference) if reference is not None else _reference_sums(bracket[:, rule_nodes:], w_hi)
+            kept.append(pair)
+            errors = _depth_errors(bracket, w_rule, sums=pair)
+            rho = errors if rho is None else np.maximum(rho, errors)
+    return rho, kept, sum(chunk.shape[0] for chunk in rows) * t.size
+
+
+def _reference_sums(high: np.ndarray, w_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Q_2n b, Q_2n |b|) per u row, as columns, of a bracket on the order-2n rule's nodes."""
+    return (high @ w_hi)[:, None], (np.abs(high) @ w_hi)[:, None]
+
+
+def _depth_errors(bracket: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | None = None, sums=None) -> np.ndarray:
+    """max over u of |Q b - Q_2n b| / Q_2n |b| for every weight column Q of w_rule.
+
+    bracket holds the rule's nodes, then the order-2n ones, unless the
+    order-2n ``sums`` of `_reference_sums` are given.
+    """
+    rule_nodes = w_rule.shape[0]
+    q_hi, magnitude = _reference_sums(bracket[:, rule_nodes:], w_hi) if sums is None else sums
     diff = np.abs(bracket[:, :rule_nodes] @ w_rule - q_hi)
-    return np.max(np.divide(diff, magnitude, out=np.zeros_like(diff), where=magnitude > 0), axis=0)
-
-
-def _split_brackets(out) -> Tuple[np.ndarray | None, list]:
-    """(constant or None, position brackets) of one integrand call; a plain array is one position bracket."""
-    return (out[0], list(out[1:])) if isinstance(out, tuple) else (None, [out])
+    return np.divide(diff, magnitude, out=np.zeros(diff.shape), where=magnitude > 0).max(axis=0)
 
 
 def _bracket_list(out) -> list:
-    """Every bracket of one integrand call, without a None constant."""
-    constant, position = _split_brackets(out)
-    return position if constant is None else [constant, *position]
+    """Every bracket of one integrand call, without a None constant; a plain array is one bracket."""
+    if not isinstance(out, tuple):
+        return [out]
+    return list(out[1:]) if out[0] is None else list(out)
 
 
 def _unit_envelope(u: np.ndarray) -> np.ndarray:
@@ -542,11 +612,12 @@ def _result(batched: bool, total, err_total, evaluations: int, u_max: float, ord
 
 
 def integrate_fixed_grid(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple],
     decay_scale: float,
     n_u: int = 768,
     budget: float = 60.0,
     u_min_factor: float = 1e-8,
+    envelope: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> IntegralResult:
     """Brute-force fixed-grid evaluation of the same double integral.
 
@@ -556,27 +627,42 @@ def integrate_fixed_grid(
     2 n_u points against 2,048 intervals; the finer value is returned and
     the difference, which refines both axes, is the reported error gauge.
     Node placement, weights and refinement are all disjoint from the
-    adaptive engine, which this function cross-checks.
+    adaptive engine, which this function cross-checks. f is called on
+    whole log-u rows, at most _ORACLE_NODE_CAP nodes at a time.
+
+    With ``envelope`` f is in the batched form of `integrate_semi_infinite`
+    and field k at position j integrates ``constant + envelope(u)[j] *
+    position_k``; value and error_estimate are then (fields, positions)
+    arrays, every position on the u range of the one decay_scale.
     """
     _check_decay_scale(decay_scale, 0.0)
     if n_u < 16:
         raise DomainError(f"n_u must be at least 16, got {n_u!r}")
+    batched = envelope is not None
+    envelope = envelope if batched else _unit_envelope
     u_lo = u_min_factor / decay_scale
     u_hi = budget / decay_scale
     evaluations = 0
 
-    def once(n: int, t_intervals: int) -> float:
+    def once(n: int, t_intervals: int) -> np.ndarray:
+        """(fields, positions) integrals on n log-u points against t_intervals log-t intervals."""
         nonlocal evaluations
         t_nodes, t_weights = _log_simpson_rule(t_intervals)
         x = np.linspace(math.log(u_lo), math.log(u_hi), n)
         u = np.exp(x)
-        g = np.empty(n)
-        for start in range(0, n, 4096):  # chunk to bound the broadcast size
-            block = u[start : start + 4096]
-            g[start : start + 4096] = f(block[:, None], t_nodes[None, :]) @ t_weights
+        rows = max(1, _ORACLE_NODE_CAP // t_nodes.size)
+        g = []
+        for start in range(0, n, rows):
+            block = u[start : start + rows]
+            out = f(block[:, None], t_nodes[None, :])
+            reduced = [bracket @ t_weights for bracket in _bracket_list(out)]
+            constant = reduced.pop(0) if isinstance(out, tuple) and out[0] is not None else 0.0
+            g.append(constant + envelope(block)[None, :, :] * np.array(reduced)[:, None, :])
         evaluations += n * t_nodes.size
-        return float(np.trapezoid(u * g, x))  # du = u dx
+        return np.trapezoid(u * np.concatenate(g, axis=-1), x)  # du = u dx
 
     coarse = once(n_u, 1024)
     fine = once(2 * n_u, 2048)
-    return IntegralResult(fine, abs(fine - coarse), evaluations, u_hi)
+    if batched:
+        return IntegralResult(fine, np.abs(fine - coarse), evaluations, u_hi)
+    return IntegralResult(float(fine[0, 0]), abs(float(fine[0, 0]) - float(coarse[0, 0])), evaluations, u_hi)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from casimir_fields import (
     profile_at,
     wall_reduction_check,
 )
+from casimir_fields import analysis
 from casimir_fields.analysis import FieldPoint
 
 
@@ -228,6 +230,20 @@ class TestMidpointScan:
         with pytest.raises(DomainError):
             midpoint_scan(10.0, 100.0, 5, spacing="cubic")
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((10.0, 20.0, 2.5), "n"),
+            ((10.0, 20.0, True), "n"),
+            ((10.0, math.inf, 5), "lambda_max"),
+            ((math.nan, 20.0, 5), "lambda_min"),
+            ((True, 20.0, 5), "lambda_min"),
+        ],
+    )
+    def test_argument_validation(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            midpoint_scan(*args)
+
     def test_reproducible(self):
         first = midpoint_scan(50.0, 150.0, 3)
         second = midpoint_scan(50.0, 150.0, 3)
@@ -253,6 +269,81 @@ class TestCriticalLambda:
         with pytest.raises(DomainError):
             critical_lambda(bracket=(50.0, 200.0), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [True, math.inf, math.nan, -0.5, "0.5"])
+    def test_tol_validation(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            critical_lambda(tol=tol)
+
+    @pytest.mark.parametrize("bracket", [(50.0, math.inf), (math.nan, 200.0), (True, 200.0), (0.0, 200.0)])
+    def test_bracket_ends_validation(self, bracket):
+        with pytest.raises(DomainError, match="bracket"):
+            critical_lambda(bracket=bracket)
+
+    def test_default_bracket_takes_seven_integrals(self, monkeypatch):
+        integrals = _count_integrals(monkeypatch)
+        lam = critical_lambda()
+        # Brent's method to 1e-10 puts the root at 96.60661; bisection took 11 integrals
+        assert abs(lam - 96.60661) <= 0.25
+        assert integrals[0] <= 7
+
+
+def _count_integrals(monkeypatch, energy=None):
+    """Count the midgap integrals critical_lambda evaluates; ``energy``, if given, replaces them with U(wp*a)."""
+    integral, integrals = analysis._midgap_energy_scaled, [0]
+
+    def counted(omega_p_a, cfg):
+        integrals[0] += 1
+        return SimpleNamespace(value=energy(omega_p_a)) if energy else integral(omega_p_a, cfg)
+
+    monkeypatch.setattr(analysis, "_midgap_energy_scaled", counted)
+    return integrals
+
+
+_ROOTS = (50.3, 96.60661, 123.4, 199.9)
+
+
+class TestITPContract:
+    """critical_lambda on cheap monotone stand-ins for the midgap energy density."""
+
+    SHAPES = {
+        "linear": lambda root: (lambda x: root - x),
+        "strongly-curved": lambda root: (lambda x: (root / x) ** 8 - 1.0),
+        "flat-then-steep": lambda root: (lambda x: 1.0 - math.exp(min(x - root, 600.0) / 2.0)),
+        "increasing": lambda root: (lambda x: math.expm1(min(x - root, 600.0))),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("root", _ROOTS)
+    @pytest.mark.parametrize("bracket, tol", [((50.0, 200.0), 0.5), ((10.0, 1e4), 0.5), ((50.0, 200.0), 1e-6)])
+    def test_root_within_half_tol_in_bisection_steps_plus_one(self, monkeypatch, shape, root, bracket, tol):
+        integrals = _count_integrals(monkeypatch, self.SHAPES[shape](root))
+        lam = critical_lambda(bracket=bracket, tol=tol)
+        assert abs(lam - root) <= 0.5 * tol
+        # bisection evaluates both ends, then halves the bracket until it is at most tol wide
+        bisection = 2 + math.ceil(math.log2((bracket[1] - bracket[0]) / tol))
+        assert integrals[0] <= bisection + 1
+
+    def test_exact_zero_is_returned(self, monkeypatch):
+        # zero on all of [90, 110], so a step lands on an exact zero
+        integrals = _count_integrals(monkeypatch, lambda x: min(0.0, 110.0 - x) + max(0.0, 90.0 - x))
+        lam = critical_lambda()
+        assert 90.0 <= lam <= 110.0 and integrals[0] < 11
+        _count_integrals(monkeypatch, lambda x: 100.0 - x)
+        assert critical_lambda(bracket=(50.0, 100.0)) == 100.0
+
+    def test_tol_below_the_float_spacing_ends(self, monkeypatch):
+        # near 96.6 floats are 1.4e-14 apart, so a bracket 1e-15 wide never
+        # forms; the sign alone never reads exactly zero
+        integrals = _count_integrals(monkeypatch, lambda x: math.copysign(1.0, 96.60661 - x))
+        assert abs(critical_lambda(tol=1e-15) - 96.60661) <= 1e-13
+        assert integrals[0] <= 2 + math.ceil(math.log2(150.0 / 1e-15)) + 1
+
+    def test_no_sign_change(self, monkeypatch):
+        integrals = _count_integrals(monkeypatch, lambda x: 1.0 + x)
+        with pytest.raises(NoSignChange):
+            critical_lambda()
+        assert integrals[0] == 2
+
 
 class TestCriticalSeparationPhysical:
     def test_aluminum_reference(self):
@@ -267,6 +358,11 @@ class TestCriticalSeparationPhysical:
             critical_separation_physical(0.0)
         with pytest.raises(DomainError):
             critical_separation_physical(-14.8)
+
+    @pytest.mark.parametrize("lambda_c", [math.nan, math.inf, -5.0, 0.0, True])
+    def test_invalid_lambda_c(self, lambda_c):
+        with pytest.raises(DomainError, match="lambda_c"):
+            critical_separation_physical(14.8, lambda_c=lambda_c)
 
     def test_computed_value_in_window(self):
         a_c = critical_separation_physical(14.8)

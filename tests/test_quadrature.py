@@ -458,6 +458,46 @@ class TestEvaluationCount:
         f, nodes = _counted(_spike_integrand(1e-2, narrow_at_small_u=True))
         assert integrate_semi_infinite(f, 1.0).evaluations == nodes[0]
 
+    def test_deepened_probe_keeps_its_reference(self, monkeypatch):
+        # stage 1 on 3 rows x 1,056 t nodes, stage 2 on 7 x 576 and, as it
+        # deepens, 7 x 512 for the order-16 rule at every depth: the order-32
+        # reference of the first stage-2 call is kept, not evaluated again
+        f = _spike_integrand(1e-2, narrow_at_small_u=True)
+        _, ((_, (_, _, _, probe_nodes)),) = _probe_calls(monkeypatch, integrate_semi_infinite, f, 1.0)
+        assert probe_nodes == 3 * 1_056 + 7 * 576 + 7 * 512
+
+
+class TestSetUpCaches:
+    def test_cached_grids_are_read_only(self):
+        cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS), *quadrature._probe_grid(16, 0)]
+        cached += quadrature._probe_grid(16, 1)
+        assert all(not array.flags.writeable for array in cached)
+
+    def test_plain_call_is_unchanged_by_a_split_heavy_batched_call(self):
+        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5)
+        first = integrate_semi_infinite(f, 1.0)
+        scales = np.array([50.0, 1.0])
+        g = lambda u, t: (None, np.cos(5.0 * u) ** 2 * np.ones_like(t))
+        integrate_semi_infinite(g, scales, envelope=lambda u: np.exp(-np.outer(scales, u)))
+        assert integrate_semi_infinite(f, 1.0) == first
+
+    def test_batched_call_in_several_chunks(self, monkeypatch):
+        geometry, zs = Cavity(1.0), list(np.linspace(0.02, 0.98, 25))
+        whole = _field_brackets(geometry, Drude(200.0), zs)
+        f, calls = integrand_function(None, geometry, Drude(200.0)), [0]
+
+        def counted(u, t):
+            calls[0] += 1
+            return f(u, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_NODE_CAP", 1_024)
+            scales = [decay_scale_for(geometry, z) for z in zs]
+            chunked = integrate_semi_infinite(counted, scales, envelope=position_envelope(geometry, zs))
+        assert calls[0] > 10
+        assert chunked.evaluations == whole.evaluations
+        assert np.all(np.abs(chunked.value - whole.value) <= whole.error_estimate)
+
 
 class TestFixedGridOracle:
     def test_matches_adaptive_on_mixed_cases(self):
@@ -485,6 +525,17 @@ class TestFixedGridOracle:
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(200.0), 0.5)
         oracle, engine = integrate_fixed_grid(f, 1.0), integrate_semi_infinite(f, 1.0)
         assert abs(oracle.value - engine.value) <= oracle.error_estimate + engine.error_estimate
+
+    def test_bracket_form_matches_the_plain_calls(self):
+        geometry, model, zs = Cavity(1.0), Drude(10.0), [0.25, 0.4]
+        f = integrand_function(None, geometry, model)
+        res = integrate_fixed_grid(f, 0.5, n_u=64, envelope=position_envelope(geometry, zs))
+        assert res.value.shape == res.error_estimate.shape == (2, 2)
+        for j, z in enumerate(zs):
+            for k, kind in enumerate((FieldKind.E_SQUARED, FieldKind.B_SQUARED)):
+                plain = integrate_fixed_grid(integrand_function(kind, geometry, model, z), 0.5, n_u=64)
+                assert res.value[k, j] == pytest.approx(plain.value, rel=1e-12)
+                assert res.evaluations == plain.evaluations
 
     def test_oracle_validation(self):
         f = lambda u, t: u * 0.0 + t * 0.0
