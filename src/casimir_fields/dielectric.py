@@ -187,18 +187,26 @@ def _reflection_factors(model: DielectricModel, u: np.ndarray, t: np.ndarray):
     if isinstance(model, PerfectConductor):
         return -1.0, 1.0
     if isinstance(model, Drude):
-        wp = model.plasma_frequency
-        w = np.hypot(u, wp)
-        r = -(wp * wp) / ((u + w) * (u + w))
-        tt = t * t
-        num = wp * wp * (1.0 - (u / (u + w)) * tt)
-        den = wp * wp + tt * u * (u + w)
-        return r, num / den
+        return _drude_factors(model.plasma_frequency, u, t)
     if isinstance(model, ConstantEpsilon):
         eps = model.epsilon
         q = np.sqrt(1.0 + (eps - 1.0) * t * t)
         return (1.0 - q) / (1.0 + q), (eps - q) / (eps + q)
     raise TypeError(f"unknown dielectric model {model!r}")
+
+
+def _drude_factors(wp, u: np.ndarray, t: np.ndarray):
+    """Drude (r, r_prime) of `_reflection_factors`; wp is a plasma frequency or an array of them.
+
+    An array wp of shape (K, 1, 1) gives a family: r of shape (K, n_u, 1)
+    and r_prime of shape (K, n_u, n_t) on u (n_u, 1) and t (1, n_t).
+    """
+    w = np.hypot(u, wp)
+    r = -(wp * wp) / ((u + w) * (u + w))
+    tt = t * t
+    num = wp * wp * (1.0 - (u / (u + w)) * tt)
+    den = wp * wp + tt * u * (u + w)
+    return r, num / den
 
 
 def reflection_pair(model: DielectricModel, node: PolarNode) -> ReflectionPair:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .dielectric import DielectricModel, PolarNode, _reflection_factors, reflection_values
+from .dielectric import DielectricModel, Drude, PolarNode, _drude_factors, _reflection_factors, reflection_values
 from .errors import DomainError, is_finite_real
 
 __all__ = [
@@ -275,13 +275,22 @@ def position_envelope(geometry: Geometry, z_values) -> Callable[[np.ndarray], np
 
 
 def integrand_function(
-    kind: FieldKind | None, geometry: Geometry, model: DielectricModel, z: float | None = None
+    kind: FieldKind | None,
+    geometry: Geometry,
+    model: DielectricModel | Sequence[Drude],
+    z: float | None = None,
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray | tuple]:
     """Vectorized integrand f(u, t) for the quadrature engine.
 
     With a field ``kind``, the returned callable accepts broadcastable
     arrays with u > 0 and t in [0, 1] and returns that expectation's
     integrand at position ``z`` on the broadcast grid.
+
+    With a field ``kind`` and a sequence of K Drude models it returns the
+    family ``(None, f_1, ..., f_K)`` instead, f_k being that integrand for
+    the k-th model: the plasma frequencies ride on a leading axis of length
+    K, so one call evaluates every member. The batched engine integrates it
+    with a unit envelope, one field per member.
 
     With ``kind=None`` (and no ``z``) it returns the z-independent brackets
     ``(constant, e2_position, b2_position)`` instead, each including the
@@ -291,15 +300,29 @@ def integrand_function(
     `position_envelope`, and likewise for <B^2>; the energy density is
     their mean. One call thus serves every position and both fields.
     """
+    family = isinstance(model, (list, tuple))
     if kind is None:
         if z is not None:
             raise DomainError("the bracket form does not depend on z; pass z=None")
+        if family:
+            raise DomainError("the bracket form takes one dielectric model")
         return _bracket_function(geometry, model)
+    if not family:
+        return _field_function(kind, geometry, lambda u, t: _reflection_factors(model, u, t), z)
+    if not (model and all(isinstance(member, Drude) for member in model)):
+        raise DomainError(f"a family of integrands takes one or more Drude models, got {model!r}")
+    wp = np.array([member.plasma_frequency for member in model], dtype=float)[:, None, None]
+    field = _field_function(kind, geometry, lambda u, t: _drude_factors(wp, u, t), z)
+    return lambda u, t: (None, *field(u, t))
+
+
+def _field_function(kind: FieldKind, geometry: Geometry, factors, z):
+    """The ``kind`` integrand at z, on the reflection coefficients (r, r_prime) = factors(u, t)."""
     if isinstance(geometry, SingleInterface):
         _check_single_position(z)
 
         def f_single(u, t):
-            bracket = _scaled(SINGLE_PREFACTOR * u**3, single_bracket(kind, *_reflection_factors(model, u, t), t))
+            bracket = _scaled(SINGLE_PREFACTOR * u**3, single_bracket(kind, *factors(u, t), t))
             return _into(np.multiply, bracket, np.exp(-2.0 * u * z), bracket)
 
         return f_single
@@ -308,7 +331,7 @@ def integrand_function(
         _check_cavity_position(a, z)
 
         def f_cavity(u, t):
-            const, pos = cavity_terms(kind, *_reflection_factors(model, u, t), u, t, a, z)
+            const, pos = cavity_terms(kind, *factors(u, t), u, t, a, z)
             return _scaled(CAVITY_PREFACTOR * u**3, _into(np.add, const, pos, const))
 
         return f_cavity

@@ -17,27 +17,34 @@ narrowest: these rows pick the order (it doubles from ``inner_rule_order``
 while rho at full depth exceeds a tenth of ``rel_tol``) and then the depth
 (the fewest graded levels whose rho is within that bound). Its second stage
 checks the chosen rule at the other seed centres and deepens it if one of
-them exceeds the bound. rho of the chosen rule over every probed row, times
-the panels' Kronrod sum of the t integrals of the bracket magnitudes, is the
-t-rule part of the error estimate, beside the u-panel Kronrod part and the
-tail bound. The seed panels and the tail node are then evaluated in one
-integrand call, and each probe stage in one, each split only where it would
-exceed a fixed node cap.
+them exceeds the bound. Order and depth follow the largest rho over every
+bracket. Each field then keeps its own rho: the chosen rule's over every
+probed row and over that field's brackets only. That rho, times the panels'
+Kronrod sum of the t integrals of the field's bracket magnitudes, is the
+field's t-rule part of the error estimate, beside the u-panel Kronrod part
+and the tail bound. The seed panels and the tail node are then evaluated in
+one integrand call, and each probe stage in one, each split only where it
+would exceed a fixed node cap.
 
 What does not depend on the integrand is built once and kept read-only:
-the graded t rules per order and depth, the probe's t grids (the order-n
-nodes followed by the order-2n reference nodes) per order and depth, and
-the seed mesh (edges, probe rows, Kronrod nodes with the tail node, half
-widths) per truncation point and seed depth. The last two sit in small
-bounded caches, so a run of integrals with one decay scale, such as a
-midgap scan, builds its mesh once.
+the graded t rules per order and depth; the probe's t grids (the order-n
+nodes followed by the order-2n reference nodes) per order and depth; the
+seed mesh (edges, probe rows, Kronrod nodes with the tail node, half
+widths) per truncation point and seed depth; and the tail bound's factor
+per truncation point and scales. The last three sit in small bounded
+caches, so a run of integrals with one decay scale builds its mesh once.
 
-In batched form one call integrates a family constant(u, t) +
+In batched form one call integrates constant(u, t) +
 envelope_j(u) * position_k(u, t) for every position j and field k: the
 brackets are evaluated and t-reduced once per u node, and each position
 is a weighted sum of the reduced values. Every (position, field) pair
-keeps its own Kronrod error, tail bound and tolerance test on the shared
-panels.
+keeps its own Kronrod error, tail bound, t-rule term and tolerance test on
+the shared panels. A family ``(None, f_1, ..., f_K)`` under `unit_envelope`
+is the same form with one position: K integrands sharing one decay scale
+go through one probe, one t rule and one u mesh, which is how a midgap
+scan integrates `family_size` values of wp*a per call. The most demanding
+member sets the rule, but each member's t-rule term keeps the rho of its
+own bracket, so that member's rho does not raise the others' terms.
 
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
@@ -60,6 +67,8 @@ __all__ = [
     "IntegralResult",
     "integrate_semi_infinite",
     "integrate_fixed_grid",
+    "family_size",
+    "unit_envelope",
 ]
 
 # Gauss-Kronrod 7-15 pair, positive abscissae from x_max down to 0.
@@ -283,6 +292,15 @@ def _seed_mesh(u_max: float, levels: int) -> Tuple[np.ndarray, np.ndarray, np.nd
     return mesh
 
 
+@functools.lru_cache(maxsize=16)
+def _tail_factor(u_max: float, scales: tuple) -> np.ndarray:
+    """1 + 3/b + 6/b^2 + 6/b^3 of the tail bound per position, b = u_max * scale."""
+    budget = u_max * np.array(scales)
+    factor = 1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3
+    factor.setflags(write=False)
+    return factor
+
+
 def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The 15 Kronrod nodes of each panel [lo, hi], panel by panel, and the panels' half widths."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -350,10 +368,12 @@ def integrate_semi_infinite(
     IntegralResult
         The error estimate is the sum of the Kronrod panel estimates, a
         bound on the truncated tail beyond u_max and the measured t-rule
-        term. ``evaluations`` includes the probe's nodes, and ``t_order``
-        and ``t_levels`` record the t rule the probe chose. In batched form
-        value and error_estimate have shape (K, positions) and every
-        position is integrated up to the u_max of the slowest decay.
+        term, whose rho is each field's own (over the constant and that
+        field's position bracket). ``evaluations`` includes the probe's
+        nodes, and ``t_order`` and ``t_levels`` record the t rule the probe
+        chose. In batched form value and error_estimate have shape
+        (K, positions) and every position is integrated up to the u_max of
+        the slowest decay.
 
     Raises
     ------
@@ -383,7 +403,7 @@ def integrate_semi_infinite(
     scales = np.array(decay_scale if batched else [decay_scale], dtype=float)
     if scales.size == 0:
         raise DomainError("a batched integral needs at least one decay scale")
-    envelope = envelope if batched else _unit_envelope
+    envelope = envelope if batched else unit_envelope
     u_max = cfg.tail_exponent_budget / float(scales.min())
     levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
     edges, probe_u, seed_u, seed_half = _seed_mesh(u_max, levels)
@@ -439,8 +459,7 @@ def integrate_semi_infinite(
     # Tail bound: the t-integrated magnitude at the truncation point, carried
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
     # |constant + e * position| <= |constant| + e |position| bounds it per position.
-    budget = u_max * scales
-    tail = 2.0 * g_tail * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / scales
+    tail = 2.0 * g_tail * _tail_factor(u_max, tuple(scales.tolist())) / scales
 
     def unreducible(part, what: str, hint: str) -> NonConvergence:
         # splitting panels reduces neither the t-rule term nor the tail bound
@@ -453,10 +472,10 @@ def integrate_semi_infinite(
     splits = 0
     while True:
         total = panel_value.sum(axis=0)
-        # The t rule's error at a u node is estimated as rho times the t
-        # integral of |C| + e|P|, the quantity rho is measured against; a
-        # plain integrand that changes sign in t is covered too.
-        t_err = rho * panel_magnitude.sum(axis=0)
+        # The t rule's error at a u node is estimated as the field's rho times
+        # the t integral of |C| + e|P|, the quantity rho is measured against;
+        # a plain integrand that changes sign in t is covered too.
+        t_err = rho[:, None] * panel_magnitude.sum(axis=0)
         err_total = panel_err.sum(axis=0) + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
         if (err_total <= tol).all():
@@ -498,7 +517,7 @@ def integrate_semi_infinite(
     return _result(batched, total, err_total, evaluations, u_max, order, t_levels)
 
 
-def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, float, int]:
+def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, np.ndarray, int]:
     """Choose the graded t rule's order and depth from a two-stage probe of f at the ascending u nodes.
 
     rho_L = max |Q_n,L b - Q_2n b| / Q_2n |b| over u rows and brackets
@@ -512,10 +531,14 @@ def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, fl
     the other rows at the chosen rule only; if one of them exceeds the
     bound, they are probed again on the order-n rule at every depth, against
     the order-2n sums kept from the first call, and the depth becomes the
-    fewest levels within the bound on every row. The rho returned is the
-    maximum over every row at the chosen rule.
+    fewest levels within the bound on every row. Order and depth are chosen
+    on the largest rho over every bracket, so a family of integrands shares
+    the rule its most demanding member needs; the rho returned is one per
+    field (`_field_rho`), each the maximum over every row at the chosen
+    rule.
 
-    Returns the order, the depth, its rho and the number of nodes evaluated.
+    Returns the order, the depth, its rho per field and the number of nodes
+    evaluated.
     """
     threshold = _T_ERROR_FRACTION * cfg.rel_tol
     column = u[:, None]
@@ -526,26 +549,26 @@ def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, fl
         t, w_depths, w_hi = _probe_grid(order, 0)
         rho, _, nodes = _rule_errors(f, _row_chunks(top, t.size), t, w_depths, w_hi)
         evaluations += nodes
-        if rho[-1] <= threshold:
+        if rho[:, -1].max() <= threshold:
             break
     levels = _fewest_levels(rho, threshold)
     t, w_rule, w_hi = _probe_grid(order, levels)
     rows = _row_chunks(rest, t.size)
-    (rho_rest,), sums, nodes = _rule_errors(f, rows, t, w_rule, w_hi)
+    rho_rest, sums, nodes = _rule_errors(f, rows, t, w_rule, w_hi)
     evaluations += nodes
-    if rho_rest <= threshold:
-        return order, levels, float(max(rho[levels - 1], rho_rest)), evaluations
+    if rho_rest.max() <= threshold:
+        return order, levels, np.maximum(rho[:, levels - 1], rho_rest[:, 0]), evaluations
     t_depths, w_depths = _depth_rules(order)
     rho_rest, _, nodes = _rule_errors(f, rows, t_depths[None, :], w_depths, sums=sums)
     evaluations += nodes
     rho = np.maximum(rho, rho_rest)
     levels = _fewest_levels(rho, threshold)
-    return order, levels, float(rho[levels - 1]), evaluations
+    return order, levels, rho[:, levels - 1], evaluations
 
 
 def _fewest_levels(rho: np.ndarray, threshold: float) -> int:
-    """The fewest graded levels whose rho is within threshold, or full depth if none is."""
-    qualified = rho <= threshold
+    """The fewest graded levels whose rho (fields, depths) is within threshold on every field, or full depth if none is."""
+    qualified = rho.max(axis=0) <= threshold
     return int(qualified.argmax()) + 1 if qualified.any() else _T_RULE_LEVELS
 
 
@@ -556,7 +579,7 @@ def _row_chunks(u: np.ndarray, width: int):
 
 
 def _rule_errors(f, rows, t: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | None = None, sums: list | None = None):
-    """rho of every weight column of the order-n rule over the u rows, the order-2n sums, and the nodes evaluated.
+    """rho (fields, columns) of every weight column of the order-n rule over the u rows, the order-2n sums, and the nodes evaluated.
 
     f is called once per chunk of rows on the t row (1, m): the rule's
     nodes, then those of the order-2n rule at full depth, whose weights are
@@ -568,12 +591,21 @@ def _rule_errors(f, rows, t: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | 
     reference = iter(sums) if sums is not None else None
     rho, kept = None, []
     for chunk in rows:
-        for bracket in _bracket_list(f(chunk, t)):
+        out, errors = f(chunk, t), []
+        for bracket in _bracket_list(out):
             pair = next(reference) if reference is not None else _reference_sums(bracket[:, rule_nodes:], w_hi)
             kept.append(pair)
-            errors = _depth_errors(bracket, w_rule, sums=pair)
-            rho = errors if rho is None else np.maximum(rho, errors)
+            errors.append(_depth_errors(bracket, w_rule, sums=pair))
+        errors = _field_rho(out, np.array(errors))
+        rho = errors if rho is None else np.maximum(rho, errors)
     return rho, kept, sum(chunk.shape[0] for chunk in rows) * t.size
+
+
+def _field_rho(out, rho: np.ndarray) -> np.ndarray:
+    """rho per field from rho per bracket of one integrand call: field k's brackets are the constant, if any, and its own."""
+    if isinstance(out, tuple) and out[0] is not None:
+        return np.maximum(rho[0], rho[1:])
+    return rho
 
 
 def _reference_sums(high: np.ndarray, w_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -600,9 +632,21 @@ def _bracket_list(out) -> list:
     return list(out[1:]) if out[0] is None else list(out)
 
 
-def _unit_envelope(u: np.ndarray) -> np.ndarray:
-    """Envelope of a plain integrand: one position, weight 1."""
+def unit_envelope(u: np.ndarray) -> np.ndarray:
+    """Envelope of a plain integrand, and of a family ``(None, f_1, ..., f_K)``: one position, weight 1."""
     return np.ones((1, u.size))
+
+
+def family_size(cfg: QuadratureConfig | None = None) -> int:
+    """Members per family call: as many as keep the probe's first-stage call within _NODE_CAP nodes.
+
+    That call evaluates _PROBE_TOP_ROWS u rows on the order-n rule at every
+    depth and the order-2n reference, at ``cfg.inner_rule_order`` (3 rows x
+    1,056 t nodes at order 16, so 5 members), and each member multiplies
+    the integrand's temporaries.
+    """
+    cfg = cfg or QuadratureConfig()
+    return max(1, _NODE_CAP // (_PROBE_TOP_ROWS * _probe_grid(cfg.inner_rule_order, 0)[0].size))
 
 
 def _result(batched: bool, total, err_total, evaluations: int, u_max: float, order: int, levels: int) -> IntegralResult:
@@ -639,7 +683,7 @@ def integrate_fixed_grid(
     if n_u < 16:
         raise DomainError(f"n_u must be at least 16, got {n_u!r}")
     batched = envelope is not None
-    envelope = envelope if batched else _unit_envelope
+    envelope = envelope if batched else unit_envelope
     u_lo = u_min_factor / decay_scale
     u_hi = budget / decay_scale
     evaluations = 0

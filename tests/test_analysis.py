@@ -192,6 +192,21 @@ class TestProfile:
         with pytest.raises(error):
             profile_at(geometry, Drude(1.0), zs)
 
+    @pytest.mark.parametrize(
+        "call, args, name",
+        [
+            (profile, (Cavity(1.0), Drude(1.0), 2.5), "n_points"),
+            (profile, (Cavity(1.0), Drude(1.0), True), "n_points"),
+            (profile, (Cavity(1.0), Drude(1.0), 1), "n_points"),
+            (profile_at, (Cavity(1.0), Drude(1.0), 0.5), "z_values"),
+            (profile_at, (Cavity(1.0), Drude(1.0), [[0.25, 0.5]]), "z_values"),
+        ],
+        ids=("n-float", "n-bool", "n-one", "z-scalar", "z-nested"),
+    )
+    def test_argument_validation(self, call, args, name):
+        with pytest.raises(DomainError, match=f"^{name} "):
+            call(*args)
+
     def test_repeated_profile_is_bit_identical(self):
         first = profile(Cavity(1.0), Drude(50.0), 5, margin=0.2)
         second = profile(Cavity(1.0), Drude(50.0), 5, margin=0.2)
@@ -243,6 +258,25 @@ class TestMidpointScan:
     def test_argument_validation(self, args, name):
         with pytest.raises(DomainError, match=f"^{name} "):
             midpoint_scan(*args)
+
+    def test_rows_match_single_integrals(self, monkeypatch):
+        # 12 values in groups of 5, 5 and 2, one engine call per group
+        calls = [0]
+        integrate = analysis.integrate_semi_infinite
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return integrate(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "integrate_semi_infinite", counted)
+            points = midpoint_scan(10.0, 1000.0, 12)
+        assert calls[0] == 3
+        cfg = QuadratureConfig()
+        for point in points:
+            single = analysis._midgap_energy_scaled(point.omega_p_a, cfg)
+            assert abs(point.u_mid_scaled - single.value) <= point.err + single.error_estimate
+            assert isinstance(point.u_mid_scaled, float) and isinstance(point.err, float)
 
     def test_reproducible(self):
         first = midpoint_scan(50.0, 150.0, 3)

@@ -284,3 +284,31 @@ def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
                 np.testing.assert_array_equal(got, expected, strict=True)
         for kind, expected in plain.items():
             np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)
+
+
+@pytest.mark.parametrize("geometry, z", [(SingleInterface(), 0.3), (Cavity(1.0), 0.5)], ids=("single", "cavity"))
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+def test_family_matches_its_members(geometry, z, kind):
+    # a family of Drude integrands is the members' integrands, one per bracket, on one
+    # grid: the same operations on the same values, so the same bits
+    u, t = np.geomspace(1e-3, 1e3, 23)[:, None], np.linspace(0.01, 0.99, 17)[None, :]
+    wps = (0.3, 96.60661, 1e4)
+    out = integrand_function(kind, geometry, [Drude(wp) for wp in wps], z)(u, t)
+    assert isinstance(out, tuple) and out[0] is None and len(out) == len(wps) + 1
+    for got, wp in zip(out[1:], wps):
+        np.testing.assert_array_equal(got, integrand_function(kind, geometry, Drude(wp), z)(u, t), strict=True)
+
+
+@pytest.mark.parametrize(
+    "kind, models",
+    [
+        (FieldKind.ENERGY_DENSITY, []),
+        (FieldKind.ENERGY_DENSITY, [Drude(1.0), ConstantEpsilon(4.0)]),
+        (FieldKind.ENERGY_DENSITY, (PerfectConductor(),)),
+        (None, [Drude(1.0), Drude(2.0)]),
+    ],
+    ids=("empty", "mixed", "pc", "bracket-form"),
+)
+def test_family_takes_drude_models_only(kind, models):
+    with pytest.raises(DomainError):
+        integrand_function(kind, Cavity(1.0), models, None if kind is None else 0.5)

@@ -174,6 +174,25 @@ class TestBatchedEngine:
         assert batched.error_estimate[0, 0] == plain.error_estimate
         assert batched.evaluations == plain.evaluations
 
+    def test_each_family_member_keeps_its_own_t_term(self):
+        # midgap Drude(1) needs 2 graded t levels, Drude(96.60661) 1; the family
+        # runs at 2. At the root the second member's tolerance is abs_tol, which
+        # the first member's rho (about 1e-10) times its magnitude would exceed
+        # 230-fold, so with one rho for the family it could not converge
+        wps = (1.0, 96.60661)
+        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
+        family = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
+        alone = [_energy_density(Cavity(1.0), Drude(wp), [0.5]) for wp in wps]
+        assert [res.t_levels for res in alone] == [2, 1] and family.t_levels == 2
+        assert QuadratureConfig().rel_tol * abs(alone[1].value) < QuadratureConfig().abs_tol
+        assert family.value.shape == family.error_estimate.shape == (2, 1)
+        for (value,), (err,), single in zip(family.value, family.error_estimate, alone):
+            assert abs(value - single.value) <= err + single.error_estimate
+            # the shared rule's rho for the midgap member sits at the roundoff
+            # floor (1.05e-15 at 1 level, 1.17e-15 at 2), so its t term may
+            # grow by a few 1e-18; the u-panel part, refined for both, falls
+            assert err <= (1.0 + 1e-3) * single.error_estimate
+
     def test_batched_scales_are_checked_before_evaluation(self):
         def never(u, t):
             raise AssertionError("evaluated")
@@ -428,9 +447,10 @@ class TestTwoStageProbe:
         ((args, (order, levels, rho, _)),) = calls
         ref_order, ref_levels, ref_rho = _reference_probe(*args)
         assert (order, levels) == (ref_order, ref_levels) == (res.t_order, res.t_levels)
-        # both reduce the same bracket values, in products of different shapes, so
-        # their rho agree to a few float64 ulps of the unit-normalised t sums
-        assert rho >= ref_rho - 32 * np.finfo(float).eps
+        # the reference's rho is over every bracket, the probe's one per field, so
+        # it is their largest; both reduce the same bracket values, in products of
+        # different shapes, so they agree to a few float64 ulps of the unit-normalised t sums
+        assert rho.max() >= ref_rho - 32 * np.finfo(float).eps
 
     def test_stage_two_deepens_for_the_lower_rows(self, monkeypatch):
         f = _spike_integrand(1e-2, narrow_at_small_u=True)
@@ -454,6 +474,11 @@ class TestEvaluationCount:
         res = integrate_semi_infinite(f, scales, envelope=position_envelope(geometry, zs))
         assert res.evaluations == nodes[0]
 
+    def test_family_call(self):
+        models = [Drude(wp) for wp in (1.0, 96.60661, 1e3)]
+        f, nodes = _counted(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), models, 0.5))
+        assert integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope).evaluations == nodes[0]
+
     def test_call_whose_probe_deepens_in_stage_two(self):
         f, nodes = _counted(_spike_integrand(1e-2, narrow_at_small_u=True))
         assert integrate_semi_infinite(f, 1.0).evaluations == nodes[0]
@@ -470,8 +495,13 @@ class TestEvaluationCount:
 class TestSetUpCaches:
     def test_cached_grids_are_read_only(self):
         cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS), *quadrature._probe_grid(16, 0)]
-        cached += quadrature._probe_grid(16, 1)
+        cached += [*quadrature._probe_grid(16, 1), quadrature._tail_factor(60.0, (1.0, 0.5))]
         assert all(not array.flags.writeable for array in cached)
+
+    def test_family_size_fills_the_first_probe_stage(self):
+        # 3 top rows x 1,056 t nodes at order 16 fit 5 times in 16,384 nodes
+        assert quadrature.family_size(QuadratureConfig()) == 5
+        assert quadrature.family_size(QuadratureConfig(inner_rule_order=128)) == 1
 
     def test_plain_call_is_unchanged_by_a_split_heavy_batched_call(self):
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5)
@@ -508,11 +538,13 @@ class TestFixedGridOracle:
         ]
         for model, geometry, z in cases:
             ds = decay_scale_for(geometry, z)
+            # one bracket-form oracle call gives <E^2> and <B^2>; U is their mean
+            oracle = integrate_fixed_grid(integrand_function(None, geometry, model), ds, envelope=position_envelope(geometry, [z]))
+            (e2,), (b2,) = oracle.value.tolist()
+            reference = {FieldKind.E_SQUARED: e2, FieldKind.B_SQUARED: b2, FieldKind.ENERGY_DENSITY: 0.5 * (e2 + b2)}
             for kind in FieldKind:
-                f = integrand_function(kind, geometry, model, z)
-                adaptive = integrate_semi_infinite(f, ds)
-                oracle = integrate_fixed_grid(f, ds)
-                assert adaptive.value == pytest.approx(oracle.value, rel=1e-6, abs=1e-12)
+                adaptive = integrate_semi_infinite(integrand_function(kind, geometry, model, z), ds)
+                assert adaptive.value == pytest.approx(reference[kind], rel=1e-6, abs=1e-12)
 
     def test_oracle_error_gauge(self):
         f = integrand_function(FieldKind.ENERGY_DENSITY, SingleInterface(), Drude(1.0), 0.5)
