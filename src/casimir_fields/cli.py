@@ -39,7 +39,7 @@ from .closed_form import (
     polygamma3,
 )
 from .dielectric import ConstantEpsilon, Drude, PerfectConductor, Vacuum
-from .errors import CasimirFieldsError, DomainError
+from .errors import CasimirFieldsError, DomainError, is_finite_real
 from .integrand import Cavity, SingleInterface
 from .quadrature import QuadratureConfig
 
@@ -247,8 +247,16 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _check_positive(flag: str, value) -> None:
+    """Refuse a flag's value unless it is a positive finite number, before any integral is computed."""
+    if not (is_finite_real(value) and value > 0):
+        raise DomainError(f"--{flag} must be a positive finite number, got {value!r}")
+
+
 def cmd_critical(args) -> int:
     cfg = _quad_config(args)
+    if args.wp_ev is not None:
+        _check_positive("wp-ev", args.wp_ev)
     lam = critical_lambda(cfg, bracket=(args.bracket_lo, args.bracket_hi), tol=args.tol)
     report = {"critical_lambda": lam, "bracket": [args.bracket_lo, args.bracket_hi], "tol": args.tol}
     if args.wp_ev is not None:
@@ -329,6 +337,7 @@ def _limit_checks(cfg: QuadratureConfig, window: float) -> list[dict]:
 
 def cmd_limits(args) -> int:
     cfg = _quad_config(args)
+    _check_positive("tolerance", args.tolerance)
     checks = _limit_checks(cfg, args.tolerance)
     failed = [c for c in checks if not c["passed"]]
     if args.json:

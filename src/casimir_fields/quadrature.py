@@ -585,18 +585,17 @@ def _rule_errors(f, rows, t: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | 
     nodes, then those of the order-2n rule at full depth, whose weights are
     w_hi. Given the ``sums`` an earlier call on the same chunks returned, t
     holds the rule's nodes alone and those sums are the reference. The sums
-    are (Q_2n b, Q_2n |b|) per chunk and bracket.
+    are (Q_2n b, Q_2n |b|) per chunk, for every bracket at once.
     """
     rule_nodes = w_rule.shape[0]
     reference = iter(sums) if sums is not None else None
     rho, kept = None, []
     for chunk in rows:
-        out, errors = f(chunk, t), []
-        for bracket in _bracket_list(out):
-            pair = next(reference) if reference is not None else _reference_sums(bracket[:, rule_nodes:], w_hi)
-            kept.append(pair)
-            errors.append(_depth_errors(bracket, w_rule, sums=pair))
-        errors = _field_rho(out, np.array(errors))
+        out = f(chunk, t)
+        brackets = np.stack(_bracket_list(out))
+        pair = next(reference) if reference is not None else _reference_sums(brackets[..., rule_nodes:], w_hi)
+        kept.append(pair)
+        errors = _field_rho(out, _depth_errors(brackets, w_rule, sums=pair))
         rho = errors if rho is None else np.maximum(rho, errors)
     return rho, kept, sum(chunk.shape[0] for chunk in rows) * t.size
 
@@ -609,20 +608,20 @@ def _field_rho(out, rho: np.ndarray) -> np.ndarray:
 
 
 def _reference_sums(high: np.ndarray, w_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(Q_2n b, Q_2n |b|) per u row, as columns, of a bracket on the order-2n rule's nodes."""
-    return (high @ w_hi)[:, None], (np.abs(high) @ w_hi)[:, None]
+    """(Q_2n b, Q_2n |b|) per u row, as columns, of brackets (..., n, m) on the order-2n rule's nodes."""
+    return (high @ w_hi)[..., None], (np.abs(high) @ w_hi)[..., None]
 
 
-def _depth_errors(bracket: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | None = None, sums=None) -> np.ndarray:
-    """max over u of |Q b - Q_2n b| / Q_2n |b| for every weight column Q of w_rule.
+def _depth_errors(brackets: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | None = None, sums=None) -> np.ndarray:
+    """max over u of |Q b - Q_2n b| / Q_2n |b| for every weight column Q of w_rule: (..., columns) of brackets (..., n, m).
 
-    bracket holds the rule's nodes, then the order-2n ones, unless the
+    A bracket holds the rule's nodes, then the order-2n ones, unless the
     order-2n ``sums`` of `_reference_sums` are given.
     """
     rule_nodes = w_rule.shape[0]
-    q_hi, magnitude = _reference_sums(bracket[:, rule_nodes:], w_hi) if sums is None else sums
-    diff = np.abs(bracket[:, :rule_nodes] @ w_rule - q_hi)
-    return np.divide(diff, magnitude, out=np.zeros(diff.shape), where=magnitude > 0).max(axis=0)
+    q_hi, magnitude = _reference_sums(brackets[..., rule_nodes:], w_hi) if sums is None else sums
+    diff = np.abs(brackets[..., :rule_nodes] @ w_rule - q_hi)
+    return np.divide(diff, magnitude, out=np.zeros(diff.shape), where=magnitude > 0).max(axis=-2)
 
 
 def _bracket_list(out) -> list:

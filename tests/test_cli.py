@@ -14,6 +14,21 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def integrals(monkeypatch):
+    """Every engine call the analysis layer makes, recorded and then made."""
+    from casimir_fields import analysis
+
+    calls, integrate = [], analysis.integrate_semi_infinite
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate_semi_infinite", recording)
+    return calls
+
+
 def parse_csv(text):
     header = [line for line in text.splitlines() if line.startswith("#")]
     body = [line for line in text.splitlines() if line and not line.startswith("#")]
@@ -165,6 +180,13 @@ class TestCriticalCommand:
         assert 95.0 <= payload["critical_lambda"] <= 103.0
         assert 1.25 <= payload["critical_separation_um"] <= 1.35
 
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_invalid_plasma_frequency_fails_before_any_integral(self, capsys, integrals, value):
+        code, _, err = run_cli(["critical", "--wp-ev", value], capsys)
+        assert code == 2
+        assert "--wp-ev" in err
+        assert integrals == []
+
     def test_invalid_bracket_exit_code(self, capsys):
         code, _, err = run_cli("critical --bracket-lo 200 --bracket-hi 300".split(), capsys)
         assert code == 2
@@ -182,6 +204,13 @@ class TestLimitsCommand:
         code, out, _ = run_cli("limits --tolerance 1e-12".split(), capsys)
         assert code == 1
         assert any(line.startswith("FAIL near_wall") for line in out.splitlines())
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    def test_invalid_tolerance_fails_before_any_integral(self, capsys, integrals, value):
+        code, out, err = run_cli(["limits", "--tolerance", value], capsys)
+        assert code == 2
+        assert "--tolerance" in err
+        assert out == "" and integrals == []
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli("limits --json".split(), capsys)

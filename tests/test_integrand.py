@@ -24,6 +24,7 @@ from casimir_fields import (
     single_bracket,
     single_integrand,
 )
+from casimir_fields import quadrature
 from casimir_fields.integrand import position_envelope
 
 KINDS = (FieldKind.E_SQUARED, FieldKind.B_SQUARED, FieldKind.ENERGY_DENSITY)
@@ -236,9 +237,8 @@ def test_bracket_form_reassembles_field_integrands(geometry):
 
 
 
-def _plain_brackets(geometry, model, u, t):
-    """Constant bracket (None for one wall) and each kind's bracket of the reflected pair, one plain expression each."""
-    r, rp = reflection_values(model, u, t)
+def _plain_brackets(geometry, r, rp, u, t):
+    """Constant bracket (None for one wall), each kind's bracket and the reflected pair (r/D, r'/D'), one plain expression each."""
     tt = t * t
     constant = None
     if isinstance(geometry, Cavity):
@@ -249,7 +249,97 @@ def _plain_brackets(geometry, model, u, t):
         constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
         r, rp = r / dr, rp / drp
     e2, b2, energy = -tt * r + (2.0 - tt) * rp, (2.0 - tt) * r - tt * rp, (1.0 - tt) * (r + rp)
-    return constant, dict(zip(KINDS, (e2, b2, energy)))
+    return constant, dict(zip(KINDS, (e2, b2, energy))), (r, rp)
+
+
+def _plain_fields(geometry, r, rp, u, t, z):
+    """Each kind's integrand at z from `_plain_brackets`, and two scales of its nodes per kind.
+
+    The scales are u^3 (|C| + e (|r/D| + |r'/D'|)) and u^3 (|C| + e |P|),
+    where |P| is the kind's own bracket with every term taken positive: the
+    size of the parts whose cancellation roundoff is measured against, the
+    second also where (1 - t^2) makes a bracket vanish.
+    """
+    constant, brackets, (gr, grp) = _plain_brackets(geometry, r, rp, u, t)
+    tt, gr, grp = t * t, np.abs(gr), np.abs(grp)
+    parts = {
+        FieldKind.E_SQUARED: tt * gr + (2.0 - tt) * grp,
+        FieldKind.B_SQUARED: (2.0 - tt) * gr + tt * grp,
+        FieldKind.ENERGY_DENSITY: (1.0 - tt) * (gr + grp),
+    }
+    if isinstance(geometry, SingleInterface):
+        w, envelope = SINGLE_PREFACTOR * u**3, np.exp(-2.0 * u * z)
+        fields = {kind: w * b * envelope for kind, b in brackets.items()}
+        return fields, {kind: (w * envelope * (gr + grp), w * envelope * parts[kind]) for kind in KINDS}
+    w = CAVITY_PREFACTOR * u**3
+    envelope = 0.5 * (np.exp(-2.0 * u * (geometry.width - z)) + np.exp(-2.0 * u * z))
+    fields = {kind: w * (constant + b * envelope) for kind, b in brackets.items()}
+    scales = {kind: tuple(w * (np.abs(constant) + envelope * p) for p in (gr + grp, parts[kind])) for kind in KINDS}
+    return fields, scales
+
+
+def _drude_reflections_longdouble(wp, u, t):
+    """The Drude (r, r') of `reflection_values` in np.longdouble, from the textbook ratios."""
+    wp, u, t = np.longdouble(wp), np.asarray(u, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble)
+    s = u + np.sqrt(u * u + wp * wp)
+    tt = t * t
+    return -(wp * wp) / (s * s), wp * wp * (1 - (u / s) * tt) / (wp * wp + tt * u * s)
+
+
+def _parent_field(kind, geometry, model, z, u, t):
+    """A field integrand by the bracket arithmetic every non-Drude closure uses: `cavity_terms` or `single_bracket`."""
+    r, rp = reflection_values(model, u, t)
+    if isinstance(geometry, Cavity):
+        constant, position = cavity_terms(kind, r, rp, u, t, geometry.width, z)
+        return CAVITY_PREFACTOR * u**3 * (constant + position)
+    return SINGLE_PREFACTOR * u**3 * single_bracket(kind, r, rp, t) * np.exp(-2.0 * u * z)
+
+
+def _node_errors(geometry, model, z, u, t):
+    """Per kind and per scale of `_plain_fields`, the largest |f - f_ld| / scale of the closure and of the bracket arithmetic.
+
+    f_ld is `_plain_fields` in np.longdouble; nodes whose scale is below
+    1e-280 are left out, since float64 underflows there on both sides.
+    """
+    u_ld, t_ld = np.asarray(u, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble)
+    exact, scales = _plain_fields(geometry, *_drude_reflections_longdouble(model.plasma_frequency, u, t), u_ld, t_ld, z)
+    errors = []
+    for kind in KINDS:
+        closure = integrand_function(kind, geometry, model, z)(u, t)
+        bracket_arithmetic = _parent_field(kind, geometry, model, z, u, t)
+        for scale in scales[kind]:
+            counted = scale > 1e-280
+            assert counted.any()
+            relative = [np.abs(got - exact[kind]) / np.where(counted, scale, 1) for got in (closure, bracket_arithmetic)]
+            errors.append([float(np.max(error[counted])) for error in relative])
+    return errors
+
+
+def _engine_grids(geometry, z):
+    """(u, t) of the engine's seed mesh on the full-depth order-16 t rule, and of its probe rows on the first probe stage's t row."""
+    _, probe_u, seed_u, _ = quadrature._seed_mesh(60.0 / decay_scale_for(geometry, z), quadrature._SEED_SPLITS)
+    seed_t = quadrature._graded_t_rule(16, quadrature._T_RULE_LEVELS)[0]
+    return (seed_u[:, None], seed_t[None, :]), (probe_u[:, None], quadrature._probe_grid(16, 0)[0])
+
+
+_ORACLE_GRID = (np.geomspace(1e-8, 600.0, 240)[:, None], np.geomspace(1e-16, 1.0, 160)[None, :])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double")
+@pytest.mark.parametrize(
+    "geometry, z",
+    [(Cavity(1.0), 0.02), (Cavity(1.0), 0.35), (Cavity(1.0), 0.5), (SingleInterface(), 1e-3), (SingleInterface(), 0.3)],
+    ids=("cavity-0.02", "cavity-0.35", "cavity-0.5", "single-1e-3", "single-0.3"),
+)
+def test_drude_closures_are_as_accurate_as_the_bracket_arithmetic(geometry, z):
+    # the Drude field closures evaluate rational functions of t^2; against the
+    # plain expressions in extended precision, their worst node error, relative
+    # to the size of the parts that cancel, is at most twice that of the
+    # bracket arithmetic on the engine's grids and on the oracle's ranges
+    for wp in (0.3, 2.0, 96.60661, 200.0, 1e4):
+        for u, t in (*_engine_grids(geometry, z), _ORACLE_GRID):
+            for closure, bracket_arithmetic in _node_errors(geometry, Drude(wp), z, u, t):
+                assert closure <= 2.0 * bracket_arithmetic, (wp, u.shape, t.shape)
 
 
 @pytest.mark.parametrize("geometry", (SingleInterface(), Cavity(1.0)), ids=("single", "cavity"))
@@ -264,26 +354,43 @@ def _plain_brackets(geometry, model, u, t):
     ids=("grid", "u-axis", "t-axis", "node"),
 )
 def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
-    # the closures write products over their own temporaries; that must not change a bit
+    # the closures write products over their own temporaries; that must not change
+    # a bit. The Drude field closures evaluate rational functions of t^2 instead
+    # and meet the extended-precision bound of the test above on these shapes; on
+    # a few nodes the bracket arithmetic can land within an ulp by chance, so the
+    # bound there is at least 4 float64 ulps of the scale
     z = 0.3
     for model in (*MODELS, Drude(97.0)):
-        constant, brackets = _plain_brackets(geometry, model, u, t)
+        constant, brackets, _ = _plain_brackets(geometry, *reflection_values(model, u, t), u, t)
         if isinstance(geometry, SingleInterface):
             w = SINGLE_PREFACTOR * u**3
             form = (None, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
-            plain = {kind: w * b * np.exp(-2.0 * u * z) for kind, b in brackets.items()}
         else:
             w = CAVITY_PREFACTOR * u**3
             form = (w * constant, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
-            envelope = 0.5 * (np.exp(-2.0 * u * (geometry.width - z)) + np.exp(-2.0 * u * z))
-            plain = {kind: w * (constant + b * envelope) for kind, b in brackets.items()}
         for got, expected in zip(integrand_function(None, geometry, model)(u, t), form, strict=True):
             if expected is None:
                 assert got is None
             else:
                 np.testing.assert_array_equal(got, expected, strict=True)
-        for kind, expected in plain.items():
-            np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)
+        plain, _ = _plain_fields(geometry, *reflection_values(model, u, t), u, t, z)
+        if not isinstance(model, Drude):
+            for kind, expected in plain.items():
+                np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)
+            continue
+        for kind in KINDS:
+            assert np.shape(integrand_function(kind, geometry, model, z)(u, t)) == np.shape(plain[kind])
+        for closure, bracket_arithmetic in _node_errors(geometry, model, z, u, t):
+            assert closure <= max(2.0 * bracket_arithmetic, 4 * np.finfo(float).eps)
+
+
+def test_drude_closures_take_u_and_t_on_different_axes():
+    f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(2.0), 0.5)
+    u, t = np.geomspace(0.1, 10.0, 4), np.linspace(0.1, 0.9, 4)
+    for bad_u, bad_t in ((u, t), (u[None, :], t[:, None]), (u[None, :, None], t[:, None, None])):
+        with pytest.raises(DomainError):
+            f(bad_u, bad_t)
+    np.testing.assert_array_equal(f(u[:, None, None], t[None, None, :])[:, 0], f(u[:, None], t[None, :]))
 
 
 @pytest.mark.parametrize("geometry, z", [(SingleInterface(), 0.3), (Cavity(1.0), 0.5)], ids=("single", "cavity"))

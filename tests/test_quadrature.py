@@ -390,6 +390,29 @@ class TestTRuleDepth:
         assert res.evaluations < 32_000
 
 
+class TestRootAdjacentIntegrals:
+    # Midgap integrals beside the sign change of U: their err sits within 30% of
+    # abs_tol, so roundoff added to the t term would raise NonConvergence. Their
+    # t rule, their node count and their err must hold.
+    @pytest.mark.parametrize(
+        "wp, rule, err",
+        [(96.60661, (16, 1, 16_352), 7.0436e-15), (97.0, (16, 1, 13_472), 4.3933e-13)],
+        ids=("root", "beside-root"),
+    )
+    def test_plain_integral(self, wp, rule, err):
+        res = _energy_density(Cavity(1.0), Drude(wp), [0.5])
+        assert (res.t_order, res.t_levels, res.evaluations) == rule
+        assert res.error_estimate == pytest.approx(err, rel=1e-2)
+
+    def test_family(self):
+        wps = (95.0, 96.0, 96.60661, 97.0, 98.0)
+        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
+        res = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
+        assert (res.t_order, res.t_levels, res.evaluations) == (16, 1, 16_352)
+        expected = [7.1245e-15, 7.0734e-15, 7.0436e-15, 7.0306e-15, 6.9815e-15]
+        np.testing.assert_allclose(res.error_estimate[:, 0], expected, rtol=1e-2)
+
+
 def _reference_probe(f, u, cfg):
     """Order, depth and rho from every u row at every depth of the order-n rule: what the two-stage probe must match."""
     threshold = quadrature._T_ERROR_FRACTION * cfg.rel_tol
