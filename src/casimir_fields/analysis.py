@@ -101,6 +101,8 @@ def _field_points(
     """<E^2>, <B^2> and U at every position, from one batched engine call."""
     scales = [decay_scale_for(geometry, z) for z in z_values]  # validates every z first
     zs = [float(z) for z in z_values]
+    if any(b <= a for a, b in zip(zs, zs[1:])):
+        raise DomainError("profile positions must be strictly increasing")
     f = integrand_function(None, geometry, model)
     res = integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
     (e2, b2), (err_e2, err_b2) = res.value.tolist(), res.error_estimate.tolist()

@@ -1,14 +1,17 @@
 """Command-line front end: profiles, midgap scans, critical separation, limit checks.
 
-Output is CSV (default) or JSON. Every file starts with a header that
-records the fully resolved command, so re-running the header line
-reproduces the file byte for byte. Exit codes: 0 on success, 1 when a
-limit check fails, 2 on usage or domain errors.
+Output is CSV (default) or JSON. The `profile` and `scan` tables (CSV
+header or JSON ``config``) and `limits --json` record the fully resolved
+command, so re-running it reproduces the output byte for byte; the
+`critical` report and the `limits` text do not carry it. Exit codes: 0 on
+success, 1 when a limit check fails, 2 on usage or domain errors and when
+the ``--output`` file cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -113,6 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on first use and kept for the process.
+
+    Sharing it is safe: `parse_args` keeps no state between calls, and every
+    default is immutable.
+    """
+    return build_parser()
+
+
 def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(
         rel_tol=args.rel_tol,
@@ -152,8 +165,11 @@ def _write_text(args, text: str) -> None:
     if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CasimirFieldsError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from exc
 
 
 def _emit_table(args, command: str, extra_header: list[str], columns: list[str], rows: list[list[float]]) -> None:
@@ -161,7 +177,7 @@ def _emit_table(args, command: str, extra_header: list[str], columns: list[str],
         lines = [f"# command: {command}", f"# generator: casimir-fields {__version__}"]
         lines += [f"# {line}" for line in extra_header]
         lines.append(",".join(columns))
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [",".join(map(_fmt, row)) for row in rows]
         _write_text(args, "\n".join(lines) + "\n")
     else:
         config = {"command": command, "generator": f"casimir-fields {__version__}"}
@@ -357,8 +373,7 @@ def cmd_limits(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CasimirFieldsError as exc:

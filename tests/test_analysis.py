@@ -178,7 +178,7 @@ class TestProfile:
         ],
     )
     def test_profile_position_checks(self, geometry, z, error, monkeypatch):
-        zs = [0.2, z]
+        zs = sorted([0.2, z])  # increasing, so the ordering check cannot pre-empt the check under test
         if error is None:
             result = profile_at(geometry, Drude(1.0), zs)
             assert result.points[1].z == float(z) and isinstance(result.points[1].z, float)
@@ -191,6 +191,29 @@ class TestProfile:
         monkeypatch.setattr("casimir_fields.integrand._reflection_factors", no_evaluation)
         with pytest.raises(error):
             profile_at(geometry, Drude(1.0), zs)
+
+    @pytest.mark.parametrize(
+        "geometry, model, zs, message",
+        [
+            (Cavity(1.0), Drude(10.0), [0.9, 0.1], "strictly increasing"),
+            (Cavity(1.0), Drude(10.0), [0.5, 0.5], "strictly increasing"),
+            (SingleInterface(), Drude(1.0), [0.5, 0.2], "strictly increasing"),
+            (SingleInterface(), Drude(1.0), [0.5, math.nan, 0.2], "vacuum region"),
+            (SingleInterface(), Drude(1.0), [0.5, True, 0.2], "vacuum region"),
+            (Cavity(1.0), Drude(10.0), [0.9, "0.1"], "inside the gap"),
+        ],
+    )
+    def test_profile_order_checked_before_any_integral(self, geometry, model, zs, message, monkeypatch):
+        integrals, integrate = [], analysis.integrate_semi_infinite
+
+        def recording(*args, **kwargs):
+            integrals.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "integrate_semi_infinite", recording)
+        with pytest.raises(DomainError, match=message):
+            profile_at(geometry, model, zs)
+        assert integrals == []
 
     @pytest.mark.parametrize(
         "call, args, name",

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from casimir_fields import cli
 from casimir_fields.cli import main
 
 
@@ -132,6 +137,17 @@ class TestOutputReproducibility:
         capsys.readouterr()
         assert replay.read_bytes() == original.read_bytes()
 
+    def test_unwritable_output_is_one_line_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            "profile --geometry cavity --model pc --a 1 --points 3 --output".split() + [str(target)], capsys
+        )
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--output" in err and str(target) in err
+        assert "Traceback" not in err
+
 
 class TestScanCommand:
     def test_default_style_grid_has_single_sign_change(self, capsys):
@@ -234,3 +250,50 @@ class TestParserBasics:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "casimir-fields" in capsys.readouterr().out
+
+
+PC_PROFILE = "profile --geometry cavity --model pc --a 1 --points 3".split()
+
+
+class TestSharedParser:
+    def test_earlier_commands_leave_no_trace(self, capsys):
+        profile_argv = "profile --geometry cavity --model drude --wp 200 --a 1 --points 9".split()
+        first = run_cli(profile_argv, capsys)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["frobnicate"])
+        assert excinfo.value.code == 2
+        assert run_cli("profile --geometry cavity --model drude --a 1".split(), capsys)[0] == 2
+        assert run_cli(["scan"], capsys)[0] == 0
+        assert run_cli("critical --json".split(), capsys)[0] == 0
+        assert run_cli("limits --json".split(), capsys)[0] == 0
+        assert run_cli(profile_argv, capsys) == first
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        builds, build = [], cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            for _ in range(3):
+                assert run_cli(PC_PROFILE, capsys)[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_one_shot_run_prints_the_in_process_bytes(self, capsys):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        shell = subprocess.run(
+            [sys.executable, "-m", "casimir_fields.cli", *PC_PROFILE], env=env, capture_output=True, check=True
+        )
+        code, out, _ = run_cli(PC_PROFILE, capsys)
+        assert code == 0
+        assert shell.stdout == out.encode()
