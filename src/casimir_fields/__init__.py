@@ -42,11 +42,7 @@ from .dielectric import (
     DielectricModel,
     Drude,
     PerfectConductor,
-    PolarNode,
-    ReflectionPair,
     Vacuum,
-    epsilon_imag_axis,
-    reflection_pair,
     reflection_values,
 )
 from .errors import (
@@ -62,17 +58,11 @@ from .integrand import (
     CAVITY_PREFACTOR,
     SINGLE_PREFACTOR,
     Cavity,
-    CavityIntegrandTerms,
     FieldKind,
     Geometry,
     SingleInterface,
-    cavity_integrand,
-    cavity_integrand_terms,
-    cavity_terms,
     decay_scale_for,
     integrand_function,
-    single_bracket,
-    single_integrand,
 )
 from .quadrature import IntegralResult, QuadratureConfig, integrate_fixed_grid, integrate_semi_infinite
 
@@ -105,11 +95,7 @@ __all__ = [
     "DielectricModel",
     "Drude",
     "PerfectConductor",
-    "PolarNode",
-    "ReflectionPair",
     "Vacuum",
-    "epsilon_imag_axis",
-    "reflection_pair",
     "reflection_values",
     "CasimirFieldsError",
     "DivergesAtBoundary",
@@ -121,17 +107,11 @@ __all__ = [
     "CAVITY_PREFACTOR",
     "SINGLE_PREFACTOR",
     "Cavity",
-    "CavityIntegrandTerms",
     "FieldKind",
     "Geometry",
     "SingleInterface",
-    "cavity_integrand",
-    "cavity_integrand_terms",
-    "cavity_terms",
     "decay_scale_for",
     "integrand_function",
-    "single_bracket",
-    "single_integrand",
     "IntegralResult",
     "QuadratureConfig",
     "integrate_fixed_grid",

@@ -23,7 +23,7 @@ from .integrand import (
     FieldKind,
     Geometry,
     SingleInterface,
-    decay_scale_for,
+    _checked_positions,
     integrand_function,
     position_envelope,
 )
@@ -66,24 +66,11 @@ class FieldPoint:
 
 @dataclass(frozen=True)
 class Profile:
-    """Ordered field points for one geometry and material."""
+    """Ordered field points for one geometry and material, as `profile_at` builds them."""
 
     geometry: Geometry
     model: DielectricModel
     points: tuple[FieldPoint, ...]
-
-    def __post_init__(self):
-        zs = [p.z for p in self.points]
-        if not all(is_finite_real(z) for z in zs):
-            raise DomainError("profile positions must be finite real numbers")
-        if isinstance(self.geometry, SingleInterface) and any(z <= 0 for z in zs):
-            raise DomainError("single-interface profile positions must lie in the vacuum region z > 0")
-        if any(b <= a for a, b in zip(zs, zs[1:])):
-            raise DomainError("profile positions must be strictly increasing")
-        if isinstance(self.geometry, Cavity):
-            a = self.geometry.width
-            if any(not 0 < p.z < a for p in self.points):
-                raise DomainError("cavity profile positions must lie strictly inside the gap")
 
 
 @dataclass(frozen=True)
@@ -98,17 +85,20 @@ class ScanPoint:
 def _field_points(
     geometry: Geometry, model: DielectricModel, z_values: Sequence[float], cfg: QuadratureConfig | None
 ) -> list[FieldPoint]:
-    """<E^2>, <B^2> and U at every position, from one batched engine call."""
-    scales = [decay_scale_for(geometry, z) for z in z_values]  # validates every z first
-    zs = [float(z) for z in z_values]
-    if any(b <= a for a, b in zip(zs, zs[1:])):
+    """<E^2>, <B^2> and U at every position, from one batched engine call.
+
+    The positions are checked once, before any integral: real numbers in
+    the vacuum region, strictly increasing.
+    """
+    zs, scales = _checked_positions(geometry, z_values)
+    if not (zs[1:] > zs[:-1]).all():
         raise DomainError("profile positions must be strictly increasing")
     f = integrand_function(None, geometry, model)
     res = integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
     (e2, b2), (err_e2, err_b2) = res.value.tolist(), res.error_estimate.tolist()
     return [
         FieldPoint(z=z, e2=e, b2=b, u=0.5 * (e + b), err=max(ee, eb))
-        for z, e, b, ee, eb in zip(zs, e2, b2, err_e2, err_b2)
+        for z, e, b, ee, eb in zip(zs.tolist(), e2, b2, err_e2, err_b2)
     ]
 
 

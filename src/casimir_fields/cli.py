@@ -5,12 +5,14 @@ header or JSON ``config``) and `limits --json` record the fully resolved
 command, so re-running it reproduces the output byte for byte; the
 `critical` report and the `limits` text do not carry it. Exit codes: 0 on
 success, 1 when a limit check fails, 2 on usage or domain errors and when
-the ``--output`` file cannot be written.
+the ``--output`` file cannot be written; that file is opened before any
+integral runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -161,15 +163,18 @@ def _quad_pairs(args) -> list[tuple[str, object]]:
     ]
 
 
-def _write_text(args, text: str) -> None:
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(args.output, "w", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise CasimirFieldsError(f"cannot write --output {args.output!r}: {exc.strerror or exc}") from exc
+@contextlib.contextmanager
+def _output(args):
+    """Where the command writes: stdout, or the ``--output`` file, opened before any integral runs."""
+    path = getattr(args, "output", None)
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline="\n") as handle:
+            yield handle
+    except OSError as exc:
+        raise CasimirFieldsError(f"cannot write --output {path!r}: {exc.strerror or exc}") from exc
 
 
 def _emit_table(args, command: str, extra_header: list[str], columns: list[str], rows: list[list[float]]) -> None:
@@ -178,7 +183,7 @@ def _emit_table(args, command: str, extra_header: list[str], columns: list[str],
         lines += [f"# {line}" for line in extra_header]
         lines.append(",".join(columns))
         lines += [",".join(map(_fmt, row)) for row in rows]
-        _write_text(args, "\n".join(lines) + "\n")
+        args.stream.write("\n".join(lines) + "\n")
     else:
         config = {"command": command, "generator": f"casimir-fields {__version__}"}
         for line in extra_header:
@@ -189,7 +194,7 @@ def _emit_table(args, command: str, extra_header: list[str], columns: list[str],
             "rows": [dict(zip(columns, row)) for row in rows],
             "checks": [],
         }
-        _write_text(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        args.stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _model_from(args):
@@ -375,7 +380,8 @@ def cmd_limits(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        with _output(args) as args.stream:
+            return args.func(args)
     except CasimirFieldsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

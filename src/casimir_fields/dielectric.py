@@ -9,11 +9,12 @@ The two coefficients describe the transverse-electric (``r``) and
 transverse-magnetic (``r_prime``) polarizations of a planar
 vacuum/dielectric interface. On the imaginary axis they are real, with
 -1 <= r <= 0 and 0 <= r_prime <= 1 for the models implemented here.
+`reflection_values` evaluates them on arrays of nodes; scalars u and t
+give one node.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,10 +28,6 @@ __all__ = [
     "PerfectConductor",
     "Vacuum",
     "DielectricModel",
-    "PolarNode",
-    "ReflectionPair",
-    "epsilon_imag_axis",
-    "reflection_pair",
     "reflection_values",
 ]
 
@@ -70,72 +67,6 @@ class Vacuum:
 
 
 DielectricModel = Union[Drude, ConstantEpsilon, PerfectConductor, Vacuum]
-
-
-@dataclass(frozen=True)
-class PolarNode:
-    """A quadrature node (u, t) with u >= 0 and t = cos(theta) in [0, 1]."""
-
-    u: float
-    t: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.u) and self.u >= 0):
-            raise DomainError(f"u must be finite and >= 0, got {self.u!r}")
-        if not (math.isfinite(self.t) and 0.0 <= self.t <= 1.0):
-            raise DomainError(f"t must lie in [0, 1], got {self.t!r}")
-
-    @property
-    def zeta(self) -> float:
-        """Euclidean frequency reconstructed from the node."""
-        return self.u * self.t
-
-    @property
-    def k(self) -> float:
-        """Transverse momentum reconstructed from the node."""
-        return self.u * math.sqrt((1.0 - self.t) * (1.0 + self.t))
-
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    """Reflection amplitudes for the two polarizations at one node."""
-
-    r: float
-    r_prime: float
-
-
-def epsilon_imag_axis(model: DielectricModel, zeta: float) -> float:
-    """Permittivity eps(i*zeta) of the model on the imaginary frequency axis.
-
-    Parameters
-    ----------
-    model : DielectricModel
-        Material law.
-    zeta : float
-        Euclidean frequency; must be positive for the Drude model, whose
-        permittivity has a pole at zeta = 0, and nonnegative otherwise.
-
-    Returns
-    -------
-    float
-        The permittivity. The perfect conductor returns ``math.inf`` as a
-        sentinel; callers must branch on it before doing arithmetic.
-    """
-    if not math.isfinite(zeta):
-        raise DomainError(f"zeta must be finite, got {zeta!r}")
-    if isinstance(model, Drude):
-        if zeta <= 0:
-            raise DomainError("the Drude permittivity has a pole at zeta = 0")
-        return 1.0 + (model.plasma_frequency / zeta) ** 2
-    if zeta < 0:
-        raise DomainError(f"zeta must be >= 0, got {zeta!r}")
-    if isinstance(model, ConstantEpsilon):
-        return model.epsilon
-    if isinstance(model, Vacuum):
-        return 1.0
-    if isinstance(model, PerfectConductor):
-        return math.inf
-    raise TypeError(f"unknown dielectric model {model!r}")
 
 
 def reflection_values(model: DielectricModel, u, t):
@@ -199,9 +130,3 @@ def _reflection_factors(model: DielectricModel, u: np.ndarray, t: np.ndarray):
         q = np.sqrt(1.0 + (eps - 1.0) * t * t)
         return (1.0 - q) / (1.0 + q), (eps - q) / (eps + q)
     raise TypeError(f"unknown dielectric model {model!r}")
-
-
-def reflection_pair(model: DielectricModel, node: PolarNode) -> ReflectionPair:
-    """Reflection coefficients at a single node; see `reflection_values`."""
-    r, r_prime = reflection_values(model, node.u, node.t)
-    return ReflectionPair(float(r), float(r_prime))

@@ -14,6 +14,11 @@ None of the brackets depends on z: position enters only through the
 envelope. `integrand_function` therefore also offers the bracket form, which
 the batched engine integrates once for every position of a profile.
 
+Every integrand is a vectorized closure of `integrand_function`; scalar u
+and t evaluate it at one node and give a float. The position is checked
+where it enters: when a field closure is built, and once for a whole
+profile by the decay scales it hands to the engine.
+
 For a Drude mirror every bracket is a rational function of x = t^2 whose
 coefficients depend on u alone: r' = (1 - b x)/(1 + c x), with b and c
 functions of u and the plasma frequency, while r depends on u only. The
@@ -30,13 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .dielectric import DielectricModel, Drude, PolarNode, _reflection_factors, reflection_values
+from .dielectric import DielectricModel, Drude, _reflection_factors
 from .errors import DomainError, is_finite_real
 
 __all__ = [
@@ -44,12 +50,8 @@ __all__ = [
     "Cavity",
     "Geometry",
     "FieldKind",
-    "CavityIntegrandTerms",
     "single_bracket",
     "cavity_terms",
-    "single_integrand",
-    "cavity_integrand_terms",
-    "cavity_integrand",
     "integrand_function",
     "position_envelope",
     "decay_scale_for",
@@ -86,19 +88,6 @@ class FieldKind(Enum):
     E_SQUARED = "e2"
     B_SQUARED = "b2"
     ENERGY_DENSITY = "u"
-
-
-@dataclass(frozen=True)
-class CavityIntegrandTerms:
-    """The two brackets of a cavity integrand, without the u^3 prefactor.
-
-    ``term_constant`` is the z-independent bracket and ``term_position``
-    the cosh-weighted one; the integrand is their sum times
-    ``CAVITY_PREFACTOR * u**3``.
-    """
-
-    term_constant: float
-    term_position: float
 
 
 def single_bracket(kind: FieldKind, r, rp, t):
@@ -202,72 +191,33 @@ def _cavity_envelope(u, a, z):
     return 0.5 * (np.exp(-2.0 * u * (a - z)) + np.exp(-2.0 * u * z))
 
 
-def single_integrand(kind: FieldKind, model: DielectricModel, z: float, node: PolarNode) -> float:
-    """Single-interface integrand value at one node.
-
-    Returns (1 / 4 pi^2) * u^3 * bracket(t) * exp(-2 u z), the density per
-    unit u and unit t of the selected expectation at distance z > 0 from
-    the interface.
-    """
-    _check_single_position(z)
-    r, rp = reflection_values(model, node.u, node.t)
-    bracket = single_bracket(kind, float(r), float(rp), node.t)
-    return SINGLE_PREFACTOR * node.u**3 * bracket * math.exp(-2.0 * node.u * z)
-
-
-def _check_single_position(z) -> None:
-    if not (is_finite_real(z) and z > 0):
-        raise DomainError(f"field point must lie in the vacuum region, got z = {z!r}")
-
-
-def _check_cavity_position(a, z) -> None:
-    if not (is_finite_real(a) and a > 0):
-        raise DomainError(f"cavity width must be positive and finite, got {a!r}")
-    if not (is_finite_real(z) and 0 < z < a):
-        raise DomainError(f"field point must lie strictly inside the gap, got z = {z!r} with a = {a!r}")
-
-
-def cavity_integrand_terms(
-    kind: FieldKind, model: DielectricModel, a: float, z: float, node: PolarNode
-) -> CavityIntegrandTerms:
-    """Term decomposition of the cavity integrand at one node.
-
-    Exposes the z-independent and z-dependent brackets separately so that
-    their signs can be tested: for the energy density of a Drude mirror or
-    a perfect conductor, term_constant <= 0 <= term_position at every node.
-    """
-    _check_cavity_position(a, z)
-    if node.u == 0.0:
-        r0, rp0 = reflection_values(model, 0.0, node.t)
-        if abs(float(r0)) == 1.0 or abs(float(rp0)) == 1.0:
-            raise DomainError("cavity brackets diverge at u = 0 for a unit-reflectivity model")
-    r, rp = reflection_values(model, node.u, node.t)
-    const, pos = cavity_terms(kind, r, rp, node.u, node.t, a, z)
-    return CavityIntegrandTerms(float(const), float(pos))
-
-
-def cavity_integrand(kind: FieldKind, model: DielectricModel, a: float, z: float, node: PolarNode) -> float:
-    """Cavity integrand value at one node: (1 / 2 pi^2) u^3 (const + position).
-
-    At u = 0 the brackets can diverge while the u^3 prefactor wins; the
-    continuous limit of the product is zero, which is what is returned.
-    """
-    _check_cavity_position(a, z)
-    if node.u == 0.0:
-        return 0.0
-    terms = cavity_integrand_terms(kind, model, a, z, node)
-    return CAVITY_PREFACTOR * node.u**3 * (terms.term_constant + terms.term_position)
-
-
 def decay_scale_for(geometry: Geometry, z: float) -> float:
-    """Exponential decay scale of the integrand in u: 2z, or 2 min(z, a-z)."""
+    """Exponential decay scale of the integrand in u: 2z, or 2 min(z, a-z); DomainError unless z is in the vacuum."""
+    return float(_checked_positions(geometry, [z])[1][0])
+
+
+def _checked_positions(geometry: Geometry, z_values) -> tuple[np.ndarray, np.ndarray]:
+    """A sequence of positions as floats and their decay scales, after checking that each lies in the vacuum.
+
+    One pass over the elements refuses anything but real numbers (bool
+    included); array checks then require z > 0, or 0 < z < a in a cavity,
+    which also refuses NaN and infinities. The error names the first
+    position that fails.
+    """
     if isinstance(geometry, SingleInterface):
-        _check_single_position(z)
-        return 2.0 * float(z)
-    if isinstance(geometry, Cavity):
-        _check_cavity_position(geometry.width, z)
-        return 2.0 * min(float(z), geometry.width - float(z))
-    raise TypeError(f"unknown geometry {geometry!r}")
+        a = math.inf
+    elif isinstance(geometry, Cavity):
+        a = geometry.width
+    else:
+        raise TypeError(f"unknown geometry {geometry!r}")
+    z = np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in z_values])
+    inside = (0.0 < z) & (z < a)
+    if not inside.all():
+        bad = z_values[int(np.argmin(inside))]
+        if isinstance(geometry, SingleInterface):
+            raise DomainError(f"field point must lie in the vacuum region, got z = {bad!r}")
+        raise DomainError(f"field point must lie strictly inside the gap, got z = {bad!r} with a = {a!r}")
+    return z, 2.0 * np.minimum(z, a - z)
 
 
 def position_envelope(geometry: Geometry, z_values) -> Callable[[np.ndarray], np.ndarray]:
@@ -276,7 +226,8 @@ def position_envelope(geometry: Geometry, z_values) -> Callable[[np.ndarray], np
     The returned callable maps u of shape (n,) to an array of shape
     (len(z_values), n): exp(-2uz) outside a single interface, and
     (exp(-2u(a-z)) + exp(-2uz)) / 2 inside a cavity. Positions are not
-    validated here; `decay_scale_for` does that.
+    validated here; the engine's callers check them once, with the decay
+    scales they compute for it (`decay_scale_for`).
     """
     z = np.asarray(z_values, dtype=float)[:, None]
     if isinstance(geometry, SingleInterface):
@@ -325,6 +276,7 @@ def integrand_function(
         return _bracket_function(geometry, model)
     if family and not (model and all(isinstance(member, Drude) for member in model)):
         raise DomainError(f"a family of integrands takes one or more Drude models, got {model!r}")
+    _checked_positions(geometry, [z])
     if not (family or isinstance(model, Drude)):
         return _field_function(kind, geometry, model, z)
     members = model if family else [model]
@@ -335,29 +287,25 @@ def integrand_function(
 
 
 def _field_function(kind: FieldKind, geometry: Geometry, model: DielectricModel, z):
-    """The ``kind`` integrand at z for a constant-permittivity, perfectly conducting or vacuum model."""
+    """The ``kind`` integrand at a checked z for a constant-permittivity, perfectly conducting or vacuum model."""
     if isinstance(geometry, SingleInterface):
-        _check_single_position(z)
 
         def f_single(u, t):
             bracket = _scaled(SINGLE_PREFACTOR * u**3, single_bracket(kind, *_reflection_factors(model, u, t), t))
             return _into(np.multiply, bracket, np.exp(-2.0 * u * z), bracket)
 
         return f_single
-    if isinstance(geometry, Cavity):
-        a = geometry.width
-        _check_cavity_position(a, z)
+    a = geometry.width
 
-        def f_cavity(u, t):
-            const, pos = cavity_terms(kind, *_reflection_factors(model, u, t), u, t, a, z)
-            return _scaled(CAVITY_PREFACTOR * u**3, _into(np.add, const, pos, const))
+    def f_cavity(u, t):
+        const, pos = cavity_terms(kind, *_reflection_factors(model, u, t), u, t, a, z)
+        return _scaled(CAVITY_PREFACTOR * u**3, _into(np.add, const, pos, const))
 
-        return f_cavity
-    raise TypeError(f"unknown geometry {geometry!r}")
+    return f_cavity
 
 
 def _drude_field_function(kind: FieldKind, geometry: Geometry, plasma_frequencies: list, z):
-    """The ``kind`` integrand at z of K Drude models, as f(u, t) of shape (K, *grid).
+    """The ``kind`` integrand at a checked z of K Drude models, as f(u, t) of shape (K, *grid).
 
     Every value is numerator / denominator, two cubic polynomials in
     x = t^2 whose Bernstein coefficients depend on u alone
@@ -366,15 +314,11 @@ def _drude_field_function(kind: FieldKind, geometry: Geometry, plasma_frequencie
     """
     wp2 = np.square(np.array(plasma_frequencies, dtype=float))[:, None]
     if isinstance(geometry, SingleInterface):
-        _check_single_position(z)
         coefficients = functools.partial(_single_coefficients, _SINGLE_MAPS[kind], wp2, -2.0 * z)
-    elif isinstance(geometry, Cavity):
+    else:
         a = geometry.width
-        _check_cavity_position(a, z)
         rates = np.array([-2.0 * a, -2.0 * (a - z), -2.0 * z])[:, None]
         coefficients = functools.partial(_cavity_coefficients, _CAVITY_MAPS[kind], wp2, rates)
-    else:
-        raise TypeError(f"unknown geometry {geometry!r}")
 
     def f_drude(u, t):
         u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)

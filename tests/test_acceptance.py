@@ -20,7 +20,6 @@ from casimir_fields import (
     FieldKind,
     PerfectConductor,
     SingleInterface,
-    cavity_terms,
     compute_point,
     critical_lambda,
     critical_separation_physical,
@@ -36,10 +35,9 @@ from casimir_fields import (
     pc_single_e2,
     profile,
     reflection_values,
-    single_bracket,
     wall_reduction_check,
 )
-from casimir_fields.integrand import position_envelope
+from casimir_fields.integrand import cavity_terms, position_envelope, single_bracket
 
 PC_LIMIT = -(math.pi**2) / 720.0
 

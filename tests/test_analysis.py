@@ -31,7 +31,15 @@ from casimir_fields import (
     wall_reduction_check,
 )
 from casimir_fields import analysis
-from casimir_fields.analysis import FieldPoint
+
+
+def _forbid_integrals(monkeypatch):
+    """Make any engine call of the analysis layer fail the test."""
+
+    def no_integral(*args, **kwargs):
+        raise AssertionError("an integral ran before the positions were checked")
+
+    monkeypatch.setattr(analysis, "integrate_semi_infinite", no_integral)
 
 
 class TestComputePoint:
@@ -130,17 +138,19 @@ class TestProfile:
         with pytest.raises(DomainError):
             profile_at(SingleInterface(), Vacuum(), [])
 
-    def test_profile_invariant_for_cavity_positions(self):
-        good = compute_point(SingleInterface(), Vacuum(), 0.5)
-        with pytest.raises(DomainError):
-            Profile(Cavity(1.0), Vacuum(), (FieldPoint(1.5, 0, 0, 0, 0),))
-        Profile(SingleInterface(), Vacuum(), (good,))
+    def test_profile_invariant_for_cavity_positions(self, monkeypatch):
+        good = profile_at(SingleInterface(), Vacuum(), [0.5])
+        assert isinstance(good, Profile) and good.points == (compute_point(SingleInterface(), Vacuum(), 0.5),)
+        _forbid_integrals(monkeypatch)
+        with pytest.raises(DomainError, match="inside the gap"):
+            profile_at(Cavity(1.0), Vacuum(), [1.5])
 
     @pytest.mark.parametrize("geometry", [SingleInterface(), Cavity(1.0)], ids=("single", "cavity"))
     @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    def test_profile_rejects_positions_outside_the_vacuum(self, geometry, z):
-        with pytest.raises(DomainError):
-            Profile(geometry, Vacuum(), (FieldPoint(z, 0, 0, 0, 0),))
+    def test_profile_rejects_positions_outside_the_vacuum(self, geometry, z, monkeypatch):
+        _forbid_integrals(monkeypatch)
+        with pytest.raises(DomainError, match="vacuum region" if isinstance(geometry, SingleInterface) else "inside the gap"):
+            profile_at(geometry, Vacuum(), [z])
 
     @pytest.mark.parametrize(
         "geometry, zs, model",
@@ -187,7 +197,6 @@ class TestProfile:
         def no_evaluation(*args):
             raise AssertionError("integrand evaluated before the positions were checked")
 
-        monkeypatch.setattr("casimir_fields.integrand.reflection_values", no_evaluation)
         monkeypatch.setattr("casimir_fields.integrand._reflection_factors", no_evaluation)
         with pytest.raises(error):
             profile_at(geometry, Drude(1.0), zs)
@@ -471,7 +480,8 @@ class TestScalingIdentities:
 
     def test_swapped_reflection_maps_e2_profile_onto_b2(self):
         # integrating the swapped-bracket integrand reproduces b2 exactly
-        from casimir_fields import CAVITY_PREFACTOR, SINGLE_PREFACTOR, cavity_terms, reflection_values, single_bracket
+        from casimir_fields import CAVITY_PREFACTOR, SINGLE_PREFACTOR, reflection_values
+        from casimir_fields.integrand import cavity_terms, single_bracket
 
         model, z = Drude(5.0), 0.4
 

@@ -148,6 +148,36 @@ class TestOutputReproducibility:
         assert "--output" in err and str(target) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "scan --lmin 10 --lmax 1000 --points 40",
+            "profile --geometry cavity --model drude --wp 200 --a 1 --points 101",
+            "profile --geometry single --model drude --wp 1 --zmin 0.5 --zmax 5 --points 64",
+        ],
+        ids=("scan", "cavity-profile", "single-profile"),
+    )
+    def test_unwritable_output_fails_before_any_integral(self, tmp_path, capsys, monkeypatch, command):
+        def not_called(*args, **kwargs):
+            raise AssertionError("computed before the --output file was opened")
+
+        for name in ("midpoint_scan", "profile", "profile_at"):
+            monkeypatch.setattr(cli, name, not_called)
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(command.split() + ["--output", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write --output {str(target)!r}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        argv = f"scan --lmin 40 --lmax 160 --points 4 --format {fmt}".split()
+        target = tmp_path / "scan.out"
+        code, printed, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes() == printed.encode()
+
 
 class TestScanCommand:
     def test_default_style_grid_has_single_sign_change(self, capsys):

@@ -8,11 +8,7 @@ from casimir_fields import (
     DomainError,
     Drude,
     PerfectConductor,
-    PolarNode,
-    ReflectionPair,
     Vacuum,
-    epsilon_imag_axis,
-    reflection_pair,
     reflection_values,
 )
 
@@ -34,79 +30,61 @@ class TestModelValidation:
         with pytest.raises(DomainError):
             ConstantEpsilon(math.nan)
 
-    def test_polar_node_bounds(self):
-        with pytest.raises(DomainError):
-            PolarNode(-1.0, 0.5)
-        with pytest.raises(DomainError):
-            PolarNode(1.0, 1.5)
-        with pytest.raises(DomainError):
-            PolarNode(1.0, -0.1)
-        node = PolarNode(2.0, 0.5)
-        assert node.zeta == pytest.approx(1.0)
-        assert node.k == pytest.approx(2.0 * math.sqrt(0.75))
+
+def node(model, u, t):
+    """(r, r_prime) of `reflection_values` at one node, as floats."""
+    r, r_prime = reflection_values(model, u, t)
+    return float(r), float(r_prime)
 
 
-class TestEpsilonImagAxis:
-    def test_drude_values(self):
-        assert epsilon_imag_axis(Drude(1.0), 1.0) == pytest.approx(2.0)
-        assert epsilon_imag_axis(Drude(2.0), 1.0) == pytest.approx(5.0)
+class TestNodeValues:
+    @pytest.mark.parametrize(
+        "model, u, eps",
+        [(Drude(1.0), 1.0, 2.0), (Drude(2.0), 1.0, 5.0), (Drude(2.0), 4.0, 1.25), (ConstantEpsilon(3.5), 0.7, 3.5)],
+    )
+    def test_normal_incidence_follows_the_permittivity(self, model, u, eps):
+        # at t = 1 the Euclidean frequency is u, eps(i u) = 1 + (wp/u)^2 for Drude, and
+        # r = (1 - sqrt(eps))/(1 + sqrt(eps)), r' = (eps - sqrt(eps))/(eps + sqrt(eps))
+        root = math.sqrt(eps)
+        r, rp = node(model, u, 1.0)
+        assert r == pytest.approx((1.0 - root) / (1.0 + root), rel=1e-14)
+        assert rp == pytest.approx((eps - root) / (eps + root), rel=1e-14)
 
-    def test_vacuum_is_identity(self):
-        assert epsilon_imag_axis(Vacuum(), 5.0) == 1.0
-
-    def test_constant(self):
-        assert epsilon_imag_axis(ConstantEpsilon(3.5), 0.7) == 3.5
-
-    def test_perfect_conductor_sentinel(self):
-        assert epsilon_imag_axis(PerfectConductor(), 1.0) == math.inf
-
-    def test_drude_pole_at_zero(self):
-        with pytest.raises(DomainError):
-            epsilon_imag_axis(Drude(1.0), 0.0)
-
-    def test_negative_zeta_rejected(self):
-        with pytest.raises(DomainError):
-            epsilon_imag_axis(Vacuum(), -1.0)
-
-
-class TestReflectionPair:
     def test_drude_example_u1_t1(self):
-        pair = reflection_pair(Drude(1.0), PolarNode(1.0, 1.0))
+        r, rp = node(Drude(1.0), 1.0, 1.0)
         expected_r = (1.0 - math.sqrt(2.0)) / (1.0 + math.sqrt(2.0))
         expected_rp = (2.0 - math.sqrt(2.0)) / (2.0 + math.sqrt(2.0))
-        assert pair.r == pytest.approx(expected_r, rel=1e-14)
-        assert pair.r_prime == pytest.approx(expected_rp, rel=1e-14)
-        assert pair.r == pytest.approx(-0.171573, abs=1e-6)
-        assert pair.r_prime == pytest.approx(0.171573, abs=1e-6)
+        assert r == pytest.approx(expected_r, rel=1e-14)
+        assert rp == pytest.approx(expected_rp, rel=1e-14)
+        assert r == pytest.approx(-0.171573, abs=1e-6)
+        assert rp == pytest.approx(0.171573, abs=1e-6)
 
     def test_drude_u0_limit(self):
         for t in (0.0, 0.3, 1.0):
-            pair = reflection_pair(Drude(2.5), PolarNode(0.0, t))
-            assert pair == ReflectionPair(-1.0, 1.0)
+            assert node(Drude(2.5), 0.0, t) == (-1.0, 1.0)
 
     def test_drude_grazing_incidence(self):
         # t = 0 gives r_prime = 1 exactly, at every u
         for u in (0.01, 1.0, 1e4):
-            pair = reflection_pair(Drude(0.7), PolarNode(u, 0.0))
-            assert pair.r_prime == 1.0
+            assert node(Drude(0.7), u, 0.0)[1] == 1.0
 
     def test_perfect_conductor_everywhere(self):
         for u, t in ((0.0, 0.0), (3.0, 0.5), (1e6, 1.0)):
-            assert reflection_pair(PerfectConductor(), PolarNode(u, t)) == ReflectionPair(-1.0, 1.0)
+            assert node(PerfectConductor(), u, t) == (-1.0, 1.0)
 
     def test_vacuum_everywhere(self):
-        assert reflection_pair(Vacuum(), PolarNode(2.0, 0.3)) == ReflectionPair(0.0, 0.0)
+        assert node(Vacuum(), 2.0, 0.3) == (0.0, 0.0)
 
     def test_constant_epsilon_values(self):
         eps = 4.0
         # normal incidence (t = 1): r = (1-sqrt(eps))/(1+sqrt(eps))
-        pair = reflection_pair(ConstantEpsilon(eps), PolarNode(3.0, 1.0))
-        assert pair.r == pytest.approx((1 - 2.0) / (1 + 2.0), rel=1e-14)
-        assert pair.r_prime == pytest.approx((4.0 - 2.0) / (4.0 + 2.0), rel=1e-14)
+        r, rp = node(ConstantEpsilon(eps), 3.0, 1.0)
+        assert r == pytest.approx((1 - 2.0) / (1 + 2.0), rel=1e-14)
+        assert rp == pytest.approx((4.0 - 2.0) / (4.0 + 2.0), rel=1e-14)
         # t = 0: kappa_1 = kappa_0, so r vanishes
-        pair = reflection_pair(ConstantEpsilon(eps), PolarNode(3.0, 0.0))
-        assert pair.r == 0.0
-        assert pair.r_prime == pytest.approx((eps - 1) / (eps + 1), rel=1e-14)
+        r, rp = node(ConstantEpsilon(eps), 3.0, 0.0)
+        assert r == 0.0
+        assert rp == pytest.approx((eps - 1) / (eps + 1), rel=1e-14)
 
     def test_constant_epsilon_independent_of_u(self):
         model = ConstantEpsilon(2.3)

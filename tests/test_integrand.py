@@ -12,102 +12,115 @@ from casimir_fields import (
     Drude,
     FieldKind,
     PerfectConductor,
-    PolarNode,
     SingleInterface,
     Vacuum,
-    cavity_integrand,
-    cavity_integrand_terms,
-    cavity_terms,
     decay_scale_for,
     integrand_function,
     reflection_values,
-    single_bracket,
-    single_integrand,
 )
 from casimir_fields import quadrature
-from casimir_fields.integrand import position_envelope
+from casimir_fields.integrand import cavity_terms, position_envelope, single_bracket
 
 KINDS = (FieldKind.E_SQUARED, FieldKind.B_SQUARED, FieldKind.ENERGY_DENSITY)
 MODELS = (Drude(3.0), ConstantEpsilon(4.0), PerfectConductor(), Vacuum())
+GEOMETRIES = (SingleInterface(), Cavity(1.0))
+
+
+def _random_nodes(rng, n=50):
+    """n nodes (u, t), u log-uniform in [1e-2, 1e2] and t uniform in [0, 1], as two 1-D arrays."""
+    nodes = [(10.0 ** rng.uniform(-2, 2), rng.uniform(0, 1)) for _ in range(n)]
+    return np.array([u for u, _ in nodes]), np.array([t for _, t in nodes])
 
 
 class TestSingleIntegrand:
-    def test_vacuum_vanishes(self):
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_vacuum_vanishes(self, geometry):
+        u, t = np.geomspace(1e-2, 1e2, 9)[:, None], np.linspace(0.0, 1.0, 5)[None, :]
         for kind in KINDS:
-            assert single_integrand(kind, Vacuum(), 1.3, PolarNode(2.0, 0.4)) == 0.0
+            assert np.all(integrand_function(kind, geometry, Vacuum(), 0.3)(u, t) == 0.0)
 
     def test_perfect_conductor_energy_vanishes(self):
         # bracket (1 - t^2)(r + r') is zero when r = -1 and r' = +1
+        f = integrand_function(FieldKind.ENERGY_DENSITY, SingleInterface(), PerfectConductor(), 0.8)
         for u, t in ((0.5, 0.0), (2.0, 0.7), (10.0, 1.0)):
-            value = single_integrand(FieldKind.ENERGY_DENSITY, PerfectConductor(), 0.8, PolarNode(u, t))
-            assert value == 0.0
+            assert f(u, t) == 0.0
 
     def test_drude_example_chained_value(self):
         # independent scalar evaluation of the same node
         r = (1.0 - math.sqrt(2.0)) / (1.0 + math.sqrt(2.0))
         rp = (2.0 - math.sqrt(2.0)) / (2.0 + math.sqrt(2.0))
         expected = (1.0 / (4.0 * math.pi**2)) * math.exp(-2.0) * (-r + rp)
-        value = single_integrand(FieldKind.E_SQUARED, Drude(1.0), 1.0, PolarNode(1.0, 1.0))
+        value = integrand_function(FieldKind.E_SQUARED, SingleInterface(), Drude(1.0), 1.0)(1.0, 1.0)
         assert value == pytest.approx(expected, rel=1e-14)
         assert value == pytest.approx((1.0 / (4.0 * math.pi**2)) * math.exp(-2.0) * 0.343146, rel=1e-5)
 
     def test_nonpositive_z_rejected(self):
         with pytest.raises(DomainError):
-            single_integrand(FieldKind.E_SQUARED, Drude(1.0), 0.0, PolarNode(1.0, 0.5))
+            integrand_function(FieldKind.E_SQUARED, SingleInterface(), Drude(1.0), 0.0)
         with pytest.raises(DomainError):
-            single_integrand(FieldKind.E_SQUARED, Drude(1.0), -2.0, PolarNode(1.0, 0.5))
+            integrand_function(FieldKind.E_SQUARED, SingleInterface(), Drude(1.0), -2.0)
 
     def test_energy_is_mean_of_squared_fields(self, rng):
-        model = Drude(3.0)
-        for _ in range(50):
-            node = PolarNode(float(10.0 ** rng.uniform(-2, 2)), float(rng.uniform(0, 1)))
-            e2 = single_integrand(FieldKind.E_SQUARED, model, 0.7, node)
-            b2 = single_integrand(FieldKind.B_SQUARED, model, 0.7, node)
-            u = single_integrand(FieldKind.ENERGY_DENSITY, model, 0.7, node)
-            assert u == pytest.approx(0.5 * (e2 + b2), rel=1e-12, abs=1e-300)
+        u, t = _random_nodes(rng)
+        e2, b2, energy = (_parent_field(kind, SingleInterface(), Drude(3.0), 0.7, u, t) for kind in KINDS)
+        np.testing.assert_allclose(energy, 0.5 * (e2 + b2), rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_grazing_limit(self, model):
+        # at t = 0 the brackets are 2r', 2r and r + r', and r' = 1 for a Drude mirror; the
+        # reference's r + r' cancels at small u (r -> -1), hence 1e-12 rather than 1e-14
+        u, z = np.geomspace(1e-2, 1e2, 9), 0.4
+        r, rp = reflection_values(model, u, 0.0)
+        weight = SINGLE_PREFACTOR * u**3 * np.exp(-2.0 * u * z)
+        for kind, bracket in zip(KINDS, (2.0 * rp, 2.0 * r, r + rp)):
+            value = integrand_function(kind, SingleInterface(), model, z)(u, 0.0)
+            np.testing.assert_allclose(value, weight * bracket, rtol=1e-12, atol=1e-300)
+        if isinstance(model, Drude):
+            assert np.all(rp == 1.0)
 
 
 class TestCavityTerms:
     def test_vacuum_terms_vanish(self):
-        terms = cavity_integrand_terms(FieldKind.ENERGY_DENSITY, Vacuum(), 1.0, 0.3, PolarNode(2.0, 0.5))
-        assert terms.term_constant == 0.0 and terms.term_position == 0.0
+        const, pos = cavity_terms(FieldKind.ENERGY_DENSITY, *reflection_values(Vacuum(), 2.0, 0.5), 2.0, 0.5, 1.0, 0.3)
+        assert const == 0.0 and pos == 0.0
 
     def test_pc_energy_position_term_vanishes(self):
-        terms = cavity_integrand_terms(FieldKind.ENERGY_DENSITY, PerfectConductor(), 1.0, 0.3, PolarNode(2.0, 0.5))
-        assert terms.term_position == 0.0
-        assert terms.term_constant < 0.0
+        r, rp = reflection_values(PerfectConductor(), 2.0, 0.5)
+        const, pos = cavity_terms(FieldKind.ENERGY_DENSITY, r, rp, 2.0, 0.5, 1.0, 0.3)
+        assert pos == 0.0
+        assert const < 0.0
 
     def test_pc_energy_exact_node_value(self):
         # a = 1, z = 0.5, u = 1, t = 0.5: constant term is 2 t^2 / (1 - e^2)
-        terms = cavity_integrand_terms(FieldKind.ENERGY_DENSITY, PerfectConductor(), 1.0, 0.5, PolarNode(1.0, 0.5))
+        r, rp = reflection_values(PerfectConductor(), 1.0, 0.5)
+        const, _ = cavity_terms(FieldKind.ENERGY_DENSITY, r, rp, 1.0, 0.5, 1.0, 0.5)
         expected_const = 2.0 * 0.25 / (1.0 - math.exp(2.0))
-        assert terms.term_constant == pytest.approx(expected_const, rel=1e-13)
-        value = cavity_integrand(FieldKind.ENERGY_DENSITY, PerfectConductor(), 1.0, 0.5, PolarNode(1.0, 0.5))
+        assert const == pytest.approx(expected_const, rel=1e-13)
+        value = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), PerfectConductor(), 0.5)(1.0, 0.5)
         assert value == pytest.approx(CAVITY_PREFACTOR * expected_const, rel=1e-13)
         assert value < 0.0
 
     def test_midgap_minimizes_position_term(self):
-        model = Drude(5.0)
-        node = PolarNode(2.0, 0.4)
-        mid = cavity_integrand_terms(FieldKind.ENERGY_DENSITY, model, 1.0, 0.5, node).term_position
+        u, t = 2.0, 0.4
+        r, rp = reflection_values(Drude(5.0), u, t)
+        _, mid = cavity_terms(FieldKind.ENERGY_DENSITY, r, rp, u, t, 1.0, 0.5)
         for z in (0.1, 0.3, 0.42, 0.9):
-            off = cavity_integrand_terms(FieldKind.ENERGY_DENSITY, model, 1.0, z, node).term_position
+            _, off = cavity_terms(FieldKind.ENERGY_DENSITY, r, rp, u, t, 1.0, z)
             assert off >= mid
 
     def test_position_rejected_outside_gap(self):
         for z in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
-                cavity_integrand_terms(FieldKind.ENERGY_DENSITY, Drude(1.0), 1.0, z, PolarNode(1.0, 0.5))
+                integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(1.0), z)
 
-    def test_u_zero_terms_diverge_for_unit_reflectivity(self):
-        with pytest.raises(DomainError):
-            cavity_integrand_terms(FieldKind.ENERGY_DENSITY, PerfectConductor(), 1.0, 0.5, PolarNode(0.0, 0.5))
-        with pytest.raises(DomainError):
-            cavity_integrand_terms(FieldKind.ENERGY_DENSITY, Drude(1.0), 1.0, 0.5, PolarNode(0.0, 0.5))
-
-    def test_u_zero_integrand_limit_is_zero(self):
-        assert cavity_integrand(FieldKind.ENERGY_DENSITY, PerfectConductor(), 1.0, 0.5, PolarNode(0.0, 0.5)) == 0.0
-        assert cavity_integrand(FieldKind.E_SQUARED, Drude(1.0), 1.0, 0.3, PolarNode(0.0, 0.2)) == 0.0
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_u_zero_limit_is_zero(self, geometry):
+        # the u^3 prefactor beats the cavity brackets' 1/u growth: the integrand falls at least as u^2
+        for model in (*MODELS, Drude(1.0)):
+            for kind in KINDS:
+                f = integrand_function(kind, geometry, model, 0.3)
+                for t in (0.2, 0.9):
+                    assert abs(f(1e-7, t)) <= 1e-3 * abs(f(1e-5, t))
 
     def test_sign_decomposition_drude_and_pc(self, rng):
         u = 10.0 ** rng.uniform(-3, 3, size=(200, 1))
@@ -121,21 +134,16 @@ class TestCavityTerms:
 
 class TestCavityIntegrand:
     def test_symmetry_under_reflection(self):
-        model = Drude(7.0)
+        u, t = np.array([0.5, 3.0, 20.0])[:, None], np.array([0.3, 0.9, 0.05])[None, :]
         for z in (0.1, 0.25, 0.4):
-            for u, t in ((0.5, 0.3), (3.0, 0.9), (20.0, 0.05)):
-                left = cavity_integrand(FieldKind.ENERGY_DENSITY, model, 1.0, z, PolarNode(u, t))
-                right = cavity_integrand(FieldKind.ENERGY_DENSITY, model, 1.0, 1.0 - z, PolarNode(u, t))
-                assert left == pytest.approx(right, rel=1e-13)
+            left = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(7.0), z)(u, t)
+            right = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(7.0), 1.0 - z)(u, t)
+            np.testing.assert_allclose(left, right, rtol=1e-13, atol=0.0)
 
     def test_energy_is_mean_of_squared_fields(self, rng):
-        model = Drude(12.0)
-        for _ in range(50):
-            node = PolarNode(float(10.0 ** rng.uniform(-2, 2)), float(rng.uniform(0, 1)))
-            e2 = cavity_integrand(FieldKind.E_SQUARED, model, 1.0, 0.3, node)
-            b2 = cavity_integrand(FieldKind.B_SQUARED, model, 1.0, 0.3, node)
-            u = cavity_integrand(FieldKind.ENERGY_DENSITY, model, 1.0, 0.3, node)
-            assert u == pytest.approx(0.5 * (e2 + b2), rel=1e-12, abs=1e-300)
+        u, t = _random_nodes(rng)
+        e2, b2, energy = (_parent_field(kind, Cavity(1.0), Drude(12.0), 0.3, u, t) for kind in KINDS)
+        np.testing.assert_allclose(energy, 0.5 * (e2 + b2), rtol=1e-12, atol=1e-300)
 
     def test_swap_of_reflections_exchanges_e2_and_b2(self, rng):
         u = 10.0 ** rng.uniform(-2, 2, size=(40, 1))
@@ -152,21 +160,17 @@ class TestCavityIntegrand:
 
     def test_reduces_to_single_interface_at_large_u(self):
         # near one wall, large u: the second wall's images are exponentially gone
-        model = Drude(200.0)
-        z, a = 0.01, 1.0
-        for u in (500.0, 2000.0):
-            node = PolarNode(u, 0.4)
-            cav = cavity_integrand(FieldKind.ENERGY_DENSITY, model, a, z, node)
-            single = single_integrand(FieldKind.ENERGY_DENSITY, model, z, node)
-            assert cav == pytest.approx(single, rel=1e-12)
+        model, z, u = Drude(200.0), 0.01, np.array([500.0, 2000.0])
+        cavity = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), model, z)(u, 0.4)
+        single = integrand_function(FieldKind.ENERGY_DENSITY, SingleInterface(), model, z)(u, 0.4)
+        np.testing.assert_allclose(cavity, single, rtol=1e-12, atol=0.0)
 
     def test_decay_bound_justifies_truncation(self):
         # |integrand| <= C u^3 exp(-2 u min(z, a-z)) with C stable beyond wp
-        model = Drude(5.0)
         z, a, t = 0.3, 1.0, 0.4
         scale = 2.0 * min(z, a - z)
         u = np.geomspace(5.0, 100.0, 40)
-        vals = np.array([abs(cavity_integrand(FieldKind.ENERGY_DENSITY, model, a, z, PolarNode(float(ui), t))) for ui in u])
+        vals = np.abs(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(a), Drude(5.0), z)(u, t))
         ratios = vals / (u**3 * np.exp(-u * scale))
         assert np.all(ratios <= 2.0 * ratios[0])
         assert ratios[-1] <= ratios[0]
@@ -186,22 +190,22 @@ class TestCavityIntegrand:
         with pytest.raises(DomainError):
             Cavity(-1.0)
 
-    def test_integrand_function_matches_scalar_ops(self):
-        model = Drude(2.0)
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_integrand_function_matches_scalar_ops(self, geometry, model):
+        # the reference is the bracket arithmetic on reflection_values; a scalar
+        # (u, t) evaluates one node and gives a float equal to the grid's entry
         u = np.array([[0.7], [3.0]])
         t = np.array([[0.2, 0.9]])
-        f = integrand_function(FieldKind.B_SQUARED, SingleInterface(), model, 0.6)
-        grid = f(u, t)
-        for i in range(2):
-            for j in range(2):
-                expected = single_integrand(FieldKind.B_SQUARED, model, 0.6, PolarNode(u[i, 0], t[0, j]))
-                assert grid[i, j] == pytest.approx(expected, rel=1e-14)
-        f = integrand_function(FieldKind.B_SQUARED, Cavity(1.0), model, 0.6)
-        grid = f(u, t)
-        for i in range(2):
-            for j in range(2):
-                expected = cavity_integrand(FieldKind.B_SQUARED, model, 1.0, 0.6, PolarNode(u[i, 0], t[0, j]))
-                assert grid[i, j] == pytest.approx(expected, rel=1e-14)
+        for kind in KINDS:
+            f = integrand_function(kind, geometry, model, 0.6)
+            grid = f(u, t)
+            for i in range(2):
+                for j in range(2):
+                    expected = _parent_field(kind, geometry, model, 0.6, u[i, 0], t[0, j])
+                    assert grid[i, j] == pytest.approx(expected, rel=1e-14)
+                    value = f(float(u[i, 0]), float(t[0, j]))
+                    assert isinstance(value, float) and value == grid[i, j]
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
@@ -287,7 +291,11 @@ def _drude_reflections_longdouble(wp, u, t):
 
 
 def _parent_field(kind, geometry, model, z, u, t):
-    """A field integrand by the bracket arithmetic every non-Drude closure uses: `cavity_terms` or `single_bracket`."""
+    """A field integrand by the bracket arithmetic every non-Drude closure uses, on `reflection_values`.
+
+    Single interface: SINGLE_PREFACTOR u^3 single_bracket(r, r') e^{-2uz}; cavity:
+    CAVITY_PREFACTOR u^3 times the sum of the two `cavity_terms`.
+    """
     r, rp = reflection_values(model, u, t)
     if isinstance(geometry, Cavity):
         constant, position = cavity_terms(kind, r, rp, u, t, geometry.width, z)

@@ -1,0 +1,36 @@
+"""The package's public names, and the names the benchmark tracer looks up in it."""
+
+import importlib
+import importlib.util
+import inspect
+from collections import Counter
+from pathlib import Path
+
+import casimir_fields
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_every_exported_name_resolves_once():
+    assert [name for name, n in Counter(casimir_fields.__all__).items() if n > 1] == []
+    for name in casimir_fields.__all__:
+        assert hasattr(casimir_fields, name), name
+
+
+def test_public_attributes_are_the_exports():
+    public = {
+        name
+        for name, value in vars(casimir_fields).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(casimir_fields.__all__) - {"__version__"}
+
+
+def test_benchmark_boundaries_resolve():
+    # perfbench/tracing.py wraps these by getattr and raises on a missing one
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    boundaries = [*tracing.BOUNDARIES.values(), ("integrand", "integrand_function")]
+    for module, attr in boundaries:
+        assert callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), attr)), (module, attr)
