@@ -61,7 +61,13 @@ def _add_quadrature_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--abs-tol", type=float, default=_QUAD_DEFAULTS.abs_tol)
     g.add_argument("--tail-budget", type=float, default=_QUAD_DEFAULTS.tail_exponent_budget)
     g.add_argument("--max-subdivisions", type=int, default=_QUAD_DEFAULTS.max_subdivisions)
-    g.add_argument("--inner-order", type=int, default=_QUAD_DEFAULTS.inner_rule_order)
+    g.add_argument(
+        "--inner-order",
+        type=int,
+        default=_QUAD_DEFAULTS.inner_rule_order,
+        help="starting order of the angular rule for constant-eps, pc and vacuum models "
+        "(drude integrals take their angular integral exactly and use no angular rule)",
+    )
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:

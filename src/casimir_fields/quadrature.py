@@ -4,27 +4,38 @@ The integrands handled here live on u in [0, inf) times t in [0, 1], decay
 like exp(-u * decay_scale) in u, and are smooth in t except for a possible
 spike at t = 0 whose width shrinks like 1/u. The engine integrates the
 u axis adaptively with a Gauss-Kronrod 7-15 pair on panels of [0, u_max],
-u_max = tail_exponent_budget / decay_scale, and applies a fixed composite
-Gauss-Legendre rule on a geometrically graded t mesh at every u node, so
-the t spike stays resolved at every scale without 2-D adaptivity.
+u_max = tail_exponent_budget / decay_scale. At every u node it needs the
+t integral of the integrand, and of its magnitude, in one of two ways.
 
-The order and the depth of that t rule are measured, not assumed. A probe
-compares every bracket on the order-n rule with the order-2n rule at full
-depth; their largest relative difference rho estimates the order-n rule's
-error. Its first stage evaluates the order-n rule at every depth, but only
-at u_max and the two highest seed panel centres, where the spike is
-narrowest: these rows pick the order (it doubles from ``inner_rule_order``
-while rho at full depth exceeds a tenth of ``rel_tol``) and then the depth
-(the fewest graded levels whose rho is within that bound). Its second stage
-checks the chosen rule at the other seed centres and deepens it if one of
-them exceeds the bound. Order and depth follow the largest rho over every
-bracket. Each field then keeps its own rho: the chosen rule's over every
-probed row and over that field's brackets only. That rho, times the panels'
-Kronrod sum of the t integrals of the field's bracket magnitudes, is the
-field's t-rule part of the error estimate, beside the u-panel Kronrod part
-and the tail bound. The seed panels and the tail node are then evaluated in
-one integrand call, and each probe stage in one, each split only where it
-would exceed a fixed node cap.
+Exact t integrals. The engine first calls the integrand with
+t = `T_INTEGRAL`. An integrand that can integrate over t itself, as the
+Drude integrands do in closed form, returns at each u the integral and a
+bound on the integral of its magnitude; the integral then runs on the
+u axis alone. No t rule is chosen and none is evaluated, ``evaluations``
+counts u rows, and the t part of the error estimate is a fixed roundoff
+allowance, 16 ulps of the t integral of the magnitude.
+
+A t rule. Any other integrand returns an empty grid for that call, and the
+engine applies a fixed composite Gauss-Legendre rule on a geometrically
+graded t mesh at every u node, so the t spike stays resolved at every
+scale without 2-D adaptivity. The order and the depth of that rule are
+measured, not assumed. A probe compares every bracket on the order-n rule
+with the order-2n rule at full depth; their largest relative difference
+rho estimates the order-n rule's error. Its first stage evaluates the
+order-n rule at every depth, but only at u_max and the two highest seed
+panel centres, where the spike is narrowest: these rows pick the order (it
+doubles from ``inner_rule_order`` while rho at full depth exceeds a tenth
+of ``rel_tol``) and then the depth (the fewest graded levels whose rho is
+within that bound). Its second stage checks the chosen rule at the other
+seed centres and deepens it if one of them exceeds the bound. Order and
+depth follow the largest rho over every bracket. Each field then keeps its
+own rho: the chosen rule's over every probed row and over that field's
+brackets only. That rho, times the panels' Kronrod sum of the t integrals
+of the field's bracket magnitudes, is the field's t-rule part of the error
+estimate, beside the u-panel Kronrod part and the tail bound. The seed
+panels and the tail node are then evaluated in one integrand call, and
+each probe stage in one, each split only where it would exceed a fixed
+node cap.
 
 What does not depend on the integrand is built once and kept read-only:
 the graded t rules per order and depth; the probe's t grids (the order-n
@@ -38,23 +49,26 @@ In batched form one call integrates constant(u, t) +
 envelope_j(u) * position_k(u, t) for every position j and field k: the
 brackets are evaluated and t-reduced once per u node, and each position
 is a weighted sum of the reduced values. Every (position, field) pair
-keeps its own Kronrod error, tail bound, t-rule term and tolerance test on
-the shared panels. A family ``(None, f_1, ..., f_K)`` under `unit_envelope`
+keeps its own Kronrod error, tail bound, t term and tolerance test on the
+shared panels. A family ``(None, f_1, ..., f_K)`` under `unit_envelope`
 is the same form with one position: K integrands sharing one decay scale
-go through one probe, one t rule and one u mesh, which is how a midgap
-scan integrates `family_size` values of wp*a per call. The most demanding
-member sets the rule, but each member's t-rule term keeps the rho of its
-own bracket, so that member's rho does not raise the others' terms.
+go through one u mesh (and one probe and one t rule where they need
+them), which is how a midgap scan integrates `family_size` values of
+wp*a per call. On a t rule the most demanding member sets the rule, but
+each member's t-rule term keeps the rho of its own bracket, so that
+member's rho does not raise the others' terms.
 
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
-adaptive engine.
+adaptive engine. It evaluates every integrand on its (u, t) grid, so for
+the Drude integrands it also checks their exact t integrals.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -69,7 +83,19 @@ __all__ = [
     "integrate_fixed_grid",
     "family_size",
     "unit_envelope",
+    "T_INTEGRAL",
+    "T_INTEGRAL_DTYPE",
 ]
+
+# Passed as t, T_INTEGRAL asks an integrand for its exact integral over t in
+# [0, 1] at each u row. It is a t row with no nodes, so an integrand that
+# cannot integrate over t itself returns an empty grid, and the engine falls
+# back on its t rule. One that can returns, for each bracket, an array of u's
+# shape and dtype T_INTEGRAL_DTYPE: the integral, and a bound on the integral
+# of the bracket's magnitude.
+T_INTEGRAL = np.empty((1, 0))
+T_INTEGRAL.setflags(write=False)
+T_INTEGRAL_DTYPE = np.dtype([("integral", float), ("magnitude", float)])
 
 # Gauss-Kronrod 7-15 pair, positive abscissae from x_max down to 0.
 _K15_ABSCISSAE = np.array([
@@ -128,6 +154,13 @@ _T_ORDER_DOUBLINGS = 3
 # rows (u_max and the highest seed centres), where the t spike is narrowest.
 _PROBE_TOP_ROWS = 3
 
+# Relative roundoff allowed for exact t integrals, times the t integral of the
+# magnitude: it stands for the t-rule term of integrals that need no t rule.
+# Against mpmath on the same float64 coefficients the Drude rows stay within
+# 6 ulps of the magnitude (tests/test_integrand.py, TestExactTIntegrals;
+# 4 ulps at most on the rows tested), so 16 ulps leaves a margin of 2.7.
+_T_INTEGRAL_ROUNDOFF = 16 * np.finfo(float).eps
+
 # Largest (u, t) grid of one integrand call. Each probe stage calls f on
 # whole u rows within it; panel evaluation on whole panels whose u nodes
 # times the larger of the t nodes and 2 x positions (the envelope step's
@@ -166,7 +199,8 @@ class QuadratureConfig:
         probe then takes the fewest graded levels whose difference from the
         double is within that bound, deepens them if the other seed centres
         need it, and the difference of the rule finally used enters the
-        error estimate.
+        error estimate. Integrands that take their t integral exactly, the
+        Drude ones, use no t rule.
     decay_scale_floor : float
         Smallest decay scale accepted, in the caller's length unit; the
         integrands genuinely diverge as the field point reaches a wall,
@@ -200,9 +234,11 @@ class IntegralResult:
     """Value, error estimate, work count and truncation point of one integral.
 
     A batched call returns one result whose value and error_estimate are
-    arrays of shape (fields, positions). ``t_order`` and ``t_levels`` are the
-    order and the depth of the graded t rule the probe chose; they are None
-    for `integrate_fixed_grid`, whose t rule is fixed.
+    arrays of shape (fields, positions). ``evaluations`` counts (u, t) nodes,
+    or u rows where the integrand integrates over t itself. ``t_order`` and
+    ``t_levels`` are the order and the depth of the graded t rule the probe
+    chose; they are None where no t rule was needed, and for
+    `integrate_fixed_grid`, whose t rule is fixed.
     """
 
     value: float | np.ndarray
@@ -323,14 +359,33 @@ def _log_simpson_rule(intervals: int, t_floor: float = 1e-16):
     return nodes, coeff * (h / 3.0) * nodes  # dt = t ds
 
 
-def _check_decay_scale(decay_scale, floor) -> None:
-    if not (is_finite_real(decay_scale) and decay_scale > 0):
-        raise InvalidDecayScale(f"decay scale must be a positive finite number, got {decay_scale!r}")
-    if decay_scale < floor:
+def _checked_scales(values, floor) -> np.ndarray:
+    """The decay scales as a float array, after checking that each is a positive finite number at least ``floor``.
+
+    A float array is taken as it is; otherwise one pass over the elements
+    refuses anything but real numbers (bool included). Array checks then
+    find the first scale that fails: InvalidDecayScale names it if it is not
+    positive and finite (NaN included), DivergesAtBoundary if it is below
+    the floor.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        scales = values.astype(float, copy=False).ravel()
+    else:
+        scales = np.array(
+            [v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in values], dtype=float
+        )
+    valid = np.isfinite(scales) & (scales > 0)
+    failing = ~valid | (scales < floor)
+    if failing.any():
+        first = int(np.argmax(failing))
+        bad = values[first]
+        if not valid[first]:
+            raise InvalidDecayScale(f"decay scale must be a positive finite number, got {bad!r}")
         raise DivergesAtBoundary(
-            f"decay scale {decay_scale!r} is below the floor {floor!r}; "
+            f"decay scale {bad!r} is below the floor {floor!r}; "
             "the field point is too close to a wall for the integral to be meaningful"
         )
+    return scales
 
 
 def integrate_semi_infinite(
@@ -350,7 +405,9 @@ def integrate_semi_infinite(
         touched. Must be finite on (0, u_max] x (0, 1). Returns the
         integrand on the grid or, in batched form, a tuple of brackets
         ``(constant, position_1, ..., position_K)``; ``constant`` may be
-        None for zero.
+        None for zero. It is called first with t = `T_INTEGRAL`: if it
+        returns its exact t integrals there, the integral runs on the u
+        axis alone, with no t rule.
     decay_scale : float or sequence of float
         The exponential scale of the integrand, exp(-u * decay_scale);
         for the field integrands this is 2z (single interface) or
@@ -367,11 +424,14 @@ def integrate_semi_infinite(
     -------
     IntegralResult
         The error estimate is the sum of the Kronrod panel estimates, a
-        bound on the truncated tail beyond u_max and the measured t-rule
-        term, whose rho is each field's own (over the constant and that
-        field's position bracket). ``evaluations`` includes the probe's
-        nodes, and ``t_order`` and ``t_levels`` record the t rule the probe
-        chose. In batched form value and error_estimate have shape
+        bound on the truncated tail beyond u_max and a t term. With a t rule
+        that term is measured, and its rho is each field's own (over the
+        constant and that field's position bracket); ``evaluations``
+        includes the probe's nodes, and ``t_order`` and ``t_levels`` record
+        the t rule the probe chose. With exact t integrals it is a fixed
+        roundoff allowance, 16 ulps of the integral of the magnitude;
+        ``evaluations`` counts u rows, and ``t_order`` and ``t_levels`` are
+        None. In batched form value and error_estimate have shape
         (K, positions) and every position is integrated up to the u_max of
         the slowest decay.
 
@@ -383,7 +443,7 @@ def integrate_semi_infinite(
         If a decay scale is below the configured floor.
     NonConvergence
         If the subdivision budget is exhausted first, or at once if the
-        t-rule term or the tail bound alone exceeds the tolerance, since
+        t term or the tail bound alone exceeds the tolerance, since
         splitting panels reduces neither; the best estimate rides on the
         exception as ``result``.
 
@@ -398,33 +458,44 @@ def integrate_semi_infinite(
     if cfg is None:
         cfg = QuadratureConfig()
     batched = envelope is not None
-    for scale in decay_scale if batched else (decay_scale,):
-        _check_decay_scale(scale, cfg.decay_scale_floor)
-    scales = np.array(decay_scale if batched else [decay_scale], dtype=float)
+    scales = _checked_scales(decay_scale if batched else (decay_scale,), cfg.decay_scale_floor)
     if scales.size == 0:
         raise DomainError("a batched integral needs at least one decay scale")
     envelope = envelope if batched else unit_envelope
     u_max = cfg.tail_exponent_budget / float(scales.min())
     levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
     edges, probe_u, seed_u, seed_half = _seed_mesh(u_max, levels)
-    order, t_levels, rho, evaluations = _probe_t_rule(f, probe_u, cfg)
-    t_nodes, t_weights = _graded_t_rule(order, t_levels)
-    t_row = t_nodes[None, :]
-    panels_per_call = max(1, _NODE_CAP // max(t_nodes.size, 2 * scales.size) // 15)
+    seed = f(seed_u[:, None], T_INTEGRAL)
+    if all(getattr(getattr(bracket, "dtype", None), "names", None) == T_INTEGRAL_DTYPE.names for bracket in _bracket_list(seed)):
+        order = t_levels = t_weights = None
+        t_row, t_size, rho, evaluations = T_INTEGRAL, 1, np.array([_T_INTEGRAL_ROUNDOFF]), seed_u.size
+    else:
+        seed = None  # an empty grid: f needs a t rule
+        order, t_levels, rho, evaluations = _probe_t_rule(f, probe_u, cfg)
+        t_nodes, t_weights = _graded_t_rule(order, t_levels)
+        t_row, t_size = t_nodes[None, :], t_nodes.size
+    panels_per_call = max(1, _NODE_CAP // max(t_size, 2 * scales.size) // 15)
 
-    def reduced_brackets(u: np.ndarray):
-        """t integrals of the constant and the (K, n) position brackets at the u nodes, then of their magnitudes."""
-        nonlocal evaluations
-        out = f(u[:, None], t_row)
-        evaluations += u.size * t_nodes.size
-        if isinstance(out, tuple):
-            constant, brackets = out[0], np.stack(_bracket_list(out))
+    def reduced_brackets(out):
+        """t integrals of the constant and the (K, n) position brackets of one f output, then of their magnitudes."""
+        constant = out[0] if isinstance(out, tuple) else None
+        if t_weights is None:  # rows (n, 1) of integral and magnitude, viewed as (n, 2)
+            rows = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
+            signed, magnitude = rows[..., 0], rows[..., 1]
         else:
-            constant, brackets = None, out[None]
-        signed, magnitude = brackets @ t_weights, np.abs(brackets) @ t_weights
+            brackets = np.stack(_bracket_list(out))
+            signed, magnitude = brackets @ t_weights, np.abs(brackets) @ t_weights
         if constant is None:
             return 0.0, signed, 0.0, magnitude
         return signed[0], signed[1:], magnitude[0], magnitude[1:]
+
+    def f_rows(u: np.ndarray, rows: slice):
+        """f at the u nodes u[rows], taken from the seed call's output where there is one."""
+        nonlocal evaluations
+        if seed is not None:
+            return seed[rows] if not isinstance(seed, tuple) else tuple(b if b is None else b[rows] for b in seed)
+        evaluations += (rows.stop - rows.start) * t_size
+        return f(u[rows, None], t_row)
 
     def eval_panels(u: np.ndarray, half: np.ndarray, with_tail: bool = False):
         """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel.
@@ -440,8 +511,9 @@ def integrate_semi_infinite(
         kg = magnitude = None
         for start in range(0, panels, panels_per_call):
             stop = min(start + panels_per_call, panels)
-            chunk = u[15 * start : 15 * stop + (with_tail and stop == panels)]
-            constant, position, constant_abs, position_abs = reduced_brackets(chunk)
+            rows = slice(15 * start, 15 * stop + (with_tail and stop == panels))
+            chunk = u[rows]
+            constant, position, constant_abs, position_abs = reduced_brackets(f_rows(u, rows))
             weights = envelope(chunk)[None, :, :]  # (1, positions, n)
             values = constant + weights * position[:, None, :]
             magnitudes = constant_abs + weights * position_abs[:, None, :]
@@ -455,6 +527,7 @@ def integrate_semi_infinite(
 
     # panel_value, panel_err, panel_magnitude: (panels, fields, positions), panels sorted by lo
     panel_value, panel_err, panel_magnitude, g_tail = eval_panels(seed_u, seed_half, with_tail=True)
+    seed = None  # later panels call f
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
@@ -462,7 +535,7 @@ def integrate_semi_infinite(
     tail = 2.0 * g_tail * _tail_factor(u_max, tuple(scales.tolist())) / scales
 
     def unreducible(part, what: str, hint: str) -> NonConvergence:
-        # splitting panels reduces neither the t-rule term nor the tail bound
+        # splitting panels reduces neither the t term nor the tail bound
         pair = np.unravel_index(np.argmax(part - tol), part.shape)
         return NonConvergence(
             f"{what} {float(part[pair]):.3e} alone exceeds the tolerance {float(tol[pair]):.3e} {hint}",
@@ -474,13 +547,16 @@ def integrate_semi_infinite(
         total = panel_value.sum(axis=0)
         # The t rule's error at a u node is estimated as the field's rho times
         # the t integral of |C| + e|P|, the quantity rho is measured against;
-        # a plain integrand that changes sign in t is covered too.
+        # a plain integrand that changes sign in t is covered too. Exact t
+        # integrals take the roundoff allowance as their rho.
         t_err = rho[:, None] * panel_magnitude.sum(axis=0)
         err_total = panel_err.sum(axis=0) + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
         if (err_total <= tol).all():
             break
-        if (t_err > tol).any():
+        if (t_err > tol).any() and order is None:
+            raise unreducible(t_err, "t-integral roundoff allowance", "of exact t integrals; loosen rel_tol or abs_tol")
+        if (t_err > tol).any():  # the probe's t rule
             raise unreducible(
                 t_err,
                 "t-rule error estimate",
@@ -507,7 +583,7 @@ def integrate_semi_infinite(
         lo, hi = edges[worst], edges[worst + 1]
         mid = 0.5 * (lo + hi)
         *halves, _ = eval_panels(*_kronrod_nodes(np.array([lo, mid]), np.array([mid, hi])))
-        edges = np.insert(edges, worst + 1, mid)
+        edges = np.concatenate((edges[: worst + 1], [mid], edges[worst + 1 :]))
         panel_value, panel_err, panel_magnitude = (
             np.concatenate((old[:worst], new, old[worst + 1 :]))
             for old, new in zip((panel_value, panel_err, panel_magnitude), halves)
@@ -678,7 +754,7 @@ def integrate_fixed_grid(
     position_k``; value and error_estimate are then (fields, positions)
     arrays, every position on the u range of the one decay_scale.
     """
-    _check_decay_scale(decay_scale, 0.0)
+    _checked_scales((decay_scale,), 0.0)
     if n_u < 16:
         raise DomainError(f"n_u must be at least 16, got {n_u!r}")
     batched = envelope is not None

@@ -198,6 +198,8 @@ class TestProfile:
             raise AssertionError("integrand evaluated before the positions were checked")
 
         monkeypatch.setattr("casimir_fields.integrand._reflection_factors", no_evaluation)
+        monkeypatch.setattr("casimir_fields.integrand._cavity_coefficients", no_evaluation)
+        monkeypatch.setattr("casimir_fields.integrand._single_coefficients", no_evaluation)
         with pytest.raises(error):
             profile_at(geometry, Drude(1.0), zs)
 
@@ -479,7 +481,8 @@ class TestScalingIdentities:
             assert two == pytest.approx(one, rel=1e-6)
 
     def test_swapped_reflection_maps_e2_profile_onto_b2(self):
-        # integrating the swapped-bracket integrand reproduces b2 exactly
+        # integrating the swapped-bracket integrand on the t rule reproduces b2,
+        # which the Drude closure integrates over t exactly, within both errors
         from casimir_fields import CAVITY_PREFACTOR, SINGLE_PREFACTOR, reflection_values
         from casimir_fields.integrand import cavity_terms, single_bracket
 
@@ -491,7 +494,7 @@ class TestScalingIdentities:
 
         direct = integrate_semi_infinite(integrand_function(FieldKind.B_SQUARED, SingleInterface(), model, z), 2 * z)
         via_swap = integrate_semi_infinite(swapped_single, 2 * z)
-        assert via_swap.value == direct.value
+        assert abs(via_swap.value - direct.value) <= via_swap.error_estimate + direct.error_estimate
 
         def swapped_cavity(u, t):
             r, rp = reflection_values(model, u, t)
@@ -500,4 +503,4 @@ class TestScalingIdentities:
 
         direct = integrate_semi_infinite(integrand_function(FieldKind.B_SQUARED, Cavity(1.0), model, z), 2 * z)
         via_swap = integrate_semi_infinite(swapped_cavity, 2 * z)
-        assert via_swap.value == direct.value
+        assert abs(via_swap.value - direct.value) <= via_swap.error_estimate + direct.error_estimate

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,7 +19,7 @@ from casimir_fields import (
     integrand_function,
     reflection_values,
 )
-from casimir_fields import quadrature
+from casimir_fields import integrand, quadrature
 from casimir_fields.integrand import cavity_terms, position_envelope, single_bracket
 
 KINDS = (FieldKind.E_SQUARED, FieldKind.B_SQUARED, FieldKind.ENERGY_DENSITY)
@@ -323,6 +324,23 @@ def _node_errors(geometry, model, z, u, t):
     return errors
 
 
+def _bracket_form_errors(geometry, model, z, u, t):
+    """Per field (E^2, B^2) and per scale of `_plain_fields`, the largest |f - f_ld| / scale of the field closure and of the bracket form assembled at z."""
+    u_ld, t_ld = np.asarray(u, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble)
+    exact, scales = _plain_fields(geometry, *_drude_reflections_longdouble(model.plasma_frequency, u, t), u_ld, t_ld, z)
+    constant, *positions = integrand_function(None, geometry, model)(u, t)
+    envelope = position_envelope(geometry, [z])(np.ravel(u))[0].reshape(np.shape(u))
+    errors = []
+    for kind, position in zip(KINDS, positions):
+        assembled = envelope * position if constant is None else constant + envelope * position
+        closure = integrand_function(kind, geometry, model, z)(u, t)
+        for scale in scales[kind]:
+            counted = scale > 1e-280
+            relative = [np.abs(got - exact[kind]) / np.where(counted, scale, 1) for got in (closure, assembled)]
+            errors.append([float(np.max(error[counted])) for error in relative])
+    return errors
+
+
 def _engine_grids(geometry, z):
     """(u, t) of the engine's seed mesh on the full-depth order-16 t rule, and of its probe rows on the first probe stage's t row."""
     _, probe_u, seed_u, _ = quadrature._seed_mesh(60.0 / decay_scale_for(geometry, z), quadrature._SEED_SPLITS)
@@ -350,6 +368,24 @@ def test_drude_closures_are_as_accurate_as_the_bracket_arithmetic(geometry, z):
                 assert closure <= 2.0 * bracket_arithmetic, (wp, u.shape, t.shape)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double")
+@pytest.mark.parametrize(
+    "geometry, z",
+    [(Cavity(1.0), 0.02), (Cavity(1.0), 0.35), (Cavity(1.0), 0.5), (SingleInterface(), 1e-3), (SingleInterface(), 0.3)],
+    ids=("cavity-0.02", "cavity-0.35", "cavity-0.5", "single-1e-3", "single-0.3"),
+)
+def test_drude_bracket_form_is_as_accurate_as_the_field_closures(geometry, z):
+    # the bracket form runs on the same rational kernel as the field closures:
+    # assembled at z, E^2 and B^2 meet twice the closures' worst node error,
+    # also at u down to 1e-8 on the oracle's grid, where 1 + r taken by
+    # subtraction used to lose 3.1e-8 of the scale
+    for wp in (0.3, 2.0, 96.60661, 200.0, 1e4):
+        for u, t in (*_engine_grids(geometry, z), _ORACLE_GRID):
+            for closure, bracket_form in _bracket_form_errors(geometry, Drude(wp), z, u, t):
+                assert bracket_form <= max(2.0 * closure, 4 * np.finfo(float).eps), (wp, u.shape, t.shape)
+                assert bracket_form < 1e-10
+
+
 @pytest.mark.parametrize("geometry", (SingleInterface(), Cavity(1.0)), ids=("single", "cavity"))
 @pytest.mark.parametrize(
     "u, t",
@@ -363,12 +399,22 @@ def test_drude_closures_are_as_accurate_as_the_bracket_arithmetic(geometry, z):
 )
 def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
     # the closures write products over their own temporaries; that must not change
-    # a bit. The Drude field closures evaluate rational functions of t^2 instead
-    # and meet the extended-precision bound of the test above on these shapes; on
+    # a bit. The Drude closures evaluate rational functions of t^2 instead and
+    # meet the extended-precision bounds of the tests above on these shapes; on
     # a few nodes the bracket arithmetic can land within an ulp by chance, so the
     # bound there is at least 4 float64 ulps of the scale
     z = 0.3
+    eps = np.finfo(float).eps
     for model in (*MODELS, Drude(97.0)):
+        if isinstance(model, Drude):
+            for closure, bracket_form in _bracket_form_errors(geometry, model, z, u, t):
+                assert bracket_form <= max(2.0 * closure, 4 * eps)
+            for kind in KINDS:
+                expected_shape = np.broadcast_shapes(np.shape(u), np.shape(t))
+                assert np.shape(integrand_function(kind, geometry, model, z)(u, t)) == expected_shape
+            for closure, bracket_arithmetic in _node_errors(geometry, model, z, u, t):
+                assert closure <= max(2.0 * bracket_arithmetic, 4 * eps)
+            continue
         constant, brackets, _ = _plain_brackets(geometry, *reflection_values(model, u, t), u, t)
         if isinstance(geometry, SingleInterface):
             w = SINGLE_PREFACTOR * u**3
@@ -382,14 +428,8 @@ def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
             else:
                 np.testing.assert_array_equal(got, expected, strict=True)
         plain, _ = _plain_fields(geometry, *reflection_values(model, u, t), u, t, z)
-        if not isinstance(model, Drude):
-            for kind, expected in plain.items():
-                np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)
-            continue
-        for kind in KINDS:
-            assert np.shape(integrand_function(kind, geometry, model, z)(u, t)) == np.shape(plain[kind])
-        for closure, bracket_arithmetic in _node_errors(geometry, model, z, u, t):
-            assert closure <= max(2.0 * bracket_arithmetic, 4 * np.finfo(float).eps)
+        for kind, expected in plain.items():
+            np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)
 
 
 def test_drude_closures_take_u_and_t_on_different_axes():
@@ -427,3 +467,150 @@ def test_family_matches_its_members(geometry, z, kind):
 def test_family_takes_drude_models_only(kind, models):
     with pytest.raises(DomainError):
         integrand_function(kind, Cavity(1.0), models, None if kind is None else 0.5)
+
+
+def _bernstein_from_moments(m):
+    """Integrals of the cubic Bernstein basis in x from those of 1, x, x^2 and x^3, exactly."""
+    m0, m1, m2, m3 = m
+    return [m0 - 3 * m1 + 3 * m2 - m3, 3 * m1 - 6 * m2 + 3 * m3, 3 * m2 - 3 * m3, m3]
+
+
+def _single_moments(c):
+    """int_0^1 t^{2k} / (1 + c t^2) dt for k = 0..3, by the upward recurrence, at the working precision."""
+    root = mpmath.sqrt(c)
+    moments = [mpmath.atan(root) / root]
+    for k in (1, 2, 3):
+        moments.append((mpmath.mpf(1) / (2 * k - 1) - moments[-1]) / c)
+    return moments
+
+
+def _reference_kernel(geometry, factors):
+    """The t integrals of the Bernstein basis over the denominator of the float64 factors, at 160 digits: (4, n) of mpf.
+
+    The denominator is 1 + c x, or (alpha_1 + gamma_1 x)(alpha_2 + gamma_2 x)
+    split into partial fractions, or a double pole where the factors are
+    equal. 160 digits outlast every cancellation of these forms on the rows
+    tested, down to c = 1e-24.
+    """
+    columns = []
+    with mpmath.workdps(160):
+        for row in zip(*factors):
+            if isinstance(geometry, SingleInterface):
+                columns.append(_bernstein_from_moments(_single_moments(mpmath.mpf(row[0]))))
+                continue
+            a1, g1, a2, g2 = (mpmath.mpf(v) for v in row[:4])
+            spread = a2 * g1 - a1 * g2
+            if spread == 0:  # int t^{2k} / (1 + c t^2)^2 dt = (J_{k-1} - L_{k-1})/c, L_0 = 1/(2(1 + c)) + J_0/2
+                c = g1 / a1
+                j = _single_moments(c)
+                moments = [1 / (2 * (1 + c)) + j[0] / 2]
+                for k in (1, 2, 3):
+                    moments.append((j[k - 1] - moments[-1]) / c)
+                columns.append([v / a1**2 for v in _bernstein_from_moments(moments)])
+                continue
+            near = _bernstein_from_moments(_single_moments(g1 / a1))
+            far = _bernstein_from_moments(_single_moments(g2 / a2))
+            columns.append([(g1 / a1 * x - g2 / a2 * y) / spread for x, y in zip(near, far)])
+    return np.array(columns, dtype=object).T
+
+
+# u rows over [1e-8, 1e4]; at u a > 745 e^{-ua} underflows and the two poles of a cavity coincide
+_EXACT_U = np.geomspace(1e-8, 1e4, 97)
+_EXACT_WPS = (0.3, 1.0, 96.60661, 200.0, 1e4)
+
+
+class TestExactTIntegrals:
+    """The Drude closures' rows at t = T_INTEGRAL against mpmath on the same float64 coefficients."""
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        """Per geometry and plasma frequency, the factors of the denominator and the reference kernel."""
+        out = {}
+        for geometry in GEOMETRIES:
+            for wp in (*_EXACT_WPS, 0.01):
+                coefficients, _ = integrand._drude_parts(None, geometry, [wp], None)
+                factors = coefficients(_EXACT_U)[1]
+                out[type(geometry).__name__, wp] = factors, _reference_kernel(geometry, factors)
+        return out
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_kernel(self, geometry, references):
+        # every basis integral within 8 ulps of itself, the cavity's in each of its
+        # three forms: the Gauss rule, the split into two poles apart (reached
+        # below wp a = 0.04) and the closed form of merging poles
+        kernel = integrand._single_kernel if isinstance(geometry, SingleInterface) else integrand._cavity_kernel
+        for wp in (*_EXACT_WPS, 0.01):
+            factors, reference = references[type(geometry).__name__, wp]
+            got = kernel(*factors)
+            error = np.array([[float(abs(mpmath.mpf(g) - r) / r) for g, r in zip(*pair)] for pair in zip(got, reference)])
+            assert error.max() <= 8 * np.finfo(float).eps, wp
+
+    def test_cavity_rows_cover_every_form(self, references):
+        p1, d, near_pole = [], [], []
+        for wp in (*_EXACT_WPS, 0.01):
+            alpha1, gamma1, alpha2, gamma2, spread = references["Cavity", wp][0]
+            p1.append(alpha1 / gamma1)
+            d.append(spread / (gamma1 * gamma2))
+        p1, d = np.concatenate(p1), np.concatenate(d)
+        assert (p1 < 1).any() and (p1 > 1).any()
+        near = p1 < integrand._GAUSS_POLE
+        assert (~near).any() and (near & (d > 0.5)).any() and (near & (d <= 0.5)).any()
+        assert (d == 0).any()  # e^{-ua} underflowed
+
+    @pytest.mark.parametrize(
+        "geometry, zs",
+        [(Cavity(1.0), (0.02, 0.35, 0.5)), (SingleInterface(), (1e-3, 0.5))],
+        ids=("cavity", "single"),
+    )
+    def test_rows(self, geometry, zs, references):
+        # each row's integral and magnitude within 6 ulps of the magnitude, for
+        # every field kind at every z and for the bracket form; the engine's
+        # roundoff allowance of 16 ulps rests on this bound
+        eps = np.finfo(float).eps
+        for wp in _EXACT_WPS:
+            reference = references[type(geometry).__name__, wp][1]
+            for kind, z in [(kind, z) for kind in KINDS for z in zs] + [(None, None)]:
+                numerators = integrand._drude_parts(kind, geometry, [wp], z)[0](_EXACT_U)[0][:-1]
+                out = integrand_function(kind, geometry, Drude(wp), z)(_EXACT_U[:, None], quadrature.T_INTEGRAL)
+                rows = [out] if kind is not None else [row for row in out if row is not None]
+                assert len(rows) == len(numerators)
+                for row, numerator in zip(rows, numerators):
+                    assert row.dtype == quadrature.T_INTEGRAL_DTYPE and row.shape == (_EXACT_U.size, 1)
+                    for i in range(_EXACT_U.size):
+                        beta = [mpmath.mpf(v) for v in numerator[:, i]]
+                        exact = sum(b * k for b, k in zip(beta, reference[:, i]))
+                        magnitude = sum(abs(b) * k for b, k in zip(beta, reference[:, i]))
+                        if magnitude < 1e-290:  # both underflow
+                            continue
+                        for got, want in ((row["integral"][i, 0], exact), (row["magnitude"][i, 0], magnitude)):
+                            assert abs(mpmath.mpf(got) - want) <= 6 * eps * magnitude, (wp, kind, z, _EXACT_U[i])
+
+    @pytest.mark.parametrize("geometry, z", [(SingleInterface(), 0.3), (Cavity(1.0), 0.5)], ids=("single", "cavity"))
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.value)
+    def test_family_rows_match_their_members(self, geometry, z, kind):
+        u = _EXACT_U[:, None]
+        out = integrand_function(kind, geometry, [Drude(wp) for wp in _EXACT_WPS], z)(u, quadrature.T_INTEGRAL)
+        assert out[0] is None and len(out) == len(_EXACT_WPS) + 1
+        for got, wp in zip(out[1:], _EXACT_WPS):
+            np.testing.assert_array_equal(got, integrand_function(kind, geometry, Drude(wp), z)(u, quadrature.T_INTEGRAL))
+            # and one row alone, which would take a matrix-vector product
+            alone = integrand_function(kind, geometry, Drude(wp), z)(u[40:41], quadrature.T_INTEGRAL)
+            np.testing.assert_array_equal(alone, got[40:41])
+
+    def test_rows_take_the_shape_of_u(self):
+        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(2.0), 0.5)
+        assert f(0.7, quadrature.T_INTEGRAL).shape == ()
+        assert f(np.array([0.7, 3.0]), quadrature.T_INTEGRAL).shape == (2,)
+        single = integrand_function(None, SingleInterface(), Drude(2.0))(np.array([[0.7]]), quadrature.T_INTEGRAL)
+        assert single[0] is None and [row.shape for row in single[1:]] == [(1, 1), (1, 1)]
+        cavity = integrand_function(None, Cavity(1.0), Drude(2.0))(np.array([[0.7]]), quadrature.T_INTEGRAL)
+        assert [row.shape for row in cavity] == [(1, 1)] * 3
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_other_models_have_no_exact_t_integral(self, geometry):
+        # a t row with no nodes: an empty grid, so the engine probes a t rule for them
+        u = _EXACT_U[:, None]
+        for model in (ConstantEpsilon(4.0), PerfectConductor(), Vacuum()):
+            assert integrand_function(FieldKind.E_SQUARED, geometry, model, 0.3)(u, quadrature.T_INTEGRAL).shape == (u.size, 0)
+        # a Drude closure evaluates an empty t row that is not T_INTEGRAL like any other
+        assert integrand_function(FieldKind.E_SQUARED, geometry, Drude(1.0), 0.3)(u, np.empty((1, 0))).shape == (u.size, 0)

@@ -6,7 +6,10 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import casimir_fields
+from casimir_fields import Cavity, Drude, PerfectConductor, analysis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,3 +37,24 @@ def test_benchmark_boundaries_resolve():
     boundaries = [*tracing.BOUNDARIES.values(), ("integrand", "integrand_function")]
     for module, attr in boundaries:
         assert callable(getattr(importlib.import_module(f"{tracing.PACKAGE}.{module}"), attr)), (module, attr)
+
+
+def test_traced_runs_count_every_evaluation():
+    # the tracer replaces each closure of integrand_function by a plain wrapper and
+    # counts the nodes of its values: u rows for the exact t integrals of the Drude
+    # integrands, (u, t) nodes on a t rule; the engine's evaluations must agree
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    for run in (
+        lambda: analysis.midpoint_scan(50.0, 150.0, 7),
+        lambda: analysis.profile_at(Cavity(1.0), Drude(200.0), np.linspace(0.1, 0.9, 9)),
+        lambda: analysis.profile_at(Cavity(1.0), PerfectConductor(), [0.3, 0.5]),
+    ):
+        tracer.begin_request()
+        with tracer.installed():
+            run()
+        counts = tracer.counts[-1]
+        assert counts["integrand.f.nodes"] == counts["quadrature.integrate_semi_infinite.evaluations"] > 0
+        assert counts["quadrature.integrate_semi_infinite.nonconvergence"] == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -181,8 +182,8 @@ class TestBatchedEngine:
         # 230-fold, so with one rho for the family it could not converge
         wps = (1.0, 96.60661)
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
-        family = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
-        alone = [_energy_density(Cavity(1.0), Drude(wp), [0.5]) for wp in wps]
+        family = integrate_semi_infinite(_on_a_t_rule(f), [1.0], envelope=quadrature.unit_envelope)
+        alone = [_probed_energy_density(Cavity(1.0), Drude(wp), [0.5]) for wp in wps]
         assert [res.t_levels for res in alone] == [2, 1] and family.t_levels == 2
         assert QuadratureConfig().rel_tol * abs(alone[1].value) < QuadratureConfig().abs_tol
         assert family.value.shape == family.error_estimate.shape == (2, 1)
@@ -193,17 +194,43 @@ class TestBatchedEngine:
             # grow by a few 1e-18; the u-panel part, refined for both, falls
             assert err <= (1.0 + 1e-3) * single.error_estimate
 
+    def test_family_members_with_exact_t_integrals(self):
+        # each member keeps its own roundoff allowance, 16 ulps of its own magnitude
+        wps = (1.0, 96.60661, 1e4)
+        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
+        family = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
+        alone = [_energy_density(Cavity(1.0), Drude(wp), [0.5]) for wp in wps]
+        assert family.t_order is None and all(res.t_order is None for res in alone)
+        for (value,), (err,), single in zip(family.value, family.error_estimate, alone):
+            assert abs(value - single.value) <= err + single.error_estimate
+            assert err <= (1.0 + 1e-3) * single.error_estimate
+
     def test_batched_scales_are_checked_before_evaluation(self):
         def never(u, t):
             raise AssertionError("evaluated")
 
-        envelope = lambda u: np.ones((2, u.size))
+        envelope = lambda u: np.ones((3, u.size))
         with pytest.raises(InvalidDecayScale):
             integrate_semi_infinite(never, [1.0, math.nan], envelope=envelope)
         with pytest.raises(DivergesAtBoundary):
             integrate_semi_infinite(never, [1.0, 1e-9], envelope=envelope)
         with pytest.raises(DomainError):
             integrate_semi_infinite(never, [], envelope=envelope)
+        # a bad scale in the middle of a batch, in a list or a float array, is named in the error
+        for scales, error, name in (
+            ([1.0, True, 2.0], InvalidDecayScale, "True"),
+            ([1.0, "0.5", 2.0], InvalidDecayScale, "'0.5'"),
+            ([1.0, math.nan, 2.0], InvalidDecayScale, "nan"),
+            (np.array([1.0, math.nan, 2.0]), InvalidDecayScale, "nan"),
+            ([1.0, -math.inf, 2.0], InvalidDecayScale, "-inf"),
+            ([1.0, 1e-9, 2.0], DivergesAtBoundary, "1e-09"),
+            (np.array([1.0, 1e-9, 2.0]), DivergesAtBoundary, "1e-09"),
+            # the first bad scale decides which error is raised
+            ([1.0, 1e-9, math.nan], DivergesAtBoundary, "1e-09"),
+            ([1.0, math.nan, 1e-9], InvalidDecayScale, "nan"),
+        ):
+            with pytest.raises(error, match=name):
+                integrate_semi_infinite(never, scales, envelope=envelope)
 
 
 class TestEngineProperties:
@@ -243,18 +270,28 @@ class TestEngineProperties:
         assert abs(res.value - pc_cavity_e2(0.3, 1.0)) <= 50.0 * max(res.error_estimate, 1e-16)
 
 
-def _field_brackets(geometry, model, zs, cfg=None):
-    """e2 and b2 at every z from one batched engine call."""
+def _on_a_t_rule(f):
+    """f without its exact t integrals: a copy of T_INTEGRAL is an empty t row like any other, so the engine probes a t rule for f."""
+    return lambda u, t: f(u, np.array(t) if t is quadrature.T_INTEGRAL else t)
+
+
+def _field_brackets(geometry, model, zs, cfg=None, t_rule=False):
+    """e2 and b2 at every z from one batched engine call; on the probed t rule with ``t_rule``."""
     f = integrand_function(None, geometry, model)
     scales = [decay_scale_for(geometry, z) for z in zs]
-    return integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
+    return integrate_semi_infinite(_on_a_t_rule(f) if t_rule else f, scales, cfg, envelope=position_envelope(geometry, zs))
 
 
-def _energy_density(geometry, model, zs, cfg=None):
-    """U at the one position in zs from a plain engine call."""
+def _energy_density(geometry, model, zs, cfg=None, t_rule=False):
+    """U at the one position in zs from a plain engine call; on the probed t rule with ``t_rule``."""
     (z,) = zs
     f = integrand_function(FieldKind.ENERGY_DENSITY, geometry, model, z)
-    return integrate_semi_infinite(f, decay_scale_for(geometry, z), cfg)
+    return integrate_semi_infinite(_on_a_t_rule(f) if t_rule else f, decay_scale_for(geometry, z), cfg)
+
+
+# The Drude integrands integrate over t exactly; on the probed t rule they keep covering the probe.
+_probed_brackets = functools.partial(_field_brackets, t_rule=True)
+_probed_energy_density = functools.partial(_energy_density, t_rule=True)
 
 
 def _full_depth(monkeypatch, integrate, *args):
@@ -274,18 +311,18 @@ class TestTRuleError:
     @pytest.mark.parametrize(
         "integrate, geometry, model, zs",
         [
-            (_field_brackets, SingleInterface(), Drude(1.0), [1e-3]),
-            (_field_brackets, SingleInterface(), Drude(1.0), [1.0]),
+            (_probed_brackets, SingleInterface(), Drude(1.0), [1e-3]),
+            (_probed_brackets, SingleInterface(), Drude(1.0), [1.0]),
             # the profile where the u-panel part alone fell short by 1.6x
-            (_field_brackets, SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))),
-            (_field_brackets, Cavity(1.0), Drude(200.0), [0.02]),
-            (_field_brackets, Cavity(1.0), Drude(200.0), [0.5]),
-            (_field_brackets, Cavity(1.0), Drude(8.5), [0.5]),
+            (_probed_brackets, SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))),
+            (_probed_brackets, Cavity(1.0), Drude(200.0), [0.02]),
+            (_probed_brackets, Cavity(1.0), Drude(200.0), [0.5]),
+            (_probed_brackets, Cavity(1.0), Drude(8.5), [0.5]),
             (_field_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5]),
             (_field_brackets, Cavity(1.0), PerfectConductor(), [0.3]),
             # a plain Drude cavity energy density C + e P changes sign in t at every u
-            (_energy_density, Cavity(1.0), Drude(97.0), [0.5]),
-            (_energy_density, Cavity(1.0), Drude(200.0), [0.5]),
+            (_probed_energy_density, Cavity(1.0), Drude(97.0), [0.5]),
+            (_probed_energy_density, Cavity(1.0), Drude(200.0), [0.5]),
         ],
         ids=(
             "drude1-1e-3", "drude1-1", "drude1-profile", "drude200-0.02", "drude200-0.5", "drude8.5", "eps4", "pc",
@@ -299,6 +336,10 @@ class TestTRuleError:
         reference = _full_depth(monkeypatch, integrate, geometry, model, zs, QuadratureConfig(inner_rule_order=128))
         assert reference.t_levels == quadrature._T_RULE_LEVELS
         assert np.all(np.abs(res.value - reference.value) <= res.error_estimate)
+        if isinstance(model, Drude):  # the exact t integrals meet the same reference within their own err
+            exact = integrate(geometry, model, zs, t_rule=False)
+            assert exact.t_order is None
+            assert np.all(np.abs(exact.value - reference.value) <= exact.error_estimate)
 
     @pytest.mark.parametrize("a", [9.0, 5.0 * math.pi])
     def test_t_term_of_a_sign_changing_integrand(self, a):
@@ -314,14 +355,14 @@ class TestTRuleError:
     def test_short_start_order_escalates(self, monkeypatch, start, rel_tol, order):
         # Drude(1) at z = 1e-3 has the sharpest t spike of the field integrands
         case = (SingleInterface(), Drude(1.0), [1e-3])
-        escalated = _field_brackets(*case, QuadratureConfig(inner_rule_order=start, rel_tol=rel_tol))
-        direct = _field_brackets(*case, QuadratureConfig(inner_rule_order=order, rel_tol=rel_tol))
+        escalated = _probed_brackets(*case, QuadratureConfig(inner_rule_order=start, rel_tol=rel_tol))
+        direct = _probed_brackets(*case, QuadratureConfig(inner_rule_order=order, rel_tol=rel_tol))
         np.testing.assert_array_equal(escalated.value, direct.value)
         np.testing.assert_allclose(escalated.error_estimate, direct.error_estimate, rtol=1e-6)
         assert (escalated.t_order, escalated.t_levels) == (direct.t_order, direct.t_levels)
         assert escalated.t_order == order
         assert escalated.evaluations > direct.evaluations  # the extra probes
-        reference = _full_depth(monkeypatch, _field_brackets, *case, QuadratureConfig(inner_rule_order=128, rel_tol=rel_tol))
+        reference = _full_depth(monkeypatch, _probed_brackets, *case, QuadratureConfig(inner_rule_order=128, rel_tol=rel_tol))
         assert np.all(np.abs(escalated.value - reference.value) <= escalated.error_estimate)
 
     def test_tail_above_tolerance_stops_at_once(self):
@@ -335,8 +376,15 @@ class TestTRuleError:
         # three doublings from order 2 reach 16, whose t error is far above 1e-13
         cfg = QuadratureConfig(inner_rule_order=2, rel_tol=1e-13)
         with pytest.raises(NonConvergence, match="inner_rule_order") as excinfo:
-            _field_brackets(SingleInterface(), Drude(1.0), [1e-3], cfg)
+            _probed_brackets(SingleInterface(), Drude(1.0), [1e-3], cfg)
         assert excinfo.value.result.evaluations < 300_000
+
+    def test_roundoff_allowance_above_tolerance_stops_at_once(self):
+        # exact t integrals carry 16 ulps of the magnitude; a tolerance below that cannot be met
+        cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
+        with pytest.raises(NonConvergence, match="roundoff allowance") as excinfo:
+            _energy_density(Cavity(1.0), Drude(200.0), [0.5], cfg)
+        assert excinfo.value.result.evaluations == 136 and excinfo.value.result.t_order is None
 
 
 def _spike_integrand(width, narrow_at_small_u=False):
@@ -377,13 +425,13 @@ class TestTRuleDepth:
 
     def test_midgap_integral_stays_shallow(self):
         # the Drude t spike, about wp / u wide, is wider than 1 on the midgap integrals
-        res = _energy_density(Cavity(1.0), Drude(97.0), [0.5])
+        res = _probed_energy_density(Cavity(1.0), Drude(97.0), [0.5])
         assert res.t_order == 16 and res.t_levels <= 2
         # two probe stages (3 rows x 1,056 t nodes, 7 x 576) and the 136 x 32 seed mesh: 11,552, then 2 splits of 960
         assert res.evaluations < 14_000
 
     def test_near_wall_integral_goes_deep(self):
-        res = _field_brackets(SingleInterface(), Drude(1.0), [1e-3])
+        res = _probed_brackets(SingleInterface(), Drude(1.0), [1e-3])
         assert res.t_levels >= 5
         # the top probe rows pick this depth alone, so no row is probed at every depth
         # twice: 7,648 probe nodes, the 136 x 96 seed mesh and 3 splits of 2,880 make 29,344
@@ -392,25 +440,29 @@ class TestTRuleDepth:
 
 class TestRootAdjacentIntegrals:
     # Midgap integrals beside the sign change of U: their err sits within 30% of
-    # abs_tol, so roundoff added to the t term would raise NonConvergence. Their
-    # t rule, their node count and their err must hold.
+    # abs_tol, so roundoff added to the t term would raise NonConvergence. They
+    # take the exact t integrals; their u rows and their err must hold, and err
+    # must meet the tolerance.
     @pytest.mark.parametrize(
-        "wp, rule, err",
-        [(96.60661, (16, 1, 16_352), 7.0436e-15), (97.0, (16, 1, 13_472), 4.3933e-13)],
+        "wp, evaluations, err",
+        [(96.60661, 286, 7.1159e-15), (97.0, 196, 4.3939e-13)],
         ids=("root", "beside-root"),
     )
-    def test_plain_integral(self, wp, rule, err):
+    def test_plain_integral(self, wp, evaluations, err):
         res = _energy_density(Cavity(1.0), Drude(wp), [0.5])
-        assert (res.t_order, res.t_levels, res.evaluations) == rule
+        assert (res.t_order, res.t_levels, res.evaluations) == (None, None, evaluations)
         assert res.error_estimate == pytest.approx(err, rel=1e-2)
+        cfg = QuadratureConfig()
+        assert res.error_estimate <= max(cfg.rel_tol * abs(res.value), cfg.abs_tol)
 
     def test_family(self):
         wps = (95.0, 96.0, 96.60661, 97.0, 98.0)
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
         res = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
-        assert (res.t_order, res.t_levels, res.evaluations) == (16, 1, 16_352)
-        expected = [7.1245e-15, 7.0734e-15, 7.0436e-15, 7.0306e-15, 6.9815e-15]
+        assert (res.t_order, res.t_levels, res.evaluations) == (None, None, 286)
+        expected = [7.1924e-15, 7.1420e-15, 7.1159e-15, 7.0907e-15, 7.0479e-15]
         np.testing.assert_allclose(res.error_estimate[:, 0], expected, rtol=1e-2)
+        assert np.all(res.error_estimate <= QuadratureConfig().abs_tol)
 
 
 def _reference_probe(f, u, cfg):
@@ -444,12 +496,16 @@ def _probe_calls(monkeypatch, integrate, *args):
 
 
 def _counted(f):
-    """f, counting the (u, t) nodes it is called on, and the one-element list that holds the count."""
+    """f, counting the nodes of its values as the benchmark tracer does, and the one-element list that holds the count.
+
+    The values cover the (u, t) grid, or the u rows where f integrates over t itself.
+    """
     nodes = [0]
 
     def counted(u, t):
-        nodes[0] += np.broadcast(u, t).size
-        return f(u, t)
+        out = f(u, t)
+        nodes[0] += np.broadcast(*out).size if isinstance(out, tuple) else np.size(out)
+        return out
 
     return counted, nodes
 
@@ -460,8 +516,8 @@ _MIDGAP_WPS, _SINGLE_ZS = (1.0, 10.0, 97.0, 100.0, 1e3, 1e4), (1e-5, 1e-3, 0.1, 
 class TestTwoStageProbe:
     @pytest.mark.parametrize(
         "integrate, geometry, model, zs",
-        [(_energy_density, Cavity(1.0), Drude(wp), [0.5]) for wp in _MIDGAP_WPS]
-        + [(_field_brackets, SingleInterface(), Drude(1.0), [z]) for z in _SINGLE_ZS]
+        [(_probed_energy_density, Cavity(1.0), Drude(wp), [0.5]) for wp in _MIDGAP_WPS]
+        + [(_probed_brackets, SingleInterface(), Drude(1.0), [z]) for z in _SINGLE_ZS]
         + [(_field_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5])],
         ids=[f"midgap-drude{wp:g}" for wp in _MIDGAP_WPS] + [f"drude1-{z:g}" for z in _SINGLE_ZS] + ["eps4"],
     )
@@ -486,21 +542,31 @@ class TestTwoStageProbe:
 
 
 class TestEvaluationCount:
+    # a Drude integral counts u rows, one per exact t integral; the others count (u, t) nodes
     def test_plain_call(self):
         f, nodes = _counted(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5))
-        assert integrate_semi_infinite(f, 1.0).evaluations == nodes[0]
+        res = integrate_semi_infinite(f, 1.0)
+        assert res.evaluations == nodes[0] and res.t_order is None
+
+    def test_plain_call_on_a_t_rule(self):
+        f, nodes = _counted(_on_a_t_rule(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5)))
+        res = integrate_semi_infinite(f, 1.0)
+        assert res.evaluations == nodes[0] and res.t_order == 16
 
     def test_batched_call(self):
         geometry, zs = SingleInterface(), [1e-3, 0.1, 2.0]
-        f, nodes = _counted(integrand_function(None, geometry, Drude(1.0)))
-        scales = [decay_scale_for(geometry, z) for z in zs]
-        res = integrate_semi_infinite(f, scales, envelope=position_envelope(geometry, zs))
-        assert res.evaluations == nodes[0]
+        for model in (Drude(1.0), ConstantEpsilon(4.0)):
+            f, nodes = _counted(integrand_function(None, geometry, model))
+            scales = [decay_scale_for(geometry, z) for z in zs]
+            res = integrate_semi_infinite(f, scales, envelope=position_envelope(geometry, zs))
+            assert res.evaluations == nodes[0]
+            assert (res.t_order is None) == isinstance(model, Drude)
 
     def test_family_call(self):
         models = [Drude(wp) for wp in (1.0, 96.60661, 1e3)]
         f, nodes = _counted(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), models, 0.5))
-        assert integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope).evaluations == nodes[0]
+        res = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
+        assert res.evaluations == nodes[0] and res.t_order is None
 
     def test_call_whose_probe_deepens_in_stage_two(self):
         f, nodes = _counted(_spike_integrand(1e-2, narrow_at_small_u=True))
@@ -535,9 +601,19 @@ class TestSetUpCaches:
         assert integrate_semi_infinite(f, 1.0) == first
 
     def test_batched_call_in_several_chunks(self, monkeypatch):
+        self._chunked(monkeypatch, t_rule=True)
+
+    def test_exact_t_batched_call_in_several_chunks(self, monkeypatch):
+        self._chunked(monkeypatch, t_rule=False)
+
+    @staticmethod
+    def _chunked(monkeypatch, t_rule):
+        # on the t rule f is called on chunks of whole panels; exact t integrals
+        # take the seed mesh in one call and chunk only the envelope step
         geometry, zs = Cavity(1.0), list(np.linspace(0.02, 0.98, 25))
-        whole = _field_brackets(geometry, Drude(200.0), zs)
+        whole = _field_brackets(geometry, Drude(200.0), zs, t_rule=t_rule)
         f, calls = integrand_function(None, geometry, Drude(200.0)), [0]
+        f = _on_a_t_rule(f) if t_rule else f
 
         def counted(u, t):
             calls[0] += 1
@@ -547,7 +623,7 @@ class TestSetUpCaches:
             patch.setattr(quadrature, "_NODE_CAP", 1_024)
             scales = [decay_scale_for(geometry, z) for z in zs]
             chunked = integrate_semi_infinite(counted, scales, envelope=position_envelope(geometry, zs))
-        assert calls[0] > 10
+        assert calls[0] > 10 if t_rule else calls[0] == 1
         assert chunked.evaluations == whole.evaluations
         assert np.all(np.abs(chunked.value - whole.value) <= whole.error_estimate)
 
