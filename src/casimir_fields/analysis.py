@@ -175,9 +175,8 @@ def _midgap_energy_scaled(omega_p_a: float, cfg: QuadratureConfig) -> IntegralRe
 def _midgap_energy_family(omega_p_as: Sequence[float], cfg: QuadratureConfig) -> IntegralResult:
     """`_midgap_energy_scaled` at every wp*a of a group from one engine call; value and err are (K, 1) arrays.
 
-    The group shares one probe, one t rule and one u mesh, refined until
-    every member meets its own tolerance, and each member's t-rule term
-    uses its own measured rho.
+    The group shares one u mesh, refined until every member meets its own
+    tolerance, and each member keeps its own error estimate.
     """
     f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(lam) for lam in omega_p_as], 0.5)
     return integrate_semi_infinite(f, [1.0], cfg, envelope=unit_envelope)
@@ -196,9 +195,10 @@ def midpoint_scan(
     perfect-conductor constant -pi^2/720 from above for large arguments.
 
     Consecutive grid values are integrated in groups of
-    `quadrature.family_size` (5 at the default order), one engine call per
-    group. A row can differ from the same wp*a integrated alone at the
-    last digits, always within the sum of both ``err``.
+    `quadrature.family_size` (15), one engine call per group. The size is
+    set by the memory of the exact t integrals, whatever the t rule
+    settings of ``cfg``. A row can differ from the same wp*a integrated
+    alone at the last digits, always within the sum of both ``err``.
     """
     for name, value in (("lambda_min", lambda_min), ("lambda_max", lambda_max)):
         if not is_finite_real(value):
@@ -214,7 +214,7 @@ def midpoint_scan(
     else:
         raise DomainError(f"spacing must be 'log' or 'linear', got {spacing!r}")
     cfg = cfg or QuadratureConfig()
-    size, points = family_size(cfg), []
+    size, points = family_size(), []
     for start in range(0, n, size):
         group = grid[start : start + size].tolist()
         res = _midgap_energy_family(group, cfg)
@@ -246,7 +246,8 @@ def critical_lambda(
     The search stops once the bracket is at most ``tol`` wide, or after
     n_max steps, which in exact arithmetic leave it at most that wide, and
     returns its midpoint: the root lies within tol / 2 of the value, up to
-    rounding of the bracket ends. A bracket end or a step where the energy
+    rounding of the bracket ends. Both bracket ends are integrated in one
+    engine call, as a family. A bracket end or a step where the energy
     density is exactly zero is returned at once.
 
     Raises
@@ -263,8 +264,7 @@ def critical_lambda(
         raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     cfg = cfg or QuadratureConfig()
-    f_lo = _midgap_energy_scaled(lo, cfg).value
-    f_hi = _midgap_energy_scaled(hi, cfg).value
+    f_lo, f_hi = _midgap_energy_family([lo, hi], cfg).value[:, 0].tolist()
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:

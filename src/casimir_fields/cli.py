@@ -66,7 +66,8 @@ def _add_quadrature_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=_QUAD_DEFAULTS.inner_rule_order,
         help="starting order of the angular rule for constant-eps, pc and vacuum models "
-        "(drude integrals take their angular integral exactly and use no angular rule)",
+        "(drude integrals take their angular integral exactly and use no angular rule, "
+        "so it does not change how a scan is grouped)",
     )
 
 

@@ -56,7 +56,7 @@ import numpy as np
 
 from .dielectric import DielectricModel, Drude, _reflection_factors
 from .errors import DomainError, is_finite_real
-from .quadrature import T_INTEGRAL, T_INTEGRAL_DTYPE
+from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE
 
 __all__ = [
     "SingleInterface",
@@ -311,6 +311,8 @@ def _field_function(kind: FieldKind, geometry: Geometry, model: DielectricModel,
     if isinstance(geometry, SingleInterface):
 
         def f_single(u, t):
+            if t is T_INTEGRAL:
+                return _empty_grid(u)
             bracket = _scaled(SINGLE_PREFACTOR * u**3, single_bracket(kind, *_reflection_factors(model, u, t), t))
             return _into(np.multiply, bracket, np.exp(-2.0 * u * z), bracket)
 
@@ -318,6 +320,8 @@ def _field_function(kind: FieldKind, geometry: Geometry, model: DielectricModel,
     a = geometry.width
 
     def f_cavity(u, t):
+        if t is T_INTEGRAL:
+            return _empty_grid(u)
         const, pos = cavity_terms(kind, *_reflection_factors(model, u, t), u, t, a, z)
         return _scaled(CAVITY_PREFACTOR * u**3, _into(np.add, const, pos, const))
 
@@ -599,6 +603,9 @@ def _single_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rate: float, u: 
 # ulps at p = 0.02, 360 at 0.015; with the panels meeting at 1/2 instead, 40
 # ulps at p = 0.05), and the closed forms stay within 6 ulps below p = 0.04.
 _GAUSS_POLE = 0.04
+# Most columns `_gauss_columns` takes through the rule at once: its (columns,
+# 32) temporaries then hold at most _NODE_CAP nodes each, 128 KiB.
+_GAUSS_BLOCK = _NODE_CAP // 32
 
 
 @functools.cache
@@ -617,21 +624,27 @@ def _gauss_columns(kernel: np.ndarray, scale: np.ndarray, p1: np.ndarray, p2: np
     """Fill the columns of kernel (4, n) whose nearest pole p1 is at least _GAUSS_POLE by `_gauss_rule`; the mask of the others.
 
     A column takes scale * int_0^1 B_j(t^2) / ((t^2 + p1)(t^2 + p2)) dt, or
-    with no p2 the integral over t^2 + p1 alone.
+    with no p2 the integral over t^2 + p1 alone. The columns go through the
+    rule in blocks of at most _GAUSS_BLOCK, so its (columns, 32) temporaries
+    stay the same size however many u rows and family members a call has.
     """
     near = p1 < _GAUSS_POLE
     if near.all():
         return near
-    columns = ~near if near.any() else slice(None)  # every column, the common case, takes no gather or scatter
     x, basis = _gauss_rule()
-    denominator = p1[columns, None] + x
-    if p2 is not None:
-        denominator *= p2[columns, None] + x
-    inverse = np.divide(1.0, denominator, out=denominator)
-    # a column of the kernel is a row of this product, which a matrix product rounds
-    # alike whatever the number of rows, unless there is one: then it is taken twice
-    sums = (np.repeat(inverse, 2, axis=0) @ basis)[::2] if inverse.shape[0] == 1 else inverse @ basis
-    kernel[:, columns] = np.multiply(sums, scale[columns, None], out=sums).T
+    far = np.flatnonzero(~near) if near.any() else None  # every column, the common case, takes no gather or scatter
+    count = near.size if far is None else far.size
+    step = -(-count // -(-count // _GAUSS_BLOCK))  # equal blocks, so none has one column unless all do
+    for start in range(0, count, step):
+        columns = slice(start, start + step) if far is None else far[start : start + step]
+        denominator = p1[columns, None] + x
+        if p2 is not None:
+            denominator *= p2[columns, None] + x
+        inverse = np.divide(1.0, denominator, out=denominator)
+        # a column of the kernel is a row of this product, which a matrix product rounds
+        # alike whatever the number of rows, unless there is one: then it is taken twice
+        sums = (np.repeat(inverse, 2, axis=0) @ basis)[::2] if inverse.shape[0] == 1 else inverse @ basis
+        kernel[:, columns] = np.multiply(sums, scale[columns, None], out=sums).T
     return near
 
 
@@ -719,6 +732,8 @@ def _bracket_function(geometry: Geometry, model: DielectricModel):
     if isinstance(geometry, SingleInterface):
 
         def brackets_single(u, t):
+            if t is T_INTEGRAL:
+                return None, _empty_grid(u), _empty_grid(u)
             r, rp = _reflection_factors(model, u, t)
             w = SINGLE_PREFACTOR * u**3
             return None, _scaled(w, single_bracket(e2, r, rp, t)), _scaled(w, single_bracket(b2, r, rp, t))
@@ -728,12 +743,19 @@ def _bracket_function(geometry: Geometry, model: DielectricModel):
         a = geometry.width
 
         def brackets_cavity(u, t):
+            if t is T_INTEGRAL:
+                return _empty_grid(u), _empty_grid(u), _empty_grid(u)
             const, gr, grp = _cavity_dressing(*_reflection_factors(model, u, t), u, t, a)
             w = CAVITY_PREFACTOR * u**3
             return _scaled(w, const), _scaled(w, single_bracket(e2, gr, grp, t)), _scaled(w, single_bracket(b2, gr, grp, t))
 
         return brackets_cavity
     raise TypeError(f"unknown geometry {geometry!r}")
+
+
+def _empty_grid(u) -> np.ndarray:
+    """The empty (u, t) grid these models give for t = T_INTEGRAL: they have no exact t integral, and the engine takes a t rule."""
+    return np.empty(np.broadcast_shapes(np.shape(u), T_INTEGRAL.shape))
 
 
 def _scaled(w, bracket):

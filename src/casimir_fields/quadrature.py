@@ -37,6 +37,15 @@ panels and the tail node are then evaluated in one integrand call, and
 each probe stage in one, each split only where it would exceed a fixed
 node cap.
 
+Refinement goes in rounds, one integrand call each (again split only at
+the node cap). In every round each (field, position) pair above its
+tolerance names the fewest of its largest-error panels whose removal would
+bring its Kronrod error, with its tail bound and t term, within the
+tolerance, and the round halves all of them at once, in the manner of
+scipy's ``quad_vec``. A round takes at most half of the subdivisions the
+budget has left, the largest-error panels first, so a budget that runs out
+still ends on the worst panels halved again.
+
 What does not depend on the integrand is built once and kept read-only:
 the graded t rules per order and depth; the probe's t grids (the order-n
 nodes followed by the order-2n reference nodes) per order and depth; the
@@ -175,6 +184,17 @@ _NODE_CAP = 16_384
 # bracket form the cavity integrand then peaks at about the memory that one
 # call on the whole plain grid took (tracemalloc).
 _ORACLE_NODE_CAP = 2**21
+# Gauss-Legendre nodes of the Drude integrands' exact t integrals where every
+# pole is far from [0, 1] (`integrand._gauss_rule`), and the budget of such
+# kernel nodes in the seed call of one family, which sets `family_size`:
+# four node caps. The kernel takes them in blocks, so a member costs about
+# 40 kB of traced peak memory: a midgap pass (a 40-value scan and the
+# critical root) peaked at 0.57 MB with 5 members, 0.87 MB with 11, 1.00 MB
+# with 15 and 1.11 MB with 20. Against 5-member families the scan took
+# 0.79x the time with 11 members, 0.74x with 15, 0.75x with 20 and 0.90x
+# with 40 (2-vCPU x86 host, numpy 2.4).
+_DRUDE_KERNEL_NODES = 32
+_FAMILY_NODES = 4 * _NODE_CAP
 
 
 @dataclass(frozen=True)
@@ -452,8 +472,13 @@ def integrate_semi_infinite(
     The seed panels form one ratio-2 geometric mesh from u_max down to
     2**-8 of the smallest truncation point of any position, so each
     position gets at least the seeding it would get alone. Refinement
-    then splits the worst panel of the (field, position) pair that is
-    furthest above its tolerance until every pair meets it.
+    then goes in rounds until every (field, position) pair meets its
+    tolerance. Each round takes, for every pair above it, the fewest of
+    that pair's largest-error panels whose removal would bring it within
+    the tolerance, and halves the union of them with one integrand call;
+    the halves take their parents' place in order of u. ``max_subdivisions``
+    counts halved panels: a round takes at most half of those left, its
+    largest-error panels first, and NonConvergence is raised once none are.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -552,7 +577,8 @@ def integrate_semi_infinite(
         t_err = rho[:, None] * panel_magnitude.sum(axis=0)
         err_total = panel_err.sum(axis=0) + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
-        if (err_total <= tol).all():
+        failing = err_total > tol
+        if not failing.any():
             break
         if (t_err > tol).any() and order is None:
             raise unreducible(t_err, "t-integral roundoff allowance", "of exact t integrals; loosen rel_tol or abs_tol")
@@ -576,21 +602,46 @@ def integrate_semi_infinite(
                 f"{splits} subdivisions (largest value {total_max:.6e})",
                 result=_result(batched, total, err_total, evaluations, u_max, order, t_levels),
             )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            excess = np.where(err_total <= tol, 0.0, err_total / tol)
-        pair = np.unravel_index(np.argmax(excess), excess.shape)
-        worst = int(np.argmax(panel_err[(slice(None), *pair)]))
-        lo, hi = edges[worst], edges[worst + 1]
+        # a round takes at most half the splits left, so a budget that runs out
+        # ends on the worst panels split again, not on one wide round
+        most = -(-(cfg.max_subdivisions - splits) // 2)
+        split = _panels_to_split(panel_err[:, failing], (tol - tail - t_err)[failing], most)
+        lo, hi = edges[split], edges[split + 1]
         mid = 0.5 * (lo + hi)
-        *halves, _ = eval_panels(*_kronrod_nodes(np.array([lo, mid]), np.array([mid, hi])))
-        edges = np.concatenate((edges[: worst + 1], [mid], edges[worst + 1 :]))
+        halves_lo = np.stack((lo, mid), axis=1).ravel()
+        *halves, _ = eval_panels(*_kronrod_nodes(halves_lo, np.stack((mid, hi), axis=1).ravel()))
+        # the halves take their parents' place, in order of u
+        kept = np.ones(panel_err.shape[0], dtype=bool)
+        kept[split] = False
+        panel_lo = np.concatenate((edges[:-1][kept], halves_lo))
+        by_lo = np.argsort(panel_lo, kind="stable")
+        edges = np.append(panel_lo[by_lo], u_max)
         panel_value, panel_err, panel_magnitude = (
-            np.concatenate((old[:worst], new, old[worst + 1 :]))
-            for old, new in zip((panel_value, panel_err, panel_magnitude), halves)
+            np.concatenate((old[kept], new))[by_lo] for old, new in zip((panel_value, panel_err, panel_magnitude), halves)
         )
-        splits += 1
+        splits += split.size
 
     return _result(batched, total, err_total, evaluations, u_max, order, t_levels)
+
+
+def _panels_to_split(errors: np.ndarray, allowance: np.ndarray, most: int) -> np.ndarray:
+    """Ascending indices of the panels to split in one refinement round, at most ``most`` of them.
+
+    errors holds the Kronrod error of every panel for each (field, position)
+    pair above its tolerance, (panels, pairs), and allowance what each pair
+    may keep of it: its tolerance less its tail bound and t term. Each pair
+    takes the fewest of its largest-error panels whose removal leaves the
+    rest of its Kronrod error within the allowance, and at least one; every
+    panel if no number does. If the union holds more than ``most`` panels,
+    those with the largest error over the pairs are kept, ties by position.
+    """
+    ranked = np.sort(errors, axis=0)
+    # sums of the smallest errors never fall as a panel is added, so those that may stay come first
+    stay = np.minimum(np.count_nonzero(np.cumsum(ranked, axis=0) <= allowance, axis=0), errors.shape[0] - 1)
+    panels = np.flatnonzero((errors >= ranked[stay, np.arange(errors.shape[1])]).any(axis=1))
+    if panels.size > most:
+        panels = np.sort(panels[np.argsort(-errors[panels].max(axis=1), kind="stable")[:most]])
+    return panels
 
 
 def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, np.ndarray, int]:
@@ -712,16 +763,17 @@ def unit_envelope(u: np.ndarray) -> np.ndarray:
     return np.ones((1, u.size))
 
 
-def family_size(cfg: QuadratureConfig | None = None) -> int:
-    """Members per family call: as many as keep the probe's first-stage call within _NODE_CAP nodes.
+def family_size() -> int:
+    """Members per family call: as many as keep the exact t integrals of its seed call within _FAMILY_NODES kernel nodes.
 
-    That call evaluates _PROBE_TOP_ROWS u rows on the order-n rule at every
-    depth and the order-2n reference, at ``cfg.inner_rule_order`` (3 rows x
-    1,056 t nodes at order 16, so 5 members), and each member multiplies
-    the integrand's temporaries.
+    A midgap family is a set of Drude integrands, which take their t
+    integrals exactly (no t rule). Its seed call evaluates every member at
+    the seed mesh's 136 u rows, and the Drude kernel integrates each row
+    against a _DRUDE_KERNEL_NODES-node Gauss-Legendre rule: 4,352 nodes per
+    member, so 15 members.
     """
-    cfg = cfg or QuadratureConfig()
-    return max(1, _NODE_CAP // (_PROBE_TOP_ROWS * _probe_grid(cfg.inner_rule_order, 0)[0].size))
+    seed_rows = 15 * (_SEED_SPLITS + 1) + 1
+    return max(1, _FAMILY_NODES // (seed_rows * _DRUDE_KERNEL_NODES))
 
 
 def _result(batched: bool, total, err_total, evaluations: int, u_max: float, order: int, levels: int) -> IntegralResult:

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from casimir_fields import QuadratureConfig
+from casimir_fields import QuadratureConfig, analysis
 
 
 @pytest.fixture
@@ -12,3 +14,26 @@ def cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250808)
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Counts of the engine calls the analysis drivers make and of the integrand calls within them.
+
+    Wraps `analysis.integrate_semi_infinite` and every integrand passed to
+    it: ``engine`` counts engine calls, ``integrand`` integrand calls.
+    """
+    counts = SimpleNamespace(engine=0, integrand=0)
+    integrate = analysis.integrate_semi_infinite
+
+    def counted_integrate(f, *args, **kwargs):
+        counts.engine += 1
+
+        def counted_f(u, t):
+            counts.integrand += 1
+            return f(u, t)
+
+        return integrate(counted_f, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "integrate_semi_infinite", counted_integrate)
+    return counts

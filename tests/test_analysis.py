@@ -30,7 +30,7 @@ from casimir_fields import (
     profile_at,
     wall_reduction_check,
 )
-from casimir_fields import analysis
+from casimir_fields import analysis, quadrature
 
 
 def _forbid_integrals(monkeypatch):
@@ -293,24 +293,27 @@ class TestMidpointScan:
         with pytest.raises(DomainError, match=f"^{name} "):
             midpoint_scan(*args)
 
-    def test_rows_match_single_integrals(self, monkeypatch):
-        # 12 values in groups of 5, 5 and 2, one engine call per group
-        calls = [0]
-        integrate = analysis.integrate_semi_infinite
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return integrate(*args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(analysis, "integrate_semi_infinite", counted)
-            points = midpoint_scan(10.0, 1000.0, 12)
-        assert calls[0] == 3
+    def test_rows_match_single_integrals(self, engine_calls):
+        # 16 values in groups of family_size() (15) and 1, one engine call per group
+        points = midpoint_scan(10.0, 1000.0, 16)
+        assert engine_calls.engine == -(-16 // quadrature.family_size()) == 2
         cfg = QuadratureConfig()
         for point in points:
             single = analysis._midgap_energy_scaled(point.omega_p_a, cfg)
             assert abs(point.u_mid_scaled - single.value) <= point.err + single.error_estimate
             assert isinstance(point.u_mid_scaled, float) and isinstance(point.err, float)
+
+    def test_forty_values_take_one_engine_call_per_family(self, engine_calls):
+        midpoint_scan(10.0, 1000.0, 40)
+        assert engine_calls.engine == -(-40 // quadrature.family_size()) == 3
+        # 3 seed calls and the one round of panel splits of the default scan
+        assert engine_calls.integrand <= 4
+
+    def test_grouping_does_not_depend_on_inner_rule_order(self, engine_calls):
+        # the Drude integrands take no t rule, so the order of one changes no row
+        rows = midpoint_scan(10.0, 1000.0, 20, QuadratureConfig(inner_rule_order=16))
+        assert midpoint_scan(10.0, 1000.0, 20, QuadratureConfig(inner_rule_order=64)) == rows
+        assert engine_calls.engine == 2 * -(-20 // quadrature.family_size()) == 4
 
     def test_reproducible(self):
         first = midpoint_scan(50.0, 150.0, 3)
@@ -347,6 +350,13 @@ class TestCriticalLambda:
         with pytest.raises(DomainError, match="bracket"):
             critical_lambda(bracket=bracket)
 
+    def test_default_bracket_integrand_calls(self, engine_calls):
+        # both bracket ends share one engine call, and each refinement round
+        # of an integral is one integrand call: 6 seed calls and 5 rounds
+        critical_lambda()
+        assert engine_calls.engine == 6
+        assert engine_calls.integrand <= 11
+
     def test_default_bracket_takes_seven_integrals(self, monkeypatch):
         integrals = _count_integrals(monkeypatch)
         lam = critical_lambda()
@@ -356,14 +366,22 @@ class TestCriticalLambda:
 
 
 def _count_integrals(monkeypatch, energy=None):
-    """Count the midgap integrals critical_lambda evaluates; ``energy``, if given, replaces them with U(wp*a)."""
-    integral, integrals = analysis._midgap_energy_scaled, [0]
+    """Count the midgap integrals critical_lambda evaluates, one per wp*a; ``energy``, if given, replaces them with U(wp*a).
+
+    The bracket ends go through `_midgap_energy_family` as one call, the steps through `_midgap_energy_scaled`.
+    """
+    integral, family, integrals = analysis._midgap_energy_scaled, analysis._midgap_energy_family, [0]
 
     def counted(omega_p_a, cfg):
         integrals[0] += 1
         return SimpleNamespace(value=energy(omega_p_a)) if energy else integral(omega_p_a, cfg)
 
+    def counted_family(omega_p_as, cfg):
+        integrals[0] += len(omega_p_as)
+        return SimpleNamespace(value=np.array([[energy(x)] for x in omega_p_as])) if energy else family(omega_p_as, cfg)
+
     monkeypatch.setattr(analysis, "_midgap_energy_scaled", counted)
+    monkeypatch.setattr(analysis, "_midgap_energy_family", counted_family)
     return integrals
 
 

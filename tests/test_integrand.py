@@ -614,3 +614,31 @@ class TestExactTIntegrals:
             assert integrand_function(FieldKind.E_SQUARED, geometry, model, 0.3)(u, quadrature.T_INTEGRAL).shape == (u.size, 0)
         # a Drude closure evaluates an empty t row that is not T_INTEGRAL like any other
         assert integrand_function(FieldKind.E_SQUARED, geometry, Drude(1.0), 0.3)(u, np.empty((1, 0))).shape == (u.size, 0)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_other_models_return_their_empty_grid_at_once(self, monkeypatch, geometry):
+        # the same shapes as the bracket arithmetic gives on an empty t row, without running it
+        u, empty_row = _EXACT_U[:, None], np.empty((1, 0))
+        closures = [integrand_function(kind, geometry, model, 0.3) for kind in KINDS for model in MODELS[1:]]
+        closures += [integrand_function(None, geometry, model) for model in MODELS[1:]]
+        computed = [f(u, empty_row) for f in closures]
+
+        def refused(*args):
+            raise AssertionError("reflection factors computed for T_INTEGRAL")
+
+        monkeypatch.setattr(integrand, "_reflection_factors", refused)
+        shapes = lambda out: [None if b is None else b.shape for b in out] if isinstance(out, tuple) else out.shape
+        for f, want in zip(closures, computed):
+            assert shapes(f(u, quadrature.T_INTEGRAL)) == shapes(want)
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_kernel_in_blocks_is_bit_identical(self, monkeypatch, geometry, references):
+        # the Gauss rule takes its columns in blocks; every block size gives the same bits
+        kernel = integrand._single_kernel if isinstance(geometry, SingleInterface) else integrand._cavity_kernel
+        for wp in (*_EXACT_WPS, 0.01):
+            factors = references[type(geometry).__name__, wp][0]
+            whole = kernel(*factors)
+            for block in (1, 2, 7):
+                monkeypatch.setattr(integrand, "_GAUSS_BLOCK", block)
+                np.testing.assert_array_equal(kernel(*factors), whole)
+            monkeypatch.undo()

@@ -22,7 +22,7 @@ from casimir_fields import (
     integrate_fixed_grid,
     integrate_semi_infinite,
 )
-from casimir_fields import quadrature
+from casimir_fields import integrand, quadrature
 from casimir_fields.integrand import position_envelope
 
 
@@ -128,7 +128,10 @@ class TestEngineBasics:
             integrate_semi_infinite(f, 1e-3, cfg)
 
     def test_nonconvergence_carries_best_result(self):
+        calls = []
+
         def wiggly(u, t):
+            calls.append((np.shape(u)[0], np.shape(t)[-1]))
             return np.cos(40.0 * u) ** 2 * np.exp(-u) * np.ones_like(t)
 
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=10)
@@ -140,6 +143,50 @@ class TestEngineBasics:
         assert result.error_estimate > 0.0
         # exact value: (1/2)(1 + 1/(1 + 6400))
         assert result.value == pytest.approx(0.5 * (1.0 + 1.0 / 6401.0), rel=1e-2)
+        # the panels run on the t rule of the last call; after the 136 seed rows
+        # every split adds 30, and the splits use up the budget, never more
+        panel_rows = sum(rows for rows, width in calls if width == calls[-1][1])
+        assert panel_rows - 136 == 30 * cfg.max_subdivisions
+
+    def test_rounds_cut_short_by_the_budget_split_the_worst_panels(self):
+        # a round splits at most half the splits left, its largest-error panels
+        # first, so 10 splits of this integrand refine the panels that carry
+        # its mass, as ten single splits of the worst panel do
+        rows = []
+
+        def wiggly(u, t):
+            if t is quadrature.T_INTEGRAL:
+                rows.append(np.shape(u)[0])
+                row = np.cos(40.0 * u) ** 2 * np.exp(-u)
+                return np.stack((row, row), axis=-1).view(quadrature.T_INTEGRAL_DTYPE)[..., 0]
+            raise AssertionError("exact t integrals take no t rule")
+
+        cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=10)
+        with pytest.raises(NonConvergence, match="after 10 subdivisions"):
+            integrate_semi_infinite(wiggly, 1.0, cfg)
+        assert rows == [136, 30 * 5, 30 * 3, 30, 30]
+
+
+class TestRefinementRounds:
+    def test_fewest_largest_error_panels_of_each_pair(self):
+        errors = np.array([[1.0, 0.0], [4.0, 0.5], [2.0, 1.0], [0.5, 5.0]])  # (panels, pairs)
+        # pair 0 may keep 1.5: without panels 1 and 2 it keeps 1.5; pair 1 may
+        # keep 1: without panels 3 and 2 it keeps 0.5, without panel 3 alone 1.5
+        allowance = np.array([1.5, 1.0])
+        assert quadrature._panels_to_split(errors, allowance, 10).tolist() == [1, 2, 3]
+        # cut short, the panels with the largest error stay: 5 and 4
+        assert quadrature._panels_to_split(errors, allowance, 2).tolist() == [1, 3]
+
+    def test_every_panel_when_no_number_is_enough(self):
+        # the tail bound and t term alone exceed what the pair may keep
+        errors = np.array([[1.0], [0.0], [2.0], [1.0]])
+        assert quadrature._panels_to_split(errors, np.array([-1.0]), 10).tolist() == [0, 1, 2, 3]
+        # ties go by position
+        assert quadrature._panels_to_split(errors, np.array([-1.0]), 2).tolist() == [0, 2]
+
+    def test_at_least_one_panel_per_pair(self):
+        # the pair's Kronrod sum can sit within its allowance by roundoff alone
+        assert quadrature._panels_to_split(np.array([[1.0], [3.0]]), np.array([4.0]), 10).tolist() == [1]
 
 
 class TestBatchedEngine:
@@ -455,6 +502,20 @@ class TestRootAdjacentIntegrals:
         cfg = QuadratureConfig()
         assert res.error_estimate <= max(cfg.rel_tol * abs(res.value), cfg.abs_tol)
 
+    def test_splits_in_two_rounds(self):
+        # the 5 panel splits of the root take one integrand call per round
+        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(96.60661), 0.5)
+        rows = []
+
+        def counted(u, t):
+            rows.append(np.shape(u)[0])
+            return f(u, t)
+
+        res = integrate_semi_infinite(counted, 1.0)
+        assert res.evaluations == sum(rows) == 286
+        assert rows[0] == 136 and len(rows) - 1 <= 2
+        assert res.error_estimate <= QuadratureConfig().abs_tol
+
     def test_family(self):
         wps = (95.0, 96.0, 96.60661, 97.0, 98.0)
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
@@ -587,10 +648,27 @@ class TestSetUpCaches:
         cached += [*quadrature._probe_grid(16, 1), quadrature._tail_factor(60.0, (1.0, 0.5))]
         assert all(not array.flags.writeable for array in cached)
 
-    def test_family_size_fills_the_first_probe_stage(self):
-        # 3 top rows x 1,056 t nodes at order 16 fit 5 times in 16,384 nodes
-        assert quadrature.family_size(QuadratureConfig()) == 5
-        assert quadrature.family_size(QuadratureConfig(inner_rule_order=128)) == 1
+    def test_family_size_fills_the_kernel_budget(self):
+        # 136 seed rows x the 32 Gauss-Legendre nodes of the Drude kernel fit 15 times in 4 x 16,384 nodes
+        seed_rows = quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS)[2].size
+        assert (seed_rows, integrand._gauss_rule()[0].size) == (136, quadrature._DRUDE_KERNEL_NODES)
+        assert quadrature.family_size() == quadrature._FAMILY_NODES // (136 * 32) == 15
+
+    def test_split_heavy_batched_call_is_deterministic(self):
+        scales, rows = np.array([50.0, 1.0]), []
+
+        def g(u, t):
+            rows.append(np.shape(u)[0])
+            return None, np.cos(5.0 * u) ** 2 * np.ones_like(t), np.sin(3.0 * u) ** 2 * np.ones_like(t)
+
+        envelope = lambda u: np.exp(-np.outer(scales, u))
+        first = integrate_semi_infinite(g, scales, envelope=envelope)
+        # after the t-integral check, the two probe stages and the seed: 19 splits in 3 rounds
+        assert rows[4:] == [30 * 5, 30 * 7, 30 * 7]
+        second = integrate_semi_infinite(g, scales, envelope=envelope)
+        assert first.evaluations == second.evaluations
+        assert first.value.tobytes() == second.value.tobytes()
+        assert first.error_estimate.tobytes() == second.error_estimate.tobytes()
 
     def test_plain_call_is_unchanged_by_a_split_heavy_batched_call(self):
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5)
