@@ -61,14 +61,6 @@ def _add_quadrature_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--abs-tol", type=float, default=_QUAD_DEFAULTS.abs_tol)
     g.add_argument("--tail-budget", type=float, default=_QUAD_DEFAULTS.tail_exponent_budget)
     g.add_argument("--max-subdivisions", type=int, default=_QUAD_DEFAULTS.max_subdivisions)
-    g.add_argument(
-        "--inner-order",
-        type=int,
-        default=_QUAD_DEFAULTS.inner_rule_order,
-        help="starting order of the angular rule for constant-eps, pc and vacuum models "
-        "(drude integrals take their angular integral exactly and use no angular rule, "
-        "so it does not change how a scan is grouped)",
-    )
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -141,7 +133,6 @@ def _quad_config(args) -> QuadratureConfig:
         abs_tol=args.abs_tol,
         tail_exponent_budget=args.tail_budget,
         max_subdivisions=args.max_subdivisions,
-        inner_rule_order=args.inner_order,
     )
 
 
@@ -166,7 +157,6 @@ def _quad_pairs(args) -> list[tuple[str, object]]:
         ("abs-tol", args.abs_tol),
         ("tail-budget", args.tail_budget),
         ("max-subdivisions", args.max_subdivisions),
-        ("inner-order", args.inner_order),
     ]
 
 

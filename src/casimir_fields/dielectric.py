@@ -96,7 +96,14 @@ def reflection_values(model: DielectricModel, u, t):
     which are exactly the textbook ratios rewritten so that u = 0 (where
     r = -1, r' = 1) and u >> wp (where r ~ -wp^2/4u^2) are both regular.
     For a constant permittivity both coefficients depend on t only, since
-    the vacuum and medium decay constants share the overall factor u.
+    the vacuum and medium decay constants share the overall factor u; with
+    q = sqrt(1 + (eps - 1) t^2) they are formed as
+
+        r  = -(eps - 1) t^2 / (1 + q)^2
+        r' = (eps - 1)(eps + 1 - t^2) / (eps + q)^2
+
+    the ratios (1 - q)/(1 + q) and (eps - q)/(eps + q) without their
+    subtraction, so that they keep their relative accuracy as eps -> 1.
     """
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -113,10 +120,6 @@ def _reflection_factors(model: DielectricModel, u: np.ndarray, t: np.ndarray):
     so callers that broadcast them later do only the work each axis needs.
     u and t are numpy float arrays or scalars.
     """
-    if isinstance(model, Vacuum):
-        return 0.0, 0.0
-    if isinstance(model, PerfectConductor):
-        return -1.0, 1.0
     if isinstance(model, Drude):
         wp = model.plasma_frequency
         w = np.hypot(u, wp)
@@ -125,8 +128,32 @@ def _reflection_factors(model: DielectricModel, u: np.ndarray, t: np.ndarray):
         num = wp * wp * (1.0 - (u / (u + w)) * tt)
         den = wp * wp + tt * u * (u + w)
         return r, num / den
+    return _undispersed_factors(model, t)[:2]
+
+
+def _undispersed_factors(model: DielectricModel, t: np.ndarray):
+    """r, r', r + r', 1 - r^2 and 1 - r'^2 of a model whose coefficients depend on t alone, at the shape of t or as scalars.
+
+    For a constant permittivity, with q = sqrt(1 + (eps - 1) t^2), they
+    come from 1 + r = 2/(1 + q), 1 - r = 2q/(1 + q), 1 + r' = 2 eps/(eps + q),
+    1 - r' = 2q/(eps + q) and r + r' = 2 (eps - 1)(1 - t^2)/((1 + q)(eps + q)),
+    so that none is a difference of nearly equal numbers: not as eps -> 1,
+    where r and r' vanish, nor as eps grows and -r and r' approach 1.
+    """
+    if isinstance(model, Vacuum):
+        return 0.0, 0.0, 0.0, 1.0, 1.0
+    if isinstance(model, PerfectConductor):
+        return -1.0, 1.0, 0.0, 0.0, 0.0
     if isinstance(model, ConstantEpsilon):
         eps = model.epsilon
-        q = np.sqrt(1.0 + (eps - 1.0) * t * t)
-        return (1.0 - q) / (1.0 + q), (eps - q) / (eps + q)
+        tt = t * t
+        x = (eps - 1.0) * tt
+        q = np.sqrt(1.0 + x)
+        one_q, eps_q = 1.0 + q, eps + q
+        # divisions before products: no intermediate exceeds eps, however large it is
+        eps_ratio = (eps - 1.0) / eps_q
+        r = -(x / one_q) / one_q
+        rp = eps_ratio * ((eps + 1.0 - tt) / eps_q)
+        total = (2.0 * eps_ratio) * ((1.0 - tt) / one_q)
+        return r, rp, total, (4.0 * q / one_q) / one_q, (4.0 * (eps / eps_q)) * (q / eps_q)
     raise TypeError(f"unknown dielectric model {model!r}")

@@ -38,9 +38,21 @@ short recurrence where a pole of the denominator lies near t = 0, and a
 fixed Gauss-Legendre rule where every pole is far from [0, 1]. With the
 basis integrals K_j > 0, a row's integral is sum_j beta_j K_j for the
 numerator's coefficients beta_j, and sum_j |beta_j| K_j bounds the
-integral of its magnitude. The Drude closures return both when called with
-t = `quadrature.T_INTEGRAL`, and the engine then integrates them on the u
-axis alone; every other model is evaluated on a t rule.
+integral of its magnitude.
+
+For a constant permittivity, a perfect conductor and vacuum, r and r' do
+not depend on u, and a fixed rule on t in [0, 1] integrates every bracket
+exactly to roundoff (`_t_rule`): two Gauss-Legendre points for the
+polynomial brackets of a perfect conductor and of vacuum, and a composite
+Gauss-Legendre rule in s, t = sinh(s)/sqrt(eps - 1), for a constant
+permittivity. Outside one mirror the brackets depend on t alone, so their
+t integrals are taken once per model.
+
+Every closure returns, when called with t = `quadrature.T_INTEGRAL`, the
+exact t integral at each u and a bound on the integral of its magnitude,
+and the engine then integrates it on the u axis alone. Only an integrand
+without exact t integrals, such as a plain callable, takes the engine's
+t rule.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dielectric import DielectricModel, Drude, _reflection_factors
+from .dielectric import ConstantEpsilon, DielectricModel, Drude, PerfectConductor, Vacuum, _undispersed_factors
 from .errors import DomainError, is_finite_real
 from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE
 
@@ -280,7 +292,7 @@ def integrand_function(
     `position_envelope`, and likewise for <B^2>; the energy density is
     their mean. One call thus serves every position and both fields.
 
-    A Drude closure also takes ``t = quadrature.T_INTEGRAL``: it then
+    Every closure also takes ``t = quadrature.T_INTEGRAL``: it then
     returns, in place of each array above, the exact integral over t in
     [0, 1] at each u and a bound on the integral of its magnitude, as an
     array of u's shape and dtype ``quadrature.T_INTEGRAL_DTYPE``.
@@ -293,39 +305,17 @@ def integrand_function(
             raise DomainError("the bracket form takes one dielectric model")
         if isinstance(model, Drude):
             return _drude_function(None, geometry, [model.plasma_frequency], None)
-        return _bracket_function(geometry, model)
+        return _undispersed_function(None, geometry, model, None)
     if family and not (model and all(isinstance(member, Drude) for member in model)):
         raise DomainError(f"a family of integrands takes one or more Drude models, got {model!r}")
     _checked_positions(geometry, [z])
     if not (family or isinstance(model, Drude)):
-        return _field_function(kind, geometry, model, z)
+        return _undispersed_function(kind, geometry, model, z)
     members = model if family else [model]
     field = _drude_function(kind, geometry, [member.plasma_frequency for member in members], z)
     if family:
         return lambda u, t: (None, *field(u, t))
     return lambda u, t: field(u, t)[0]
-
-
-def _field_function(kind: FieldKind, geometry: Geometry, model: DielectricModel, z):
-    """The ``kind`` integrand at a checked z for a constant-permittivity, perfectly conducting or vacuum model."""
-    if isinstance(geometry, SingleInterface):
-
-        def f_single(u, t):
-            if t is T_INTEGRAL:
-                return _empty_grid(u)
-            bracket = _scaled(SINGLE_PREFACTOR * u**3, single_bracket(kind, *_reflection_factors(model, u, t), t))
-            return _into(np.multiply, bracket, np.exp(-2.0 * u * z), bracket)
-
-        return f_single
-    a = geometry.width
-
-    def f_cavity(u, t):
-        if t is T_INTEGRAL:
-            return _empty_grid(u)
-        const, pos = cavity_terms(kind, *_reflection_factors(model, u, t), u, t, a, z)
-        return _scaled(CAVITY_PREFACTOR * u**3, _into(np.add, const, pos, const))
-
-    return f_cavity
 
 
 def _drude_function(kind: FieldKind | None, geometry: Geometry, plasma_frequencies: list, z):
@@ -726,36 +716,152 @@ def _cavity_kernel(alpha1, gamma1, alpha2, gamma2, spread) -> np.ndarray:
     return kernel
 
 
-def _bracket_function(geometry: Geometry, model: DielectricModel):
-    """The brackets of a constant-permittivity, perfectly conducting or vacuum model, by the bracket arithmetic."""
-    e2, b2 = FieldKind.E_SQUARED, FieldKind.B_SQUARED
+# Gauss-Legendre points per panel of a constant permittivity's t rule (`_t_rule`).
+_EPSILON_POINTS = 16
+
+
+@functools.lru_cache(maxsize=16)
+def _t_rule(model: DielectricModel) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes (1, m) and weights (m,) of a fixed rule on t in [0, 1] that integrates every bracket of the model exactly, to roundoff.
+
+    A perfect conductor's brackets, and vacuum's, are polynomials of degree
+    2 in t at each u, which the 2-point Gauss-Legendre rule integrates
+    exactly. For a constant permittivity the rule is a composite
+    Gauss-Legendre rule of _EPSILON_POINTS points per panel in s, with
+    t = sinh(s)/sqrt(eps - 1), on [0, asinh(sqrt(eps - 1))] in equal
+    panels at most 1 wide. In s, q = cosh s, r = -tanh^2(s/2) and
+    r' = (eps - cosh s)/(eps + cosh s); on the strip |Im s| < pi/2 both stay
+    inside the unit disc, so no pole of r, r', 1/D or 1/D' lies nearer the
+    real axis than pi/2, for every u > 0 and eps > 1. On a panel of width 1
+    the rule's error then falls like (pi + sqrt(pi^2 + 1))^-32, about
+    1e-26: one fixed rule serves every u, and none is chosen at run time.
+    """
+    if isinstance(model, ConstantEpsilon):
+        root = math.sqrt(model.epsilon - 1.0)
+        s_max = math.asinh(root)
+        panels = max(1, math.ceil(s_max))
+        x, w = np.polynomial.legendre.leggauss(_EPSILON_POINTS)
+        half = 0.5 * s_max / panels
+        s = ((2.0 * np.arange(panels) + 1.0)[:, None] + x) * half
+        rule = ((np.sinh(s) / root).reshape(1, -1), (w * half * np.cosh(s) / root).ravel())
+    elif isinstance(model, (PerfectConductor, Vacuum)):
+        x, w = np.polynomial.legendre.leggauss(2)
+        rule = (0.5 * (1.0 + x)[None, :], 0.5 * w)
+    else:
+        raise TypeError(f"unknown dielectric model {model!r}")
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
+def _t_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(n, 2) integrals of the rows of values (n, m) on a rule's nodes, and of their absolute values.
+
+    A sum along the last axis rounds each row alike whatever the number of
+    rows, so a row's integral does not depend on the call it came from.
+    """
+    rows = np.empty(values.shape[:-1] + (2,))
+    np.add.reduce(values * weights, axis=-1, out=rows[..., 0])
+    np.add.reduce(np.abs(values) * weights, axis=-1, out=rows[..., 1])
+    return rows
+
+
+def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: DielectricModel, z):
+    """The ``kind`` integrand at a checked z, or with kind=None the brackets, of a constant-permittivity, perfectly conducting or vacuum model.
+
+    On a (u, t) grid the values are those of `_undispersed_brackets`. With
+    t = T_INTEGRAL the constant and position brackets are integrated on the
+    nodes of `_t_rule`, and so are their absolute values; every one of them
+    keeps one sign in t, so these are the integrals of their magnitudes to
+    roundoff. A field's row is C + e P with the envelope e >= 0, and its
+    magnitude |C| + e |P|, which bounds the integral of |C + e P|. Outside
+    one mirror the brackets depend on t alone, times SINGLE_PREFACTOR u^3,
+    so their integrals are taken once per model (`_single_rows`); in a
+    cavity each call integrates them on the rule's grid, in blocks of at
+    most _NODE_CAP nodes.
+    """
+    kinds = (FieldKind.E_SQUARED, FieldKind.B_SQUARED) if kind is None else (kind,)
     if isinstance(geometry, SingleInterface):
+        rule_rows = _single_rows(model, kinds)
 
-        def brackets_single(u, t):
-            if t is T_INTEGRAL:
-                return None, _empty_grid(u), _empty_grid(u)
-            r, rp = _reflection_factors(model, u, t)
+        def f_single(u, t):
+            u = np.asarray(u, dtype=float)
             w = SINGLE_PREFACTOR * u**3
-            return None, _scaled(w, single_bracket(e2, r, rp, t)), _scaled(w, single_bracket(b2, r, rp, t))
-
-        return brackets_single
-    if isinstance(geometry, Cavity):
-        a = geometry.width
-
-        def brackets_cavity(u, t):
             if t is T_INTEGRAL:
-                return _empty_grid(u), _empty_grid(u), _empty_grid(u)
-            const, gr, grp = _cavity_dressing(*_reflection_factors(model, u, t), u, t, a)
-            w = CAVITY_PREFACTOR * u**3
-            return _scaled(w, const), _scaled(w, single_bracket(e2, gr, grp, t)), _scaled(w, single_bracket(b2, gr, grp, t))
+                if kind is not None:
+                    w = w * np.exp(-2.0 * u * z)
+                out = [(w[..., None] * row).view(T_INTEGRAL_DTYPE)[..., 0] for row in rule_rows]
+            else:
+                out = [_scaled(w, position) for position in _undispersed_brackets(kinds, model, u, t, None)[1]]
+                if kind is not None:
+                    out[0] = _into(np.multiply, out[0], np.exp(-2.0 * u * z), out[0])
+            return out[0] if kind is not None else (None, *out)
 
-        return brackets_cavity
-    raise TypeError(f"unknown geometry {geometry!r}")
+        return f_single
+    if not isinstance(geometry, Cavity):
+        raise TypeError(f"unknown geometry {geometry!r}")
+    a = geometry.width
+    t_rule, weights = _t_rule(model)
+
+    def f_cavity(u, t):
+        u = np.asarray(u, dtype=float)
+        w = CAVITY_PREFACTOR * u**3
+        if t is not T_INTEGRAL:
+            const, positions = _undispersed_brackets(kinds, model, u, t, a)
+            if kind is None:
+                return _scaled(w, const), *(_scaled(w, position) for position in positions)
+            position = _into(np.multiply, positions[0], _cavity_envelope(u, a, z), positions[0])
+            return _scaled(w, _into(np.add, const, position, const))
+        column = u.reshape(-1, 1)
+        rows = np.empty((1 + len(kinds), column.shape[0], 2))
+        step = max(1, _NODE_CAP // t_rule.size)
+        for start in range(0, column.shape[0], step):
+            block = column[start : start + step]
+            const, positions = _undispersed_brackets(kinds, model, block, t_rule, a)
+            for i, values in enumerate((const, *positions)):
+                rows[i, start : start + step] = _t_rows(values, weights)
+        rows *= w.reshape(1, -1, 1)
+        if kind is None:
+            return tuple(row.view(T_INTEGRAL_DTYPE).reshape(u.shape) for row in rows)
+        const, position = rows
+        position *= _cavity_envelope(column, a, z)
+        return (const + position).view(T_INTEGRAL_DTYPE).reshape(u.shape)
+
+    return f_cavity
 
 
-def _empty_grid(u) -> np.ndarray:
-    """The empty (u, t) grid these models give for t = T_INTEGRAL: they have no exact t integral, and the engine takes a t rule."""
-    return np.empty(np.broadcast_shapes(np.shape(u), T_INTEGRAL.shape))
+@functools.lru_cache(maxsize=32)
+def _single_rows(model: DielectricModel, kinds: tuple) -> np.ndarray:
+    """(len(kinds), 2) t integrals of an undispersed model's single-interface brackets and of their magnitudes, read-only."""
+    t_rule, weights = _t_rule(model)
+    rows = _t_rows(np.concatenate(_undispersed_brackets(kinds, model, None, t_rule, None)[1]), weights)
+    rows.setflags(write=False)
+    return rows
+
+
+def _undispersed_brackets(kinds, model: DielectricModel, u, t, a):
+    """The constant bracket, or None outside one mirror (a = None), and the list of each kind's position bracket, without the prefactor.
+
+    The cavity's dressing is that of `_cavity_dressing`, but with 1 - r^2,
+    1 - r'^2 and r + r' from `dielectric._undispersed_factors`, which forms
+    them without cancellation. The energy density's bracket is
+    (1 - t^2)(r + r') outside one mirror and (1 - t^2)(r/D + r'/D') in a
+    cavity, from r/D + r'/D' = (r + r')(1 - r r' e^{-2ua})/(D D') with
+    r r' <= 0: no sum of nearly opposite terms, as |r| and r' both approach
+    1 with eps. The E^2 and B^2 brackets add terms of one sign.
+    """
+    r, rp, total, square, square_p = _undispersed_factors(model, t)
+    tt = t * t
+    constant = None
+    if a is not None:
+        em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
+        damp = np.exp(-2.0 * u * a)
+        dr, drp = square + r * r * em, square_p + rp * rp * em
+        constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
+        total = total * (1.0 - r * rp * damp) / (dr * drp)
+        r, rp = r / dr, rp / drp
+    positions = [(1.0 - tt) * total if k is FieldKind.ENERGY_DENSITY else single_bracket(k, r, rp, t) for k in kinds]
+    return constant, positions
 
 
 def _scaled(w, bracket):

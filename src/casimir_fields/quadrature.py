@@ -8,14 +8,16 @@ u_max = tail_exponent_budget / decay_scale. At every u node it needs the
 t integral of the integrand, and of its magnitude, in one of two ways.
 
 Exact t integrals. The engine first calls the integrand with
-t = `T_INTEGRAL`. An integrand that can integrate over t itself, as the
-Drude integrands do in closed form, returns at each u the integral and a
-bound on the integral of its magnitude; the integral then runs on the
-u axis alone. No t rule is chosen and none is evaluated, ``evaluations``
-counts u rows, and the t part of the error estimate is a fixed roundoff
-allowance, 16 ulps of the t integral of the magnitude.
+t = `T_INTEGRAL`. An integrand that can integrate over t itself, as every
+integrand of `integrand.integrand_function` does (the Drude ones in closed
+form, the others on a fixed rule exact to roundoff), returns at each u the
+integral and a bound on the integral of its magnitude; the integral then
+runs on the u axis alone. No t rule is chosen and none is evaluated,
+``evaluations`` counts u rows, and the t part of the error estimate is a
+fixed roundoff allowance, 16 ulps of the t integral of the magnitude.
 
-A t rule. Any other integrand returns an empty grid for that call, and the
+A t rule. Only an integrand without exact t integrals, such as a plain
+callable of (u, t), returns an empty grid for that call, and the
 engine applies a fixed composite Gauss-Legendre rule on a geometrically
 graded t mesh at every u node, so the t spike stays resolved at every
 scale without 2-D adaptivity. The order and the depth of that rule are
@@ -70,7 +72,7 @@ member's rho does not raise the others' terms.
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
 adaptive engine. It evaluates every integrand on its (u, t) grid, so for
-the Drude integrands it also checks their exact t integrals.
+the package integrands it also checks their exact t integrals.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ _PROBE_TOP_ROWS = 3
 # magnitude: it stands for the t-rule term of integrals that need no t rule.
 # Against mpmath on the same float64 coefficients the Drude rows stay within
 # 6 ulps of the magnitude (tests/test_integrand.py, TestExactTIntegrals;
-# 4 ulps at most on the rows tested), so 16 ulps leaves a margin of 2.7.
+# 4 ulps at most on the rows tested), so 16 ulps leaves a margin of 2.7. The
+# constant-eps, perfect-conductor and vacuum rows stay within 12 ulps of
+# mpmath's (TestUndispersedTIntegrals; 8 at most, at eps = 1e8).
 _T_INTEGRAL_ROUNDOFF = 16 * np.finfo(float).eps
 
 # Largest (u, t) grid of one integrand call. Each probe stage calls f on
@@ -219,8 +223,10 @@ class QuadratureConfig:
         probe then takes the fewest graded levels whose difference from the
         double is within that bound, deepens them if the other seed centres
         need it, and the difference of the rule finally used enters the
-        error estimate. Integrands that take their t integral exactly, the
-        Drude ones, use no t rule.
+        error estimate. Integrands that take their t integral exactly, as
+        every integrand of `integrand.integrand_function` does, use no t
+        rule: only integrands without exact t integrals, such as plain
+        callables, take it.
     decay_scale_floor : float
         Smallest decay scale accepted, in the caller's length unit; the
         integrands genuinely diverge as the field point reaches a wall,
@@ -254,11 +260,12 @@ class IntegralResult:
     """Value, error estimate, work count and truncation point of one integral.
 
     A batched call returns one result whose value and error_estimate are
-    arrays of shape (fields, positions). ``evaluations`` counts (u, t) nodes,
-    or u rows where the integrand integrates over t itself. ``t_order`` and
-    ``t_levels`` are the order and the depth of the graded t rule the probe
-    chose; they are None where no t rule was needed, and for
-    `integrate_fixed_grid`, whose t rule is fixed.
+    arrays of shape (fields, positions). ``evaluations`` counts u rows where
+    the integrand integrates over t itself, as every package integrand does,
+    or (u, t) nodes on a t rule. ``t_order`` and ``t_levels`` are the order
+    and the depth of the graded t rule the probe chose for an integrand
+    without exact t integrals; they are None where no t rule was needed,
+    and for `integrate_fixed_grid`, whose t rule is fixed.
     """
 
     value: float | np.ndarray

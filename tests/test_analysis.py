@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from casimir_fields import (
+    CAVITY_PREFACTOR,
     Cavity,
+    ConstantEpsilon,
     DivergesAtBoundary,
     DomainError,
     Drude,
@@ -197,7 +199,7 @@ class TestProfile:
         def no_evaluation(*args):
             raise AssertionError("integrand evaluated before the positions were checked")
 
-        monkeypatch.setattr("casimir_fields.integrand._reflection_factors", no_evaluation)
+        monkeypatch.setattr("casimir_fields.integrand._undispersed_factors", no_evaluation)
         monkeypatch.setattr("casimir_fields.integrand._cavity_coefficients", no_evaluation)
         monkeypatch.setattr("casimir_fields.integrand._single_coefficients", no_evaluation)
         with pytest.raises(error):
@@ -522,3 +524,94 @@ class TestScalingIdentities:
         direct = integrate_semi_infinite(integrand_function(FieldKind.B_SQUARED, Cavity(1.0), model, z), 2 * z)
         via_swap = integrate_semi_infinite(swapped_cavity, 2 * z)
         assert abs(via_swap.value - direct.value) <= via_swap.error_estimate + direct.error_estimate
+
+    @pytest.mark.parametrize("eps", [1.001, 4.0, 100.0])
+    def test_single_interface_constant_eps_falls_as_z_to_the_minus_four(self, eps):
+        # r and r' depend on t alone, so the u integral is u^3 e^{-2uz}'s, 3/(8 z^4):
+        # at 4z every node of the mesh scales by 1/4 and every field by 1/256
+        for z in (0.01, 0.1):
+            near, far = compute_point(SingleInterface(), ConstantEpsilon(eps), z), compute_point(
+                SingleInterface(), ConstantEpsilon(eps), 4.0 * z
+            )
+            for field in ("e2", "b2", "u"):
+                assert getattr(near, field) / getattr(far, field) == pytest.approx(256.0, rel=4 * np.finfo(float).eps)
+
+
+def _lerch_fields(eps, a, z):
+    """<E^2> and <B^2> of a constant-eps cavity at z, from the u integral in closed form; and a bound on their error.
+
+    With 1/D = sum_n r^{2n} e^{-2nua} the u integral of every term is
+    elementary: the constant bracket gives -t^2 3/(8 a^4) (Li_4(r^2) +
+    Li_4(r'^2)), and r/D times the envelope gives
+    S(r) = 3/16 sum_{n >= 0} r^{2n+1} ((na + a - z)^-4 + (na + z)^-4), a
+    Lerch sum, and likewise for r'. The series converge geometrically, as
+    |r|, r' <= (eps - 1)/(eps + 1), and are cut where that ratio's powers
+    fall below 1e-18; scipy's quad_vec then integrates over t.
+    """
+    from scipy.integrate import quad_vec
+
+    n = np.arange(1.0 + math.ceil(math.log(1e-18) / (2.0 * math.log((eps - 1.0) / (eps + 1.0)))))
+    lerch = 3.0 / 16.0 * ((n * a + a - z) ** -4 + (n * a + z) ** -4)
+    polylog = 3.0 / (8.0 * a**4) / n[1:] ** 4
+
+    def fields(t):
+        q = math.sqrt(1.0 + (eps - 1.0) * t * t)
+        r, rp, tt = (1.0 - q) / (1.0 + q), (eps - q) / (eps + q), t * t
+        constant = -tt * (polylog @ (r * r) ** n[1:] + polylog @ (rp * rp) ** n[1:])
+        s, sp = lerch @ r ** (2.0 * n + 1.0), lerch @ rp ** (2.0 * n + 1.0)
+        return CAVITY_PREFACTOR * np.array([constant - tt * s + (2.0 - tt) * sp, constant + (2.0 - tt) * s - tt * sp])
+
+    return quad_vec(fields, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, norm="max")
+
+
+class TestConstantEpsilonCavity:
+    @pytest.mark.parametrize("eps", [4.0, 100.0])
+    def test_profile_matches_the_lerch_sums(self, eps):
+        # the engine's err is about 3e-10 relative there, the rows' distance from the sums 5e-15
+        zs = [0.01, 0.03, 0.1, 0.2, 0.35, 0.5]
+        for point in profile_at(Cavity(1.0), ConstantEpsilon(eps), zs).points:
+            (e2, b2), reference_error = _lerch_fields(eps, 1.0, point.z)
+            assert abs(point.e2 - e2) <= point.err + reference_error
+            assert abs(point.b2 - b2) <= point.err + reference_error
+
+
+GEOMETRY_CASES = [(SingleInterface(), [0.01, 0.3, 2.0]), (Cavity(1.0), [0.02, 0.3, 0.5])]
+
+
+@pytest.mark.parametrize("geometry, zs", GEOMETRY_CASES, ids=("single", "cavity"))
+def test_huge_permittivity_approaches_the_perfect_conductor(geometry, zs):
+    # the reflection factors are products of ratios, so eps near the largest float
+    # overflows nothing (any RuntimeWarning fails the test) and meets the PC rows
+    for eps in (1e300, 1.7e308):
+        for dielectric, conductor in zip(
+            profile_at(geometry, ConstantEpsilon(eps), zs).points, profile_at(geometry, PerfectConductor(), zs).points
+        ):
+            assert dielectric.e2 == pytest.approx(conductor.e2, rel=1e-12)
+            assert dielectric.b2 == pytest.approx(conductor.b2, rel=1e-12)
+
+
+@pytest.mark.parametrize("geometry, zs", GEOMETRY_CASES, ids=("single", "cavity"))
+@pytest.mark.parametrize(
+    "model", [Drude(2.0), ConstantEpsilon(4.0), PerfectConductor(), Vacuum()], ids=("drude", "eps", "pc", "vacuum")
+)
+def test_every_package_integral_takes_its_t_integral_exactly(monkeypatch, geometry, zs, model):
+    # no package integrand reaches the t-rule probe: profiles, points and plain fields alike
+    def refused(*args):
+        raise AssertionError("the t-rule probe ran for a package integrand")
+
+    monkeypatch.setattr(quadrature, "_probe_t_rule", refused)
+    results = []
+    integrate = analysis.integrate_semi_infinite
+
+    def recording(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, "integrate_semi_infinite", recording)
+    profile_at(geometry, model, zs)
+    compute_point(geometry, model, zs[1])
+    for kind in FieldKind:
+        f = integrand_function(kind, geometry, model, zs[1])
+        results.append(integrate_semi_infinite(f, decay_scale_for(geometry, zs[1])))
+    assert len(results) == 5
+    assert all(res.t_order is None and res.t_levels is None for res in results)

@@ -275,6 +275,32 @@ class TestParserBasics:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        ["profile --geometry cavity --model pc --a 1", "scan", "critical", "limits"],
+        ids=("profile", "scan", "critical", "limits"),
+    )
+    def test_inner_order_is_refused(self, command, capsys):
+        # every package integral takes its t integral exactly, so no angular rule is left to set
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + ["--inner-order", "16"])
+        assert excinfo.value.code == 2
+        assert "--inner-order" in capsys.readouterr().err
+
+    def test_recorded_commands_carry_the_quadrature_flags(self, capsys):
+        code, out, _ = run_cli(PC_PROFILE, capsys)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "# command: casimir-fields profile --geometry cavity --a 1.0 --model pc --points 3 --margin 0.02 "
+            "--format csv --rel-tol 1e-08 --abs-tol 1e-14 --tail-budget 60.0 --max-subdivisions 2000"
+        )
+        code, out, _ = run_cli("limits --json".split(), capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["command"] == (
+            "casimir-fields limits --tolerance 0.01 --rel-tol 1e-08 --abs-tol 1e-14 --tail-budget 60.0 "
+            "--max-subdivisions 2000"
+        )
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])

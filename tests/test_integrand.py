@@ -1,8 +1,10 @@
+import functools
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 
 from casimir_fields import (
     CAVITY_PREFACTOR,
@@ -242,22 +244,43 @@ def test_bracket_form_reassembles_field_integrands(geometry):
 
 
 
-def _plain_brackets(geometry, r, rp, u, t):
-    """Constant bracket (None for one wall), each kind's bracket and the reflected pair (r/D, r'/D'), one plain expression each."""
+def _plain_undispersed(model, t):
+    """1 - r^2, 1 - r'^2 and r + r' as the closures of a model without dispersion form them: for eps from q = sqrt(1 + (eps - 1) t^2)."""
+    if isinstance(model, ConstantEpsilon):
+        eps = model.epsilon
+        tt = t * t
+        q = np.sqrt(1.0 + (eps - 1.0) * tt)
+        total = (2.0 * ((eps - 1.0) / (eps + q))) * ((1.0 - tt) / (1.0 + q))
+        return (4.0 * q / (1.0 + q)) / (1.0 + q), (4.0 * (eps / (eps + q))) * (q / (eps + q)), total
+    return {PerfectConductor: (0.0, 0.0, 0.0), Vacuum: (1.0, 1.0, 0.0)}[type(model)]
+
+
+def _plain_brackets(geometry, r, rp, u, t, undispersed=None):
+    """Constant bracket (None for one wall), each kind's bracket and the reflected pair (r/D, r'/D'), one plain expression each.
+
+    In a cavity 1 - r^2 and 1 - r'^2 are (1 - r)(1 + r) and (1 - r')(1 + r'),
+    and the energy density's bracket is (1 - t^2)(r/D + r'/D'); with the
+    triple of `_plain_undispersed` as ``undispersed`` they are its squares,
+    and the bracket is (1 - t^2)(r + r')(1 - r r' e^{-2ua})/(D D') from its sum.
+    """
     tt = t * t
     constant = None
+    square_r, square_rp, total = undispersed or ((1.0 - r) * (1.0 + r), (1.0 - rp) * (1.0 + rp), None)
     if isinstance(geometry, Cavity):
         a = geometry.width
         em, damp = -np.expm1(-2.0 * u * a), np.exp(-2.0 * u * a)
-        dr = (1.0 - r) * (1.0 + r) + r * r * em
-        drp = (1.0 - rp) * (1.0 + rp) + rp * rp * em
+        dr = square_r + r * r * em
+        drp = square_rp + rp * rp * em
         constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
+        if total is not None:
+            total = total * (1.0 - r * rp * damp) / (dr * drp)
         r, rp = r / dr, rp / drp
-    e2, b2, energy = -tt * r + (2.0 - tt) * rp, (2.0 - tt) * r - tt * rp, (1.0 - tt) * (r + rp)
+    energy = (1.0 - tt) * (r + rp if total is None else total)
+    e2, b2 = -tt * r + (2.0 - tt) * rp, (2.0 - tt) * r - tt * rp
     return constant, dict(zip(KINDS, (e2, b2, energy))), (r, rp)
 
 
-def _plain_fields(geometry, r, rp, u, t, z):
+def _plain_fields(geometry, r, rp, u, t, z, undispersed=None):
     """Each kind's integrand at z from `_plain_brackets`, and two scales of its nodes per kind.
 
     The scales are u^3 (|C| + e (|r/D| + |r'/D'|)) and u^3 (|C| + e |P|),
@@ -265,7 +288,7 @@ def _plain_fields(geometry, r, rp, u, t, z):
     size of the parts whose cancellation roundoff is measured against, the
     second also where (1 - t^2) makes a bracket vanish.
     """
-    constant, brackets, (gr, grp) = _plain_brackets(geometry, r, rp, u, t)
+    constant, brackets, (gr, grp) = _plain_brackets(geometry, r, rp, u, t, undispersed)
     tt, gr, grp = t * t, np.abs(gr), np.abs(grp)
     parts = {
         FieldKind.E_SQUARED: tt * gr + (2.0 - tt) * grp,
@@ -415,7 +438,8 @@ def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
             for closure, bracket_arithmetic in _node_errors(geometry, model, z, u, t):
                 assert closure <= max(2.0 * bracket_arithmetic, 4 * eps)
             continue
-        constant, brackets, _ = _plain_brackets(geometry, *reflection_values(model, u, t), u, t)
+        undispersed = _plain_undispersed(model, np.asarray(t, dtype=float))
+        constant, brackets, _ = _plain_brackets(geometry, *reflection_values(model, u, t), u, t, undispersed)
         if isinstance(geometry, SingleInterface):
             w = SINGLE_PREFACTOR * u**3
             form = (None, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
@@ -427,7 +451,7 @@ def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
                 assert got is None
             else:
                 np.testing.assert_array_equal(got, expected, strict=True)
-        plain, _ = _plain_fields(geometry, *reflection_values(model, u, t), u, t, z)
+        plain, _ = _plain_fields(geometry, *reflection_values(model, u, t), u, t, z, undispersed)
         for kind, expected in plain.items():
             np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)
 
@@ -607,29 +631,15 @@ class TestExactTIntegrals:
         assert [row.shape for row in cavity] == [(1, 1)] * 3
 
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
-    def test_other_models_have_no_exact_t_integral(self, geometry):
-        # a t row with no nodes: an empty grid, so the engine probes a t rule for them
-        u = _EXACT_U[:, None]
-        for model in (ConstantEpsilon(4.0), PerfectConductor(), Vacuum()):
-            assert integrand_function(FieldKind.E_SQUARED, geometry, model, 0.3)(u, quadrature.T_INTEGRAL).shape == (u.size, 0)
-        # a Drude closure evaluates an empty t row that is not T_INTEGRAL like any other
-        assert integrand_function(FieldKind.E_SQUARED, geometry, Drude(1.0), 0.3)(u, np.empty((1, 0))).shape == (u.size, 0)
-
-    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
-    def test_other_models_return_their_empty_grid_at_once(self, monkeypatch, geometry):
-        # the same shapes as the bracket arithmetic gives on an empty t row, without running it
+    def test_an_empty_t_row_gives_an_empty_grid(self, geometry):
+        # a t row with no nodes that is not T_INTEGRAL is evaluated like any other,
+        # so the engine can still take its t rule for any closure
         u, empty_row = _EXACT_U[:, None], np.empty((1, 0))
-        closures = [integrand_function(kind, geometry, model, 0.3) for kind in KINDS for model in MODELS[1:]]
-        closures += [integrand_function(None, geometry, model) for model in MODELS[1:]]
-        computed = [f(u, empty_row) for f in closures]
-
-        def refused(*args):
-            raise AssertionError("reflection factors computed for T_INTEGRAL")
-
-        monkeypatch.setattr(integrand, "_reflection_factors", refused)
-        shapes = lambda out: [None if b is None else b.shape for b in out] if isinstance(out, tuple) else out.shape
-        for f, want in zip(closures, computed):
-            assert shapes(f(u, quadrature.T_INTEGRAL)) == shapes(want)
+        for model in MODELS:
+            for kind in KINDS:
+                assert integrand_function(kind, geometry, model, 0.3)(u, empty_row).shape == (u.size, 0)
+            brackets = integrand_function(None, geometry, model)(u, empty_row)
+            assert [b.shape for b in brackets if b is not None] == [(u.size, 0)] * (2 + isinstance(geometry, Cavity))
 
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
     def test_kernel_in_blocks_is_bit_identical(self, monkeypatch, geometry, references):
@@ -642,3 +652,179 @@ class TestExactTIntegrals:
                 monkeypatch.setattr(integrand, "_GAUSS_BLOCK", block)
                 np.testing.assert_array_equal(kernel(*factors), whole)
             monkeypatch.undo()
+
+
+# Permittivities of the rows tested: from nearly vacuum, where r and r' taken
+# by subtraction lost up to 590 ulps, to nearly a perfect conductor.
+_UNDISPERSED_EPS = (1.0 + 1e-6, 1.001, 4.0, 100.0, 1e4, 1e8)
+_UNDISPERSED_MODELS = (*(ConstantEpsilon(eps) for eps in _UNDISPERSED_EPS), PerfectConductor(), Vacuum())
+# u of the rows: for the cavity (a = 1), from u a = 1e-8, where 1 - r^2 e^{-2ua}
+# nearly cancels, to 30, where e^{-2ua} is 1e-26
+_UNDISPERSED_U = {"SingleInterface": (0.5, 3.0), "Cavity": (1e-8, 1e-4, 0.01, 1.0, 30.0)}
+# Every row's integral and magnitude lie within this many ulps of the
+# magnitude of mpmath's (8 at most on these rows); the engine allows 16
+# (quadrature._T_INTEGRAL_ROUNDOFF).
+_UNDISPERSED_ULPS = 12
+
+
+@functools.cache
+def _gauss_legendre_48():
+    """The 48-point Gauss-Legendre rule on [-1, 1] at 80 digits, as (x, w) pairs."""
+    with mpmath.workdps(80):
+        return GaussLegendre(mpmath.mp).calc_nodes(5, mpmath.mp.prec)
+
+
+def _undispersed_reference(model, u, a):
+    """At 80 digits, the t integrals of C, P_E, P_B and P_U and of their absolute values, for one u: dict name -> (integral, magnitude).
+
+    C is the cavity's constant bracket (absent outside one mirror, a = None)
+    and P the position brackets, without prefactor or envelope. They are
+    formed from the textbook r = (1 - q)/(1 + q), r' = (eps - q)/(eps + q)
+    and D = 1 - r^2 e^{-2ua}, whose cancellations 80 digits outlast, and
+    integrated in s, t = sinh(s)/sqrt(eps - 1), by the 48-point rule on
+    panels at most 2 wide (error below 1e-50). A perfect conductor takes
+    the closed forms, with W the prefactor: single wall E^2 = 2W, B^2 = -2W;
+    cavity C = -(2/3) W e^{-2ua}/em, E^2 = 2W/em and B^2 = -2W/em, with
+    em = 1 - e^{-2ua}; U = 0. Vacuum gives zeros.
+    """
+    names = ("C", "E", "B", "U") if a is not None else ("E", "B", "U")
+    with mpmath.workdps(80):
+        u = mpmath.mpf(u)
+        if isinstance(model, Vacuum):
+            return {name: (mpmath.mpf(0), mpmath.mpf(0)) for name in names}
+        if isinstance(model, PerfectConductor):
+            if a is None:
+                values = (2, -2, 0)
+            else:
+                damp = mpmath.exp(-2 * u * a)
+                values = (-mpmath.mpf(2) / 3 * damp / (1 - damp), 2 / (1 - damp), -2 / (1 - damp), 0)
+            return {name: (mpmath.mpf(v), abs(mpmath.mpf(v))) for name, v in zip(names, values)}
+        eps = mpmath.mpf(model.epsilon)
+        root = mpmath.sqrt(eps - 1)
+        s_max = mpmath.asinh(root)
+        panels = int(mpmath.ceil(s_max / 2))
+        sums = {name: [mpmath.mpf(0), mpmath.mpf(0)] for name in names}
+        for k in range(panels):
+            lo, hi = s_max * k / panels, s_max * (k + 1) / panels
+            for x, w in _gauss_legendre_48():
+                s = (lo + hi) / 2 + (hi - lo) / 2 * x
+                t = mpmath.sinh(s) / root
+                weight = w * (hi - lo) / 2 * mpmath.cosh(s) / root
+                q = mpmath.sqrt(1 + (eps - 1) * t * t)
+                r, rp, tt = (1 - q) / (1 + q), (eps - q) / (eps + q), t * t
+                values = {}
+                if a is not None:
+                    damp = mpmath.exp(-2 * u * a)
+                    d, dp = 1 - r * r * damp, 1 - rp * rp * damp
+                    values["C"] = -tt * (r * r * damp / d + rp * rp * damp / dp)
+                    r, rp = r / d, rp / dp
+                values["E"] = -tt * r + (2 - tt) * rp
+                values["B"] = (2 - tt) * r - tt * rp
+                values["U"] = (1 - tt) * (r + rp)
+                for name, value in values.items():
+                    sums[name][0] += weight * value
+                    sums[name][1] += weight * abs(value)
+        return {name: tuple(pair) for name, pair in sums.items()}
+
+
+class TestUndispersedTIntegrals:
+    """The rows of the constant-eps, perfect-conductor and vacuum closures at t = T_INTEGRAL against mpmath."""
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        out = {}
+        for geometry in GEOMETRIES:
+            name = type(geometry).__name__
+            a = geometry.width if isinstance(geometry, Cavity) else None
+            for model in _UNDISPERSED_MODELS:
+                out[name, model] = [_undispersed_reference(model, u, a) for u in _UNDISPERSED_U[name]]
+        return out
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_rows(self, geometry, references):
+        # the bracket form's rows and every kind's at z, each row's integral and
+        # magnitude within _UNDISPERSED_ULPS of the magnitude; a field's magnitude
+        # is |C| + e |P|, which bounds the integral of |C + e P|
+        name, z = type(geometry).__name__, 0.3
+        u = np.array(_UNDISPERSED_U[name])[:, None]
+        cavity = isinstance(geometry, Cavity)
+        prefactor = CAVITY_PREFACTOR if cavity else SINGLE_PREFACTOR
+        for model in _UNDISPERSED_MODELS:
+            closures = {kind: integrand_function(kind, geometry, model, z)(u, quadrature.T_INTEGRAL) for kind in KINDS}
+            brackets = integrand_function(None, geometry, model)(u, quadrature.T_INTEGRAL)
+            for i, reference in enumerate(references[name, model]):
+                with mpmath.workdps(80):
+                    ui = mpmath.mpf(u[i, 0])
+                    w = prefactor * ui**3
+                    if cavity:
+                        envelope = (mpmath.exp(-2 * ui * (geometry.width - z)) + mpmath.exp(-2 * ui * z)) / 2
+                        constant = reference["C"]
+                    else:
+                        envelope, constant = mpmath.exp(-2 * ui * z), (0, 0)
+                    wanted = []
+                    for kind, letter in zip(KINDS, "EBU"):
+                        position = reference[letter]
+                        want = [w * (c + envelope * p) for c, p in zip(constant, position)]
+                        wanted.append((closures[kind], want, (model, u[i, 0], kind)))
+                    forms = (("C", brackets[0]),) if cavity else ()
+                    for letter, row in (*forms, ("E", brackets[1]), ("B", brackets[2])):
+                        wanted.append((row, [w * v for v in reference[letter]], (model, u[i, 0], letter)))
+                    for row, (integral, magnitude), label in wanted:
+                        assert row.dtype == quadrature.T_INTEGRAL_DTYPE and row.shape == u.shape
+                        bound = _UNDISPERSED_ULPS * np.finfo(float).eps * magnitude
+                        assert abs(row["integral"][i, 0] - integral) <= bound, label
+                        assert abs(row["magnitude"][i, 0] - magnitude) <= bound, label
+
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_rows_take_the_shape_of_u(self, geometry):
+        for model in (ConstantEpsilon(4.0), PerfectConductor(), Vacuum()):
+            f = integrand_function(FieldKind.ENERGY_DENSITY, geometry, model, 0.5)
+            assert f(0.7, quadrature.T_INTEGRAL).shape == ()
+            assert f(np.array([0.7, 3.0]), quadrature.T_INTEGRAL).shape == (2,)
+            brackets = integrand_function(None, geometry, model)(np.array([[0.7]]), quadrature.T_INTEGRAL)
+            assert [b.shape for b in brackets if b is not None] == [(1, 1)] * (2 + isinstance(geometry, Cavity))
+            assert (brackets[0] is None) == isinstance(geometry, SingleInterface)
+
+    def test_single_wall_rows_reuse_the_model_integrals(self, monkeypatch):
+        # outside one mirror the brackets depend on t alone: their integrals are taken
+        # once per model, and a call, or a later closure of the model, only scales them
+        def closures():
+            fields = [integrand_function(kind, SingleInterface(), ConstantEpsilon(4.0), 0.3) for kind in KINDS]
+            return fields + [integrand_function(None, SingleInterface(), ConstantEpsilon(4.0))]
+
+        want = [f(_EXACT_U[:, None], quadrature.T_INTEGRAL) for f in closures()]
+
+        def refused(*args):
+            raise AssertionError("reflection factors computed for T_INTEGRAL")
+
+        monkeypatch.setattr(integrand, "_undispersed_factors", refused)
+        for f, rows in zip(closures(), want):
+            got = f(_EXACT_U[:, None], quadrature.T_INTEGRAL)
+            if isinstance(rows, tuple):
+                assert got[0] is None and rows[0] is None
+                got, rows = got[1:], rows[1:]
+            np.testing.assert_array_equal(got, rows)
+
+    @pytest.mark.parametrize("model", (ConstantEpsilon(1e8), PerfectConductor()), ids=("eps1e8", "pc"))
+    def test_cavity_rows_in_blocks_are_bit_identical(self, monkeypatch, model):
+        # a call integrates its rows in blocks within the node cap; every block size,
+        # and every row alone, gives the same bits
+        u = _EXACT_U[:, None]
+        closures = [integrand_function(kind, Cavity(1.0), model, 0.3) for kind in KINDS]
+        closures.append(integrand_function(None, Cavity(1.0), model))
+        whole = [f(u, quadrature.T_INTEGRAL) for f in closures]
+        for cap in (1, 500, 2_000):
+            monkeypatch.setattr(integrand, "_NODE_CAP", cap)
+            for f, rows in zip(closures, whole):
+                np.testing.assert_array_equal(f(u, quadrature.T_INTEGRAL), rows)
+        monkeypatch.undo()
+        for f, rows in zip(closures, whole):
+            np.testing.assert_array_equal(f(u[40:41], quadrature.T_INTEGRAL), np.asarray(rows)[..., 40:41, :])
+
+    def test_t_rule_panels(self):
+        # at most 1 wide in s, so no pole comes nearer a panel than pi/2 of its width
+        for eps in _UNDISPERSED_EPS:
+            t, weights = integrand._t_rule(ConstantEpsilon(eps))
+            s_max = math.asinh(math.sqrt(eps - 1.0))
+            assert t.shape == (1, weights.size) and weights.size == 16 * max(1, math.ceil(s_max))
+            assert (0.0 < t).all() and (t < 1.0).all() and math.isclose(weights.sum(), 1.0, rel_tol=1e-14)

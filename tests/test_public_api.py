@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import casimir_fields
-from casimir_fields import Cavity, Drude, PerfectConductor, analysis
+from casimir_fields import Cavity, ConstantEpsilon, Drude, PerfectConductor, SingleInterface, Vacuum, analysis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -41,8 +41,8 @@ def test_benchmark_boundaries_resolve():
 
 def test_traced_runs_count_every_evaluation():
     # the tracer replaces each closure of integrand_function by a plain wrapper and
-    # counts the nodes of its values: u rows for the exact t integrals of the Drude
-    # integrands, (u, t) nodes on a t rule; the engine's evaluations must agree
+    # counts the nodes of its values: u rows for the exact t integrals of every
+    # package integrand; the engine's evaluations must agree
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -51,6 +51,9 @@ def test_traced_runs_count_every_evaluation():
         lambda: analysis.midpoint_scan(50.0, 150.0, 7),
         lambda: analysis.profile_at(Cavity(1.0), Drude(200.0), np.linspace(0.1, 0.9, 9)),
         lambda: analysis.profile_at(Cavity(1.0), PerfectConductor(), [0.3, 0.5]),
+        lambda: analysis.profile_at(SingleInterface(), ConstantEpsilon(4.0), np.geomspace(1e-3, 5.0, 16)),
+        lambda: analysis.profile_at(Cavity(1.0), ConstantEpsilon(100.0), np.linspace(0.1, 0.9, 9)),
+        lambda: analysis.profile_at(Cavity(1.0), Vacuum(), [0.3, 0.5]),
     ):
         tracer.begin_request()
         with tracer.installed():

@@ -317,6 +317,15 @@ class TestEngineProperties:
         assert abs(res.value - pc_cavity_e2(0.3, 1.0)) <= 50.0 * max(res.error_estimate, 1e-16)
 
 
+class TestPlainCallable:
+    def test_takes_the_t_rule(self):
+        # the benchmark's set-up integral: a plain callable has no exact t
+        # integrals, so the probe chooses a t rule; its integral is 6 * 2/3
+        res = integrate_semi_infinite(lambda u, t: u**3 * np.exp(-u) * (1.0 - t * t), 1.0)
+        assert abs(res.value - 4.0) <= res.error_estimate
+        assert res.t_order is not None and res.t_levels is not None
+
+
 def _on_a_t_rule(f):
     """f without its exact t integrals: a copy of T_INTEGRAL is an empty t row like any other, so the engine probes a t rule for f."""
     return lambda u, t: f(u, np.array(t) if t is quadrature.T_INTEGRAL else t)
@@ -365,8 +374,8 @@ class TestTRuleError:
             (_probed_brackets, Cavity(1.0), Drude(200.0), [0.02]),
             (_probed_brackets, Cavity(1.0), Drude(200.0), [0.5]),
             (_probed_brackets, Cavity(1.0), Drude(8.5), [0.5]),
-            (_field_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5]),
-            (_field_brackets, Cavity(1.0), PerfectConductor(), [0.3]),
+            (_probed_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5]),
+            (_probed_brackets, Cavity(1.0), PerfectConductor(), [0.3]),
             # a plain Drude cavity energy density C + e P changes sign in t at every u
             (_probed_energy_density, Cavity(1.0), Drude(97.0), [0.5]),
             (_probed_energy_density, Cavity(1.0), Drude(200.0), [0.5]),
@@ -383,10 +392,10 @@ class TestTRuleError:
         reference = _full_depth(monkeypatch, integrate, geometry, model, zs, QuadratureConfig(inner_rule_order=128))
         assert reference.t_levels == quadrature._T_RULE_LEVELS
         assert np.all(np.abs(res.value - reference.value) <= res.error_estimate)
-        if isinstance(model, Drude):  # the exact t integrals meet the same reference within their own err
-            exact = integrate(geometry, model, zs, t_rule=False)
-            assert exact.t_order is None
-            assert np.all(np.abs(exact.value - reference.value) <= exact.error_estimate)
+        # the exact t integrals meet the same reference within their own err
+        exact = integrate(geometry, model, zs, t_rule=False)
+        assert exact.t_order is None
+        assert np.all(np.abs(exact.value - reference.value) <= exact.error_estimate)
 
     @pytest.mark.parametrize("a", [9.0, 5.0 * math.pi])
     def test_t_term_of_a_sign_changing_integrand(self, a):
@@ -579,7 +588,7 @@ class TestTwoStageProbe:
         "integrate, geometry, model, zs",
         [(_probed_energy_density, Cavity(1.0), Drude(wp), [0.5]) for wp in _MIDGAP_WPS]
         + [(_probed_brackets, SingleInterface(), Drude(1.0), [z]) for z in _SINGLE_ZS]
-        + [(_field_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5])],
+        + [(_probed_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5])],
         ids=[f"midgap-drude{wp:g}" for wp in _MIDGAP_WPS] + [f"drude1-{z:g}" for z in _SINGLE_ZS] + ["eps4"],
     )
     def test_matches_the_all_rows_probe(self, monkeypatch, integrate, geometry, model, zs):
@@ -603,7 +612,7 @@ class TestTwoStageProbe:
 
 
 class TestEvaluationCount:
-    # a Drude integral counts u rows, one per exact t integral; the others count (u, t) nodes
+    # a package integral counts u rows, one per exact t integral; one on a t rule counts (u, t) nodes
     def test_plain_call(self):
         f, nodes = _counted(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5))
         res = integrate_semi_infinite(f, 1.0)
@@ -617,11 +626,14 @@ class TestEvaluationCount:
     def test_batched_call(self):
         geometry, zs = SingleInterface(), [1e-3, 0.1, 2.0]
         for model in (Drude(1.0), ConstantEpsilon(4.0)):
-            f, nodes = _counted(integrand_function(None, geometry, model))
-            scales = [decay_scale_for(geometry, z) for z in zs]
-            res = integrate_semi_infinite(f, scales, envelope=position_envelope(geometry, zs))
-            assert res.evaluations == nodes[0]
-            assert (res.t_order is None) == isinstance(model, Drude)
+            for t_rule in (False, True):
+                f, nodes = _counted(integrand_function(None, geometry, model))
+                scales = [decay_scale_for(geometry, z) for z in zs]
+                res = integrate_semi_infinite(
+                    _on_a_t_rule(f) if t_rule else f, scales, envelope=position_envelope(geometry, zs)
+                )
+                assert res.evaluations == nodes[0]
+                assert (res.t_order is None) != t_rule
 
     def test_family_call(self):
         models = [Drude(wp) for wp in (1.0, 96.60661, 1e3)]
