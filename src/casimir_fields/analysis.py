@@ -97,8 +97,7 @@ def _field_points(
     res = integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
     (e2, b2), (err_e2, err_b2) = res.value.tolist(), res.error_estimate.tolist()
     return [
-        FieldPoint(z=z, e2=e, b2=b, u=0.5 * (e + b), err=max(ee, eb))
-        for z, e, b, ee, eb in zip(zs.tolist(), e2, b2, err_e2, err_b2)
+        FieldPoint(z, e, b, 0.5 * (e + b), max(ee, eb)) for z, e, b, ee, eb in zip(zs.tolist(), e2, b2, err_e2, err_b2)
     ]
 
 

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence, Tuple, Union
@@ -68,7 +67,7 @@ import numpy as np
 
 from .dielectric import ConstantEpsilon, DielectricModel, Drude, PerfectConductor, Vacuum, _undispersed_factors
 from .errors import DomainError, is_finite_real
-from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE
+from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE, _real_array
 
 __all__ = [
     "SingleInterface",
@@ -224,10 +223,10 @@ def decay_scale_for(geometry: Geometry, z: float) -> float:
 def _checked_positions(geometry: Geometry, z_values) -> tuple[np.ndarray, np.ndarray]:
     """A sequence of positions as floats and their decay scales, after checking that each lies in the vacuum.
 
-    One pass over the elements refuses anything but real numbers (bool
-    included); array checks then require z > 0, or 0 < z < a in a cavity,
-    which also refuses NaN and infinities. The error names the first
-    position that fails.
+    A float array is taken as it is; otherwise one pass over the elements
+    refuses anything but real numbers (bool included). Array checks then
+    require z > 0, or 0 < z < a in a cavity, which also refuses NaN and
+    infinities. The error names the first position that fails.
     """
     if isinstance(geometry, SingleInterface):
         a = math.inf
@@ -235,7 +234,7 @@ def _checked_positions(geometry: Geometry, z_values) -> tuple[np.ndarray, np.nda
         a = geometry.width
     else:
         raise TypeError(f"unknown geometry {geometry!r}")
-    z = np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in z_values])
+    z = _real_array(z_values)
     inside = (0.0 < z) & (z < a)
     if not inside.all():
         bad = z_values[int(np.argmin(inside))]

@@ -56,18 +56,20 @@ widths) per truncation point and seed depth; and the tail bound's factor
 per truncation point and scales. The last three sit in small bounded
 caches, so a run of integrals with one decay scale builds its mesh once.
 
-In batched form one call integrates constant(u, t) +
-envelope_j(u) * position_k(u, t) for every position j and field k: the
-brackets are evaluated and t-reduced once per u node, and each position
-is a weighted sum of the reduced values. Every (position, field) pair
-keeps its own Kronrod error, tail bound, t term and tolerance test on the
-shared panels. A family ``(None, f_1, ..., f_K)`` under `unit_envelope`
-is the same form with one position: K integrands sharing one decay scale
-go through one u mesh (and one probe and one t rule where they need
-them), which is how a midgap scan integrates `family_size` values of
-wp*a per call. On a t rule the most demanding member sets the rule, but
-each member's t-rule term keeps the rho of its own bracket, so that
-member's rho does not raise the others' terms.
+In batched form one call integrates constant(u, t) + envelope_j(u) *
+position_k(u, t) for every position j and field k. The brackets are
+evaluated and t-reduced once per u node; on each panel one matrix product
+takes the reduced position brackets, weighted by the Kronrod and Gauss
+rules, to the envelope of every position, and the constant's panel sums,
+the same at every position, are added. Every (position, field) pair keeps
+its own Kronrod error, tail bound, t term and tolerance test on the shared
+panels. A family ``(None, f_1, ..., f_K)`` under `unit_envelope` is the
+same form with one position: K integrands sharing one decay scale go
+through one u mesh (and one probe and one t rule where they need them),
+which is how a midgap scan integrates `family_size` values of wp*a per
+call. On a t rule the most demanding member sets the rule, but each
+member's t-rule term keeps the rho of its own bracket, so that member's rho
+does not raise the others' terms.
 
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
@@ -137,11 +139,11 @@ _G7_WEIGHTS = np.array([
 ])
 
 _XK15 = np.concatenate((-_K15_ABSCISSAE[:-1], _K15_ABSCISSAE[::-1]))
-# Columns: the Kronrod-15 weights, and the Gauss-7 weights on the same nodes
-# (zero on the seven nodes the Gauss rule does not use).
-_KG_WEIGHTS = np.zeros((15, 2))
-_KG_WEIGHTS[:, 0] = np.concatenate((_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1]))
-_KG_WEIGHTS[1::2, 1] = np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
+# Rows for a panel's Kronrod sum of the t integrals, its Kronrod - Gauss
+# difference and its Kronrod sum of their magnitudes: the Kronrod-15 weights,
+# the same less the Gauss-7 weights on every second node, the Kronrod-15 weights.
+_KGK_WEIGHTS = np.tile(np.concatenate((_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1])), (3, 1))
+_KGK_WEIGHTS[1, 1::2] -= np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
 
 # Number of geometric seed splits of [0, u_max]; pre-resolves the decades
 # below the truncation point, down to u_max / 2^8, before adaptive refinement
@@ -175,13 +177,12 @@ _PROBE_TOP_ROWS = 3
 _T_INTEGRAL_ROUNDOFF = 16 * np.finfo(float).eps
 
 # Largest (u, t) grid of one integrand call. Each probe stage calls f on
-# whole u rows within it; panel evaluation on whole panels whose u nodes
-# times the larger of the t nodes and 2 x positions (the envelope step's
-# values per u node for two fields) stay within it. It bounds the
-# temporaries of a seed mesh evaluated at once, which peak at about 43 B
-# per node in the cavity bracket form (tracemalloc); the CLI's scan and
-# profiles also ran fastest at this cap among 8,192 to 65,536 (2-vCPU x86
-# host, numpy 2.4).
+# whole u rows within it, and panel evaluation on whole panels whose u nodes
+# times the t nodes stay within it; the Kronrod sums form no grid of their
+# own. It bounds the temporaries of a seed mesh evaluated at once, which
+# peak at about 43 B per node in the cavity bracket form (tracemalloc); the
+# CLI's scan and profiles also ran fastest at this cap among 8,192 to 65,536
+# (2-vCPU x86 host, numpy 2.4).
 _NODE_CAP = 16_384
 # Largest (u, t) grid of one integrand call in `integrate_fixed_grid`: its
 # finer grid, 1,536 log-u rows by 2,049 log-t nodes, takes two calls. In the
@@ -386,6 +387,13 @@ def _log_simpson_rule(intervals: int, t_floor: float = 1e-16):
     return nodes, coeff * (h / 3.0) * nodes  # dt = t ds
 
 
+def _real_array(values) -> np.ndarray:
+    """values as a float array: a float array as it is, otherwise element by element, NaN for anything but a real number (bool included)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return values.astype(float, copy=False)
+    return np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in values], dtype=float)
+
+
 def _checked_scales(values, floor) -> np.ndarray:
     """The decay scales as a float array, after checking that each is a positive finite number at least ``floor``.
 
@@ -395,12 +403,7 @@ def _checked_scales(values, floor) -> np.ndarray:
     positive and finite (NaN included), DivergesAtBoundary if it is below
     the floor.
     """
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        scales = values.astype(float, copy=False).ravel()
-    else:
-        scales = np.array(
-            [v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in values], dtype=float
-        )
+    scales = _real_array(values).ravel()
     valid = np.isfinite(scales) & (scales > 0)
     failing = ~valid | (scales < floor)
     if failing.any():
@@ -506,20 +509,7 @@ def integrate_semi_infinite(
         order, t_levels, rho, evaluations = _probe_t_rule(f, probe_u, cfg)
         t_nodes, t_weights = _graded_t_rule(order, t_levels)
         t_row, t_size = t_nodes[None, :], t_nodes.size
-    panels_per_call = max(1, _NODE_CAP // max(t_size, 2 * scales.size) // 15)
-
-    def reduced_brackets(out):
-        """t integrals of the constant and the (K, n) position brackets of one f output, then of their magnitudes."""
-        constant = out[0] if isinstance(out, tuple) else None
-        if t_weights is None:  # rows (n, 1) of integral and magnitude, viewed as (n, 2)
-            rows = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
-            signed, magnitude = rows[..., 0], rows[..., 1]
-        else:
-            brackets = np.stack(_bracket_list(out))
-            signed, magnitude = brackets @ t_weights, np.abs(brackets) @ t_weights
-        if constant is None:
-            return 0.0, signed, 0.0, magnitude
-        return signed[0], signed[1:], magnitude[0], magnitude[1:]
+    panels_per_call = max(1, _NODE_CAP // t_size // 15)
 
     def f_rows(u: np.ndarray, rows: slice):
         """f at the u nodes u[rows], taken from the seed call's output where there is one."""
@@ -533,32 +523,45 @@ def integrate_semi_infinite(
         """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel.
 
         u holds the 15 Kronrod nodes of each panel, panel by panel, then the
-        node u_max if ``with_tail``; half holds the panels' half widths. Each
-        result is (panels, fields, positions). Whole panels share one f call
-        up to the node cap, and the last call takes the tail node; with
-        ``with_tail`` the t-integrated magnitude there, (fields, positions),
-        is returned fourth.
+        node u_max if ``with_tail``; half holds the panels' half widths. The
+        first result is (panels, 3, fields, positions), C-contiguous: one
+        matrix product per panel takes the weighted t integrals (3 x fields,
+        15) to the envelope (15, positions), and the constant's sums are added
+        to every position. Whole panels share one f call up to the node cap;
+        the second result is the t-integrated magnitude at the last u node,
+        (fields, positions), which is the tail node with ``with_tail``.
         """
         panels = half.size
-        kg = magnitude = None
+        parts = []
         for start in range(0, panels, panels_per_call):
             stop = min(start + panels_per_call, panels)
             rows = slice(15 * start, 15 * stop + (with_tail and stop == panels))
-            chunk = u[rows]
-            constant, position, constant_abs, position_abs = reduced_brackets(f_rows(u, rows))
-            weights = envelope(chunk)[None, :, :]  # (1, positions, n)
-            values = constant + weights * position[:, None, :]
-            magnitudes = constant_abs + weights * position_abs[:, None, :]
-            if kg is None:
-                kg, magnitude = np.empty(values.shape[:2] + (panels, 2)), np.empty(values.shape[:2] + (panels,))
-            shape, n = values.shape[:2] + (stop - start, 15), (stop - start) * 15
-            np.multiply(values[..., :n].reshape(shape) @ _KG_WEIGHTS, half[start:stop, None], out=kg[:, :, start:stop])
-            np.multiply(magnitudes[..., :n].reshape(shape) @ _KG_WEIGHTS[:, 0], half[start:stop], out=magnitude[:, :, start:stop])
-        kg = kg.transpose(2, 0, 1, 3)
-        return kg[..., 0], np.abs(kg[..., 0] - kg[..., 1]), magnitude.transpose(2, 0, 1), magnitudes[..., -1] if with_tail else None
+            out = f_rows(u, rows)
+            has_constant = isinstance(out, tuple) and out[0] is not None
+            if t_weights is None:  # rows (n, 1) of integral and magnitude, viewed as (n, 2)
+                reduced = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
+            else:  # (brackets, n, 2), the same layout
+                brackets = np.stack(_bracket_list(out))
+                reduced = np.stack((brackets @ t_weights, np.abs(brackets) @ t_weights), axis=-1)
+            weights = envelope(u[rows])  # (positions, n)
+            p, n = stop - start, 15 * (stop - start)
+            # (p, 3, brackets, 15): each bracket's t integrals weighted by K15 and K15 - G7, its magnitudes by K15
+            left = reduced[:, :n].reshape(-1, p, 15, 2).transpose(1, 3, 0, 2)[:, [0, 0, 1]]
+            left *= _KGK_WEIGHTS[:, None]
+            sums = left[:, :, has_constant:].reshape(p, -1, 15) @ weights[:, :n].reshape(-1, p, 15).transpose(1, 2, 0)
+            sums = sums.reshape(p, 3, -1, weights.shape[0])
+            if has_constant:  # the same for every position
+                sums += left[:, :, 0].sum(axis=-1)[..., None, None]
+            sums *= half[start:stop, None, None, None]
+            parts.append(sums)
+        panel = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        np.abs(panel[:, 1], out=panel[:, 1])
+        magnitude = reduced[:, -1, 1]
+        return panel, (magnitude[0] if has_constant else 0.0) + weights[:, -1] * magnitude[has_constant:, None]
 
-    # panel_value, panel_err, panel_magnitude: (panels, fields, positions), panels sorted by lo
-    panel_value, panel_err, panel_magnitude, g_tail = eval_panels(seed_u, seed_half, with_tail=True)
+    # panel: (panels, 3, fields, positions), panels sorted by lo; along its second
+    # axis the Kronrod value, its error |Kronrod - Gauss| and the magnitude sum
+    panel, g_tail = eval_panels(seed_u, seed_half, with_tail=True)
     seed = None  # later panels call f
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
@@ -576,13 +579,13 @@ def integrate_semi_infinite(
 
     splits = 0
     while True:
-        total = panel_value.sum(axis=0)
+        total, kronrod_err, magnitude = panel.sum(axis=0)
         # The t rule's error at a u node is estimated as the field's rho times
         # the t integral of |C| + e|P|, the quantity rho is measured against;
         # a plain integrand that changes sign in t is covered too. Exact t
         # integrals take the roundoff allowance as their rho.
-        t_err = rho[:, None] * panel_magnitude.sum(axis=0)
-        err_total = panel_err.sum(axis=0) + tail + t_err
+        t_err = rho[:, None] * magnitude
+        err_total = kronrod_err + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
         failing = err_total > tol
         if not failing.any():
@@ -612,20 +615,18 @@ def integrate_semi_infinite(
         # a round takes at most half the splits left, so a budget that runs out
         # ends on the worst panels split again, not on one wide round
         most = -(-(cfg.max_subdivisions - splits) // 2)
-        split = _panels_to_split(panel_err[:, failing], (tol - tail - t_err)[failing], most)
+        split = _panels_to_split(panel[:, 1, failing], (tol - tail - t_err)[failing], most)
         lo, hi = edges[split], edges[split + 1]
         mid = 0.5 * (lo + hi)
         halves_lo = np.stack((lo, mid), axis=1).ravel()
-        *halves, _ = eval_panels(*_kronrod_nodes(halves_lo, np.stack((mid, hi), axis=1).ravel()))
+        halves, _ = eval_panels(*_kronrod_nodes(halves_lo, np.stack((mid, hi), axis=1).ravel()))
         # the halves take their parents' place, in order of u
-        kept = np.ones(panel_err.shape[0], dtype=bool)
+        kept = np.ones(panel.shape[0], dtype=bool)
         kept[split] = False
         panel_lo = np.concatenate((edges[:-1][kept], halves_lo))
         by_lo = np.argsort(panel_lo, kind="stable")
         edges = np.append(panel_lo[by_lo], u_max)
-        panel_value, panel_err, panel_magnitude = (
-            np.concatenate((old[kept], new))[by_lo] for old, new in zip((panel_value, panel_err, panel_magnitude), halves)
-        )
+        panel = np.concatenate((panel[kept], halves))[by_lo]
         splits += split.size
 
     return _result(batched, total, err_total, evaluations, u_max, order, t_levels)

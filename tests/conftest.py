@@ -21,9 +21,10 @@ def engine_calls(monkeypatch):
     """Counts of the engine calls the analysis drivers make and of the integrand calls within them.
 
     Wraps `analysis.integrate_semi_infinite` and every integrand passed to
-    it: ``engine`` counts engine calls, ``integrand`` integrand calls.
+    it: ``engine`` counts engine calls, ``integrand`` integrand calls and
+    ``evaluations`` the evaluations the engine's results report.
     """
-    counts = SimpleNamespace(engine=0, integrand=0)
+    counts = SimpleNamespace(engine=0, integrand=0, evaluations=0)
     integrate = analysis.integrate_semi_infinite
 
     def counted_integrate(f, *args, **kwargs):
@@ -33,7 +34,9 @@ def engine_calls(monkeypatch):
             counts.integrand += 1
             return f(u, t)
 
-        return integrate(counted_f, *args, **kwargs)
+        result = integrate(counted_f, *args, **kwargs)
+        counts.evaluations += result.evaluations
+        return result
 
     monkeypatch.setattr(analysis, "integrate_semi_infinite", counted_integrate)
     return counts

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -321,6 +322,41 @@ class TestMidpointScan:
         first = midpoint_scan(50.0, 150.0, 3)
         second = midpoint_scan(50.0, 150.0, 3)
         assert first == second
+
+
+class TestWorkloadShapes:
+    """Integrand calls and evaluations of the benchmark's three workload shapes, and the peak memory of a profile."""
+
+    def test_cavity_profile(self, engine_calls):
+        # a 101-point Drude cavity profile and a 25-point perfect-conductor one: 211 u rows each
+        profile(Cavity(1.0), Drude(200.0), 101)
+        profile(Cavity(1.0), PerfectConductor(), 25)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 422)
+
+    def test_single_decades(self, engine_calls):
+        # single-interface profiles over 3.7 decades: 331 u rows each
+        for model, n in ((Drude(1.0), 64), (ConstantEpsilon(4.0), 16), (PerfectConductor(), 16)):
+            profile_at(SingleInterface(), model, np.geomspace(1e-3, 5.0, n))
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 993)
+
+    def test_midgap_root(self, engine_calls):
+        # a 40-value scan in 3 families and the ITP root, both bracket ends in one family
+        midpoint_scan(10.0, 1000.0, 40)
+        critical_lambda()
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (9, 15, 1_584)
+
+    def test_cavity_profile_peak_memory(self):
+        # the Kronrod sums take the envelope in one matrix product per panel, with
+        # no (fields, positions, u nodes) grid: about 540 KB, against about 700 KB
+        # with that grid (tracemalloc, numpy 2.4)
+        profile(Cavity(1.0), Drude(200.0), 101)  # builds the cached mesh and rules
+        tracemalloc.start()
+        try:
+            profile(Cavity(1.0), Drude(200.0), 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600_000
 
 
 class TestCriticalLambda:

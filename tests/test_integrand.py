@@ -187,6 +187,48 @@ class TestCavityIntegrand:
         with pytest.raises(DomainError):
             decay_scale_for(Cavity(1.0), 1.0)
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_float_array_positions_are_taken_as_they_are(self, geometry):
+        zs = np.linspace(0.1, 0.9, 9)
+        z, scales = integrand._checked_positions(geometry, zs)
+        assert z is zs
+        np.testing.assert_array_equal(scales, [decay_scale_for(geometry, v) for v in zs.tolist()])
+        # float32 is widened, and equals the element-by-element path on its numpy scalars
+        z32, scales32 = integrand._checked_positions(geometry, zs.astype(np.float32))
+        assert z32.dtype == np.float64
+        for got, by_element in zip((z32, scales32), integrand._checked_positions(geometry, list(zs.astype(np.float32)))):
+            np.testing.assert_array_equal(got, by_element, strict=True)
+
+    @pytest.mark.parametrize(
+        "geometry, zs, named",
+        [
+            (SingleInterface(), np.array([0.5, math.nan, 0.2]), "nan"),
+            (SingleInterface(), np.array([0.5, -1.0, math.inf], dtype=np.float32), "-1.0"),
+            (SingleInterface(), np.array([0.5, math.inf]), "inf"),
+            (SingleInterface(), np.array([True, False]), "True"),
+            (Cavity(1.0), np.array([0.5, 1.0, math.nan]), "1.0"),
+            (Cavity(1.0), np.array([0.5, math.nan, 1.0]), "nan"),
+            (Cavity(1.0), np.array([0.25, 0.0]), "0.0"),
+        ],
+    )
+    def test_array_positions_fail_as_their_elements_do(self, geometry, zs, named):
+        # an array names its first bad position as the list of its numpy scalars does
+        with pytest.raises(DomainError, match=named) as from_array:
+            integrand._checked_positions(geometry, zs)
+        with pytest.raises(DomainError) as from_elements:
+            integrand._checked_positions(geometry, list(zs))
+        assert str(from_array.value) == str(from_elements.value)
+
+    @pytest.mark.parametrize("z", [True, np.bool_(True), math.nan, np.float64(math.nan), "0.5", None])
+    def test_scalar_positions_that_are_not_real_numbers_are_refused(self, z):
+        with pytest.raises(DomainError, match="vacuum region"):
+            integrand._checked_positions(SingleInterface(), [0.5, z])
+
+    @pytest.mark.parametrize("z", [np.float32(0.5), np.float64(0.5), np.int64(1), 1, 0.5])
+    def test_numpy_and_python_real_positions(self, z):
+        got, scales = integrand._checked_positions(SingleInterface(), [z])
+        assert got.dtype == np.float64 and got[0] == float(z) and scales[0] == 2.0 * float(z)
+
     def test_geometry_validation(self):
         with pytest.raises(DomainError):
             Cavity(0.0)

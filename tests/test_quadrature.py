@@ -698,24 +698,136 @@ class TestSetUpCaches:
 
     @staticmethod
     def _chunked(monkeypatch, t_rule):
-        # on the t rule f is called on chunks of whole panels; exact t integrals
-        # take the seed mesh in one call and chunk only the envelope step
-        geometry, zs = Cavity(1.0), list(np.linspace(0.02, 0.98, 25))
-        whole = _field_brackets(geometry, Drude(200.0), zs, t_rule=t_rule)
-        f, calls = integrand_function(None, geometry, Drude(200.0)), [0]
-        f = _on_a_t_rule(f) if t_rule else f
+        # on the t rule f is called on chunks of whole panels, and each chunk's t
+        # reduction is a matrix-vector product whose rounding depends on the rows
+        # in it, as the probe's does: the values stay within err. Exact t integrals
+        # take the seed mesh in one call, each panel's Kronrod sums are a product
+        # of their own and the panels are summed in order, so the integral is
+        # bit-identical whatever the node cap
+        cases = [(Cavity(1.0), Drude(200.0), list(np.linspace(0.02, 0.98, 25)))]
+        if not t_rule:
+            cases.append((SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))))
+        for geometry, model, zs in cases:
+            whole = _field_brackets(geometry, model, zs, t_rule=t_rule)
+            for cap in (1_024,) if t_rule else (1_024, 64):
+                f, calls = integrand_function(None, geometry, model), [0]
+                f = _on_a_t_rule(f) if t_rule else f
 
-        def counted(u, t):
-            calls[0] += 1
+                def counted(u, t):
+                    calls[0] += 1
+                    return f(u, t)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(quadrature, "_NODE_CAP", cap)
+                    scales = [decay_scale_for(geometry, z) for z in zs]
+                    chunked = integrate_semi_infinite(counted, scales, envelope=position_envelope(geometry, zs))
+                assert calls[0] > 10 if t_rule else calls[0] == 1
+                assert chunked.evaluations == whole.evaluations
+                if t_rule:
+                    assert np.all(np.abs(chunked.value - whole.value) <= whole.error_estimate)
+                else:
+                    assert chunked.value.tobytes() == whole.value.tobytes()
+                    assert chunked.error_estimate.tobytes() == whole.error_estimate.tobytes()
+
+
+_KRONROD = np.concatenate((quadrature._K15_WEIGHTS[:-1], quadrature._K15_WEIGHTS[::-1]))
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate((quadrature._G7_WEIGHTS[:-1], quadrature._G7_WEIGHTS[::-1]))
+
+
+def _panel_loop(f, scales, envelope, cfg, t_rule):
+    """Value, error estimate and magnitude sum of an integral that converges on its seed mesh, panel by panel and node by node.
+
+    Each panel's Kronrod and Gauss sums take constant + e_j position_k at
+    every node for every (field, position), in a plain loop: the reference
+    for the engine's matrix product per panel. With ``t_rule`` f is reduced
+    on the graded t rule its probe picks; otherwise f gives its exact t
+    integrals. The tail bound and the t term are added as the engine does.
+    """
+    scales = np.asarray(scales, dtype=float)
+    u_max = cfg.tail_exponent_budget / scales.min()
+    levels = quadrature._SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
+    _, probe_u, nodes, half = quadrature._seed_mesh(u_max, levels)
+    if t_rule:
+        order, depth, rho, _ = quadrature._probe_t_rule(f, probe_u, cfg)
+        t, w = quadrature._graded_t_rule(order, depth)
+    else:
+        rho = np.array([quadrature._T_INTEGRAL_ROUNDOFF])
+
+    def reduced(u):
+        """Constant, |constant|, positions and |positions| t integrals at the nodes u; zero for no constant."""
+        out = f(u[:, None], t[None, :] if t_rule else quadrature.T_INTEGRAL)
+        rows = []
+        for bracket in list(out) if isinstance(out, tuple) else [None, out]:
+            if bracket is None:
+                rows.append((np.zeros(u.size), np.zeros(u.size)))
+            elif t_rule:
+                rows.append(((bracket * w).sum(axis=-1), (np.abs(bracket) * w).sum(axis=-1)))
+            else:
+                rows.append((bracket["integral"][:, 0], bracket["magnitude"][:, 0]))
+        return (*rows[0], np.array([p for p, _ in rows[1:]]), np.array([p for _, p in rows[1:]]))
+
+    value = gap = magnitude = 0.0
+    for i in range(half.size):
+        u = nodes[15 * i : 15 * (i + 1)]
+        c, c_abs, p, p_abs = reduced(u)
+        e = envelope(u)
+        kronrod = gauss = mag = 0.0
+        for node in range(15):
+            g = c[node] + e[None, :, node] * p[:, None, node]
+            kronrod = kronrod + _KRONROD[node] * g
+            gauss = gauss + _GAUSS[node] * g
+            mag = mag + _KRONROD[node] * (c_abs[node] + e[None, :, node] * p_abs[:, None, node])
+        value, gap, magnitude = value + half[i] * kronrod, gap + half[i] * np.abs(kronrod - gauss), magnitude + half[i] * mag
+    c, c_abs, p, p_abs = reduced(nodes[-1:])
+    b = u_max * scales
+    g_tail = c_abs[0] + envelope(nodes[-1:])[None, :, 0] * p_abs[:, None, 0]
+    tail = 2.0 * g_tail * (1.0 + 3.0 / b + 6.0 / b**2 + 6.0 / b**3) / scales
+    return value, gap + tail + rho[:, None] * magnitude, magnitude, nodes.size
+
+
+def _midgap_family(wps):
+    return integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5), [1.0], quadrature.unit_envelope
+
+
+def _bracket_form(geometry, model, zs):
+    scales = [decay_scale_for(geometry, z) for z in zs]
+    return integrand_function(None, geometry, model), scales, position_envelope(geometry, zs)
+
+
+class TestKronrodContraction:
+    # one matrix product per panel against a loop over panels and nodes, on
+    # integrals that converge on their seed mesh: the 15-member scan family at
+    # rel_tol 1e-6, since at 1e-8 it splits panels the loop would not follow
+    @pytest.mark.parametrize(
+        "case, t_rule, rel_tol",
+        [
+            (lambda: _midgap_family(np.geomspace(10.0, 1000.0, 15)), False, 1e-6),
+            (lambda: _midgap_family((50.0, 200.0)), False, 1e-8),
+            (lambda: _bracket_form(Cavity(1.0), Drude(200.0), np.linspace(0.02, 0.98, 25)), False, 1e-8),
+            (lambda: _bracket_form(SingleInterface(), Drude(1.0), np.geomspace(1e-3, 5.0, 64)), False, 1e-8),
+            (lambda: (lambda u, t: u**3 * np.exp(-u) * (1.0 - t * t), [1.0], quadrature.unit_envelope), True, 1e-8),
+            (lambda: _bracket_form(Cavity(1.0), Drude(200.0), np.linspace(0.02, 0.98, 25)), True, 1e-8),
+        ],
+        ids=("scan-family", "critical-ends", "cavity", "single-wall", "plain-t-rule", "cavity-t-rule"),
+    )
+    def test_matches_the_panel_loop(self, case, t_rule, rel_tol):
+        f, scales, envelope = case()
+        f = _on_a_t_rule(f) if t_rule else f
+        cfg, rows = QuadratureConfig(rel_tol=rel_tol), []
+
+        def recorded(u, t):
+            rows.append(np.shape(u)[0])
             return f(u, t)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(quadrature, "_NODE_CAP", 1_024)
-            scales = [decay_scale_for(geometry, z) for z in zs]
-            chunked = integrate_semi_infinite(counted, scales, envelope=position_envelope(geometry, zs))
-        assert calls[0] > 10 if t_rule else calls[0] == 1
-        assert chunked.evaluations == whole.evaluations
-        assert np.all(np.abs(chunked.value - whole.value) <= whole.error_estimate)
+        res = integrate_semi_infinite(recorded, scales, cfg, envelope=envelope)
+        value, err, magnitude, seed_rows = _panel_loop(f, scales, envelope, cfg, t_rule)
+        # no panel split: the last call is the seed mesh's
+        assert rows[-1] == seed_rows and rows.count(seed_rows) == 1 + t_rule
+        assert res.value.shape == value.shape and value.shape[1] == len(scales)
+        ulps = 4 * np.finfo(float).eps * magnitude
+        assert np.all(np.abs(res.value - value) <= ulps)
+        assert np.all(np.abs(res.error_estimate - err) <= ulps)
 
 
 class TestFixedGridOracle:
