@@ -195,8 +195,8 @@ def midpoint_scan(
 
     Consecutive grid values are integrated in groups of
     `quadrature.family_size` (15), one engine call per group. The size is
-    set by the memory of the exact t integrals, whatever the t rule
-    settings of ``cfg``. A row can differ from the same wp*a integrated
+    set by the memory of the exact t integrals, whatever the settings of
+    ``cfg``. A row can differ from the same wp*a integrated
     alone at the last digits, always within the sum of both ``err``.
     """
     for name, value in (("lambda_min", lambda_min), ("lambda_max", lambda_max)):

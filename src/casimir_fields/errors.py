@@ -33,9 +33,10 @@ class InvalidDecayScale(CasimirFieldsError, ValueError):
 class NonConvergence(CasimirFieldsError):
     """Adaptive integration could not meet its tolerance.
 
-    Either the subdivision budget ran out, or the error estimate of the t
-    rule or the tail bound alone exceeds the tolerance. The best available
-    estimate is attached as ``result``.
+    Either the subdivision budget ran out, or the t term (the roundoff
+    allowance of the t integrals, or a lifted callable's t-rule error
+    estimate) or the tail bound alone exceeds the tolerance. The best
+    available estimate is attached as ``result``.
     """
 
     def __init__(self, message, result=None):

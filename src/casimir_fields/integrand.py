@@ -50,9 +50,9 @@ t integrals are taken once per model.
 
 Every closure returns, when called with t = `quadrature.T_INTEGRAL`, the
 exact t integral at each u and a bound on the integral of its magnitude,
-and the engine then integrates it on the u axis alone. Only an integrand
-without exact t integrals, such as a plain callable, takes the engine's
-t rule.
+and the engine integrates it on the u axis alone. On a (u, t) grid each
+closure returns its values, which `quadrature.integrate_fixed_grid`
+integrates as the independent check of those t integrals.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ import numpy as np
 
 from .dielectric import ConstantEpsilon, DielectricModel, Drude, PerfectConductor, Vacuum, _undispersed_factors
 from .errors import DomainError, is_finite_real
-from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE, _real_array
+from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE, _real_array, _rule_rows, _t_rows
 
 __all__ = [
     "SingleInterface",
@@ -753,18 +753,6 @@ def _t_rule(model: DielectricModel) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _t_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(n, 2) integrals of the rows of values (n, m) on a rule's nodes, and of their absolute values.
-
-    A sum along the last axis rounds each row alike whatever the number of
-    rows, so a row's integral does not depend on the call it came from.
-    """
-    rows = np.empty(values.shape[:-1] + (2,))
-    np.add.reduce(values * weights, axis=-1, out=rows[..., 0])
-    np.add.reduce(np.abs(values) * weights, axis=-1, out=rows[..., 1])
-    return rows
-
-
 def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: DielectricModel, z):
     """The ``kind`` integrand at a checked z, or with kind=None the brackets, of a constant-permittivity, perfectly conducting or vacuum model.
 
@@ -776,8 +764,8 @@ def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: Die
     magnitude |C| + e |P|, which bounds the integral of |C + e P|. Outside
     one mirror the brackets depend on t alone, times SINGLE_PREFACTOR u^3,
     so their integrals are taken once per model (`_single_rows`); in a
-    cavity each call integrates them on the rule's grid, in blocks of at
-    most _NODE_CAP nodes.
+    cavity each call integrates them on the rule's grid with
+    `quadrature._rule_rows`, in blocks of at most _NODE_CAP nodes.
     """
     kinds = (FieldKind.E_SQUARED, FieldKind.B_SQUARED) if kind is None else (kind,)
     if isinstance(geometry, SingleInterface):
@@ -791,7 +779,7 @@ def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: Die
                     w = w * np.exp(-2.0 * u * z)
                 out = [(w[..., None] * row).view(T_INTEGRAL_DTYPE)[..., 0] for row in rule_rows]
             else:
-                out = [_scaled(w, position) for position in _undispersed_brackets(kinds, model, u, t, None)[1]]
+                out = [_scaled(w, position) for position in _undispersed_brackets(kinds, model, u, t, None)[1:]]
                 if kind is not None:
                     out[0] = _into(np.multiply, out[0], np.exp(-2.0 * u * z), out[0])
             return out[0] if kind is not None else (None, *out)
@@ -806,19 +794,14 @@ def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: Die
         u = np.asarray(u, dtype=float)
         w = CAVITY_PREFACTOR * u**3
         if t is not T_INTEGRAL:
-            const, positions = _undispersed_brackets(kinds, model, u, t, a)
+            const, *positions = _undispersed_brackets(kinds, model, u, t, a)
             if kind is None:
                 return _scaled(w, const), *(_scaled(w, position) for position in positions)
             position = _into(np.multiply, positions[0], _cavity_envelope(u, a, z), positions[0])
             return _scaled(w, _into(np.add, const, position, const))
         column = u.reshape(-1, 1)
-        rows = np.empty((1 + len(kinds), column.shape[0], 2))
-        step = max(1, _NODE_CAP // t_rule.size)
-        for start in range(0, column.shape[0], step):
-            block = column[start : start + step]
-            const, positions = _undispersed_brackets(kinds, model, block, t_rule, a)
-            for i, values in enumerate((const, *positions)):
-                rows[i, start : start + step] = _t_rows(values, weights)
+        brackets = _rule_rows(lambda block, t: _undispersed_brackets(kinds, model, block, t, a), column, t_rule, weights)
+        rows = np.stack([row.view(float) for row in brackets])  # (brackets, n, 2)
         rows *= w.reshape(1, -1, 1)
         if kind is None:
             return tuple(row.view(T_INTEGRAL_DTYPE).reshape(u.shape) for row in rows)
@@ -833,13 +816,13 @@ def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: Die
 def _single_rows(model: DielectricModel, kinds: tuple) -> np.ndarray:
     """(len(kinds), 2) t integrals of an undispersed model's single-interface brackets and of their magnitudes, read-only."""
     t_rule, weights = _t_rule(model)
-    rows = _t_rows(np.concatenate(_undispersed_brackets(kinds, model, None, t_rule, None)[1]), weights)
+    rows = _t_rows(np.concatenate(_undispersed_brackets(kinds, model, None, t_rule, None)[1:]), weights)
     rows.setflags(write=False)
     return rows
 
 
 def _undispersed_brackets(kinds, model: DielectricModel, u, t, a):
-    """The constant bracket, or None outside one mirror (a = None), and the list of each kind's position bracket, without the prefactor.
+    """The constant bracket, or None outside one mirror (a = None), then each kind's position bracket, without the prefactor.
 
     The cavity's dressing is that of `_cavity_dressing`, but with 1 - r^2,
     1 - r'^2 and r + r' from `dielectric._undispersed_factors`, which forms
@@ -860,7 +843,7 @@ def _undispersed_brackets(kinds, model: DielectricModel, u, t, a):
         total = total * (1.0 - r * rp * damp) / (dr * drp)
         r, rp = r / dr, rp / drp
     positions = [(1.0 - tt) * total if k is FieldKind.ENERGY_DENSITY else single_bracket(k, r, rp, t) for k in kinds]
-    return constant, positions
+    return constant, *positions
 
 
 def _scaled(w, bracket):

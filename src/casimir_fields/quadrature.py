@@ -4,72 +4,51 @@ The integrands handled here live on u in [0, inf) times t in [0, 1], decay
 like exp(-u * decay_scale) in u, and are smooth in t except for a possible
 spike at t = 0 whose width shrinks like 1/u. The engine integrates the
 u axis adaptively with a Gauss-Kronrod 7-15 pair on panels of [0, u_max],
-u_max = tail_exponent_budget / decay_scale. At every u node it needs the
-t integral of the integrand, and of its magnitude, in one of two ways.
+u_max = tail_exponent_budget / decay_scale. At every u node it needs only
+the t integral of the integrand and of its magnitude, so the integral runs
+on the u axis alone.
 
-Exact t integrals. The engine first calls the integrand with
-t = `T_INTEGRAL`. An integrand that can integrate over t itself, as every
-integrand of `integrand.integrand_function` does (the Drude ones in closed
-form, the others on a fixed rule exact to roundoff), returns at each u the
-integral and a bound on the integral of its magnitude; the integral then
-runs on the u axis alone. No t rule is chosen and none is evaluated,
-``evaluations`` counts u rows, and the t part of the error estimate is a
-fixed roundoff allowance, 16 ulps of the t integral of the magnitude.
+The integrand supplies those rows when called with t = `T_INTEGRAL`. Every
+integrand of `integrand.integrand_function` does: the Drude ones in closed
+form, the others on a fixed rule exact to roundoff. A plain callable of
+(u, t) answers that call with an empty grid, and the engine lifts it once,
+at its entry, onto one fixed t rule (`_lifted`): 32-point Gauss-Legendre on
+each panel of a geometrically graded t mesh, so the t spike stays resolved
+at every scale without 2-D adaptivity. Either way ``evaluations`` counts u
+rows, and the t part of the error estimate is a fixed roundoff allowance,
+16 ulps of the t integral of the magnitude. The lift's rule is not adapted
+to the integrand, so the engine checks it once (`_lift_gap`): at the seed
+rows it takes the t integrals again on the same rule with every panel
+halved, and their largest gap relative to the magnitude, if above the
+allowance, takes its place.
 
-A t rule. Only an integrand without exact t integrals, such as a plain
-callable of (u, t), returns an empty grid for that call, and the
-engine applies a fixed composite Gauss-Legendre rule on a geometrically
-graded t mesh at every u node, so the t spike stays resolved at every
-scale without 2-D adaptivity. The order and the depth of that rule are
-measured, not assumed. A probe compares every bracket on the order-n rule
-with the order-2n rule at full depth; their largest relative difference
-rho estimates the order-n rule's error. Its first stage evaluates the
-order-n rule at every depth, but only at u_max and the two highest seed
-panel centres, where the spike is narrowest: these rows pick the order (it
-doubles from ``inner_rule_order`` while rho at full depth exceeds a tenth
-of ``rel_tol``) and then the depth (the fewest graded levels whose rho is
-within that bound). Its second stage checks the chosen rule at the other
-seed centres and deepens it if one of them exceeds the bound. Order and
-depth follow the largest rho over every bracket. Each field then keeps its
-own rho: the chosen rule's over every probed row and over that field's
-brackets only. That rho, times the panels' Kronrod sum of the t integrals
-of the field's bracket magnitudes, is the field's t-rule part of the error
-estimate, beside the u-panel Kronrod part and the tail bound. The seed
-panels and the tail node are then evaluated in one integrand call, and
-each probe stage in one, each split only where it would exceed a fixed
-node cap.
-
-Refinement goes in rounds, one integrand call each (again split only at
-the node cap). In every round each (field, position) pair above its
-tolerance names the fewest of its largest-error panels whose removal would
-bring its Kronrod error, with its tail bound and t term, within the
-tolerance, and the round halves all of them at once, in the manner of
-scipy's ``quad_vec``. A round takes at most half of the subdivisions the
-budget has left, the largest-error panels first, so a budget that runs out
-still ends on the worst panels halved again.
+Refinement goes in rounds, one integrand call each (split only at a fixed
+node cap). In every round each (field, position) pair above its tolerance
+names the fewest of its largest-error panels whose removal would bring its
+Kronrod error, with its tail bound and t term, within the tolerance, and
+the round halves all of them at once, in the manner of scipy's
+``quad_vec``. A round takes at most half of the subdivisions the budget has
+left, the largest-error panels first, so a budget that runs out still ends
+on the worst panels halved again.
 
 What does not depend on the integrand is built once and kept read-only:
-the graded t rules per order and depth; the probe's t grids (the order-n
-nodes followed by the order-2n reference nodes) per order and depth; the
-seed mesh (edges, probe rows, Kronrod nodes with the tail node, half
-widths) per truncation point and seed depth; and the tail bound's factor
-per truncation point and scales. The last three sit in small bounded
-caches, so a run of integrals with one decay scale builds its mesh once.
+the lift's graded t rule and its check's; the seed mesh (edges, Kronrod nodes with the tail
+node, half widths) per truncation point and seed depth; and the tail
+bound's factor per truncation point and scales. The last two sit in small
+bounded caches, so a run of integrals with one decay scale builds its mesh
+once.
 
 In batched form one call integrates constant(u, t) + envelope_j(u) *
 position_k(u, t) for every position j and field k. The brackets are
-evaluated and t-reduced once per u node; on each panel one matrix product
-takes the reduced position brackets, weighted by the Kronrod and Gauss
-rules, to the envelope of every position, and the constant's panel sums,
-the same at every position, are added. Every (position, field) pair keeps
-its own Kronrod error, tail bound, t term and tolerance test on the shared
-panels. A family ``(None, f_1, ..., f_K)`` under `unit_envelope` is the
-same form with one position: K integrands sharing one decay scale go
-through one u mesh (and one probe and one t rule where they need them),
-which is how a midgap scan integrates `family_size` values of wp*a per
-call. On a t rule the most demanding member sets the rule, but each
-member's t-rule term keeps the rho of its own bracket, so that member's rho
-does not raise the others' terms.
+t-integrated once per u node; on each panel one matrix product takes the
+position brackets' t integrals, weighted by the Kronrod and Gauss rules, to
+the envelope of every position, and the constant's panel sums, the same at
+every position, are added. Every (position, field) pair keeps its own
+Kronrod error, tail bound, t term and tolerance test on the shared panels.
+A family ``(None, f_1, ..., f_K)`` under `unit_envelope` is the same form
+with one position: K integrands sharing one decay scale go through one
+u mesh, which is how a midgap scan integrates `family_size` values of wp*a
+per call.
 
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
@@ -102,10 +81,10 @@ __all__ = [
 
 # Passed as t, T_INTEGRAL asks an integrand for its exact integral over t in
 # [0, 1] at each u row. It is a t row with no nodes, so an integrand that
-# cannot integrate over t itself returns an empty grid, and the engine falls
-# back on its t rule. One that can returns, for each bracket, an array of u's
-# shape and dtype T_INTEGRAL_DTYPE: the integral, and a bound on the integral
-# of the bracket's magnitude.
+# cannot integrate over t itself returns an empty grid, and the engine lifts
+# it onto its fixed t rule. One that can returns, for each bracket, an array
+# of u's shape and dtype T_INTEGRAL_DTYPE: the integral, and a bound on the
+# integral of the bracket's magnitude.
 T_INTEGRAL = np.empty((1, 0))
 T_INTEGRAL.setflags(write=False)
 T_INTEGRAL_DTYPE = np.dtype([("integral", float), ("magnitude", float)])
@@ -152,37 +131,53 @@ _KGK_WEIGHTS[1, 1::2] -= np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
 # one integrand call each, and ran slower (2-vCPU x86 host, numpy 2.4).
 _SEED_SPLITS = 8
 
-_T_RULE_RATIO = 8.0
-# Maximum depth of the graded t mesh: levels [8^-k-1, 8^-k] for k below the
-# depth, above one bottom panel [0, 8^-depth]. The probe picks the shallowest
-# depth that meets the t error budget; the narrowest spike an accepted decay
-# scale produces needs 9 levels.
-_T_RULE_LEVELS = 16
-# The t rule's order doubles while the probe's relative t error exceeds
-# _T_ERROR_FRACTION * rel_tol, at most _T_ORDER_DOUBLINGS times, so the
-# t-rule part takes a small share of the error budget.
-_T_ERROR_FRACTION = 0.1
-_T_ORDER_DOUBLINGS = 3
-# The probe's first stage measures every depth on this many of the largest u
-# rows (u_max and the highest seed centres), where the t spike is narrowest.
-_PROBE_TOP_ROWS = 3
+# The lift's fixed t rule (`_lifted`): _T_RULE_ORDER-point Gauss-Legendre on
+# each panel of a graded mesh, [8^-k-1, 8^-k] for k < 16 above the bottom
+# panel [0, 8^-16], 544 nodes in all. Against mpmath it stays within 4.5
+# ulps of the magnitude on the t integral s atan(1/s) of e^-u / (1 + (t/s)^2),
+# s = w/u or w u for w from 1 to 1e-3 and u from 1e-4 to 60, and within 5.2
+# on e^-u (cos(a t) - sin(a)/a) for a = 9, 5 pi and 40 (tests/test_quadrature.py,
+# TestLiftedRule); 16-point panels are off by up to 5.5e5 ulps on the first
+# and 5e9 on the second.
+_T_RULE_ORDER = 32
+_T_RULE_HI = 8.0 ** -np.arange(17.0)
+_T_RULE_LO = np.append(_T_RULE_HI[1:], 0.0)
 
-# Relative roundoff allowed for exact t integrals, times the t integral of the
-# magnitude: it stands for the t-rule term of integrals that need no t rule.
-# Against mpmath on the same float64 coefficients the Drude rows stay within
-# 6 ulps of the magnitude (tests/test_integrand.py, TestExactTIntegrals;
-# 4 ulps at most on the rows tested), so 16 ulps leaves a margin of 2.7. The
-# constant-eps, perfect-conductor and vacuum rows stay within 12 ulps of
-# mpmath's (TestUndispersedTIntegrals; 8 at most, at eps = 1e8).
+
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes (1, m) and weights (m,) of _T_RULE_ORDER-point Gauss-Legendre on each panel [lo, hi], read-only."""
+    x, w = np.polynomial.legendre.leggauss(_T_RULE_ORDER)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    rule = ((mid[:, None] + half[:, None] * x).reshape(1, -1), (half[:, None] * w).ravel())
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
+_T_RULE = _gauss_panels(_T_RULE_LO, _T_RULE_HI)
+# The lift's check (`_lift_gap`): the same rule on the halved panels, 1,088
+# nodes, which a plain callable meets at the seed rows wherever the lift
+# resolves its t dependence.
+_T_RULE_MID = 0.5 * (_T_RULE_LO + _T_RULE_HI)
+_T_CHECK_RULE = _gauss_panels(np.append(_T_RULE_LO, _T_RULE_MID), np.append(_T_RULE_MID, _T_RULE_HI))
+
+# Relative roundoff allowed for the t integrals, times the t integral of the
+# magnitude: the t part of every error estimate. Against mpmath on the same
+# float64 coefficients the Drude rows stay within 6 ulps of the magnitude
+# (tests/test_integrand.py, TestExactTIntegrals; 4 ulps at most on the rows
+# tested), so 16 ulps leaves a margin of 2.7. The constant-eps,
+# perfect-conductor and vacuum rows stay within 12 ulps of mpmath's
+# (TestUndispersedTIntegrals; 8 at most, at eps = 1e8), and the lift's rows
+# within 5.2 on the integrands above.
 _T_INTEGRAL_ROUNDOFF = 16 * np.finfo(float).eps
 
-# Largest (u, t) grid of one integrand call. Each probe stage calls f on
-# whole u rows within it, and panel evaluation on whole panels whose u nodes
-# times the t nodes stay within it; the Kronrod sums form no grid of their
-# own. It bounds the temporaries of a seed mesh evaluated at once, which
-# peak at about 43 B per node in the cavity bracket form (tracemalloc); the
-# CLI's scan and profiles also ran fastest at this cap among 8,192 to 65,536
-# (2-vCPU x86 host, numpy 2.4).
+# Largest (u, t) grid of one integrand call. Panel evaluation calls f on
+# whole panels whose u rows stay within it, and a fixed t rule (`_rule_rows`)
+# on whole u rows whose nodes stay within it; the Kronrod sums form no grid
+# of their own. It bounds the temporaries of a seed mesh evaluated at once,
+# which peaked at about 43 B per node in the cavity bracket form
+# (tracemalloc); the CLI's scan and profiles also ran fastest at this cap
+# among 8,192 to 65,536 (2-vCPU x86 host, numpy 2.4).
 _NODE_CAP = 16_384
 # Largest (u, t) grid of one integrand call in `integrate_fixed_grid`: its
 # finer grid, 1,536 log-u rows by 2,049 log-t nodes, takes two calls. In the
@@ -216,18 +211,6 @@ class QuadratureConfig:
         neglected envelope is exp(-budget) of its value at the origin.
     max_subdivisions : int
         Adaptive panel splits allowed beyond the initial seeding.
-    inner_rule_order : int
-        Starting Gauss-Legendre order on each panel of the graded t mesh.
-        A probe at u_max and the highest seed panel centres compares this
-        order with its double at full depth; while their relative difference
-        exceeds rel_tol / 10 the order doubles, at most three times. The
-        probe then takes the fewest graded levels whose difference from the
-        double is within that bound, deepens them if the other seed centres
-        need it, and the difference of the rule finally used enters the
-        error estimate. Integrands that take their t integral exactly, as
-        every integrand of `integrand.integrand_function` does, use no t
-        rule: only integrands without exact t integrals, such as plain
-        callables, take it.
     decay_scale_floor : float
         Smallest decay scale accepted, in the caller's length unit; the
         integrands genuinely diverge as the field point reaches a wall,
@@ -238,7 +221,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
     tail_exponent_budget: float = 60.0
     max_subdivisions: int = 2000
-    inner_rule_order: int = 16
     decay_scale_floor: float = 1e-6
 
     def __post_init__(self):
@@ -250,8 +232,6 @@ class QuadratureConfig:
             raise DomainError(f"tail_exponent_budget must be finite and at least 30, got {self.tail_exponent_budget!r}")
         if not (is_integer(self.max_subdivisions) and self.max_subdivisions >= 10):
             raise DomainError(f"max_subdivisions must be an integer of at least 10, got {self.max_subdivisions!r}")
-        if not (is_integer(self.inner_rule_order) and self.inner_rule_order >= 2):
-            raise DomainError(f"inner_rule_order must be an integer of at least 2, got {self.inner_rule_order!r}")
         if not (is_finite_real(self.decay_scale_floor) and self.decay_scale_floor > 0):
             raise DomainError(f"decay_scale_floor must be a positive finite number, got {self.decay_scale_floor!r}")
 
@@ -261,96 +241,27 @@ class IntegralResult:
     """Value, error estimate, work count and truncation point of one integral.
 
     A batched call returns one result whose value and error_estimate are
-    arrays of shape (fields, positions). ``evaluations`` counts u rows where
-    the integrand integrates over t itself, as every package integrand does,
-    or (u, t) nodes on a t rule. ``t_order`` and ``t_levels`` are the order
-    and the depth of the graded t rule the probe chose for an integrand
-    without exact t integrals; they are None where no t rule was needed,
-    and for `integrate_fixed_grid`, whose t rule is fixed.
+    arrays of shape (fields, positions). ``evaluations`` counts the u rows
+    at which the engine took t integrals, a lifted callable's check rows
+    twice each; `integrate_fixed_grid` counts its (u, t) nodes.
     """
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
     truncation_u: float
-    t_order: int | None = None
-    t_levels: int | None = None
-
-
-@functools.cache
-def _leggauss(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
-@functools.cache
-def _graded_t_rule(order: int, levels: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, 1]: panels [8^-k-1, 8^-k] for k < levels, then [0, 8^-levels].
-
-    The nodes run from the top panel down, so a shallower rule shares its
-    graded levels' nodes with every deeper one.
-    """
-    x, w = _leggauss(order)
-    hi = _T_RULE_RATIO ** -np.arange(levels + 1.0)
-    lo = np.append(hi[1:], 0.0)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    rule = ((mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel())
-    for array in rule:
-        array.setflags(write=False)
-    return rule
-
-
-@functools.cache
-def _depth_rules(order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The order-n graded rule at every depth, as shared nodes and one weight column per depth.
-
-    The nodes are those of the full-depth rule followed by the bottom panels
-    [0, 8^-L] of the shallower rules, L = 1 .. _T_RULE_LEVELS - 1; column
-    L - 1 of the weights is the depth-L rule on them, so one product with
-    the weights gives the t integral at every depth.
-    """
-    full_nodes, full_weights = _graded_t_rule(order, _T_RULE_LEVELS)
-    nodes = [full_nodes]
-    weights = np.zeros((full_nodes.size + (_T_RULE_LEVELS - 1) * order, _T_RULE_LEVELS))
-    weights[: full_nodes.size, -1] = full_weights
-    for levels in range(1, _T_RULE_LEVELS):
-        t, w = _graded_t_rule(order, levels)
-        nodes.append(t[-order:])
-        bottom = full_nodes.size + (levels - 1) * order
-        weights[: levels * order, levels - 1] = w[:-order]
-        weights[bottom : bottom + order, levels - 1] = w[-order:]
-    rule = (np.concatenate(nodes), weights)
-    for array in rule:
-        array.setflags(write=False)
-    return rule
-
-
-@functools.lru_cache(maxsize=32)
-def _probe_grid(order: int, levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t row (1, m) of one probe call, the order-n weight columns and the order-2n weights.
-
-    The row holds the order-n rule's nodes, then those of the order-2n rule
-    at full depth. levels 0 selects the order-n rule at every depth
-    (`_depth_rules`), one weight column per depth; otherwise the one column
-    of the rule with that many levels.
-    """
-    t_rule, w_rule = _depth_rules(order) if levels == 0 else _graded_t_rule(order, levels)
-    t_hi, w_hi = _graded_t_rule(2 * order, _T_RULE_LEVELS)
-    t = np.concatenate((t_rule, t_hi))[None, :]
-    t.setflags(write=False)
-    return t, w_rule.reshape(w_rule.shape[0], -1), w_hi
 
 
 @functools.lru_cache(maxsize=16)
-def _seed_mesh(u_max: float, levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The seed mesh of [0, u_max]: edges, probe rows, Kronrod nodes and half widths.
+def _seed_mesh(u_max: float, levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The seed mesh of [0, u_max]: edges, Kronrod nodes and half widths.
 
-    The edges are 0 and u_max 2^-j for j = levels .. 0. The probe rows are
-    the panel centres, then u_max; the Kronrod nodes are the panels' 15
-    nodes, panel by panel, then the tail node u_max.
+    The edges are 0 and u_max 2^-j for j = levels .. 0; the Kronrod nodes
+    are the panels' 15 nodes, panel by panel, then the tail node u_max.
     """
     edges = np.array([0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max])
     nodes, half = _kronrod_nodes(edges[:-1], edges[1:])
-    mesh = (edges, np.append(0.5 * (edges[:-1] + edges[1:]), u_max), np.append(nodes, u_max), half)
+    mesh = (edges, np.append(nodes, u_max), half)
     for array in mesh:
         array.setflags(write=False)
     return mesh
@@ -429,15 +340,17 @@ def integrate_semi_infinite(
     Parameters
     ----------
     f : callable
-        Vectorized integrand; called with broadcastable arrays
-        (u of shape (n, 1), t of shape (1, m)) at interior nodes only,
-        so endpoint singularities at u = 0, t = 0 or t = 1 are never
-        touched. Must be finite on (0, u_max] x (0, 1). Returns the
-        integrand on the grid or, in batched form, a tuple of brackets
-        ``(constant, position_1, ..., position_K)``; ``constant`` may be
-        None for zero. It is called first with t = `T_INTEGRAL`: if it
-        returns its exact t integrals there, the integral runs on the u
-        axis alone, with no t rule.
+        Vectorized integrand, called with u of shape (n, 1) at interior
+        nodes only, so endpoint singularities at u = 0, t = 0 or t = 1 are
+        never touched. Must be finite on (0, u_max] x (0, 1). Called with
+        t = `T_INTEGRAL`, it returns at each u the t integral and a bound on
+        that of the magnitude, as arrays of dtype `T_INTEGRAL_DTYPE`; in
+        batched form, a tuple of such brackets ``(constant, position_1,
+        ..., position_K)``, where ``constant`` may be None for zero. A plain
+        callable, which returns its values on a (u, t) grid instead, is
+        lifted once onto the engine's fixed t rule, graded toward t = 0,
+        and checked at the seed rows against the same rule on halved t
+        panels.
     decay_scale : float or sequence of float
         The exponential scale of the integrand, exp(-u * decay_scale);
         for the field integrands this is 2z (single interface) or
@@ -454,16 +367,13 @@ def integrate_semi_infinite(
     -------
     IntegralResult
         The error estimate is the sum of the Kronrod panel estimates, a
-        bound on the truncated tail beyond u_max and a t term. With a t rule
-        that term is measured, and its rho is each field's own (over the
-        constant and that field's position bracket); ``evaluations``
-        includes the probe's nodes, and ``t_order`` and ``t_levels`` record
-        the t rule the probe chose. With exact t integrals it is a fixed
-        roundoff allowance, 16 ulps of the integral of the magnitude;
-        ``evaluations`` counts u rows, and ``t_order`` and ``t_levels`` are
-        None. In batched form value and error_estimate have shape
-        (K, positions) and every position is integrated up to the u_max of
-        the slowest decay.
+        bound on the truncated tail beyond u_max and a roundoff allowance
+        for the t integrals, 16 ulps of the integral of the magnitude, or
+        for a lifted callable its check's largest relative gap if that is
+        more; ``evaluations`` counts u rows, the check's twice each. In
+        batched form value and
+        error_estimate have shape (K, positions) and every position is
+        integrated up to the u_max of the slowest decay.
 
     Raises
     ------
@@ -474,8 +384,8 @@ def integrate_semi_infinite(
     NonConvergence
         If the subdivision budget is exhausted first, or at once if the
         t term or the tail bound alone exceeds the tolerance, since
-        splitting panels reduces neither; the best estimate rides on the
-        exception as ``result``.
+        splitting panels reduces neither; the best estimate rides on
+        the exception as ``result``.
 
     Notes
     -----
@@ -499,25 +409,24 @@ def integrate_semi_infinite(
     envelope = envelope if batched else unit_envelope
     u_max = cfg.tail_exponent_budget / float(scales.min())
     levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
-    edges, probe_u, seed_u, seed_half = _seed_mesh(u_max, levels)
+    edges, seed_u, seed_half = _seed_mesh(u_max, levels)
     seed = f(seed_u[:, None], T_INTEGRAL)
-    if all(getattr(getattr(bracket, "dtype", None), "names", None) == T_INTEGRAL_DTYPE.names for bracket in _bracket_list(seed)):
-        order = t_levels = t_weights = None
-        t_row, t_size, rho, evaluations = T_INTEGRAL, 1, np.array([_T_INTEGRAL_ROUNDOFF]), seed_u.size
-    else:
-        seed = None  # an empty grid: f needs a t rule
-        order, t_levels, rho, evaluations = _probe_t_rule(f, probe_u, cfg)
-        t_nodes, t_weights = _graded_t_rule(order, t_levels)
-        t_row, t_size = t_nodes[None, :], t_nodes.size
-    panels_per_call = max(1, _NODE_CAP // t_size // 15)
+    evaluations = seed_u.size
+    t_rate = _T_INTEGRAL_ROUNDOFF
+    if not all(getattr(getattr(bracket, "dtype", None), "names", None) == T_INTEGRAL_DTYPE.names for bracket in _bracket_list(seed)):
+        plain, f = f, _lifted(f)  # an empty grid: a plain callable
+        seed = f(seed_u[:, None], T_INTEGRAL)
+        t_rate = max(t_rate, _lift_gap(plain, seed_u, seed))
+        evaluations *= 3  # the check's rule is twice the lift's, so each of its rows counts as two
+    panels_per_call = max(1, _NODE_CAP // 15)
 
     def f_rows(u: np.ndarray, rows: slice):
         """f at the u nodes u[rows], taken from the seed call's output where there is one."""
         nonlocal evaluations
         if seed is not None:
             return seed[rows] if not isinstance(seed, tuple) else tuple(b if b is None else b[rows] for b in seed)
-        evaluations += (rows.stop - rows.start) * t_size
-        return f(u[rows, None], t_row)
+        evaluations += rows.stop - rows.start
+        return f(u[rows, None], T_INTEGRAL)
 
     def eval_panels(u: np.ndarray, half: np.ndarray, with_tail: bool = False):
         """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel.
@@ -538,11 +447,8 @@ def integrate_semi_infinite(
             rows = slice(15 * start, 15 * stop + (with_tail and stop == panels))
             out = f_rows(u, rows)
             has_constant = isinstance(out, tuple) and out[0] is not None
-            if t_weights is None:  # rows (n, 1) of integral and magnitude, viewed as (n, 2)
-                reduced = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
-            else:  # (brackets, n, 2), the same layout
-                brackets = np.stack(_bracket_list(out))
-                reduced = np.stack((brackets @ t_weights, np.abs(brackets) @ t_weights), axis=-1)
+            # rows (n, 1) of integral and magnitude, viewed as (brackets, n, 2)
+            reduced = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
             weights = envelope(u[rows])  # (positions, n)
             p, n = stop - start, 15 * (stop - start)
             # (p, 3, brackets, 15): each bracket's t integrals weighted by K15 and K15 - G7, its magnitudes by K15
@@ -573,44 +479,36 @@ def integrate_semi_infinite(
         # splitting panels reduces neither the t term nor the tail bound
         pair = np.unravel_index(np.argmax(part - tol), part.shape)
         return NonConvergence(
-            f"{what} {float(part[pair]):.3e} alone exceeds the tolerance {float(tol[pair]):.3e} {hint}",
-            result=_result(batched, total, err_total, evaluations, u_max, order, t_levels),
+            f"{what} {float(part[pair]):.3e} alone exceeds the tolerance {float(tol[pair]):.3e}; {hint}",
+            result=_result(batched, total, err_total, evaluations, u_max),
         )
 
     splits = 0
     while True:
         total, kronrod_err, magnitude = panel.sum(axis=0)
-        # The t rule's error at a u node is estimated as the field's rho times
-        # the t integral of |C| + e|P|, the quantity rho is measured against;
-        # a plain integrand that changes sign in t is covered too. Exact t
-        # integrals take the roundoff allowance as their rho.
-        t_err = rho[:, None] * magnitude
+        # The t term is 16 ulps of the t integral of |C| + e|P|, so an integrand
+        # that changes sign in t is covered too; a lifted callable's is its
+        # check's largest relative gap if that is more.
+        t_err = t_rate * magnitude
         err_total = kronrod_err + tail + t_err
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
         failing = err_total > tol
         if not failing.any():
             break
-        if (t_err > tol).any() and order is None:
-            raise unreducible(t_err, "t-integral roundoff allowance", "of exact t integrals; loosen rel_tol or abs_tol")
-        if (t_err > tol).any():  # the probe's t rule
-            raise unreducible(
-                t_err,
-                "t-rule error estimate",
-                f"at inner_rule_order {order} with {t_levels} levels (started at {cfg.inner_rule_order}); "
-                "start from a higher inner_rule_order",
-            )
+        if (t_err > tol).any() and t_rate > _T_INTEGRAL_ROUNDOFF:
+            raise unreducible(t_err, "t-rule error estimate of the lifted callable", "its t dependence is not resolved by the fixed t rule")
+        if (t_err > tol).any():
+            raise unreducible(t_err, "roundoff allowance of the t integrals", "loosen rel_tol or abs_tol")
         if (tail > tol).any():
             raise unreducible(
-                tail,
-                "tail bound",
-                f"at tail_exponent_budget {cfg.tail_exponent_budget!r}; use a larger tail_exponent_budget",
+                tail, f"tail bound at tail_exponent_budget {cfg.tail_exponent_budget!r}", "use a larger tail_exponent_budget"
             )
         if splits >= cfg.max_subdivisions:
             total_max = float(np.max(np.abs(total)))
             raise NonConvergence(
                 f"error estimate {float(np.max(err_total)):.3e} still above tolerance after "
                 f"{splits} subdivisions (largest value {total_max:.6e})",
-                result=_result(batched, total, err_total, evaluations, u_max, order, t_levels),
+                result=_result(batched, total, err_total, evaluations, u_max),
             )
         # a round takes at most half the splits left, so a budget that runs out
         # ends on the worst panels split again, not on one wide round
@@ -629,7 +527,7 @@ def integrate_semi_infinite(
         panel = np.concatenate((panel[kept], halves))[by_lo]
         splits += split.size
 
-    return _result(batched, total, err_total, evaluations, u_max, order, t_levels)
+    return _result(batched, total, err_total, evaluations, u_max)
 
 
 def _panels_to_split(errors: np.ndarray, allowance: np.ndarray, most: int) -> np.ndarray:
@@ -652,111 +550,58 @@ def _panels_to_split(errors: np.ndarray, allowance: np.ndarray, most: int) -> np
     return panels
 
 
-def _probe_t_rule(f, u: np.ndarray, cfg: QuadratureConfig) -> Tuple[int, int, np.ndarray, int]:
-    """Choose the graded t rule's order and depth from a two-stage probe of f at the ascending u nodes.
+def _lifted(f):
+    """A plain callable f(u, t) as an integrand that answers t = `T_INTEGRAL`: its brackets' t integrals on the fixed graded rule."""
+    return lambda u, _: _rule_rows(f, u, *_T_RULE)
 
-    rho_L = max |Q_n,L b - Q_2n b| / Q_2n |b| over u rows and brackets
-    estimates the relative error of the order-n rule with L graded levels
-    against the order-2n rule at full depth. Stage 1 measures rho_L at every
-    depth (`_depth_rules`) on the _PROBE_TOP_ROWS largest u only, where the
-    t spike is narrowest. While rho at full depth exceeds _T_ERROR_FRACTION
-    * rel_tol the order doubles and stage 1 is repeated, at most
-    _T_ORDER_DOUBLINGS times; the depth is then the fewest levels whose
-    rho_L is within that bound, or full depth if none is. Stage 2 measures
-    the other rows at the chosen rule only; if one of them exceeds the
-    bound, they are probed again on the order-n rule at every depth, against
-    the order-2n sums kept from the first call, and the depth becomes the
-    fewest levels within the bound on every row. Order and depth are chosen
-    on the largest rho over every bracket, so a family of integrands shares
-    the rule its most demanding member needs; the rho returned is one per
-    field (`_field_rho`), each the maximum over every row at the chosen
-    rule.
 
-    Returns the order, the depth, its rho per field and the number of nodes
-    evaluated.
+def _lift_gap(f, u: np.ndarray, rows) -> float:
+    """Largest gap between a plain callable's lifted rows at u and the same rule on halved t panels, relative to the row's magnitude.
+
+    Where the lift resolves f in t the two agree to roundoff, within the
+    16-ulp allowance; a gap above it is the lift's error, such as that of a
+    spike inside (0, 1) narrower than the rule's panels.
     """
-    threshold = _T_ERROR_FRACTION * cfg.rel_tol
-    column = u[:, None]
-    top, rest = column[-_PROBE_TOP_ROWS:], column[:-_PROBE_TOP_ROWS]
-    evaluations = 0
-    for doublings in range(_T_ORDER_DOUBLINGS + 1):
-        order = cfg.inner_rule_order * 2**doublings
-        t, w_depths, w_hi = _probe_grid(order, 0)
-        rho, _, nodes = _rule_errors(f, _row_chunks(top, t.size), t, w_depths, w_hi)
-        evaluations += nodes
-        if rho[:, -1].max() <= threshold:
-            break
-    levels = _fewest_levels(rho, threshold)
-    t, w_rule, w_hi = _probe_grid(order, levels)
-    rows = _row_chunks(rest, t.size)
-    rho_rest, sums, nodes = _rule_errors(f, rows, t, w_rule, w_hi)
-    evaluations += nodes
-    if rho_rest.max() <= threshold:
-        return order, levels, np.maximum(rho[:, levels - 1], rho_rest[:, 0]), evaluations
-    t_depths, w_depths = _depth_rules(order)
-    rho_rest, _, nodes = _rule_errors(f, rows, t_depths[None, :], w_depths, sums=sums)
-    evaluations += nodes
-    rho = np.maximum(rho, rho_rest)
-    levels = _fewest_levels(rho, threshold)
-    return order, levels, rho[:, levels - 1], evaluations
+    check = _rule_rows(f, u[:, None], *_T_CHECK_RULE)
+    gaps = [
+        np.abs(lifted["integral"] - halved["integral"]) / np.maximum(halved["magnitude"], np.finfo(float).tiny)
+        for lifted, halved in zip(_bracket_list(rows), _bracket_list(check))
+    ]
+    return float(max(gap.max() for gap in gaps))
 
 
-def _fewest_levels(rho: np.ndarray, threshold: float) -> int:
-    """The fewest graded levels whose rho (fields, depths) is within threshold on every field, or full depth if none is."""
-    qualified = rho.max(axis=0) <= threshold
-    return int(qualified.argmax()) + 1 if qualified.any() else _T_RULE_LEVELS
+def _rule_rows(f, u: np.ndarray, t: np.ndarray, weights: np.ndarray):
+    """f's t integrals on a fixed rule, nodes t (1, m) and weights (m,), at the u rows (n, 1), in the form of f's output: `T_INTEGRAL` rows.
 
-
-def _row_chunks(u: np.ndarray, width: int):
-    """The u rows (n, 1) in as few equal calls of whole rows as keep each within _NODE_CAP nodes of width t nodes."""
-    calls = min(u.shape[0], -(-u.shape[0] * width // _NODE_CAP))
-    return (u,) if calls == 1 else np.array_split(u, calls)
-
-
-def _rule_errors(f, rows, t: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | None = None, sums: list | None = None):
-    """rho (fields, columns) of every weight column of the order-n rule over the u rows, the order-2n sums, and the nodes evaluated.
-
-    f is called once per chunk of rows on the t row (1, m): the rule's
-    nodes, then those of the order-2n rule at full depth, whose weights are
-    w_hi. Given the ``sums`` an earlier call on the same chunks returned, t
-    holds the rule's nodes alone and those sums are the reference. The sums
-    are (Q_2n b, Q_2n |b|) per chunk, for every bracket at once.
+    f is called on blocks of whole u rows within _NODE_CAP nodes and
+    returns one bracket or a tuple of brackets, whose constant may be None.
+    `_t_rows` reduces each row alike whatever its block, so no row depends
+    on the node cap.
     """
-    rule_nodes = w_rule.shape[0]
-    reference = iter(sums) if sums is not None else None
-    rho, kept = None, []
-    for chunk in rows:
-        out = f(chunk, t)
-        brackets = np.stack(_bracket_list(out))
-        pair = next(reference) if reference is not None else _reference_sums(brackets[..., rule_nodes:], w_hi)
-        kept.append(pair)
-        errors = _field_rho(out, _depth_errors(brackets, w_rule, sums=pair))
-        rho = errors if rho is None else np.maximum(rho, errors)
-    return rho, kept, sum(chunk.shape[0] for chunk in rows) * t.size
+    step = max(1, _NODE_CAP // t.size)
+    rows = None
+    for start in range(0, max(1, u.shape[0]), step):  # one call on no rows too, to learn f's brackets
+        out = f(u[start : start + step], t)
+        brackets = out if isinstance(out, tuple) else (out,)
+        if rows is None:
+            rows = [None if bracket is None else np.empty((u.shape[0], 2)) for bracket in brackets]
+        for row, bracket in zip(rows, brackets):
+            if row is not None:
+                row[start : start + step] = _t_rows(bracket, weights)
+    rows = [row if row is None else row.view(T_INTEGRAL_DTYPE) for row in rows]
+    return tuple(rows) if isinstance(out, tuple) else rows[0]
 
 
-def _field_rho(out, rho: np.ndarray) -> np.ndarray:
-    """rho per field from rho per bracket of one integrand call: field k's brackets are the constant, if any, and its own."""
-    if isinstance(out, tuple) and out[0] is not None:
-        return np.maximum(rho[0], rho[1:])
-    return rho
+def _t_rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(n, 2) integrals of the rows of values (n, m) on a rule's nodes, and of their absolute values.
 
-
-def _reference_sums(high: np.ndarray, w_hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(Q_2n b, Q_2n |b|) per u row, as columns, of brackets (..., n, m) on the order-2n rule's nodes."""
-    return (high @ w_hi)[..., None], (np.abs(high) @ w_hi)[..., None]
-
-
-def _depth_errors(brackets: np.ndarray, w_rule: np.ndarray, w_hi: np.ndarray | None = None, sums=None) -> np.ndarray:
-    """max over u of |Q b - Q_2n b| / Q_2n |b| for every weight column Q of w_rule: (..., columns) of brackets (..., n, m).
-
-    A bracket holds the rule's nodes, then the order-2n ones, unless the
-    order-2n ``sums`` of `_reference_sums` are given.
+    A sum along the last axis rounds each row alike whatever the number of
+    rows, so a row's integral does not depend on the call it came from.
     """
-    rule_nodes = w_rule.shape[0]
-    q_hi, magnitude = _reference_sums(brackets[..., rule_nodes:], w_hi) if sums is None else sums
-    diff = np.abs(brackets[..., :rule_nodes] @ w_rule - q_hi)
-    return np.divide(diff, magnitude, out=np.zeros(diff.shape), where=magnitude > 0).max(axis=-2)
+    rows = np.empty(values.shape[:-1] + (2,))
+    np.add.reduce(values * weights, axis=-1, out=rows[..., 0])
+    np.add.reduce(np.abs(values) * weights, axis=-1, out=rows[..., 1])
+    return rows
 
 
 def _bracket_list(out) -> list:
@@ -775,7 +620,7 @@ def family_size() -> int:
     """Members per family call: as many as keep the exact t integrals of its seed call within _FAMILY_NODES kernel nodes.
 
     A midgap family is a set of Drude integrands, which take their t
-    integrals exactly (no t rule). Its seed call evaluates every member at
+    integrals in closed form. Its seed call evaluates every member at
     the seed mesh's 136 u rows, and the Drude kernel integrates each row
     against a _DRUDE_KERNEL_NODES-node Gauss-Legendre rule: 4,352 nodes per
     member, so 15 members.
@@ -784,10 +629,10 @@ def family_size() -> int:
     return max(1, _FAMILY_NODES // (seed_rows * _DRUDE_KERNEL_NODES))
 
 
-def _result(batched: bool, total, err_total, evaluations: int, u_max: float, order: int, levels: int) -> IntegralResult:
+def _result(batched: bool, total, err_total, evaluations: int, u_max: float) -> IntegralResult:
     if batched:
-        return IntegralResult(total, err_total, evaluations, u_max, order, levels)
-    return IntegralResult(float(total[0, 0]), float(err_total[0, 0]), evaluations, u_max, order, levels)
+        return IntegralResult(total, err_total, evaluations, u_max)
+    return IntegralResult(float(total[0, 0]), float(err_total[0, 0]), evaluations, u_max)
 
 
 def integrate_fixed_grid(
@@ -807,7 +652,9 @@ def integrate_fixed_grid(
     the difference, which refines both axes, is the reported error gauge.
     Node placement, weights and refinement are all disjoint from the
     adaptive engine, which this function cross-checks. f is called on
-    whole log-u rows, at most _ORACLE_NODE_CAP nodes at a time.
+    whole log-u rows, at most _ORACLE_NODE_CAP nodes at a time. n_u must
+    be an integer of at least 16, budget positive and finite, and
+    u_min_factor positive and below budget; DomainError otherwise.
 
     With ``envelope`` f is in the batched form of `integrate_semi_infinite`
     and field k at position j integrates ``constant + envelope(u)[j] *
@@ -815,8 +662,12 @@ def integrate_fixed_grid(
     arrays, every position on the u range of the one decay_scale.
     """
     _checked_scales((decay_scale,), 0.0)
-    if n_u < 16:
-        raise DomainError(f"n_u must be at least 16, got {n_u!r}")
+    if not (is_integer(n_u) and n_u >= 16):
+        raise DomainError(f"n_u must be an integer of at least 16, got {n_u!r}")
+    if not (is_finite_real(budget) and budget > 0):
+        raise DomainError(f"budget must be a positive finite number, got {budget!r}")
+    if not (is_finite_real(u_min_factor) and 0 < u_min_factor < budget):
+        raise DomainError(f"u_min_factor must be a positive finite number below the budget, got {u_min_factor!r}")
     batched = envelope is not None
     envelope = envelope if batched else unit_envelope
     u_lo = u_min_factor / decay_scale

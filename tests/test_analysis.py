@@ -312,12 +312,6 @@ class TestMidpointScan:
         # 3 seed calls and the one round of panel splits of the default scan
         assert engine_calls.integrand <= 4
 
-    def test_grouping_does_not_depend_on_inner_rule_order(self, engine_calls):
-        # the Drude integrands take no t rule, so the order of one changes no row
-        rows = midpoint_scan(10.0, 1000.0, 20, QuadratureConfig(inner_rule_order=16))
-        assert midpoint_scan(10.0, 1000.0, 20, QuadratureConfig(inner_rule_order=64)) == rows
-        assert engine_calls.engine == 2 * -(-20 // quadrature.family_size()) == 4
-
     def test_reproducible(self):
         first = midpoint_scan(50.0, 150.0, 3)
         second = midpoint_scan(50.0, 150.0, 3)
@@ -631,11 +625,11 @@ def test_huge_permittivity_approaches_the_perfect_conductor(geometry, zs):
     "model", [Drude(2.0), ConstantEpsilon(4.0), PerfectConductor(), Vacuum()], ids=("drude", "eps", "pc", "vacuum")
 )
 def test_every_package_integral_takes_its_t_integral_exactly(monkeypatch, geometry, zs, model):
-    # no package integrand reaches the t-rule probe: profiles, points and plain fields alike
+    # no package integrand is lifted onto the engine's fixed t rule: profiles, points and plain fields alike
     def refused(*args):
-        raise AssertionError("the t-rule probe ran for a package integrand")
+        raise AssertionError("a package integrand was lifted onto the fixed t rule")
 
-    monkeypatch.setattr(quadrature, "_probe_t_rule", refused)
+    monkeypatch.setattr(quadrature, "_lifted", refused)
     results = []
     integrate = analysis.integrate_semi_infinite
 
@@ -650,4 +644,3 @@ def test_every_package_integral_takes_its_t_integral_exactly(monkeypatch, geomet
         f = integrand_function(kind, geometry, model, zs[1])
         results.append(integrate_semi_infinite(f, decay_scale_for(geometry, zs[1])))
     assert len(results) == 5
-    assert all(res.t_order is None and res.t_levels is None for res in results)

@@ -406,11 +406,10 @@ def _bracket_form_errors(geometry, model, z, u, t):
     return errors
 
 
-def _engine_grids(geometry, z):
-    """(u, t) of the engine's seed mesh on the full-depth order-16 t rule, and of its probe rows on the first probe stage's t row."""
-    _, probe_u, seed_u, _ = quadrature._seed_mesh(60.0 / decay_scale_for(geometry, z), quadrature._SEED_SPLITS)
-    seed_t = quadrature._graded_t_rule(16, quadrature._T_RULE_LEVELS)[0]
-    return (seed_u[:, None], seed_t[None, :]), (probe_u[:, None], quadrature._probe_grid(16, 0)[0])
+def _engine_grid(geometry, z):
+    """(u, t) of the engine's seed mesh on the fixed t rule of its lift."""
+    _, seed_u, _ = quadrature._seed_mesh(60.0 / decay_scale_for(geometry, z), quadrature._SEED_SPLITS)
+    return seed_u[:, None], quadrature._T_RULE[0]
 
 
 _ORACLE_GRID = (np.geomspace(1e-8, 600.0, 240)[:, None], np.geomspace(1e-16, 1.0, 160)[None, :])
@@ -428,7 +427,7 @@ def test_drude_closures_are_as_accurate_as_the_bracket_arithmetic(geometry, z):
     # to the size of the parts that cancel, is at most twice that of the
     # bracket arithmetic on the engine's grids and on the oracle's ranges
     for wp in (0.3, 2.0, 96.60661, 200.0, 1e4):
-        for u, t in (*_engine_grids(geometry, z), _ORACLE_GRID):
+        for u, t in (_engine_grid(geometry, z), _ORACLE_GRID):
             for closure, bracket_arithmetic in _node_errors(geometry, Drude(wp), z, u, t):
                 assert closure <= 2.0 * bracket_arithmetic, (wp, u.shape, t.shape)
 
@@ -445,7 +444,7 @@ def test_drude_bracket_form_is_as_accurate_as_the_field_closures(geometry, z):
     # also at u down to 1e-8 on the oracle's grid, where 1 + r taken by
     # subtraction used to lose 3.1e-8 of the scale
     for wp in (0.3, 2.0, 96.60661, 200.0, 1e4):
-        for u, t in (*_engine_grids(geometry, z), _ORACLE_GRID):
+        for u, t in (_engine_grid(geometry, z), _ORACLE_GRID):
             for closure, bracket_form in _bracket_form_errors(geometry, Drude(wp), z, u, t):
                 assert bracket_form <= max(2.0 * closure, 4 * np.finfo(float).eps), (wp, u.shape, t.shape)
                 assert bracket_form < 1e-10
@@ -675,7 +674,7 @@ class TestExactTIntegrals:
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
     def test_an_empty_t_row_gives_an_empty_grid(self, geometry):
         # a t row with no nodes that is not T_INTEGRAL is evaluated like any other,
-        # so the engine can still take its t rule for any closure
+        # so a closure called with a copy of T_INTEGRAL is lifted like a plain callable
         u, empty_row = _EXACT_U[:, None], np.empty((1, 0))
         for model in MODELS:
             for kind in KINDS:
@@ -826,6 +825,11 @@ class TestUndispersedTIntegrals:
             brackets = integrand_function(None, geometry, model)(np.array([[0.7]]), quadrature.T_INTEGRAL)
             assert [b.shape for b in brackets if b is not None] == [(1, 1)] * (2 + isinstance(geometry, Cavity))
             assert (brackets[0] is None) == isinstance(geometry, SingleInterface)
+            # no u rows give no rows, in the same brackets
+            assert f(np.empty(0), quadrature.T_INTEGRAL).shape == (0,)
+            brackets = integrand_function(None, geometry, model)(np.empty((0, 1)), quadrature.T_INTEGRAL)
+            assert [b.shape for b in brackets if b is not None] == [(0, 1)] * (2 + isinstance(geometry, Cavity))
+            assert all(b.dtype == quadrature.T_INTEGRAL_DTYPE for b in brackets if b is not None)
 
     def test_single_wall_rows_reuse_the_model_integrals(self, monkeypatch):
         # outside one mirror the brackets depend on t alone: their integrals are taken
@@ -856,7 +860,7 @@ class TestUndispersedTIntegrals:
         closures.append(integrand_function(None, Cavity(1.0), model))
         whole = [f(u, quadrature.T_INTEGRAL) for f in closures]
         for cap in (1, 500, 2_000):
-            monkeypatch.setattr(integrand, "_NODE_CAP", cap)
+            monkeypatch.setattr(quadrature, "_NODE_CAP", cap)
             for f, rows in zip(closures, whole):
                 np.testing.assert_array_equal(f(u, quadrature.T_INTEGRAL), rows)
         monkeypatch.undo()

@@ -1,5 +1,6 @@
 """The package's public names, and the names the benchmark tracer looks up in it."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -9,7 +10,17 @@ from pathlib import Path
 import numpy as np
 
 import casimir_fields
-from casimir_fields import Cavity, ConstantEpsilon, Drude, PerfectConductor, SingleInterface, Vacuum, analysis
+from casimir_fields import (
+    Cavity,
+    ConstantEpsilon,
+    Drude,
+    IntegralResult,
+    PerfectConductor,
+    QuadratureConfig,
+    SingleInterface,
+    Vacuum,
+    analysis,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,6 +38,23 @@ def test_public_attributes_are_the_exports():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert public == set(casimir_fields.__all__) - {"__version__"}
+
+
+def test_engine_knobs_and_result_fields_are_pinned():
+    # a knob or a result field cannot come back without this list changing with it
+    assert [field.name for field in dataclasses.fields(QuadratureConfig)] == [
+        "rel_tol",
+        "abs_tol",
+        "tail_exponent_budget",
+        "max_subdivisions",
+        "decay_scale_floor",
+    ]
+    assert [field.name for field in dataclasses.fields(IntegralResult)] == [
+        "value",
+        "error_estimate",
+        "evaluations",
+        "truncation_u",
+    ]
 
 
 def test_benchmark_boundaries_resolve():

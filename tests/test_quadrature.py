@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -32,7 +33,6 @@ class TestConfigValidation:
         assert cfg.rel_tol == 1e-8 and cfg.abs_tol == 1e-14
         assert cfg.tail_exponent_budget == 60.0
         assert cfg.max_subdivisions == 2000
-        assert cfg.inner_rule_order == 16
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -42,7 +42,6 @@ class TestConfigValidation:
             {"abs_tol": -1.0},
             {"tail_exponent_budget": 29.0},
             {"max_subdivisions": 9},
-            {"inner_rule_order": 1},
             {"decay_scale_floor": 0.0},
             # non-finite floats would "converge" with a meaningless err or burn every split on NaN
             {"rel_tol": math.inf},
@@ -53,11 +52,12 @@ class TestConfigValidation:
             {"decay_scale_floor": math.inf},
             {"rel_tol": "1e-8"},
             {"rel_tol": True},
-            # counts must be integers; a float order used to fail inside numpy's leggauss
-            {"inner_rule_order": 16.0},
-            {"inner_rule_order": True},
+            # counts must be integers
             {"max_subdivisions": 2000.0},
+            {"max_subdivisions": True},
             {"max_subdivisions": np.float64(2000.0)},
+            {"abs_tol": math.nan},
+            {"decay_scale_floor": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -67,10 +67,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"inner_rule_order": np.int64(8)},
             {"max_subdivisions": np.int32(100)},
             {"rel_tol": np.float32(1e-6), "abs_tol": 0},
             {"tail_exponent_budget": 30, "decay_scale_floor": np.float64(1e-3)},
+            {"max_subdivisions": np.int64(100)},
         ],
     )
     def test_numpy_and_int_configs_accepted(self, kwargs):
@@ -143,7 +143,7 @@ class TestEngineBasics:
         assert result.error_estimate > 0.0
         # exact value: (1/2)(1 + 1/(1 + 6400))
         assert result.value == pytest.approx(0.5 * (1.0 + 1.0 / 6401.0), rel=1e-2)
-        # the panels run on the t rule of the last call; after the 136 seed rows
+        # the lifted callable runs on the fixed t rule; after the 136 seed rows
         # every split adds 30, and the splits use up the budget, never more
         panel_rows = sum(rows for rows, width in calls if width == calls[-1][1])
         assert panel_rows - 136 == 30 * cfg.max_subdivisions
@@ -222,32 +222,16 @@ class TestBatchedEngine:
         assert batched.error_estimate[0, 0] == plain.error_estimate
         assert batched.evaluations == plain.evaluations
 
-    def test_each_family_member_keeps_its_own_t_term(self):
-        # midgap Drude(1) needs 2 graded t levels, Drude(96.60661) 1; the family
-        # runs at 2. At the root the second member's tolerance is abs_tol, which
-        # the first member's rho (about 1e-10) times its magnitude would exceed
-        # 230-fold, so with one rho for the family it could not converge
-        wps = (1.0, 96.60661)
-        f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
-        family = integrate_semi_infinite(_on_a_t_rule(f), [1.0], envelope=quadrature.unit_envelope)
-        alone = [_probed_energy_density(Cavity(1.0), Drude(wp), [0.5]) for wp in wps]
-        assert [res.t_levels for res in alone] == [2, 1] and family.t_levels == 2
-        assert QuadratureConfig().rel_tol * abs(alone[1].value) < QuadratureConfig().abs_tol
-        assert family.value.shape == family.error_estimate.shape == (2, 1)
-        for (value,), (err,), single in zip(family.value, family.error_estimate, alone):
-            assert abs(value - single.value) <= err + single.error_estimate
-            # the shared rule's rho for the midgap member sits at the roundoff
-            # floor (1.05e-15 at 1 level, 1.17e-15 at 2), so its t term may
-            # grow by a few 1e-18; the u-panel part, refined for both, falls
-            assert err <= (1.0 + 1e-3) * single.error_estimate
-
-    def test_family_members_with_exact_t_integrals(self):
-        # each member keeps its own roundoff allowance, 16 ulps of its own magnitude
+    @pytest.mark.parametrize("lifted", [False, True], ids=("exact", "lifted"))
+    def test_each_family_member_keeps_its_own_t_term(self, lifted):
+        # exact or lifted, each member keeps its own roundoff allowance, 16 ulps
+        # of its own magnitude; at the root the midgap member's tolerance is abs_tol
         wps = (1.0, 96.60661, 1e4)
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
-        family = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
-        alone = [_energy_density(Cavity(1.0), Drude(wp), [0.5]) for wp in wps]
-        assert family.t_order is None and all(res.t_order is None for res in alone)
+        family = integrate_semi_infinite(_plain(f) if lifted else f, [1.0], envelope=quadrature.unit_envelope)
+        alone = [_energy_density(Cavity(1.0), Drude(wp), [0.5], lifted=lifted) for wp in wps]
+        assert QuadratureConfig().rel_tol * abs(alone[1].value) < QuadratureConfig().abs_tol
+        assert family.value.shape == family.error_estimate.shape == (3, 1)
         for (value,), (err,), single in zip(family.value, family.error_estimate, alone):
             assert abs(value - single.value) <= err + single.error_estimate
             assert err <= (1.0 + 1e-3) * single.error_estimate
@@ -318,108 +302,88 @@ class TestEngineProperties:
 
 
 class TestPlainCallable:
-    def test_takes_the_t_rule(self):
+    def test_is_lifted_onto_the_fixed_t_rule(self):
         # the benchmark's set-up integral: a plain callable has no exact t
-        # integrals, so the probe chooses a t rule; its integral is 6 * 2/3
+        # integrals, so the engine lifts it onto its fixed t rule; its integral
+        # is 6 * 2/3, and it converges on the 136 u rows of the seed mesh, which
+        # the check on the halved t panels counts twice more
         res = integrate_semi_infinite(lambda u, t: u**3 * np.exp(-u) * (1.0 - t * t), 1.0)
         assert abs(res.value - 4.0) <= res.error_estimate
-        assert res.t_order is not None and res.t_levels is not None
+        assert res.evaluations == 3 * 136
 
 
-def _on_a_t_rule(f):
-    """f without its exact t integrals: a copy of T_INTEGRAL is an empty t row like any other, so the engine probes a t rule for f."""
+def _plain(f):
+    """f without its exact t integrals: a copy of T_INTEGRAL is an empty t row like any other, so the engine lifts f onto its fixed t rule."""
     return lambda u, t: f(u, np.array(t) if t is quadrature.T_INTEGRAL else t)
 
 
-def _field_brackets(geometry, model, zs, cfg=None, t_rule=False):
-    """e2 and b2 at every z from one batched engine call; on the probed t rule with ``t_rule``."""
+def _field_brackets(geometry, model, zs, cfg=None, lifted=False):
+    """e2 and b2 at every z from one batched engine call; on the lift's fixed t rule with ``lifted``."""
     f = integrand_function(None, geometry, model)
     scales = [decay_scale_for(geometry, z) for z in zs]
-    return integrate_semi_infinite(_on_a_t_rule(f) if t_rule else f, scales, cfg, envelope=position_envelope(geometry, zs))
+    return integrate_semi_infinite(_plain(f) if lifted else f, scales, cfg, envelope=position_envelope(geometry, zs))
 
 
-def _energy_density(geometry, model, zs, cfg=None, t_rule=False):
-    """U at the one position in zs from a plain engine call; on the probed t rule with ``t_rule``."""
+def _energy_density(geometry, model, zs, cfg=None, lifted=False):
+    """U at the one position in zs from a plain engine call; on the lift's fixed t rule with ``lifted``."""
     (z,) = zs
     f = integrand_function(FieldKind.ENERGY_DENSITY, geometry, model, z)
-    return integrate_semi_infinite(_on_a_t_rule(f) if t_rule else f, decay_scale_for(geometry, z), cfg)
-
-
-# The Drude integrands integrate over t exactly; on the probed t rule they keep covering the probe.
-_probed_brackets = functools.partial(_field_brackets, t_rule=True)
-_probed_energy_density = functools.partial(_energy_density, t_rule=True)
-
-
-def _full_depth(monkeypatch, integrate, *args):
-    """integrate(*args) with the probe's depth pinned to the maximum: a reference free of t-depth error."""
-    probe = quadrature._probe_t_rule
-
-    def full_depth_probe(*probe_args):
-        order, _, rho, evaluations = probe(*probe_args)
-        return order, quadrature._T_RULE_LEVELS, rho, evaluations
-
-    with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_probe_t_rule", full_depth_probe)
-        return integrate(*args)
+    return integrate_semi_infinite(_plain(f) if lifted else f, decay_scale_for(geometry, z), cfg)
 
 
 class TestTRuleError:
     @pytest.mark.parametrize(
         "integrate, geometry, model, zs",
         [
-            (_probed_brackets, SingleInterface(), Drude(1.0), [1e-3]),
-            (_probed_brackets, SingleInterface(), Drude(1.0), [1.0]),
-            # the profile where the u-panel part alone fell short by 1.6x
-            (_probed_brackets, SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))),
-            (_probed_brackets, Cavity(1.0), Drude(200.0), [0.02]),
-            (_probed_brackets, Cavity(1.0), Drude(200.0), [0.5]),
-            (_probed_brackets, Cavity(1.0), Drude(8.5), [0.5]),
-            (_probed_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5]),
-            (_probed_brackets, Cavity(1.0), PerfectConductor(), [0.3]),
+            (_field_brackets, SingleInterface(), Drude(1.0), [1e-3]),
+            (_field_brackets, SingleInterface(), Drude(1.0), [1.0]),
+            # the profile where the u-panel part alone once fell short by 1.6x
+            (_field_brackets, SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))),
+            (_field_brackets, Cavity(1.0), Drude(200.0), [0.02]),
+            (_field_brackets, Cavity(1.0), Drude(200.0), [0.5]),
+            (_field_brackets, Cavity(1.0), Drude(8.5), [0.5]),
+            (_field_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5]),
+            (_field_brackets, Cavity(1.0), PerfectConductor(), [0.3]),
             # a plain Drude cavity energy density C + e P changes sign in t at every u
-            (_probed_energy_density, Cavity(1.0), Drude(97.0), [0.5]),
-            (_probed_energy_density, Cavity(1.0), Drude(200.0), [0.5]),
+            (_energy_density, Cavity(1.0), Drude(97.0), [0.5]),
+            (_energy_density, Cavity(1.0), Drude(200.0), [0.5]),
         ],
         ids=(
             "drude1-1e-3", "drude1-1", "drude1-profile", "drude200-0.02", "drude200-0.5", "drude8.5", "eps4", "pc",
             "plain-u-drude97", "plain-u-drude200",
         ),
     )
-    def test_default_order_error_is_covered(self, monkeypatch, integrate, geometry, model, zs):
-        # the reference runs at order 128 and full depth, so err must cover
-        # the error of both the order and the depth the probe chose
-        res = integrate(geometry, model, zs)
-        reference = _full_depth(monkeypatch, integrate, geometry, model, zs, QuadratureConfig(inner_rule_order=128))
-        assert reference.t_levels == quadrature._T_RULE_LEVELS
-        assert np.all(np.abs(res.value - reference.value) <= res.error_estimate)
-        # the exact t integrals meet the same reference within their own err
-        exact = integrate(geometry, model, zs, t_rule=False)
-        assert exact.t_order is None
-        assert np.all(np.abs(exact.value - reference.value) <= exact.error_estimate)
+    def test_lifted_grid_form_meets_the_exact_t_integrals(self, integrate, geometry, model, zs):
+        # the closures' (u, t) grid form on the lift's fixed rule is an
+        # independent, rule-based check of their exact t integrals
+        lifted, exact = integrate(geometry, model, zs, lifted=True), integrate(geometry, model, zs)
+        assert np.all(np.abs(lifted.value - exact.value) <= lifted.error_estimate + exact.error_estimate)
 
-    @pytest.mark.parametrize("a", [9.0, 5.0 * math.pi])
+    @pytest.mark.parametrize("a", [9.0, 5.0 * math.pi, 40.0])
     def test_t_term_of_a_sign_changing_integrand(self, a):
         # cos(a t) - sin(a)/a integrates to zero in t at every u, so the value
-        # is the t rule's error alone; a t term scaled by |integral of f dt|
-        # instead of the integral of |f| would report 1e-5 of it or less
-        f = lambda u, t: np.exp(-u) * (np.cos(a * t) - math.sin(a) / a)
-        res = integrate_semi_infinite(f, 1.0, QuadratureConfig(inner_rule_order=4, rel_tol=1e-3, abs_tol=1e-3))
-        assert res.value != 0.0
-        assert res.error_estimate >= 0.5 * abs(res.value)
+        # is the fixed t rule's roundoff alone; the t term, 16 ulps of the
+        # integral of |f| rather than of |integral of f dt|, covers it. The
+        # rule takes the integral of |f|, kinked where f changes sign, within 3.2%
+        c = math.sin(a) / a
+        f = lambda u, t: np.exp(-u) * (np.cos(a * t) - c)
+        res = integrate_semi_infinite(f, 1.0)
+        magnitude = quad(lambda t: abs(math.cos(a * t) - c), 0.0, 1.0, limit=200)[0]
+        assert res.error_estimate >= 0.9 * quadrature._T_INTEGRAL_ROUNDOFF * magnitude
+        assert abs(res.value) <= res.error_estimate
 
-    @pytest.mark.parametrize("start, rel_tol, order", [(4, 1e-8, 16), (16, 1e-13, 32)])
-    def test_short_start_order_escalates(self, monkeypatch, start, rel_tol, order):
-        # Drude(1) at z = 1e-3 has the sharpest t spike of the field integrands
-        case = (SingleInterface(), Drude(1.0), [1e-3])
-        escalated = _probed_brackets(*case, QuadratureConfig(inner_rule_order=start, rel_tol=rel_tol))
-        direct = _probed_brackets(*case, QuadratureConfig(inner_rule_order=order, rel_tol=rel_tol))
-        np.testing.assert_array_equal(escalated.value, direct.value)
-        np.testing.assert_allclose(escalated.error_estimate, direct.error_estimate, rtol=1e-6)
-        assert (escalated.t_order, escalated.t_levels) == (direct.t_order, direct.t_levels)
-        assert escalated.t_order == order
-        assert escalated.evaluations > direct.evaluations  # the extra probes
-        reference = _full_depth(monkeypatch, _probed_brackets, *case, QuadratureConfig(inner_rule_order=128, rel_tol=rel_tol))
-        assert np.all(np.abs(escalated.value - reference.value) <= escalated.error_estimate)
+    @pytest.mark.parametrize("width", [1e-2, 1e-3, 1e-4])
+    def test_spike_the_lift_does_not_resolve(self, width):
+        # e^-u / (1 + ((t - 0.5) / w)^2): the fixed rule is graded toward t = 0
+        # only, and misses this spike by up to 0.025; its check on the halved t
+        # panels sees the gap, which stops the integral at once, and at a
+        # tolerance it cannot fail, bounds the error of the value
+        f = lambda u, t: np.exp(-u) / (1.0 + ((t - 0.5) / width) ** 2)
+        with pytest.raises(NonConvergence, match="not resolved by the fixed t rule") as excinfo:
+            integrate_semi_infinite(f, 1.0)
+        assert excinfo.value.result.evaluations == 3 * 136
+        res = integrate_semi_infinite(f, 1.0, QuadratureConfig(rel_tol=1.0, abs_tol=1.0))
+        assert abs(res.value - 2.0 * width * math.atan(0.5 / width)) <= res.error_estimate
 
     def test_tail_above_tolerance_stops_at_once(self):
         # the tail bound beyond u_max = 30 exceeds 1e-10 relative, and no split reduces it
@@ -428,19 +392,12 @@ class TestTRuleError:
             _energy_density(SingleInterface(), Drude(1.0), [0.5], cfg)
         assert excinfo.value.result.evaluations < 300_000
 
-    def test_too_short_t_rule_stops_at_once(self):
-        # three doublings from order 2 reach 16, whose t error is far above 1e-13
-        cfg = QuadratureConfig(inner_rule_order=2, rel_tol=1e-13)
-        with pytest.raises(NonConvergence, match="inner_rule_order") as excinfo:
-            _probed_brackets(SingleInterface(), Drude(1.0), [1e-3], cfg)
-        assert excinfo.value.result.evaluations < 300_000
-
     def test_roundoff_allowance_above_tolerance_stops_at_once(self):
         # exact t integrals carry 16 ulps of the magnitude; a tolerance below that cannot be met
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
         with pytest.raises(NonConvergence, match="roundoff allowance") as excinfo:
             _energy_density(Cavity(1.0), Drude(200.0), [0.5], cfg)
-        assert excinfo.value.result.evaluations == 136 and excinfo.value.result.t_order is None
+        assert excinfo.value.result.evaluations == 136
 
 
 def _spike_integrand(width, narrow_at_small_u=False):
@@ -471,27 +428,10 @@ class TestTRuleDepth:
 
     @pytest.mark.parametrize("width", [1e-1, 1e-2, 1e-3])
     def test_depth_error_is_covered_when_small_u_needs_it(self, width):
-        # the spike narrows towards u = 0, so the probe rows below the top ones set the depth
+        # the spike narrows towards u = 0 rather than towards u_max
         res, reference = _spike(width, narrow_at_small_u=True)
         assert abs(res.value - reference) <= res.error_estimate
 
-    def test_depth_grows_as_the_spike_narrows(self):
-        levels = [_spike(width)[0].t_levels for width in (1.0, 1e-2, 1e-3)]
-        assert levels[0] < levels[1] < levels[2] < quadrature._T_RULE_LEVELS
-
-    def test_midgap_integral_stays_shallow(self):
-        # the Drude t spike, about wp / u wide, is wider than 1 on the midgap integrals
-        res = _probed_energy_density(Cavity(1.0), Drude(97.0), [0.5])
-        assert res.t_order == 16 and res.t_levels <= 2
-        # two probe stages (3 rows x 1,056 t nodes, 7 x 576) and the 136 x 32 seed mesh: 11,552, then 2 splits of 960
-        assert res.evaluations < 14_000
-
-    def test_near_wall_integral_goes_deep(self):
-        res = _probed_brackets(SingleInterface(), Drude(1.0), [1e-3])
-        assert res.t_levels >= 5
-        # the top probe rows pick this depth alone, so no row is probed at every depth
-        # twice: 7,648 probe nodes, the 136 x 96 seed mesh and 3 splits of 2,880 make 29,344
-        assert res.evaluations < 32_000
 
 
 class TestRootAdjacentIntegrals:
@@ -506,7 +446,7 @@ class TestRootAdjacentIntegrals:
     )
     def test_plain_integral(self, wp, evaluations, err):
         res = _energy_density(Cavity(1.0), Drude(wp), [0.5])
-        assert (res.t_order, res.t_levels, res.evaluations) == (None, None, evaluations)
+        assert res.evaluations == evaluations
         assert res.error_estimate == pytest.approx(err, rel=1e-2)
         cfg = QuadratureConfig()
         assert res.error_estimate <= max(cfg.rel_tol * abs(res.value), cfg.abs_tol)
@@ -529,40 +469,10 @@ class TestRootAdjacentIntegrals:
         wps = (95.0, 96.0, 96.60661, 97.0, 98.0)
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
         res = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
-        assert (res.t_order, res.t_levels, res.evaluations) == (None, None, 286)
+        assert res.evaluations == 286
         expected = [7.1924e-15, 7.1420e-15, 7.1159e-15, 7.0907e-15, 7.0479e-15]
         np.testing.assert_allclose(res.error_estimate[:, 0], expected, rtol=1e-2)
         assert np.all(res.error_estimate <= QuadratureConfig().abs_tol)
-
-
-def _reference_probe(f, u, cfg):
-    """Order, depth and rho from every u row at every depth of the order-n rule: what the two-stage probe must match."""
-    threshold = quadrature._T_ERROR_FRACTION * cfg.rel_tol
-    for doublings in range(quadrature._T_ORDER_DOUBLINGS + 1):
-        order = cfg.inner_rule_order * 2**doublings
-        t_depths, w_depths = quadrature._depth_rules(order)
-        t_hi, w_hi = quadrature._graded_t_rule(2 * order, quadrature._T_RULE_LEVELS)
-        t = np.concatenate((t_depths, t_hi))
-        brackets = quadrature._bracket_list(f(u[:, None], t[None, :]))
-        rho = np.max([quadrature._depth_errors(bracket, w_depths, w_hi) for bracket in brackets], axis=0)
-        if rho[-1] <= threshold:
-            break
-    qualified = np.flatnonzero(rho <= threshold)
-    levels = int(qualified[0]) + 1 if qualified.size else quadrature._T_RULE_LEVELS
-    return order, levels, float(rho[levels - 1])
-
-
-def _probe_calls(monkeypatch, integrate, *args):
-    """integrate(*args), and the (arguments, result) of every probe it ran."""
-    probe, calls = quadrature._probe_t_rule, []
-
-    def recording_probe(*probe_args):
-        calls.append((probe_args, probe(*probe_args)))
-        return calls[-1][1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_probe_t_rule", recording_probe)
-        return integrate(*args), calls
 
 
 def _counted(f):
@@ -580,89 +490,54 @@ def _counted(f):
     return counted, nodes
 
 
-_MIDGAP_WPS, _SINGLE_ZS = (1.0, 10.0, 97.0, 100.0, 1e3, 1e4), (1e-5, 1e-3, 0.1, 0.5)
-
-
-class TestTwoStageProbe:
-    @pytest.mark.parametrize(
-        "integrate, geometry, model, zs",
-        [(_probed_energy_density, Cavity(1.0), Drude(wp), [0.5]) for wp in _MIDGAP_WPS]
-        + [(_probed_brackets, SingleInterface(), Drude(1.0), [z]) for z in _SINGLE_ZS]
-        + [(_probed_brackets, SingleInterface(), ConstantEpsilon(4.0), [0.5])],
-        ids=[f"midgap-drude{wp:g}" for wp in _MIDGAP_WPS] + [f"drude1-{z:g}" for z in _SINGLE_ZS] + ["eps4"],
-    )
-    def test_matches_the_all_rows_probe(self, monkeypatch, integrate, geometry, model, zs):
-        res, calls = _probe_calls(monkeypatch, integrate, geometry, model, zs)
-        ((args, (order, levels, rho, _)),) = calls
-        ref_order, ref_levels, ref_rho = _reference_probe(*args)
-        assert (order, levels) == (ref_order, ref_levels) == (res.t_order, res.t_levels)
-        # the reference's rho is over every bracket, the probe's one per field, so
-        # it is their largest; both reduce the same bracket values, in products of
-        # different shapes, so they agree to a few float64 ulps of the unit-normalised t sums
-        assert rho.max() >= ref_rho - 32 * np.finfo(float).eps
-
-    def test_stage_two_deepens_for_the_lower_rows(self, monkeypatch):
-        f = _spike_integrand(1e-2, narrow_at_small_u=True)
-        _, ((args, (order, levels, rho, _)),) = _probe_calls(monkeypatch, integrate_semi_infinite, f, 1.0)
-        _, u, cfg = args
-        top_levels = _reference_probe(f, u[-quadrature._PROBE_TOP_ROWS :], cfg)[1]
-        assert (order, levels) == _reference_probe(*args)[:2]
-        assert levels > top_levels
-        assert rho <= quadrature._T_ERROR_FRACTION * cfg.rel_tol
-
-
 class TestEvaluationCount:
-    # a package integral counts u rows, one per exact t integral; one on a t rule counts (u, t) nodes
+    # every integral counts u rows: one per exact t integral, or per row of a
+    # lifted callable, which is evaluated at the fixed rule's 544 t nodes
+    _T_NODES = quadrature._T_RULE[1].size
+
     def test_plain_call(self):
         f, nodes = _counted(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5))
         res = integrate_semi_infinite(f, 1.0)
-        assert res.evaluations == nodes[0] and res.t_order is None
+        assert res.evaluations == nodes[0]
 
-    def test_plain_call_on_a_t_rule(self):
-        f, nodes = _counted(_on_a_t_rule(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5)))
+    @pytest.mark.parametrize(
+        "f",
+        [
+            _plain(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(97.0), 0.5)),
+            _spike_integrand(1e-2, narrow_at_small_u=True),
+        ],
+        ids=("drude-grid-form", "spike"),
+    )
+    def test_lifted_call(self, f):
+        f, nodes = _counted(f)
         res = integrate_semi_infinite(f, 1.0)
-        assert res.evaluations == nodes[0] and res.t_order == 16
+        assert self._T_NODES == 544 and res.evaluations * self._T_NODES == nodes[0]
 
     def test_batched_call(self):
         geometry, zs = SingleInterface(), [1e-3, 0.1, 2.0]
         for model in (Drude(1.0), ConstantEpsilon(4.0)):
-            for t_rule in (False, True):
+            for lifted in (False, True):
                 f, nodes = _counted(integrand_function(None, geometry, model))
                 scales = [decay_scale_for(geometry, z) for z in zs]
-                res = integrate_semi_infinite(
-                    _on_a_t_rule(f) if t_rule else f, scales, envelope=position_envelope(geometry, zs)
-                )
-                assert res.evaluations == nodes[0]
-                assert (res.t_order is None) != t_rule
+                res = integrate_semi_infinite(_plain(f) if lifted else f, scales, envelope=position_envelope(geometry, zs))
+                assert res.evaluations * (self._T_NODES if lifted else 1) == nodes[0]
 
     def test_family_call(self):
         models = [Drude(wp) for wp in (1.0, 96.60661, 1e3)]
         f, nodes = _counted(integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), models, 0.5))
         res = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
-        assert res.evaluations == nodes[0] and res.t_order is None
-
-    def test_call_whose_probe_deepens_in_stage_two(self):
-        f, nodes = _counted(_spike_integrand(1e-2, narrow_at_small_u=True))
-        assert integrate_semi_infinite(f, 1.0).evaluations == nodes[0]
-
-    def test_deepened_probe_keeps_its_reference(self, monkeypatch):
-        # stage 1 on 3 rows x 1,056 t nodes, stage 2 on 7 x 576 and, as it
-        # deepens, 7 x 512 for the order-16 rule at every depth: the order-32
-        # reference of the first stage-2 call is kept, not evaluated again
-        f = _spike_integrand(1e-2, narrow_at_small_u=True)
-        _, ((_, (_, _, _, probe_nodes)),) = _probe_calls(monkeypatch, integrate_semi_infinite, f, 1.0)
-        assert probe_nodes == 3 * 1_056 + 7 * 576 + 7 * 512
+        assert res.evaluations == nodes[0]
 
 
 class TestSetUpCaches:
     def test_cached_grids_are_read_only(self):
-        cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS), *quadrature._probe_grid(16, 0)]
-        cached += [*quadrature._probe_grid(16, 1), quadrature._tail_factor(60.0, (1.0, 0.5))]
+        cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS), quadrature._tail_factor(60.0, (1.0, 0.5))]
+        cached += [*quadrature._T_RULE, *quadrature._T_CHECK_RULE]
         assert all(not array.flags.writeable for array in cached)
 
     def test_family_size_fills_the_kernel_budget(self):
         # 136 seed rows x the 32 Gauss-Legendre nodes of the Drude kernel fit 15 times in 4 x 16,384 nodes
-        seed_rows = quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS)[2].size
+        seed_rows = quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS)[1].size
         assert (seed_rows, integrand._gauss_rule()[0].size) == (136, quadrature._DRUDE_KERNEL_NODES)
         assert quadrature.family_size() == quadrature._FAMILY_NODES // (136 * 32) == 15
 
@@ -675,8 +550,10 @@ class TestSetUpCaches:
 
         envelope = lambda u: np.exp(-np.outer(scales, u))
         first = integrate_semi_infinite(g, scales, envelope=envelope)
-        # after the t-integral check, the two probe stages and the seed: 19 splits in 3 rounds
-        assert rows[4:] == [30 * 5, 30 * 7, 30 * 7]
+        # after the t-integral call, the lifted callable takes the 226 seed rows
+        # on the fixed rule and again on the check's, then 19 splits of 30 rows,
+        # in blocks of whole rows within the node cap
+        assert rows[0] == 226 and sum(rows[1:]) == 2 * 226 + 30 * 19
         second = integrate_semi_infinite(g, scales, envelope=envelope)
         assert first.evaluations == second.evaluations
         assert first.value.tobytes() == second.value.tobytes()
@@ -690,44 +567,37 @@ class TestSetUpCaches:
         integrate_semi_infinite(g, scales, envelope=lambda u: np.exp(-np.outer(scales, u)))
         assert integrate_semi_infinite(f, 1.0) == first
 
-    def test_batched_call_in_several_chunks(self, monkeypatch):
-        self._chunked(monkeypatch, t_rule=True)
-
-    def test_exact_t_batched_call_in_several_chunks(self, monkeypatch):
-        self._chunked(monkeypatch, t_rule=False)
-
-    @staticmethod
-    def _chunked(monkeypatch, t_rule):
-        # on the t rule f is called on chunks of whole panels, and each chunk's t
-        # reduction is a matrix-vector product whose rounding depends on the rows
-        # in it, as the probe's does: the values stay within err. Exact t integrals
-        # take the seed mesh in one call, each panel's Kronrod sums are a product
-        # of their own and the panels are summed in order, so the integral is
-        # bit-identical whatever the node cap
-        cases = [(Cavity(1.0), Drude(200.0), list(np.linspace(0.02, 0.98, 25)))]
-        if not t_rule:
-            cases.append((SingleInterface(), Drude(1.0), list(np.geomspace(1e-3, 5.0, 64))))
-        for geometry, model, zs in cases:
-            whole = _field_brackets(geometry, model, zs, t_rule=t_rule)
-            for cap in (1_024,) if t_rule else (1_024, 64):
-                f, calls = integrand_function(None, geometry, model), [0]
-                f = _on_a_t_rule(f) if t_rule else f
+    @pytest.mark.parametrize("lifted", [False, True], ids=("exact", "lifted"))
+    def test_integral_does_not_depend_on_the_node_cap(self, monkeypatch, lifted):
+        # f is called on chunks of whole panels, and a lifted callable on blocks
+        # of whole u rows; each row's t integral is a sum along the row
+        # (`quadrature._t_rows`), each panel's Kronrod sums a product of their
+        # own, and the panels are summed in order, so the integral is
+        # bit-identical whatever the node cap. Exact t integrals take the seed
+        # mesh in one call
+        cases = [_bracket_form(Cavity(1.0), Drude(200.0), np.linspace(0.02, 0.98, 25))]
+        if lifted:
+            cases.append((_spike_integrand(1e-2), 1.0, None))
+        else:
+            cases.append(_bracket_form(SingleInterface(), Drude(1.0), np.geomspace(1e-3, 5.0, 64)))
+        for f, scales, envelope in cases:
+            f, calls, results = _plain(f) if lifted else f, [], []
+            for cap in (16_384, 1_024, 64):
 
                 def counted(u, t):
-                    calls[0] += 1
+                    calls[-1] += 1
                     return f(u, t)
 
+                calls.append(0)
                 with monkeypatch.context() as patch:
                     patch.setattr(quadrature, "_NODE_CAP", cap)
-                    scales = [decay_scale_for(geometry, z) for z in zs]
-                    chunked = integrate_semi_infinite(counted, scales, envelope=position_envelope(geometry, zs))
-                assert calls[0] > 10 if t_rule else calls[0] == 1
+                    results.append(integrate_semi_infinite(counted, scales, envelope=envelope))
+            assert calls[0] < calls[1] <= calls[2] if lifted else calls == [1, 1, 1]
+            whole = results[0]
+            for chunked in results[1:]:
                 assert chunked.evaluations == whole.evaluations
-                if t_rule:
-                    assert np.all(np.abs(chunked.value - whole.value) <= whole.error_estimate)
-                else:
-                    assert chunked.value.tobytes() == whole.value.tobytes()
-                    assert chunked.error_estimate.tobytes() == whole.error_estimate.tobytes()
+                assert np.asarray(chunked.value).tobytes() == np.asarray(whole.value).tobytes()
+                assert np.asarray(chunked.error_estimate).tobytes() == np.asarray(whole.error_estimate).tobytes()
 
 
 _KRONROD = np.concatenate((quadrature._K15_WEIGHTS[:-1], quadrature._K15_WEIGHTS[::-1]))
@@ -735,33 +605,29 @@ _GAUSS = np.zeros(15)
 _GAUSS[1::2] = np.concatenate((quadrature._G7_WEIGHTS[:-1], quadrature._G7_WEIGHTS[::-1]))
 
 
-def _panel_loop(f, scales, envelope, cfg, t_rule):
+def _panel_loop(f, scales, envelope, cfg, lifted):
     """Value, error estimate and magnitude sum of an integral that converges on its seed mesh, panel by panel and node by node.
 
     Each panel's Kronrod and Gauss sums take constant + e_j position_k at
     every node for every (field, position), in a plain loop: the reference
-    for the engine's matrix product per panel. With ``t_rule`` f is reduced
-    on the graded t rule its probe picks; otherwise f gives its exact t
-    integrals. The tail bound and the t term are added as the engine does.
+    for the engine's matrix product per panel. With ``lifted`` f is reduced
+    on the lift's fixed t rule; otherwise f gives its exact t integrals. The
+    tail bound and the t term are added as the engine does.
     """
     scales = np.asarray(scales, dtype=float)
     u_max = cfg.tail_exponent_budget / scales.min()
     levels = quadrature._SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
-    _, probe_u, nodes, half = quadrature._seed_mesh(u_max, levels)
-    if t_rule:
-        order, depth, rho, _ = quadrature._probe_t_rule(f, probe_u, cfg)
-        t, w = quadrature._graded_t_rule(order, depth)
-    else:
-        rho = np.array([quadrature._T_INTEGRAL_ROUNDOFF])
+    _, nodes, half = quadrature._seed_mesh(u_max, levels)
+    t, w = quadrature._T_RULE
 
     def reduced(u):
         """Constant, |constant|, positions and |positions| t integrals at the nodes u; zero for no constant."""
-        out = f(u[:, None], t[None, :] if t_rule else quadrature.T_INTEGRAL)
+        out = f(u[:, None], t if lifted else quadrature.T_INTEGRAL)
         rows = []
         for bracket in list(out) if isinstance(out, tuple) else [None, out]:
             if bracket is None:
                 rows.append((np.zeros(u.size), np.zeros(u.size)))
-            elif t_rule:
+            elif lifted:
                 rows.append(((bracket * w).sum(axis=-1), (np.abs(bracket) * w).sum(axis=-1)))
             else:
                 rows.append((bracket["integral"][:, 0], bracket["magnitude"][:, 0]))
@@ -783,7 +649,7 @@ def _panel_loop(f, scales, envelope, cfg, t_rule):
     b = u_max * scales
     g_tail = c_abs[0] + envelope(nodes[-1:])[None, :, 0] * p_abs[:, None, 0]
     tail = 2.0 * g_tail * (1.0 + 3.0 / b + 6.0 / b**2 + 6.0 / b**3) / scales
-    return value, gap + tail + rho[:, None] * magnitude, magnitude, nodes.size
+    return value, gap + tail + quadrature._T_INTEGRAL_ROUNDOFF * magnitude, magnitude, nodes.size
 
 
 def _midgap_family(wps):
@@ -800,7 +666,7 @@ class TestKronrodContraction:
     # integrals that converge on their seed mesh: the 15-member scan family at
     # rel_tol 1e-6, since at 1e-8 it splits panels the loop would not follow
     @pytest.mark.parametrize(
-        "case, t_rule, rel_tol",
+        "case, lifted, rel_tol",
         [
             (lambda: _midgap_family(np.geomspace(10.0, 1000.0, 15)), False, 1e-6),
             (lambda: _midgap_family((50.0, 200.0)), False, 1e-8),
@@ -809,11 +675,11 @@ class TestKronrodContraction:
             (lambda: (lambda u, t: u**3 * np.exp(-u) * (1.0 - t * t), [1.0], quadrature.unit_envelope), True, 1e-8),
             (lambda: _bracket_form(Cavity(1.0), Drude(200.0), np.linspace(0.02, 0.98, 25)), True, 1e-8),
         ],
-        ids=("scan-family", "critical-ends", "cavity", "single-wall", "plain-t-rule", "cavity-t-rule"),
+        ids=("scan-family", "critical-ends", "cavity", "single-wall", "plain-lifted", "cavity-lifted"),
     )
-    def test_matches_the_panel_loop(self, case, t_rule, rel_tol):
+    def test_matches_the_panel_loop(self, case, lifted, rel_tol):
         f, scales, envelope = case()
-        f = _on_a_t_rule(f) if t_rule else f
+        f = _plain(f) if lifted else f
         cfg, rows = QuadratureConfig(rel_tol=rel_tol), []
 
         def recorded(u, t):
@@ -821,9 +687,11 @@ class TestKronrodContraction:
             return f(u, t)
 
         res = integrate_semi_infinite(recorded, scales, cfg, envelope=envelope)
-        value, err, magnitude, seed_rows = _panel_loop(f, scales, envelope, cfg, t_rule)
-        # no panel split: the last call is the seed mesh's
-        assert rows[-1] == seed_rows and rows.count(seed_rows) == 1 + t_rule
+        value, err, magnitude, seed_rows = _panel_loop(f, scales, envelope, cfg, lifted)
+        # no panel split: the T_INTEGRAL call on the seed mesh and, lifted, its
+        # rows in blocks on the fixed rule and on the check's, whose gap stays
+        # within the roundoff allowance
+        assert rows[0] == seed_rows and sum(rows) == (1 + 2 * lifted) * seed_rows
         assert res.value.shape == value.shape and value.shape[1] == len(scales)
         ulps = 4 * np.finfo(float).eps * magnitude
         assert np.all(np.abs(res.value - value) <= ulps)
@@ -874,5 +742,68 @@ class TestFixedGridOracle:
         f = lambda u, t: u * 0.0 + t * 0.0
         with pytest.raises(InvalidDecayScale):
             integrate_fixed_grid(f, 0.0)
+        assert integrate_fixed_grid(f, 1.0, n_u=np.int64(16), budget=30, u_min_factor=np.float32(1e-6)).value == 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_u": 8},
+            # unchecked, a float count fails with a TypeError inside numpy's linspace
+            {"n_u": 20.0},
+            {"n_u": True},
+            # unchecked, NaN gives NaN, a reversed range a wrong value and these a bare math domain error
+            {"budget": math.nan},
+            {"budget": math.inf},
+            {"budget": -1.0},
+            {"budget": "60"},
+            {"u_min_factor": 0.0},
+            {"u_min_factor": math.nan},
+            {"u_min_factor": 60.0},
+            {"u_min_factor": 100.0},
+        ],
+    )
+    def test_oracle_inputs_are_checked(self, kwargs):
+        def never(u, t):
+            raise AssertionError("evaluated")
+
         with pytest.raises(DomainError):
-            integrate_fixed_grid(f, 1.0, n_u=8)
+            integrate_fixed_grid(never, 1.0, **kwargs)
+
+
+def _spike_t_integral(width, narrow_at_small_u, u):
+    """e^-u s arctan(1 / s) in mpmath, the t integral of `_spike_integrand` at u."""
+    s = mpmath.mpf(width) * u if narrow_at_small_u else mpmath.mpf(width) / u
+    return mpmath.exp(-u) * s * mpmath.atan(1 / s)
+
+
+def _cosine_t_integral(a, u):
+    """e^-u (sin(a)/a - c) in mpmath, the t integral of e^-u (cos(a t) - c) at u for the float c = sin(a)/a."""
+    return mpmath.exp(-u) * (mpmath.sin(a) / a - math.sin(a) / a)
+
+
+class TestLiftedRule:
+    # the lift's fixed rule against closed-form t integrals: within the 16-ulp
+    # roundoff allowance of the magnitude that every t integral carries
+    _U = np.geomspace(1e-4, 60.0, 61)
+
+    @pytest.mark.parametrize(
+        "f, exact",
+        [
+            (_spike_integrand(w, narrow), functools.partial(_spike_t_integral, w, narrow))
+            for narrow in (False, True)
+            for w in (1.0, 1e-2, 1e-3)
+        ]
+        + [
+            (lambda u, t, a=a: np.exp(-u) * (np.cos(a * t) - math.sin(a) / a), functools.partial(_cosine_t_integral, a))
+            for a in (9.0, 5.0 * math.pi, 40.0)
+        ],
+        ids=[f"spike-{w:g}{'-narrow-at-small-u' if narrow else ''}" for narrow in (False, True) for w in (1.0, 1e-2, 1e-3)]
+        + ["cos-9", "cos-5pi", "cos-40"],
+    )
+    def test_within_the_roundoff_allowance(self, f, exact):
+        rows = quadrature._lifted(f)(self._U[:, None], quadrature.T_INTEGRAL)
+        assert rows.dtype == quadrature.T_INTEGRAL_DTYPE and rows.shape == (self._U.size, 1)
+        with mpmath.workdps(30):
+            errors = [float(abs(row["integral"] - exact(u))) for u, (row,) in zip(self._U, rows)]
+        assert np.all(np.array(errors) <= quadrature._T_INTEGRAL_ROUNDOFF * rows["magnitude"][:, 0])
+
