@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebval
 
 from .dielectric import DielectricModel, Drude, PerfectConductor, Vacuum
 from .errors import DomainError, NoSignChange, NotApplicableError, is_finite_real, is_integer
@@ -44,14 +45,6 @@ __all__ = [
 ]
 
 HBAR_C_EV_NM = 197.3269804  # CODATA hbar*c in eV nm
-
-# ITP parameters of `critical_lambda`: kappa_1 times the initial bracket
-# width, kappa_2, and the slack n_0 over bisection's step count. With n_0 = 0
-# the default bracket took 11 integrals, as bisection does; with 1 it takes 7.
-_ITP_KAPPA_1 = 0.2
-_ITP_KAPPA_2 = 2.0
-_ITP_N0 = 1
-
 
 @dataclass(frozen=True)
 class FieldPoint:
@@ -165,17 +158,11 @@ def profile(
     return profile_at(geometry, model, zs, cfg)
 
 
-def _midgap_energy_scaled(omega_p_a: float, cfg: QuadratureConfig) -> IntegralResult:
-    # unit-width cavity at z = 1/2; by scaling this is U(a/2) * a^4 for any a
-    f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(omega_p_a), 0.5)
-    return integrate_semi_infinite(f, 1.0, cfg)
-
-
 def _midgap_energy_family(omega_p_as: Sequence[float], cfg: QuadratureConfig) -> IntegralResult:
-    """`_midgap_energy_scaled` at every wp*a of a group from one engine call; value and err are (K, 1) arrays.
+    """U(1/2) of a unit-width Drude cavity, by scaling U(a/2) a^4, at each wp*a of a group; value, err are (K, 1).
 
-    The group shares one u mesh, refined until every member meets its own
-    tolerance, and each member keeps its own error estimate.
+    One engine call: the group shares one u mesh, refined until every member
+    meets its own tolerance, and each member keeps its own error estimate.
     """
     f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(lam) for lam in omega_p_as], 0.5)
     return integrate_semi_infinite(f, [1.0], cfg, envelope=unit_envelope)
@@ -226,28 +213,20 @@ def critical_lambda(
     bracket: tuple[float, float] = (50.0, 200.0),
     tol: float = 0.5,
 ) -> float:
-    """The wp*a at which the midgap energy density changes sign, by the ITP method.
+    """The wp*a at which the midgap energy density changes sign, by Chebyshev interpolation and a sign check.
 
-    ITP (interpolate, truncate, project; Oliveira and Takahashi, ACM TOMS
-    47, 2020) keeps a bracket [a, b] with a sign change, as bisection does.
-    Each step starts from the regula falsi point, moves it towards the
-    midpoint by delta = kappa_1 (b - a)^kappa_2, and projects it into a
-    ball about the midpoint of radius eps 2^(n_max - j) - (b - a) / 2,
-    where eps = tol / 2, n_max = ceil(log2((b0 - a0) / tol)) + n_0 and j
-    counts the steps taken. Here kappa_1 = 0.2 / (b0 - a0), kappa_2 = 2
-    and n_0 = 1, with [a0, b0] the given bracket. The projection caps the
-    steps at n_max, one more than bisection takes to reach the same width,
-    while on a smooth function the bracket shrinks superlinearly: the
-    default bracket needs 5 steps instead of bisection's 9. A bracketing
-    method is used deliberately, since quadrature noise near the root
-    would mislead secant-type iterations.
-
-    The search stops once the bracket is at most ``tol`` wide, or after
-    n_max steps, which in exact arithmetic leave it at most that wide, and
-    returns its midpoint: the root lies within tol / 2 of the value, up to
-    rounding of the bracket ends. Both bracket ends are integrated in one
-    engine call, as a family. A bracket end or a step where the energy
-    density is exactly zero is returned at once.
+    Each round integrates one family (`_midgap_energy_family`) at the
+    `quadrature.family_size` Chebyshev-Lobatto points of the bracket, its
+    ends included, and takes the first gap [a, b] between samples where the
+    sign changes. There the root r of the interpolating polynomial (Boyd,
+    SIAM J. Numer. Anal. 40, 2002) comes from a sign search on a grid of the
+    gap, a linear step and a Newton step, and is kept tol / 2 inside [a, b].
+    A 2-member family at r - tol / 2 and r + tol / 2 checks it: if the sign
+    changes there, r is returned; otherwise the next round searches the part
+    of [a, b] that holds the change, at most 0.1113 of the bracket for 15
+    points. A gap at most ``tol`` wide, or between adjacent floats, returns
+    its midpoint. So the root lies within tol / 2 of the value, up to
+    rounding. A sample or check of exactly zero is returned at once.
 
     Raises
     ------
@@ -263,37 +242,42 @@ def critical_lambda(
         raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     cfg = cfg or QuadratureConfig()
-    f_lo, f_hi = _midgap_energy_family([lo, hi], cfg).value[:, 0].tolist()
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise NoSignChange(f"midgap energy density does not change sign on [{lo}, {hi}]")
-    eps, kappa_1 = 0.5 * tol, _ITP_KAPPA_1 / (hi - lo)
-    n_max = math.ceil(math.log2((hi - lo) / tol)) + _ITP_N0
-    step = 0
-    # n_max steps bring the bracket to tol in exact arithmetic; the cap also
-    # ends the search where rounding leaves it a few ulps wider, or where tol
-    # is below the float spacing at the root
-    while hi - lo > tol and step < n_max:
-        mid = 0.5 * (lo + hi)
-        radius = eps * 2.0 ** (n_max - step) - 0.5 * (hi - lo)
-        delta = kappa_1 * (hi - lo) ** _ITP_KAPPA_2
-        falsi = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
-        sigma = math.copysign(1.0, mid - falsi)
-        # truncate the regula falsi point towards the midpoint, then project it into the ball
-        target = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
-        x = target if abs(target - mid) <= radius else mid - sigma * radius
-        f_x = _midgap_energy_scaled(x, cfg).value
-        if f_x == 0.0:
-            return x
-        if (f_x > 0) == (f_lo > 0):
-            lo, f_lo = x, f_x
-        else:
-            hi, f_hi = x, f_x
-        step += 1
-    return 0.5 * (lo + hi)
+    half_tol, n = 0.5 * tol, family_size()
+    # Lobatto points cos(theta) of [-1, 1] in ascending order, and the DCT-I
+    # that takes values there to Chebyshev coefficients, its end terms halved
+    theta = np.linspace(np.pi, 0.0, n)
+    nodes, halves = np.cos(theta), np.ones(n)
+    halves[[0, -1]] = 0.5
+    dct = (2.0 / (n - 1)) * halves[:, None] * np.cos(np.outer(np.arange(n), theta)) * halves
+    while True:
+        x = lo + (hi - lo) * (0.5 + 0.5 * nodes)
+        x[-1] = hi
+        f = _midgap_energy_family(x.tolist(), cfg).value[:, 0]
+        if (f == 0.0).any():
+            return float(x[np.argmax(f == 0.0)])
+        changes = np.flatnonzero((f[:-1] > 0) != (f[1:] > 0))
+        if changes.size == 0:
+            raise NoSignChange(f"midgap energy density does not change sign on [{lo}, {hi}]")
+        i = changes[0]
+        a, b = x[i].item(), x[i + 1].item()
+        if b - a <= tol or math.nextafter(a, b) == b:
+            return 0.5 * (a + b)
+        # the interpolant's sign on a grid of the gap, whose ends keep the samples' signs, a linear
+        # step within the cell of the first sign change, then a Newton step if it is shorter than the cell
+        coefficients = dct @ f
+        grid = np.linspace(nodes[i], nodes[i + 1], n)
+        p = chebval(grid, coefficients)
+        p[[0, -1]] = f[i : i + 2]
+        j = np.flatnonzero((p[:-1] > 0) != (p[1:] > 0))[0]
+        t = (grid[j] - p[j] * (grid[j + 1] - grid[j]) / (p[j + 1] - p[j])).item()
+        value, slope = chebval(t, coefficients).item(), chebval(t, chebder(coefficients)).item()
+        if abs(value) < abs(slope) * (grid[j + 1] - grid[j]):
+            t -= value / slope
+        r = min(max(lo + (hi - lo) * (0.5 + 0.5 * t), a + half_tol), b - half_tol)
+        f_left, f_right = _midgap_energy_family([r - half_tol, r + half_tol], cfg).value[:, 0].tolist()
+        if f_left == 0.0 or f_right == 0.0 or (f_left > 0) != (f_right > 0):
+            return r
+        lo, hi = (r + half_tol, b) if (f_left > 0) == (f[i] > 0) else (a, r - half_tol)
 
 
 def critical_separation_physical(

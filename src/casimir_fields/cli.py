@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("critical", help="wp*a at which the midgap energy density turns negative")
     p.add_argument("--bracket-lo", type=float, default=50.0)
     p.add_argument("--bracket-hi", type=float, default=200.0)
-    p.add_argument("--tol", type=float, default=0.5, help="final bracket width; the root lies within tol/2 of the value")
+    p.add_argument("--tol", type=float, default=0.5, help="root tolerance; the root lies within tol/2 of the value")
     p.add_argument("--wp-ev", type=float, help="also report the physical width for this plasma frequency in eV")
     p.add_argument("--json", action="store_true")
     _add_quadrature_args(p)
@@ -283,7 +283,7 @@ def cmd_critical(args) -> int:
     if args.json:
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write(f"critical wp*a: {lam:.2f} (ITP root search, bracket tol {args.tol})\n")
+        sys.stdout.write(f"critical wp*a: {lam:.2f} (Chebyshev-Lobatto root search, tol {args.tol})\n")
         if args.wp_ev is not None:
             sys.stdout.write(
                 f"critical separation for wp = {args.wp_ev} eV: "

@@ -341,7 +341,7 @@ def _drude_function(kind: FieldKind | None, geometry: Geometry, plasma_frequenci
         n_u = u.size
         u_nodes = u.ravel() if n_u > 1 else np.repeat(u.ravel(), 2)
         coef, factors = coefficients(u_nodes)
-        rows = (coef.shape[0] - 1) * coef.shape[2] // u_nodes.size
+        rows = (coef.shape[0] - 1) * len(plasma_frequencies)
         if t is T_INTEGRAL:
             numerator, weights = coef[:-1], kernel(*factors)
             terms = np.empty(numerator.shape + (2,))
@@ -546,7 +546,7 @@ def _cavity_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rates: np.ndarra
     np.multiply(g, w_env / e, out=parts[6:9])
     parts[9] = w_env
     np.multiply(w_env, omega, out=parts[10])
-    coefficients = (kind_map @ parts.reshape(14, -1)).reshape(-1, 4, w.size)
+    coefficients = (kind_map @ parts.reshape(14, w.size)).reshape(len(kind_map) // 4, 4, w.size)
     gamma1 = c + eps * b
     gamma2 = c_plus_b * (u / w) + b * alpha1  # c - b = 2u^2/wp^2
     factors = (alpha1, gamma1, 1.0 + eps, gamma2, eps * twice_c_plus_b)
@@ -581,7 +581,7 @@ def _single_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rate: float, u: 
     np.add(1.0, c, out=parts[6])
     np.multiply(parts[2], parts[6], out=parts[3])
     np.multiply(weight, u / s, out=parts[4])
-    return (kind_map @ parts.reshape(7, -1)).reshape(-1, 4, w.size), (c.ravel(),)
+    return (kind_map @ parts.reshape(7, w.size)).reshape(len(kind_map) // 4, 4, w.size), (c.ravel(),)
 
 
 # The t integrals of the Bernstein basis over a denominator whose nearest

@@ -36,6 +36,11 @@ from casimir_fields import (
 from casimir_fields import analysis, quadrature
 
 
+def _midgap_closure(omega_p_a):
+    """The plain closure of the scaled midgap energy density: a unit-width Drude cavity at z = 1/2."""
+    return integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(omega_p_a), 0.5)
+
+
 def _forbid_integrals(monkeypatch):
     """Make any engine call of the analysis layer fail the test."""
 
@@ -302,9 +307,18 @@ class TestMidpointScan:
         assert engine_calls.engine == -(-16 // quadrature.family_size()) == 2
         cfg = QuadratureConfig()
         for point in points:
-            single = analysis._midgap_energy_scaled(point.omega_p_a, cfg)
+            single = integrate_semi_infinite(_midgap_closure(point.omega_p_a), 1.0, cfg)
             assert abs(point.u_mid_scaled - single.value) <= point.err + single.error_estimate
             assert isinstance(point.u_mid_scaled, float) and isinstance(point.err, float)
+
+    @pytest.mark.parametrize("omega_p_a", [10.0, 50.0, 96.60661, 123.4, 200.0, 1000.0])
+    def test_one_member_family_is_the_plain_integral(self, omega_p_a):
+        # a family of one takes the same u mesh as the plain closure: the same value, err and evaluations, bit for bit
+        cfg = QuadratureConfig()
+        single = integrate_semi_infinite(_midgap_closure(omega_p_a), 1.0, cfg)
+        family = analysis._midgap_energy_family([omega_p_a], cfg)
+        assert (family.value[0, 0], family.error_estimate[0, 0]) == (single.value, single.error_estimate)
+        assert family.evaluations == single.evaluations
 
     def test_forty_values_take_one_engine_call_per_family(self, engine_calls):
         midpoint_scan(10.0, 1000.0, 40)
@@ -334,10 +348,10 @@ class TestWorkloadShapes:
         assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 993)
 
     def test_midgap_root(self, engine_calls):
-        # a 40-value scan in 3 families and the ITP root, both bracket ends in one family
+        # a 40-value scan in 3 families and the root from a 15-member family and a 2-member check
         midpoint_scan(10.0, 1000.0, 40)
         critical_lambda()
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (9, 15, 1_584)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (5, 8, 830)
 
     def test_cavity_profile_peak_memory(self):
         # the Kronrod sums take the envelope in one matrix product per panel, with
@@ -383,44 +397,41 @@ class TestCriticalLambda:
             critical_lambda(bracket=bracket)
 
     def test_default_bracket_integrand_calls(self, engine_calls):
-        # both bracket ends share one engine call, and each refinement round
-        # of an integral is one integrand call: 6 seed calls and 5 rounds
+        # one 15-member family at the Lobatto points of the bracket and one 2-member
+        # check about the interpolant's root; each refinement round is one integrand call
         critical_lambda()
-        assert engine_calls.engine == 6
-        assert engine_calls.integrand <= 11
+        assert engine_calls.engine == 2
+        assert engine_calls.integrand <= 4
 
-    def test_default_bracket_takes_seven_integrals(self, monkeypatch):
-        integrals = _count_integrals(monkeypatch)
-        lam = critical_lambda()
-        # Brent's method to 1e-10 puts the root at 96.60661; bisection took 11 integrals
-        assert abs(lam - 96.60661) <= 0.25
-        assert integrals[0] <= 7
+    def test_default_bracket_root_within_1e_4_of_the_reference(self):
+        # Brent's method to 1e-10 puts the root at 96.6066069
+        assert abs(critical_lambda() - 96.6066069) <= 1e-4
+
+    def test_tol_1e_6_root_within_half_tol_of_the_reference(self):
+        assert abs(critical_lambda(tol=1e-6) - 96.6066069) <= 5e-7
 
 
-def _count_integrals(monkeypatch, energy=None):
-    """Count the midgap integrals critical_lambda evaluates, one per wp*a; ``energy``, if given, replaces them with U(wp*a).
-
-    The bracket ends go through `_midgap_energy_family` as one call, the steps through `_midgap_energy_scaled`.
-    """
-    integral, family, integrals = analysis._midgap_energy_scaled, analysis._midgap_energy_family, [0]
-
-    def counted(omega_p_a, cfg):
-        integrals[0] += 1
-        return SimpleNamespace(value=energy(omega_p_a)) if energy else integral(omega_p_a, cfg)
+def _count_family_calls(monkeypatch, energy=None):
+    """Count critical_lambda's family calls; ``energy``, if given, replaces each member's integral with U(wp*a)."""
+    family, calls = analysis._midgap_energy_family, [0]
 
     def counted_family(omega_p_as, cfg):
-        integrals[0] += len(omega_p_as)
+        calls[0] += 1
         return SimpleNamespace(value=np.array([[energy(x)] for x in omega_p_as])) if energy else family(omega_p_as, cfg)
 
-    monkeypatch.setattr(analysis, "_midgap_energy_scaled", counted)
     monkeypatch.setattr(analysis, "_midgap_energy_family", counted_family)
-    return integrals
+    return calls
 
 
 _ROOTS = (50.3, 96.60661, 123.4, 199.9)
 
 
-class TestITPContract:
+def _call_bound(width, tol):
+    """Two family calls a round, samples and check; a round leaves one Lobatto gap, 0.1113 of the bracket."""
+    return 2 * math.ceil(math.log(width / tol, 9))
+
+
+class TestRootSearchContract:
     """critical_lambda on cheap monotone stand-ins for the midgap energy density."""
 
     SHAPES = {
@@ -428,39 +439,39 @@ class TestITPContract:
         "strongly-curved": lambda root: (lambda x: (root / x) ** 8 - 1.0),
         "flat-then-steep": lambda root: (lambda x: 1.0 - math.exp(min(x - root, 600.0) / 2.0)),
         "increasing": lambda root: (lambda x: math.expm1(min(x - root, 600.0))),
+        "step": lambda root: (lambda x: math.copysign(1.0, root - x)),
     }
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("root", _ROOTS)
     @pytest.mark.parametrize("bracket, tol", [((50.0, 200.0), 0.5), ((10.0, 1e4), 0.5), ((50.0, 200.0), 1e-6)])
-    def test_root_within_half_tol_in_bisection_steps_plus_one(self, monkeypatch, shape, root, bracket, tol):
-        integrals = _count_integrals(monkeypatch, self.SHAPES[shape](root))
+    def test_root_within_half_tol_in_two_calls_per_ninefold_shrink(self, monkeypatch, shape, root, bracket, tol):
+        calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root))
         lam = critical_lambda(bracket=bracket, tol=tol)
         assert abs(lam - root) <= 0.5 * tol
-        # bisection evaluates both ends, then halves the bracket until it is at most tol wide
-        bisection = 2 + math.ceil(math.log2((bracket[1] - bracket[0]) / tol))
-        assert integrals[0] <= bisection + 1
+        assert calls[0] <= _call_bound(bracket[1] - bracket[0], tol)
 
     def test_exact_zero_is_returned(self, monkeypatch):
-        # zero on all of [90, 110], so a step lands on an exact zero
-        integrals = _count_integrals(monkeypatch, lambda x: min(0.0, 110.0 - x) + max(0.0, 90.0 - x))
+        # zero on all of [90, 110], so a sample lands on an exact zero
+        calls = _count_family_calls(monkeypatch, lambda x: min(0.0, 110.0 - x) + max(0.0, 90.0 - x))
         lam = critical_lambda()
-        assert 90.0 <= lam <= 110.0 and integrals[0] < 11
-        _count_integrals(monkeypatch, lambda x: 100.0 - x)
+        assert 90.0 <= lam <= 110.0 and calls[0] == 1
+        _count_family_calls(monkeypatch, lambda x: 100.0 - x)
         assert critical_lambda(bracket=(50.0, 100.0)) == 100.0
 
     def test_tol_below_the_float_spacing_ends(self, monkeypatch):
         # near 96.6 floats are 1.4e-14 apart, so a bracket 1e-15 wide never
-        # forms; the sign alone never reads exactly zero
-        integrals = _count_integrals(monkeypatch, lambda x: math.copysign(1.0, 96.60661 - x))
+        # forms; the sign alone never reads exactly zero, and the search ends
+        # between adjacent floats
+        calls = _count_family_calls(monkeypatch, lambda x: math.copysign(1.0, 96.60661 - x))
         assert abs(critical_lambda(tol=1e-15) - 96.60661) <= 1e-13
-        assert integrals[0] <= 2 + math.ceil(math.log2(150.0 / 1e-15)) + 1
+        assert calls[0] <= _call_bound(150.0, 1e-15)
 
     def test_no_sign_change(self, monkeypatch):
-        integrals = _count_integrals(monkeypatch, lambda x: 1.0 + x)
+        calls = _count_family_calls(monkeypatch, lambda x: 1.0 + x)
         with pytest.raises(NoSignChange):
             critical_lambda()
-        assert integrals[0] == 2
+        assert calls[0] == 1
 
 
 class TestCriticalSeparationPhysical:

@@ -670,6 +670,15 @@ class TestExactTIntegrals:
         assert single[0] is None and [row.shape for row in single[1:]] == [(1, 1), (1, 1)]
         cavity = integrand_function(None, Cavity(1.0), Drude(2.0))(np.array([[0.7]]), quadrature.T_INTEGRAL)
         assert [row.shape for row in cavity] == [(1, 1)] * 3
+        # no u rows give no rows, in the field, bracket and family forms of both geometries
+        for geometry in GEOMETRIES:
+            f = integrand_function(FieldKind.ENERGY_DENSITY, geometry, Drude(2.0), 0.5)
+            assert f(np.empty(0), quadrature.T_INTEGRAL).shape == (0,)
+            brackets = integrand_function(None, geometry, Drude(2.0))(np.empty((0, 1)), quadrature.T_INTEGRAL)
+            assert [b.shape for b in brackets if b is not None] == [(0, 1)] * (2 + isinstance(geometry, Cavity))
+            assert all(b.dtype == quadrature.T_INTEGRAL_DTYPE for b in brackets if b is not None)
+            family = integrand_function(FieldKind.ENERGY_DENSITY, geometry, [Drude(2.0), Drude(3.0)], 0.5)
+            assert [row.shape for row in family(np.empty(0), quadrature.T_INTEGRAL)[1:]] == [(0,), (0,)]
 
     @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
     def test_an_empty_t_row_gives_an_empty_grid(self, geometry):
