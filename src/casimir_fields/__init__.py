@@ -43,7 +43,6 @@ from .dielectric import (
     Drude,
     PerfectConductor,
     Vacuum,
-    reflection_values,
 )
 from .errors import (
     CasimirFieldsError,
@@ -96,7 +95,6 @@ __all__ = [
     "Drude",
     "PerfectConductor",
     "Vacuum",
-    "reflection_values",
     "CasimirFieldsError",
     "DivergesAtBoundary",
     "DomainError",

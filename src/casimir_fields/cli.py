@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="field expectations on a grid of positions")
     p.add_argument("--geometry", choices=("single", "cavity"), required=True)
-    p.add_argument("--model", choices=("drude", "epsilon", "pc", "vacuum"), required=True)
+    p.add_argument("--model", choices=tuple(_MODELS), required=True)
     p.add_argument("--wp", type=float, help="plasma frequency (drude model)")
     p.add_argument("--eps", type=float, help="permittivity (epsilon model)")
     p.add_argument("--a", type=float, help="cavity width")
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.01, help="window for the near-wall asymptote ratios")
     p.add_argument("--json", action="store_true")
     _add_quadrature_args(p)
-    p.set_defaults(func=cmd_limits)
+    p.set_defaults(func=cmd_limits, format="json")  # --json writes its table as JSON
 
     return parser
 
@@ -174,7 +174,9 @@ def _output(args):
         raise CasimirFieldsError(f"cannot write --output {path!r}: {exc.strerror or exc}") from exc
 
 
-def _emit_table(args, command: str, extra_header: list[str], columns: list[str], rows: list[list[float]]) -> None:
+def _emit_table(
+    args, command: str, extra_header: list[str], columns: list[str], rows: list[list[float]], checks: Sequence[dict] = ()
+) -> None:
     if args.format == "csv":
         lines = [f"# command: {command}", f"# generator: casimir-fields {__version__}"]
         lines += [f"# {line}" for line in extra_header]
@@ -189,37 +191,35 @@ def _emit_table(args, command: str, extra_header: list[str], columns: list[str],
         payload = {
             "config": config,
             "rows": [dict(zip(columns, row)) for row in rows],
-            "checks": [],
+            "checks": checks,
         }
         args.stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+# Each --model value: the flag that carries its parameter, if it takes one, and its class.
+_MODELS = {
+    "drude": ("wp", Drude),
+    "epsilon": ("eps", ConstantEpsilon),
+    "pc": (None, PerfectConductor),
+    "vacuum": (None, Vacuum),
+}
+
+
 def _model_from(args):
-    if args.model == "drude":
-        if args.wp is None:
-            raise DomainError("the drude model needs --wp")
-        return Drude(args.wp)
-    if args.model == "epsilon":
-        if args.eps is None:
-            raise DomainError("the epsilon model needs --eps")
-        return ConstantEpsilon(args.eps)
-    if args.model == "pc":
-        return PerfectConductor()
-    return Vacuum()
-
-
-def _model_pairs(args) -> list[tuple[str, object]]:
+    """The model that --model names, and its (flag, value) pairs for the normalized command."""
+    flag, model = _MODELS[args.model]
     pairs: list[tuple[str, object]] = [("model", args.model)]
-    if args.model == "drude":
-        pairs.append(("wp", args.wp))
-    elif args.model == "epsilon":
-        pairs.append(("eps", args.eps))
-    return pairs
+    if flag is None:
+        return model(), pairs
+    value = getattr(args, flag)
+    if value is None:
+        raise DomainError(f"the {args.model} model needs --{flag}")
+    return model(value), pairs + [(flag, value)]
 
 
 def cmd_profile(args) -> int:
     cfg = _quad_config(args)
-    model = _model_from(args)
+    model, model_pairs = _model_from(args)
     if args.points < 2:
         raise DomainError("--points must be at least 2")
     if args.geometry == "cavity":
@@ -239,7 +239,7 @@ def cmd_profile(args) -> int:
         grid_pairs = [("points", args.points)]
     command = _normalized_command(
         "profile",
-        geo_pairs + _model_pairs(args) + grid_pairs + [("format", args.format)] + _quad_pairs(args),
+        geo_pairs + model_pairs + grid_pairs + [("format", args.format)] + _quad_pairs(args),
     )
     rows = [[p.z, p.e2, p.b2, p.u, p.err] for p in result.points]
     _emit_table(args, command, [], ["z", "e2", "b2", "u", "err"], rows)
@@ -360,12 +360,7 @@ def cmd_limits(args) -> int:
     failed = [c for c in checks if not c["passed"]]
     if args.json:
         command = _normalized_command("limits", [("tolerance", args.tolerance)] + _quad_pairs(args))
-        payload = {
-            "config": {"command": command, "generator": f"casimir-fields {__version__}"},
-            "rows": [],
-            "checks": checks,
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_table(args, command, [], [], [], checks)
     else:
         for check in checks:
             status = "PASS" if check["passed"] else "FAIL"

@@ -6,7 +6,9 @@ profiles expressible either through trigonometric functions or through
 the order-3 polygamma function, and the single-interface limits
 +-3/(16 pi^2 z^4). For the Drude model the leading near-wall behavior
 of each expectation is known analytically. Everything here is cheap,
-self-contained, and independent of the quadrature engine.
+self-contained, and independent of the quadrature engine. Every argument
+is checked with `errors.is_finite_real` (or `is_integer`), so bools and
+non-numbers raise DomainError, and is taken as a float.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dielectric import DielectricModel, Drude
-from .errors import DivergesAtBoundary, DomainError
+from .errors import DivergesAtBoundary, DomainError, is_finite_real, is_integer
 
 __all__ = [
     "AsymptoteReport",
@@ -44,14 +46,12 @@ class AsymptoteReport:
     def __post_init__(self):
         if self.power not in (-2, -3, -4):
             raise DomainError(f"power must be one of -2, -3, -4, got {self.power!r}")
-        if not math.isfinite(self.leading_coefficient):
+        if not is_finite_real(self.leading_coefficient):
             raise DomainError(f"leading coefficient must be finite, got {self.leading_coefficient!r}")
 
     def evaluate(self, z: float) -> float:
         """The asymptote's value at distance z > 0."""
-        if not z > 0:
-            raise DomainError(f"z must be positive, got {z!r}")
-        return self.leading_coefficient * z**self.power
+        return self.leading_coefficient * _positive(z, "z") ** self.power
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,26 @@ class NearWallAsymptotes:
     u: AsymptoteReport
 
 
-def _check_width(a: float) -> None:
-    if not (isinstance(a, (int, float)) and math.isfinite(a) and a > 0):
-        raise DomainError(f"gap width must be positive and finite, got {a!r}")
+def _positive(x, name: str) -> float:
+    """x as a float, after checking that it is a finite real number above 0."""
+    if not (is_finite_real(x) and x > 0):
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
+    return float(x)
 
 
-def _check_interior(z: float, a: float) -> None:
-    _check_width(a)
-    if z == 0 or z == a:
+def _interior(z, a) -> tuple[float, float]:
+    """z and a as floats, after checking that a is a gap width and z lies strictly inside the gap."""
+    a = _positive(a, "gap width")
+    if is_finite_real(z) and (z == 0 or z == a):
         raise DivergesAtBoundary(f"squared fields diverge at the walls, got z = {z!r}")
-    if not 0 < z < a:
+    if not (is_finite_real(z) and 0 < z < a):
         raise DomainError(f"z must lie inside the gap (0, {a!r}), got {z!r}")
+    return float(z), a
 
 
 def pc_cavity_energy(a: float) -> float:
     """Energy density between perfect conductors: -pi^2 / (720 a^4), any z."""
-    _check_width(a)
-    return -(math.pi**2) / (720.0 * a**4)
+    return -(math.pi**2) / (720.0 * _positive(a, "gap width") ** 4)
 
 
 def _pc_cavity_profile_term(z: float, a: float) -> float:
@@ -91,13 +94,13 @@ def _pc_cavity_profile_term(z: float, a: float) -> float:
 
 def pc_cavity_e2(z: float, a: float) -> float:
     """Squared electric field between perfect conductors, trigonometric form."""
-    _check_interior(z, a)
+    z, a = _interior(z, a)
     return pc_cavity_energy(a) + _pc_cavity_profile_term(z, a)
 
 
 def pc_cavity_b2(z: float, a: float) -> float:
     """Squared magnetic field between perfect conductors, trigonometric form."""
-    _check_interior(z, a)
+    z, a = _interior(z, a)
     return pc_cavity_energy(a) - _pc_cavity_profile_term(z, a)
 
 
@@ -108,13 +111,13 @@ def _pc_cavity_polygamma_term(z: float, a: float) -> float:
 
 def pc_cavity_e2_polygamma(z: float, a: float) -> float:
     """Same profile as `pc_cavity_e2`, routed through the polygamma function."""
-    _check_interior(z, a)
+    z, a = _interior(z, a)
     return pc_cavity_energy(a) + _pc_cavity_polygamma_term(z, a)
 
 
 def pc_cavity_b2_polygamma(z: float, a: float) -> float:
     """Same profile as `pc_cavity_b2`, routed through the polygamma function."""
-    _check_interior(z, a)
+    z, a = _interior(z, a)
     return pc_cavity_energy(a) - _pc_cavity_polygamma_term(z, a)
 
 
@@ -133,10 +136,11 @@ def polygamma3(x: float, terms: int = 32) -> float:
     terms : int
         Number of directly summed terms; at least 8.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
+    if not (is_finite_real(x) and x > 0):
         raise DomainError(f"polygamma3 requires x > 0, got {x!r}")
-    if terms < 8:
-        raise DomainError(f"terms must be at least 8, got {terms!r}")
+    if not (is_integer(terms) and terms >= 8):
+        raise DomainError(f"terms must be an integer of at least 8, got {terms!r}")
+    x = float(x)
     direct = math.fsum((x + n) ** -4 for n in reversed(range(terms)))
     y = x + terms
     tail = y**-3 / 3.0 + y**-4 / 2.0 + y**-5 / 3.0 - y**-7 / 6.0 + 2.0 * y**-9 / 9.0
@@ -145,9 +149,7 @@ def polygamma3(x: float, terms: int = 32) -> float:
 
 def pc_single_e2(z: float) -> float:
     """Squared electric field outside a single perfect conductor: 3/(16 pi^2 z^4)."""
-    if not (isinstance(z, (int, float)) and math.isfinite(z) and z > 0):
-        raise DomainError(f"z must be positive, got {z!r}")
-    return 3.0 / (16.0 * math.pi**2 * z**4)
+    return 3.0 / (16.0 * math.pi**2 * _positive(z, "z") ** 4)
 
 
 def pc_single_b2(z: float) -> float:
@@ -161,9 +163,9 @@ def casimir_polder(z: float, alpha0: float) -> float:
     Equals -alpha0/2 times the squared electric field outside a perfect
     conductor, which is how it is cross-checked.
     """
-    if not math.isfinite(alpha0):
+    if not is_finite_real(alpha0):
         raise DomainError(f"polarizability must be finite, got {alpha0!r}")
-    return -0.5 * alpha0 * pc_single_e2(z)
+    return -0.5 * float(alpha0) * pc_single_e2(z)
 
 
 def near_wall_asymptotes(model: DielectricModel) -> NearWallAsymptotes:

@@ -108,27 +108,15 @@ def reflection_values(model: DielectricModel, u, t):
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(u.shape, t.shape)
-    r, r_prime = _reflection_factors(model, u, t)
-    return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
-
-
-def _reflection_factors(model: DielectricModel, u: np.ndarray, t: np.ndarray):
-    """(r, r_prime) at their natural shapes; `reflection_values` broadcasts them.
-
-    The Drude r has the shape of u, constant-permittivity coefficients the
-    shape of t, and perfect-conductor and vacuum coefficients are scalars,
-    so callers that broadcast them later do only the work each axis needs.
-    u and t are numpy float arrays or scalars.
-    """
     if isinstance(model, Drude):
         wp = model.plasma_frequency
         w = np.hypot(u, wp)
         r = -(wp * wp) / ((u + w) * (u + w))
         tt = t * t
-        num = wp * wp * (1.0 - (u / (u + w)) * tt)
-        den = wp * wp + tt * u * (u + w)
-        return r, num / den
-    return _undispersed_factors(model, t)[:2]
+        r_prime = wp * wp * (1.0 - (u / (u + w)) * tt) / (wp * wp + tt * u * (u + w))
+    else:
+        r, r_prime = _undispersed_factors(model, t)[:2]
+    return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
 
 
 def _undispersed_factors(model: DielectricModel, t: np.ndarray):

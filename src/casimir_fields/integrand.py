@@ -74,8 +74,6 @@ __all__ = [
     "Cavity",
     "Geometry",
     "FieldKind",
-    "single_bracket",
-    "cavity_terms",
     "integrand_function",
     "position_envelope",
     "decay_scale_for",
@@ -123,61 +121,12 @@ def single_bracket(kind: FieldKind, r, rp, t):
     """
     tt = t * t
     if kind is FieldKind.E_SQUARED:
-        minus = -tt * r
-        return _into(np.add, minus, (2.0 - tt) * rp, minus)
+        return -tt * r + (2.0 - tt) * rp
     if kind is FieldKind.B_SQUARED:
-        plus = (2.0 - tt) * r
-        return _into(np.subtract, plus, tt * rp, plus)
+        return (2.0 - tt) * r - tt * rp
     if kind is FieldKind.ENERGY_DENSITY:
-        total = r + rp
-        return _into(np.multiply, 1.0 - tt, total, total)
+        return (1.0 - tt) * (r + rp)
     raise TypeError(f"unknown field kind {kind!r}")
-
-
-def _into(ufunc, a, b, out):
-    """ufunc(a, b), written over ``out`` when it is an array of the result's shape, else into a new array.
-
-    ``out`` must be a temporary of the caller's that nothing else reads
-    afterwards; the arithmetic, and so every bit of the result, is that of
-    ``ufunc(a, b)``. This keeps a chain of full-grid products from holding
-    a new float64 array per step.
-    """
-    if isinstance(out, np.ndarray):
-        try:
-            return ufunc(a, b, out=out)
-        except ValueError:  # the result has a dimension that out lacks; nothing was written
-            pass
-    return ufunc(a, b)
-
-
-def _cavity_dressing(r, rp, u, t, a):
-    """Constant bracket and the multiply reflected coefficients r/D, r'/D' of a cavity.
-
-    No growing exponential is ever formed: the geometric denominators use
-
-        D = 1 - r^2 e^{-2ua} = (1 - r)(1 + r) + r^2 (1 - e^{-2ua})
-
-    with the last factor from expm1. The position bracket of any field is
-    `single_bracket` evaluated on the dressed pair. Each term keeps the shape
-    of its factors.
-    """
-    tt = t * t
-    em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
-    damp = np.exp(-2.0 * u * a)
-    dr, drp = _dressing_denominator(r, em), _dressing_denominator(rp, em)
-    reflected = rp * rp * damp
-    reflected = _into(np.divide, reflected, drp, reflected)
-    reflected = _into(np.add, r * r * damp / dr, reflected, reflected)
-    term_constant = _into(np.multiply, -tt, reflected, reflected)
-    return term_constant, r / dr, _into(np.divide, rp, drp, drp)
-
-
-def _dressing_denominator(r, em):
-    """(1 - r)(1 + r) + r^2 em, the denominator D of `_cavity_dressing`."""
-    product = 1.0 - r
-    product = _into(np.multiply, product, 1.0 + r, product)
-    square = r * r * em
-    return _into(np.add, product, square, square)
 
 
 def cavity_terms(kind: FieldKind, r, rp, u, t, a, z):
@@ -203,11 +152,20 @@ def cavity_terms(kind: FieldKind, r, rp, u, t, a, z):
 
     Notes
     -----
-    The constant bracket is the same for every kind.
+    The constant bracket is the same for every kind. The position bracket
+    is `single_bracket` evaluated on the multiply reflected pair r/D, r'/D'.
+    No growing exponential is ever formed: the geometric denominators use
+
+        D = 1 - r^2 e^{-2ua} = (1 - r)(1 + r) + r^2 (1 - e^{-2ua})
+
+    with the last factor from expm1.
     """
-    term_constant, gr, grp = _cavity_dressing(r, rp, u, t, a)
-    position = single_bracket(kind, gr, grp, t)
-    return term_constant, _into(np.multiply, position, _cavity_envelope(u, a, z), position)
+    em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
+    damp = np.exp(-2.0 * u * a)
+    dr = (1.0 - r) * (1.0 + r) + r * r * em
+    drp = (1.0 - rp) * (1.0 + rp) + rp * rp * em
+    term_constant = -t * t * (r * r * damp / dr + rp * rp * damp / drp)
+    return term_constant, single_bracket(kind, r / dr, rp / drp, t) * _cavity_envelope(u, a, z)
 
 
 def _cavity_envelope(u, a, z):
@@ -354,7 +312,7 @@ def _drude_function(kind: FieldKind | None, geometry: Geometry, plasma_frequenci
         shape = _outer_shape(u, t)
         n_t = t.size
         t_nodes = t.ravel() if n_t > 1 else np.repeat(t.ravel(), 2)
-        values = coef.transpose(0, 2, 1) @ _bernstein_basis(t_nodes.tobytes())
+        values = coef.transpose(0, 2, 1) @ _bernstein_basis(t_nodes)
         f = np.divide(values[:-1], values[-1], out=values[:-1]).reshape(rows, u_nodes.size, t_nodes.size)
         return f[:, :n_u, :n_t].reshape(rows, *shape)
 
@@ -384,15 +342,11 @@ def _outer_shape(u: np.ndarray, t: np.ndarray) -> tuple:
     return np.broadcast_shapes(u_shape, t_shape)
 
 
-@functools.lru_cache(maxsize=16)
-def _bernstein_basis(t_bytes: bytes) -> np.ndarray:
-    """The cubic Bernstein basis in x = t^2 at the float64 nodes t, (4, n_t): (1-x)^3, 3x(1-x)^2, 3x^2(1-x), x^3.
+def _bernstein_basis(t: np.ndarray) -> np.ndarray:
+    """The cubic Bernstein basis in x = t^2 at the nodes t (n_t,), (4, n_t): (1-x)^3, 3x(1-x)^2, 3x^2(1-x), x^3.
 
-    1 - x is formed as (1 - t)(1 + t), accurate up to t = 1. The engine
-    calls an integrand on a few t rows over and over, so the bases are kept,
-    read-only, keyed on the nodes' bytes.
+    1 - x is formed as (1 - t)(1 + t), accurate up to t = 1.
     """
-    t = np.frombuffer(t_bytes)
     x, y = t * t, (1.0 - t) * (1.0 + t)
     basis = np.empty((4, t.size))
     np.multiply(y, y, out=basis[1])
@@ -401,7 +355,6 @@ def _bernstein_basis(t_bytes: bytes) -> np.ndarray:
     np.multiply(x, x, out=basis[3])
     np.multiply(3.0 * y, basis[3], out=basis[2])
     basis[3] *= x
-    basis.setflags(write=False)
     return basis
 
 
@@ -603,7 +556,7 @@ def _gauss_rule() -> Tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(16)
     lo, hi = np.array([[0.0], [0.25]]), np.array([[0.25], [1.0]])
     t = (0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes).ravel()
-    rule = ((t * t)[None, :], np.ascontiguousarray((_bernstein_basis(t.tobytes()) * (0.5 * (hi - lo) * weights).ravel()).T))
+    rule = ((t * t)[None, :], np.ascontiguousarray((_bernstein_basis(t) * (0.5 * (hi - lo) * weights).ravel()).T))
     for array in rule:
         array.setflags(write=False)
     return rule
@@ -779,9 +732,9 @@ def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: Die
                     w = w * np.exp(-2.0 * u * z)
                 out = [(w[..., None] * row).view(T_INTEGRAL_DTYPE)[..., 0] for row in rule_rows]
             else:
-                out = [_scaled(w, position) for position in _undispersed_brackets(kinds, model, u, t, None)[1:]]
+                out = [w * position for position in _undispersed_brackets(kinds, model, u, t, None)[1:]]
                 if kind is not None:
-                    out[0] = _into(np.multiply, out[0], np.exp(-2.0 * u * z), out[0])
+                    out[0] = out[0] * np.exp(-2.0 * u * z)
             return out[0] if kind is not None else (None, *out)
 
         return f_single
@@ -796,9 +749,8 @@ def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: Die
         if t is not T_INTEGRAL:
             const, *positions = _undispersed_brackets(kinds, model, u, t, a)
             if kind is None:
-                return _scaled(w, const), *(_scaled(w, position) for position in positions)
-            position = _into(np.multiply, positions[0], _cavity_envelope(u, a, z), positions[0])
-            return _scaled(w, _into(np.add, const, position, const))
+                return w * const, *(w * position for position in positions)
+            return w * (const + positions[0] * _cavity_envelope(u, a, z))
         column = u.reshape(-1, 1)
         brackets = _rule_rows(lambda block, t: _undispersed_brackets(kinds, model, block, t, a), column, t_rule, weights)
         rows = np.stack([row.view(float) for row in brackets])  # (brackets, n, 2)
@@ -824,7 +776,7 @@ def _single_rows(model: DielectricModel, kinds: tuple) -> np.ndarray:
 def _undispersed_brackets(kinds, model: DielectricModel, u, t, a):
     """The constant bracket, or None outside one mirror (a = None), then each kind's position bracket, without the prefactor.
 
-    The cavity's dressing is that of `_cavity_dressing`, but with 1 - r^2,
+    The cavity's dressing is that of `cavity_terms`, but with 1 - r^2,
     1 - r'^2 and r + r' from `dielectric._undispersed_factors`, which forms
     them without cancellation. The energy density's bracket is
     (1 - t^2)(r + r') outside one mirror and (1 - t^2)(r/D + r'/D') in a
@@ -844,8 +796,3 @@ def _undispersed_brackets(kinds, model: DielectricModel, u, t, a):
         r, rp = r / dr, rp / drp
     positions = [(1.0 - tt) * total if k is FieldKind.ENERGY_DENSITY else single_bracket(k, r, rp, t) for k in kinds]
     return constant, *positions
-
-
-def _scaled(w, bracket):
-    """w * bracket, written over the temporary bracket where its shape allows."""
-    return _into(np.multiply, w, bracket, bracket)

@@ -34,9 +34,9 @@ from casimir_fields import (
     pc_single_b2,
     pc_single_e2,
     profile,
-    reflection_values,
     wall_reduction_check,
 )
+from casimir_fields.dielectric import reflection_values
 from casimir_fields.integrand import cavity_terms, position_envelope, single_bracket
 
 PC_LIMIT = -(math.pi**2) / 720.0

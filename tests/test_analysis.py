@@ -544,7 +544,8 @@ class TestScalingIdentities:
     def test_swapped_reflection_maps_e2_profile_onto_b2(self):
         # integrating the swapped-bracket integrand on the t rule reproduces b2,
         # which the Drude closure integrates over t exactly, within both errors
-        from casimir_fields import CAVITY_PREFACTOR, SINGLE_PREFACTOR, reflection_values
+        from casimir_fields import CAVITY_PREFACTOR, SINGLE_PREFACTOR
+        from casimir_fields.dielectric import reflection_values
         from casimir_fields.integrand import cavity_terms, single_bracket
 
         model, z = Drude(5.0), 0.4

@@ -23,6 +23,32 @@ from casimir_fields import (
 )
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: pc_cavity_energy(True), DomainError, id="energy-bool"),
+        pytest.param(lambda: pc_single_e2(True), DomainError, id="single-bool"),
+        pytest.param(lambda: pc_cavity_e2(True, 2.0), DomainError, id="cavity-z-bool"),
+        pytest.param(lambda: casimir_polder(1.0, True), DomainError, id="polarizability-bool"),
+        pytest.param(lambda: near_wall_asymptotes(Drude(1.0)).u.evaluate(True), DomainError, id="asymptote-bool"),
+        pytest.param(lambda: pc_cavity_e2("a", 1.0), DomainError, id="cavity-z-str"),
+        pytest.param(lambda: polygamma3(0.5, 8.5), DomainError, id="polygamma-float-terms"),
+        pytest.param(lambda: pc_cavity_energy(np.float32(1.0)), lambda: pc_cavity_energy(1.0), id="energy-float32"),
+        pytest.param(lambda: pc_cavity_energy(np.int64(2)), lambda: pc_cavity_energy(2.0), id="energy-int64"),
+        pytest.param(lambda: pc_single_e2(np.float32(0.5)), lambda: pc_single_e2(0.5), id="single-float32"),
+        pytest.param(lambda: polygamma3(np.float32(0.5)), lambda: polygamma3(0.5), id="polygamma-float32"),
+    ],
+)
+def test_arguments_are_real_numbers(call, expected):
+    """Bools and non-numbers raise DomainError; a numpy real is taken as the float it equals."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        value = call()
+        assert type(value) is float and value == expected()
+
+
 class TestPcCavityEnergy:
     def test_reference_value(self):
         assert pc_cavity_energy(1.0) == pytest.approx(-(math.pi**2) / 720.0, rel=1e-15)

@@ -9,8 +9,8 @@ from casimir_fields import (
     Drude,
     PerfectConductor,
     Vacuum,
-    reflection_values,
 )
+from casimir_fields.dielectric import reflection_values
 
 
 class TestModelValidation:
@@ -129,3 +129,14 @@ class TestDrudeProperties:
     def test_broadcast_shapes(self):
         r, rp = reflection_values(Drude(1.0), np.ones((4, 1)), np.linspace(0, 1, 5)[None, :])
         assert r.shape == (4, 5) and rp.shape == (4, 5)
+
+
+@pytest.mark.parametrize("model", [Drude(1.0), ConstantEpsilon(4.0), PerfectConductor(), Vacuum()], ids=repr)
+def test_values_are_read_only_views(model):
+    r, rp = reflection_values(model, np.ones((4, 1)), np.linspace(0, 1, 5)[None, :])
+    assert not r.flags.writeable and not rp.flags.writeable
+
+
+def test_drude_r_is_stored_once_per_u():
+    r, rp = reflection_values(Drude(1.0), np.linspace(1.0, 2.0, 4)[:, None], np.linspace(0, 1, 5)[None, :])
+    assert r.strides[1] == 0 and rp.strides[1] != 0

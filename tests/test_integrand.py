@@ -19,9 +19,9 @@ from casimir_fields import (
     Vacuum,
     decay_scale_for,
     integrand_function,
-    reflection_values,
 )
 from casimir_fields import integrand, quadrature
+from casimir_fields.dielectric import reflection_values
 from casimir_fields.integrand import cavity_terms, position_envelope, single_bracket
 
 KINDS = (FieldKind.E_SQUARED, FieldKind.B_SQUARED, FieldKind.ENERGY_DENSITY)
