@@ -142,7 +142,7 @@ def profile(
     interface. The walls themselves are excluded because the squared
     fields diverge there.
     """
-    if not 0 < margin < 0.5:
+    if not (is_finite_real(margin) and 0 < margin < 0.5):
         raise DomainError(f"margin must lie in (0, 0.5), got {margin!r}")
     if not (is_integer(n_points) and n_points >= 2):
         raise DomainError(f"n_points must be an integer of at least 2 points, got {n_points!r}")
@@ -236,7 +236,8 @@ def critical_lambda(
     NoSignChange
         If the energy density has the same sign at both bracket ends.
     """
-    if not (len(bracket) == 2 and all(is_finite_real(end) for end in bracket) and 0 < bracket[0] < bracket[1]):
+    pair = isinstance(bracket, (tuple, list, np.ndarray)) and len(bracket) == 2
+    if not (pair and all(is_finite_real(end) for end in bracket) and 0 < bracket[0] < bracket[1]):
         raise DomainError(f"bracket must be two finite numbers with 0 < lo < hi, got {bracket!r}")
     if not (is_finite_real(tol) and tol > 0):
         raise DomainError(f"tol must be a positive finite number, got {tol!r}")
@@ -314,9 +315,10 @@ def wall_reduction_check(
     """
     if isinstance(model, (PerfectConductor, Vacuum)):
         raise NotApplicableError("the single-interface energy density vanishes identically for this model")
-    if not (0 < z_small < a):
+    cavity = Cavity(a)
+    if not (is_finite_real(z_small) and 0 < z_small < a):
         raise DomainError(f"z_small must lie inside the gap (0, {a!r}), got {z_small!r}")
-    u_cavity = compute_point(Cavity(a), model, z_small, cfg).u
+    u_cavity = compute_point(cavity, model, z_small, cfg).u
     u_single = compute_point(SingleInterface(), model, z_small, cfg).u
     if u_single == 0.0:
         raise NotApplicableError("single-interface energy density is zero at this point")

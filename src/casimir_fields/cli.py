@@ -2,11 +2,13 @@
 
 Output is CSV (default) or JSON. The `profile` and `scan` tables (CSV
 header or JSON ``config``) and `limits --json` record the fully resolved
-command, so re-running it reproduces the output byte for byte; the
-`critical` report and the `limits` text do not carry it. Exit codes: 0 on
-success, 1 when a limit check fails, 2 on usage or domain errors and when
-the ``--output`` file cannot be written; that file is opened before any
-integral runs.
+command, so re-running it reproduces the output byte for byte. It lists
+every flag that applies, defaults included, in ``--help`` order, and leaves
+out the flags the command ignores (another model's parameter, a cavity's
+``--zmin``). The `critical` report and the `limits` text do not carry it.
+Exit codes: 0 on success, 1 when a limit check fails, 2 on usage or domain
+errors and when the ``--output`` file cannot be written; that file is
+opened before any integral runs.
 """
 
 from __future__ import annotations
@@ -78,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="field expectations on a grid of positions")
     p.add_argument("--geometry", choices=("single", "cavity"), required=True)
-    p.add_argument("--model", choices=tuple(_MODELS), required=True)
-    p.add_argument("--wp", type=float, help="plasma frequency (drude model)")
-    p.add_argument("--eps", type=float, help="permittivity (epsilon model)")
     p.add_argument("--a", type=float, help="cavity width")
     p.add_argument("--zmin", type=float, help="first position (single interface)")
     p.add_argument("--zmax", type=float, help="last position (single interface)")
+    p.add_argument("--model", choices=tuple(_MODELS), required=True)
+    p.add_argument("--wp", type=float, help="plasma frequency (drude model)")
+    p.add_argument("--eps", type=float, help="permittivity (epsilon model)")
     p.add_argument("--points", type=int, default=64)
     p.add_argument("--margin", type=float, default=0.02, help="wall margin as a fraction of the width (cavity)")
     _add_output_args(p)
@@ -112,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.01, help="window for the near-wall asymptote ratios")
     p.add_argument("--json", action="store_true")
     _add_quadrature_args(p)
-    p.set_defaults(func=cmd_limits, format="json")  # --json writes its table as JSON
+    p.set_defaults(func=cmd_limits)
 
     return parser
 
@@ -137,27 +139,23 @@ def _quad_config(args) -> QuadratureConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-def _normalized_command(subcommand: str, pairs: list[tuple[str, object]]) -> str:
-    parts = [f"casimir-fields {subcommand}"]
-    for flag, value in pairs:
-        if value is None:
-            continue
-        parts.append(f"--{flag} {_fmt(value)}")
-    return " ".join(parts)
+# Parsed values the recorded command leaves out: argparse's own, where the
+# bytes go (--output, the stream `main` sets) and the boolean --json.
+_UNRECORDED = frozenset({"command", "func", "output", "json", "stream"})
 
 
-def _quad_pairs(args) -> list[tuple[str, object]]:
-    return [
-        ("rel-tol", args.rel_tol),
-        ("abs-tol", args.abs_tol),
-        ("tail-budget", args.tail_budget),
-        ("max-subdivisions", args.max_subdivisions),
-    ]
+def _recorded_command(args) -> str:
+    """The fully resolved command: ``--flag value`` for every parsed value that is not None.
+
+    argparse sets a subcommand's attributes in the order its flags are
+    declared, so ``vars(args)`` and the record follow ``--help``. A command
+    sets the flags it ignores to None, which keeps them out.
+    """
+    flags = (f"--{k.replace('_', '-')} {_fmt(v)}" for k, v in vars(args).items() if k not in _UNRECORDED and v is not None)
+    return " ".join((f"casimir-fields {args.command}", *flags))
 
 
 @contextlib.contextmanager
@@ -174,25 +172,17 @@ def _output(args):
         raise CasimirFieldsError(f"cannot write --output {path!r}: {exc.strerror or exc}") from exc
 
 
-def _emit_table(
-    args, command: str, extra_header: list[str], columns: list[str], rows: list[list[float]], checks: Sequence[dict] = ()
-) -> None:
-    if args.format == "csv":
-        lines = [f"# command: {command}", f"# generator: casimir-fields {__version__}"]
-        lines += [f"# {line}" for line in extra_header]
-        lines.append(",".join(columns))
-        lines += [",".join(map(_fmt, row)) for row in rows]
+def _emit_table(args, columns: list[str], rows: list[list[float]], extra: dict | None = None, checks: Sequence[dict] = ()) -> None:
+    """A table headed by its recorded command, the generator and ``extra``'s entries; JSON unless --format says csv."""
+    command, generator = _recorded_command(args), f"casimir-fields {__version__}"
+    extra = {key: _fmt(value) for key, value in (extra or {}).items()}
+    if getattr(args, "format", "json") == "csv":
+        lines = [f"# command: {command}", f"# generator: {generator}", *(f"# {key} = {value}" for key, value in extra.items())]
+        lines += [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
         args.stream.write("\n".join(lines) + "\n")
     else:
-        config = {"command": command, "generator": f"casimir-fields {__version__}"}
-        for line in extra_header:
-            key, _, value = line.partition(" = ")
-            config[key] = value
-        payload = {
-            "config": config,
-            "rows": [dict(zip(columns, row)) for row in rows],
-            "checks": checks,
-        }
+        config = {"command": command, "generator": generator, **extra}
+        payload = {"config": config, "rows": [dict(zip(columns, row)) for row in rows], "checks": checks}
         args.stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -206,62 +196,47 @@ _MODELS = {
 
 
 def _model_from(args):
-    """The model that --model names, and its (flag, value) pairs for the normalized command."""
+    """The model that --model names; the other models' parameters are set to None, as flags this command ignores."""
     flag, model = _MODELS[args.model]
-    pairs: list[tuple[str, object]] = [("model", args.model)]
+    for other, _ in _MODELS.values():
+        if other not in (None, flag):
+            setattr(args, other, None)
     if flag is None:
-        return model(), pairs
+        return model()
     value = getattr(args, flag)
     if value is None:
         raise DomainError(f"the {args.model} model needs --{flag}")
-    return model(value), pairs + [(flag, value)]
+    return model(value)
 
 
 def cmd_profile(args) -> int:
     cfg = _quad_config(args)
-    model, model_pairs = _model_from(args)
+    model = _model_from(args)
     if args.points < 2:
         raise DomainError("--points must be at least 2")
     if args.geometry == "cavity":
         if args.a is None:
             raise DomainError("cavity profiles need --a")
+        args.zmin = args.zmax = None
         result = profile(Cavity(args.a), model, args.points, margin=args.margin, cfg=cfg)
-        geo_pairs = [("geometry", "cavity"), ("a", args.a)]
-        grid_pairs = [("points", args.points), ("margin", args.margin)]
     else:
         if args.zmin is None or args.zmax is None:
             raise DomainError("single-interface profiles need --zmin and --zmax")
         if not (0 < args.zmin < args.zmax):
             raise DomainError(f"need 0 < zmin < zmax, got {args.zmin!r}, {args.zmax!r}")
+        args.a = args.margin = None
         zs = np.linspace(args.zmin, args.zmax, args.points)
         result = profile_at(SingleInterface(), model, zs, cfg=cfg)
-        geo_pairs = [("geometry", "single"), ("zmin", args.zmin), ("zmax", args.zmax)]
-        grid_pairs = [("points", args.points)]
-    command = _normalized_command(
-        "profile",
-        geo_pairs + model_pairs + grid_pairs + [("format", args.format)] + _quad_pairs(args),
-    )
     rows = [[p.z, p.e2, p.b2, p.u, p.err] for p in result.points]
-    _emit_table(args, command, [], ["z", "e2", "b2", "u", "err"], rows)
+    _emit_table(args, ["z", "e2", "b2", "u", "err"], rows)
     return 0
 
 
 def cmd_scan(args) -> int:
     cfg = _quad_config(args)
     points = midpoint_scan(args.lmin, args.lmax, args.points, cfg=cfg, spacing=args.spacing)
-    command = _normalized_command(
-        "scan",
-        [
-            ("lmin", args.lmin),
-            ("lmax", args.lmax),
-            ("points", args.points),
-            ("spacing", args.spacing),
-            ("format", args.format),
-        ]
-        + _quad_pairs(args),
-    )
     rows = [[p.omega_p_a, p.u_mid_scaled] for p in points]
-    _emit_table(args, command, [f"pc_limit_u_scaled = {_fmt(PC_LIMIT_SCALED)}"], ["lambda", "u_mid_scaled"], rows)
+    _emit_table(args, ["lambda", "u_mid_scaled"], rows, extra={"pc_limit_u_scaled": PC_LIMIT_SCALED})
     return 0
 
 
@@ -281,14 +256,12 @@ def cmd_critical(args) -> int:
         report["omega_p_ev"] = args.wp_ev
         report["critical_separation_um"] = critical_separation_physical(args.wp_ev, lambda_c=lam)
     if args.json:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        args.stream.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write(f"critical wp*a: {lam:.2f} (Chebyshev-Lobatto root search, tol {args.tol})\n")
+        args.stream.write(f"critical wp*a: {lam:.2f} (Chebyshev-Lobatto root search, tol {args.tol})\n")
         if args.wp_ev is not None:
-            sys.stdout.write(
-                f"critical separation for wp = {args.wp_ev} eV: "
-                f"{report['critical_separation_um']:.4f} um (hbar*c = {HBAR_C_EV_NM} eV nm)\n"
-            )
+            um = report["critical_separation_um"]
+            args.stream.write(f"critical separation for wp = {args.wp_ev} eV: {um:.4f} um (hbar*c = {HBAR_C_EV_NM} eV nm)\n")
     return 0
 
 
@@ -359,13 +332,12 @@ def cmd_limits(args) -> int:
     checks = _limit_checks(cfg, args.tolerance)
     failed = [c for c in checks if not c["passed"]]
     if args.json:
-        command = _normalized_command("limits", [("tolerance", args.tolerance)] + _quad_pairs(args))
-        _emit_table(args, command, [], [], [], checks)
+        _emit_table(args, [], [], checks=checks)
     else:
         for check in checks:
             status = "PASS" if check["passed"] else "FAIL"
-            sys.stdout.write(f"{status} {check['name']} {check['detail']}\n")
-        sys.stdout.write(f"{len(checks) - len(failed)}/{len(checks)} checks passed\n")
+            args.stream.write(f"{status} {check['name']} {check['detail']}\n")
+        args.stream.write(f"{len(checks) - len(failed)}/{len(checks)} checks passed\n")
     return 1 if failed else 0
 
 

@@ -350,7 +350,8 @@ def integrate_semi_infinite(
         callable, which returns its values on a (u, t) grid instead, is
         lifted once onto the engine's fixed t rule, graded toward t = 0,
         and checked at the seed rows against the same rule on halved t
-        panels.
+        panels. It is first called with the empty t row `T_INTEGRAL`, so
+        it must be elementwise in t (``t.max()`` fails on that row).
     decay_scale : float or sequence of float
         The exponential scale of the integrand, exp(-u * decay_scale);
         for the field integrands this is 2z (single interface) or
@@ -420,55 +421,38 @@ def integrate_semi_infinite(
         evaluations *= 3  # the check's rule is twice the lift's, so each of its rows counts as two
     panels_per_call = max(1, _NODE_CAP // 15)
 
-    def f_rows(u: np.ndarray, rows: slice):
-        """f at the u nodes u[rows], taken from the seed call's output where there is one."""
-        nonlocal evaluations
-        if seed is not None:
-            return seed[rows] if not isinstance(seed, tuple) else tuple(b if b is None else b[rows] for b in seed)
-        evaluations += rows.stop - rows.start
-        return f(u[rows, None], T_INTEGRAL)
-
-    def eval_panels(u: np.ndarray, half: np.ndarray, with_tail: bool = False):
+    def eval_panels(out, u: np.ndarray, half: np.ndarray):
         """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel.
 
-        u holds the 15 Kronrod nodes of each panel, panel by panel, then the
-        node u_max if ``with_tail``; half holds the panels' half widths. The
-        first result is (panels, 3, fields, positions), C-contiguous: one
-        matrix product per panel takes the weighted t integrals (3 x fields,
-        15) to the envelope (15, positions), and the constant's sums are added
-        to every position. Whole panels share one f call up to the node cap;
-        the second result is the t-integrated magnitude at the last u node,
-        (fields, positions), which is the tail node with ``with_tail``.
+        out holds one f call's rows at u: the 15 Kronrod nodes of each panel,
+        panel by panel, then for the seed the tail node u_max; half holds the
+        panels' half widths. The first result is (panels, 3, fields,
+        positions), C-contiguous: one matrix product per panel takes the
+        weighted t integrals (3 x fields, 15) to the envelope (15, positions),
+        and the constant's sums are added to every position. The second is the
+        t-integrated magnitude at the last u node, (fields, positions), which
+        for the seed is the tail node.
         """
-        panels = half.size
-        parts = []
-        for start in range(0, panels, panels_per_call):
-            stop = min(start + panels_per_call, panels)
-            rows = slice(15 * start, 15 * stop + (with_tail and stop == panels))
-            out = f_rows(u, rows)
-            has_constant = isinstance(out, tuple) and out[0] is not None
-            # rows (n, 1) of integral and magnitude, viewed as (brackets, n, 2)
-            reduced = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
-            weights = envelope(u[rows])  # (positions, n)
-            p, n = stop - start, 15 * (stop - start)
-            # (p, 3, brackets, 15): each bracket's t integrals weighted by K15 and K15 - G7, its magnitudes by K15
-            left = reduced[:, :n].reshape(-1, p, 15, 2).transpose(1, 3, 0, 2)[:, [0, 0, 1]]
-            left *= _KGK_WEIGHTS[:, None]
-            sums = left[:, :, has_constant:].reshape(p, -1, 15) @ weights[:, :n].reshape(-1, p, 15).transpose(1, 2, 0)
-            sums = sums.reshape(p, 3, -1, weights.shape[0])
-            if has_constant:  # the same for every position
-                sums += left[:, :, 0].sum(axis=-1)[..., None, None]
-            sums *= half[start:stop, None, None, None]
-            parts.append(sums)
-        panel = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        has_constant = isinstance(out, tuple) and out[0] is not None
+        # rows (n, 1) of integral and magnitude, viewed as (brackets, n, 2)
+        reduced = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
+        weights = envelope(u)  # (positions, n)
+        p, n = half.size, 15 * half.size
+        # (p, 3, brackets, 15): each bracket's t integrals weighted by K15 and K15 - G7, its magnitudes by K15
+        left = reduced[:, :n].reshape(-1, p, 15, 2).transpose(1, 3, 0, 2)[:, [0, 0, 1]]
+        left *= _KGK_WEIGHTS[:, None]
+        panel = left[:, :, has_constant:].reshape(p, -1, 15) @ weights[:, :n].reshape(-1, p, 15).transpose(1, 2, 0)
+        panel = panel.reshape(p, 3, -1, weights.shape[0])
+        if has_constant:  # the same for every position
+            panel += left[:, :, 0].sum(axis=-1)[..., None, None]
+        panel *= half[:, None, None, None]
         np.abs(panel[:, 1], out=panel[:, 1])
         magnitude = reduced[:, -1, 1]
         return panel, (magnitude[0] if has_constant else 0.0) + weights[:, -1] * magnitude[has_constant:, None]
 
     # panel: (panels, 3, fields, positions), panels sorted by lo; along its second
     # axis the Kronrod value, its error |Kronrod - Gauss| and the magnitude sum
-    panel, g_tail = eval_panels(seed_u, seed_half, with_tail=True)
-    seed = None  # later panels call f
+    panel, g_tail = eval_panels(seed, seed_u, seed_half)
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
@@ -517,7 +501,13 @@ def integrate_semi_infinite(
         lo, hi = edges[split], edges[split + 1]
         mid = 0.5 * (lo + hi)
         halves_lo = np.stack((lo, mid), axis=1).ravel()
-        halves, _ = eval_panels(*_kronrod_nodes(halves_lo, np.stack((mid, hi), axis=1).ravel()))
+        u, half = _kronrod_nodes(halves_lo, np.stack((mid, hi), axis=1).ravel())
+        blocks = []
+        for start in range(0, half.size, panels_per_call):  # whole panels, one f call each up to the node cap
+            rows = slice(15 * start, 15 * (start + panels_per_call))
+            blocks.append(eval_panels(f(u[rows, None], T_INTEGRAL), u[rows], half[start : start + panels_per_call])[0])
+        evaluations += u.size
+        halves = np.concatenate(blocks)
         # the halves take their parents' place, in order of u
         kept = np.ones(panel.shape[0], dtype=bool)
         kept[split] = False

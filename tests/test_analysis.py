@@ -139,6 +139,9 @@ class TestProfile:
             profile(Cavity(1.0), Drude(1.0), 5, margin=0.5)
         with pytest.raises(DomainError):
             profile(Cavity(1.0), Drude(1.0), 1)
+        for margin in ("a", None):
+            with pytest.raises(DomainError, match="margin"):
+                profile(Cavity(1.0), PerfectConductor(), 3, margin=margin)
 
     def test_profile_at_requires_increasing_grid(self):
         with pytest.raises(DomainError):
@@ -391,7 +394,7 @@ class TestCriticalLambda:
         with pytest.raises(DomainError, match="tol"):
             critical_lambda(tol=tol)
 
-    @pytest.mark.parametrize("bracket", [(50.0, math.inf), (math.nan, 200.0), (True, 200.0), (0.0, 200.0)])
+    @pytest.mark.parametrize("bracket", [(50.0, math.inf), (math.nan, 200.0), (True, 200.0), (0.0, 200.0), 50.0, (50.0, 100.0, 200.0)])
     def test_bracket_ends_validation(self, bracket):
         with pytest.raises(DomainError, match="bracket"):
             critical_lambda(bracket=bracket)
@@ -517,6 +520,10 @@ class TestWallReduction:
     def test_position_validation(self):
         with pytest.raises(DomainError):
             wall_reduction_check(1.0, Drude(200.0), 1.5)
+        with pytest.raises(DomainError, match="z_small"):
+            wall_reduction_check(1.0, Drude(1.0), "x")
+        with pytest.raises(DomainError, match="width"):
+            wall_reduction_check("x", Drude(1.0), 0.1)
 
 
 class TestScalingIdentities:

@@ -121,16 +121,24 @@ class TestOutputReproducibility:
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
-    def test_header_command_reproduces_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args, ignored",
+        [
+            ("scan --lmin 40 --lmax 160 --points 4", ()),
+            ("profile --geometry single --model pc --zmin 0.1 --zmax 2 --points 5 --a 2 --margin 0.1", ("--a", "--margin")),
+            ("profile --geometry cavity --model drude --wp 50 --a 1 --points 5 --eps 3 --zmin 0.1", ("--eps", "--zmin")),
+        ],
+        ids=("scan", "single-wall-given-a-and-margin", "cavity-given-eps-and-zmin"),
+    )
+    def test_header_command_reproduces_file(self, tmp_path, capsys, args, ignored):
         original = tmp_path / "original.csv"
-        assert main(
-            shlex.split("scan --lmin 40 --lmax 160 --points 4 --output") + [str(original)]
-        ) == 0
+        assert main(shlex.split(args) + ["--output", str(original)]) == 0
         header_line = next(
             line for line in original.read_text().splitlines() if line.startswith("# command:")
         )
         command = header_line.removeprefix("# command:").strip()
         argv = shlex.split(command)
+        assert not set(ignored) & set(argv)
         assert argv[0] == "casimir-fields"
         replay = tmp_path / "replay.csv"
         assert main(argv[1:] + ["--output", str(replay)]) == 0
@@ -300,6 +308,24 @@ class TestParserBasics:
             "casimir-fields limits --tolerance 0.01 --rel-tol 1e-08 --abs-tol 1e-14 --tail-budget 60.0 "
             "--max-subdivisions 2000"
         )
+
+    def test_a_declared_flag_is_recorded_with_no_second_declaration(self, capsys, monkeypatch):
+        # the parser is the only declaration of what a table's command records
+        declare = cli._add_quadrature_args
+
+        def declare_one_more(p):
+            declare(p)
+            p.add_argument("--extra-flag", type=float, default=0.25)
+
+        monkeypatch.setattr(cli, "_add_quadrature_args", declare_one_more)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        for argv in (PC_PROFILE, "scan --points 2".split()):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert out.splitlines()[0].endswith("--max-subdivisions 2000 --extra-flag 0.25")
+        code, out, _ = run_cli("limits --json".split(), capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["command"].endswith("--max-subdivisions 2000 --extra-flag 0.25")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
