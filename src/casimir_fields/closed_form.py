@@ -140,7 +140,7 @@ def polygamma3(x: float, terms: int = 32) -> float:
         raise DomainError(f"polygamma3 requires x > 0, got {x!r}")
     if not (is_integer(terms) and terms >= 8):
         raise DomainError(f"terms must be an integer of at least 8, got {terms!r}")
-    x = float(x)
+    x, terms = float(x), int(terms)
     direct = math.fsum((x + n) ** -4 for n in reversed(range(terms)))
     y = x + terms
     tail = y**-3 / 3.0 + y**-4 / 2.0 + y**-5 / 3.0 - y**-7 / 6.0 + 2.0 * y**-9 / 9.0

@@ -281,7 +281,8 @@ def _drude_function(kind: FieldKind | None, geometry: Geometry, plasma_frequenci
     Every value is numerator / denominator, cubics in x = t^2 whose
     Bernstein coefficients depend on u alone (`_cavity_coefficients`,
     `_single_coefficients`). On the (u, t) grid one batched product with
-    the basis of `_bernstein_basis` takes both to the grid. With
+    the basis of `_bernstein_basis` takes both to the grid, its u and t
+    nodes padded to whole tiles (_TILE) with copies of the last. With
     t = T_INTEGRAL the t integral of each basis polynomial over the
     denominator is formed exactly instead from the denominator's linear
     factors (`_single_kernel`, `_cavity_kernel`), and each row is the
@@ -292,29 +293,23 @@ def _drude_function(kind: FieldKind | None, geometry: Geometry, plasma_frequenci
     coefficients, kernel = _drude_parts(kind, geometry, plasma_frequencies, z)
 
     def f_drude(u, t):
-        u = np.asarray(u, dtype=float)
-        # a matrix product rounds an entry alike whatever the number of rows and
-        # columns, so a family member keeps the bits of its plain closure, but a
-        # matrix-vector product does not: one u or t node is taken twice
-        n_u = u.size
-        u_nodes = u.ravel() if n_u > 1 else np.repeat(u.ravel(), 2)
-        coef, factors = coefficients(u_nodes)
-        rows = (coef.shape[0] - 1) * len(plasma_frequencies)
+        u, members = np.asarray(u, dtype=float), len(plasma_frequencies)
         if t is T_INTEGRAL:
+            coef, factors = coefficients(u.ravel())
             numerator, weights = coef[:-1], kernel(*factors)
             terms = np.empty(numerator.shape + (2,))
             np.multiply(numerator, weights, out=terms[..., 0])
             np.abs(terms[..., 0], out=terms[..., 1])  # the magnitude's terms, as the weights are positive
             # a sum over a leading axis adds the four terms in order, for every row alike
-            sums = np.add.reduce(terms, axis=1).reshape(rows, u_nodes.size, 2)
-            return sums[:, :n_u].view(T_INTEGRAL_DTYPE).reshape(rows, *u.shape)
+            sums = np.add.reduce(terms, axis=1)
+            return sums.view(T_INTEGRAL_DTYPE).reshape(len(sums) * members, *u.shape)
         t = np.asarray(t, dtype=float)
         shape = _outer_shape(u, t)
-        n_t = t.size
-        t_nodes = t.ravel() if n_t > 1 else np.repeat(t.ravel(), 2)
-        values = coef.transpose(0, 2, 1) @ _bernstein_basis(t_nodes)
+        u_nodes, t_nodes = (np.pad(x.ravel(), (0, -x.size % _TILE), mode="edge") for x in (u, t))
+        values = coefficients(u_nodes)[0].transpose(0, 2, 1) @ _bernstein_basis(t_nodes)
+        rows = (len(values) - 1) * members
         f = np.divide(values[:-1], values[-1], out=values[:-1]).reshape(rows, u_nodes.size, t_nodes.size)
-        return f[:, :n_u, :n_t].reshape(rows, *shape)
+        return f[:, : u.size, : t.size].reshape(rows, *shape)
 
     if kind is None and isinstance(geometry, SingleInterface):
         return lambda u, t: (None, *f_drude(u, t))
@@ -418,6 +413,16 @@ _CAVITY_MAPS = {kind: _cavity_map(kind) for kind in (*FieldKind, None)}
 _SINGLE_MAPS = {kind: _single_map(kind) for kind in (*FieldKind, None)}
 
 
+# Where the rows or the columns of a matrix product vary with the call, they
+# come in whole multiples of _TILE, padded where the operand is allocated and
+# sliced off after the product. A BLAS kernel may round the entries of a
+# partial tile, or of a matrix-vector product, unlike those of whole tiles,
+# and kernels differ in where they do; in whole tiles an entry keeps its bits
+# whatever the size of the call, the block or the family it is in (tested
+# under OpenBLAS's SkylakeX, Haswell, Prescott and Sandybridge kernels).
+_TILE = 16
+
+
 def _on_grid(wp2: np.ndarray, u_rows: np.ndarray):
     """wp^2 (K, 1) and the rows (m, n_u) on the (K, n_u) grid, stacked; then w^2 = u^2 + wp^2, w and s = u + w.
 
@@ -486,7 +491,8 @@ def _cavity_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rates: np.ndarra
     c = (u * s) / wp2
     omega = w2 / wp2
     e = twice_c_plus_b + minus_r * em
-    parts = np.empty((14,) + w.shape)
+    padded = np.empty((14, w.size + -w.size % _TILE))  # whole tiles of columns
+    padded[:, w.size :], parts = 0.0, padded[:, : w.size].reshape((14,) + w.shape)
     g = parts[11:]
     g[0] = em
     np.add(c_plus_b, em * n1, out=g[1])
@@ -499,7 +505,7 @@ def _cavity_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rates: np.ndarra
     np.multiply(g, w_env / e, out=parts[6:9])
     parts[9] = w_env
     np.multiply(w_env, omega, out=parts[10])
-    coefficients = (kind_map @ parts.reshape(14, w.size)).reshape(len(kind_map) // 4, 4, w.size)
+    coefficients = (kind_map @ padded)[:, : w.size].reshape(len(kind_map) // 4, 4, w.size)
     gamma1 = c + eps * b
     gamma2 = c_plus_b * (u / w) + b * alpha1  # c - b = 2u^2/wp^2
     factors = (alpha1, gamma1, 1.0 + eps, gamma2, eps * twice_c_plus_b)
@@ -527,14 +533,15 @@ def _single_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rate: float, u: 
     np.multiply((u * u) * u, np.exp(rate * u), out=u_rows[1])
     (wp2, u, weight), _, w, s = _on_grid(wp2, u_rows)
     c = (u * s) / wp2
-    parts = np.empty((7,) + w.shape)
+    padded = np.empty((7, w.size + -w.size % _TILE))  # whole tiles of columns
+    padded[:, w.size :], parts = 0.0, padded[:, : w.size].reshape((7,) + w.shape)
     parts[0], parts[5] = weight, 1.0
     np.multiply(weight, w / s, out=parts[1])
     np.multiply(weight, wp2 / (s * s), out=parts[2])
     np.add(1.0, c, out=parts[6])
     np.multiply(parts[2], parts[6], out=parts[3])
     np.multiply(weight, u / s, out=parts[4])
-    return (kind_map @ parts.reshape(7, w.size)).reshape(len(kind_map) // 4, 4, w.size), (c.ravel(),)
+    return (kind_map @ padded)[:, : w.size].reshape(len(kind_map) // 4, 4, w.size), (c.ravel(),)
 
 
 # The t integrals of the Bernstein basis over a denominator whose nearest
@@ -569,6 +576,8 @@ def _gauss_columns(kernel: np.ndarray, scale: np.ndarray, p1: np.ndarray, p2: np
     with no p2 the integral over t^2 + p1 alone. The columns go through the
     rule in blocks of at most _GAUSS_BLOCK, so its (columns, 32) temporaries
     stay the same size however many u rows and family members a call has.
+    A block's product has one row per column, in whole tiles (_TILE), so a
+    column keeps its bits in any block.
     """
     near = p1 < _GAUSS_POLE
     if near.all():
@@ -576,16 +585,15 @@ def _gauss_columns(kernel: np.ndarray, scale: np.ndarray, p1: np.ndarray, p2: np
     x, basis = _gauss_rule()
     far = np.flatnonzero(~near) if near.any() else None  # every column, the common case, takes no gather or scatter
     count = near.size if far is None else far.size
-    step = -(-count // -(-count // _GAUSS_BLOCK))  # equal blocks, so none has one column unless all do
-    for start in range(0, count, step):
-        columns = slice(start, start + step) if far is None else far[start : start + step]
-        denominator = p1[columns, None] + x
+    for start in range(0, count, _GAUSS_BLOCK):
+        columns = slice(start, start + _GAUSS_BLOCK) if far is None else far[start : start + _GAUSS_BLOCK]
+        n = min(_GAUSS_BLOCK, count - start)
+        denominator = np.empty((n + -n % _TILE, 32))  # whole tiles of rows
+        denominator[n:] = 1.0
+        np.add(p1[columns, None], x, out=denominator[:n])
         if p2 is not None:
-            denominator *= p2[columns, None] + x
-        inverse = np.divide(1.0, denominator, out=denominator)
-        # a column of the kernel is a row of this product, which a matrix product rounds
-        # alike whatever the number of rows, unless there is one: then it is taken twice
-        sums = (np.repeat(inverse, 2, axis=0) @ basis)[::2] if inverse.shape[0] == 1 else inverse @ basis
+            denominator[:n] *= p2[columns, None] + x
+        sums = (np.divide(1.0, denominator, out=denominator) @ basis)[:n]
         kernel[:, columns] = np.multiply(sums, scale[columns, None], out=sums).T
     return near
 

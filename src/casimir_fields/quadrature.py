@@ -47,8 +47,8 @@ every position, are added. Every (position, field) pair keeps its own
 Kronrod error, tail bound, t term and tolerance test on the shared panels.
 A family ``(None, f_1, ..., f_K)`` under `unit_envelope` is the same form
 with one position: K integrands sharing one decay scale go through one
-u mesh, which is how a midgap scan integrates `family_size` values of wp*a
-per call.
+u mesh, which is how a midgap scan integrates a group of wp*a values per
+call (`analysis`).
 
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
@@ -73,7 +73,6 @@ __all__ = [
     "IntegralResult",
     "integrate_semi_infinite",
     "integrate_fixed_grid",
-    "family_size",
     "unit_envelope",
     "T_INTEGRAL",
     "T_INTEGRAL_DTYPE",
@@ -184,17 +183,6 @@ _NODE_CAP = 16_384
 # bracket form the cavity integrand then peaks at about the memory that one
 # call on the whole plain grid took (tracemalloc).
 _ORACLE_NODE_CAP = 2**21
-# Gauss-Legendre nodes of the Drude integrands' exact t integrals where every
-# pole is far from [0, 1] (`integrand._gauss_rule`), and the budget of such
-# kernel nodes in the seed call of one family, which sets `family_size`:
-# four node caps. The kernel takes them in blocks, so a member costs about
-# 40 kB of traced peak memory: a midgap pass (a 40-value scan and the
-# critical root) peaked at 0.57 MB with 5 members, 0.87 MB with 11, 1.00 MB
-# with 15 and 1.11 MB with 20. Against 5-member families the scan took
-# 0.79x the time with 11 members, 0.74x with 15, 0.75x with 20 and 0.90x
-# with 40 (2-vCPU x86 host, numpy 2.4).
-_DRUDE_KERNEL_NODES = 32
-_FAMILY_NODES = 4 * _NODE_CAP
 
 
 @dataclass(frozen=True)
@@ -308,13 +296,14 @@ def _real_array(values) -> np.ndarray:
 def _checked_scales(values, floor) -> np.ndarray:
     """The decay scales as a float array, after checking that each is a positive finite number at least ``floor``.
 
-    A float array is taken as it is; otherwise one pass over the elements
-    refuses anything but real numbers (bool included). Array checks then
-    find the first scale that fails: InvalidDecayScale names it if it is not
-    positive and finite (NaN included), DivergesAtBoundary if it is below
-    the floor.
+    An array is flattened. A float array is taken as it is; otherwise one
+    pass over the elements refuses anything but real numbers (bool
+    included). Array checks then find the first scale that fails:
+    InvalidDecayScale names it if it is not positive and finite (NaN
+    included), DivergesAtBoundary if it is below the floor.
     """
-    scales = _real_array(values).ravel()
+    values = values.ravel() if isinstance(values, np.ndarray) else values
+    scales = _real_array(values)
     valid = np.isfinite(scales) & (scales > 0)
     failing = ~valid | (scales < floor)
     if failing.any():
@@ -604,19 +593,6 @@ def _bracket_list(out) -> list:
 def unit_envelope(u: np.ndarray) -> np.ndarray:
     """Envelope of a plain integrand, and of a family ``(None, f_1, ..., f_K)``: one position, weight 1."""
     return np.ones((1, u.size))
-
-
-def family_size() -> int:
-    """Members per family call: as many as keep the exact t integrals of its seed call within _FAMILY_NODES kernel nodes.
-
-    A midgap family is a set of Drude integrands, which take their t
-    integrals in closed form. Its seed call evaluates every member at
-    the seed mesh's 136 u rows, and the Drude kernel integrates each row
-    against a _DRUDE_KERNEL_NODES-node Gauss-Legendre rule: 4,352 nodes per
-    member, so 15 members.
-    """
-    seed_rows = 15 * (_SEED_SPLITS + 1) + 1
-    return max(1, _FAMILY_NODES // (seed_rows * _DRUDE_KERNEL_NODES))
 
 
 def _result(batched: bool, total, err_total, evaluations: int, u_max: float) -> IntegralResult:

@@ -305,9 +305,9 @@ class TestMidpointScan:
             midpoint_scan(*args)
 
     def test_rows_match_single_integrals(self, engine_calls):
-        # 16 values in groups of family_size() (15) and 1, one engine call per group
+        # 16 values in groups of _FAMILY_SIZE (15) and 1, one engine call per group
         points = midpoint_scan(10.0, 1000.0, 16)
-        assert engine_calls.engine == -(-16 // quadrature.family_size()) == 2
+        assert engine_calls.engine == -(-16 // analysis._FAMILY_SIZE) == 2
         cfg = QuadratureConfig()
         for point in points:
             single = integrate_semi_infinite(_midgap_closure(point.omega_p_a), 1.0, cfg)
@@ -325,7 +325,7 @@ class TestMidpointScan:
 
     def test_forty_values_take_one_engine_call_per_family(self, engine_calls):
         midpoint_scan(10.0, 1000.0, 40)
-        assert engine_calls.engine == -(-40 // quadrature.family_size()) == 3
+        assert engine_calls.engine == -(-40 // analysis._FAMILY_SIZE) == 3
         # 3 seed calls and the one round of panel splits of the default scan
         assert engine_calls.integrand <= 4
 

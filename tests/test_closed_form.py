@@ -37,6 +37,7 @@ from casimir_fields import (
         pytest.param(lambda: pc_cavity_energy(np.int64(2)), lambda: pc_cavity_energy(2.0), id="energy-int64"),
         pytest.param(lambda: pc_single_e2(np.float32(0.5)), lambda: pc_single_e2(0.5), id="single-float32"),
         pytest.param(lambda: polygamma3(np.float32(0.5)), lambda: polygamma3(0.5), id="polygamma-float32"),
+        pytest.param(lambda: polygamma3(0.5, np.int64(16)), lambda: polygamma3(0.5, 16), id="polygamma-int64-terms"),
     ],
 )
 def test_arguments_are_real_numbers(call, expected):

@@ -1,5 +1,10 @@
 import functools
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -702,6 +707,74 @@ class TestExactTIntegrals:
                 monkeypatch.setattr(integrand, "_GAUSS_BLOCK", block)
                 np.testing.assert_array_equal(kernel(*factors), whole)
             monkeypatch.undo()
+
+
+# The Drude kernel's bit-identity contracts, checked in a child process
+# under another OpenBLAS kernel. It prints each contract that fails.
+_KERNEL_CONTRACTS = """
+import numpy as np
+from casimir_fields import Cavity, Drude, FieldKind, SingleInterface, integrand, integrand_function
+from casimir_fields.quadrature import T_INTEGRAL
+
+
+def brackets(out):
+    return [bracket for bracket in (out if isinstance(out, tuple) else (out,)) if bracket is not None]
+
+
+u, wps = np.geomspace(1e-8, 1e4, 97)[:, None], (0.3, 1.0, 96.60661, 200.0, 1e4)
+u_grid, t_grid = np.geomspace(1e-3, 1e3, 23)[:, None], np.linspace(0.01, 0.99, 17)[None, :]
+# a bigger call, a call on one of its rows, and where that row lies in the bigger one
+lone_calls = [
+    ((u, T_INTEGRAL), (u[40:41], T_INTEGRAL), np.s_[40:41]),
+    ((u_grid, t_grid), (u_grid[5:6], t_grid[:, 3:4]), np.s_[5:6, 3:4]),
+]
+failed = []
+for geometry, z in ((SingleInterface(), 0.3), (Cavity(1.0), 0.5)):
+    for kind in FieldKind:
+        family = integrand_function(kind, geometry, [Drude(wp) for wp in wps], z)
+        for grid, t in ((u, T_INTEGRAL), (u_grid, t_grid)):
+            for got, wp in zip(family(grid, t)[1:], wps):
+                if got.tobytes() != integrand_function(kind, geometry, Drude(wp), z)(grid, t).tobytes():
+                    failed.append(("family member", geometry, kind, wp, t.size))
+    for kind, at in [(kind, z) for kind in FieldKind] + [(None, None)]:
+        for wp in wps:
+            f = integrand_function(kind, geometry, Drude(wp), at)
+            for whole, lone, row in lone_calls:
+                for got, alone in zip(brackets(f(*whole)), brackets(f(*lone))):
+                    if got[row].tobytes() != alone.tobytes():
+                        failed.append(("lone row", geometry, kind, wp, lone[1].size))
+    coefficients, kernel = integrand._drude_parts(None, geometry, [*wps, 0.01], None)
+    factors = coefficients(u.ravel())[1]
+    blocks = set()
+    for integrand._GAUSS_BLOCK in (1, 7, 512):
+        blocks.add(kernel(*factors).tobytes())
+    if len(blocks) > 1:
+        failed.append(("kernel in blocks", geometry))
+print(*failed, sep="\\n")
+raise SystemExit(bool(failed))
+"""
+
+
+def _blas_name() -> str:
+    return np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or "openblas" not in _blas_name().lower(),
+    reason="OPENBLAS_CORETYPE selects an x86-64 OpenBLAS kernel",
+)
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_kernel_contracts_hold_under_other_openblas_kernels(coretype):
+    # a family member equals its plain closure, one row equals the same row in a
+    # bigger call and the kernel is the same in any block, whichever OpenBLAS kernel
+    # takes the products: the setting acts on the child process only
+    cpuinfo = Path("/proc/cpuinfo")
+    if coretype == "Haswell" and not (cpuinfo.exists() and "avx2" in cpuinfo.read_text()):
+        pytest.skip("the Haswell kernel needs AVX2")
+    src = str(Path(integrand.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-W", "error", "-c", _KERNEL_CONTRACTS], env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stdout + child.stderr
 
 
 # Permittivities of the rows tested: from nearly vacuum, where r and r' taken

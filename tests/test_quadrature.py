@@ -23,7 +23,7 @@ from casimir_fields import (
     integrate_fixed_grid,
     integrate_semi_infinite,
 )
-from casimir_fields import integrand, quadrature
+from casimir_fields import quadrature
 from casimir_fields.integrand import position_envelope
 
 
@@ -259,6 +259,9 @@ class TestBatchedEngine:
             # the first bad scale decides which error is raised
             ([1.0, 1e-9, math.nan], DivergesAtBoundary, "1e-09"),
             ([1.0, math.nan, 1e-9], InvalidDecayScale, "nan"),
+            # a 2-D array names the failing entry of its flattened scales
+            (np.array([[1.0, math.nan]]), InvalidDecayScale, "nan"),
+            (np.array([[1.0], [1e-9]]), DivergesAtBoundary, "1e-09"),
         ):
             with pytest.raises(error, match=name):
                 integrate_semi_infinite(never, scales, envelope=envelope)
@@ -534,12 +537,6 @@ class TestSetUpCaches:
         cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS), quadrature._tail_factor(60.0, (1.0, 0.5))]
         cached += [*quadrature._T_RULE, *quadrature._T_CHECK_RULE]
         assert all(not array.flags.writeable for array in cached)
-
-    def test_family_size_fills_the_kernel_budget(self):
-        # 136 seed rows x the 32 Gauss-Legendre nodes of the Drude kernel fit 15 times in 4 x 16,384 nodes
-        seed_rows = quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS)[1].size
-        assert (seed_rows, integrand._gauss_rule()[0].size) == (136, quadrature._DRUDE_KERNEL_NODES)
-        assert quadrature.family_size() == quadrature._FAMILY_NODES // (136 * 32) == 15
 
     def test_split_heavy_batched_call_is_deterministic(self):
         scales, rows = np.array([50.0, 1.0]), []
