@@ -552,50 +552,50 @@ def _single_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rate: float, u: 
 # ulps at p = 0.02, 360 at 0.015; with the panels meeting at 1/2 instead, 40
 # ulps at p = 0.05), and the closed forms stay within 6 ulps below p = 0.04.
 _GAUSS_POLE = 0.04
-# Most columns `_gauss_columns` takes through the rule at once: its (columns,
-# 32) temporaries then hold at most _NODE_CAP nodes each, 128 KiB.
+# Most columns `_gauss_columns` takes through the rule at once: its (32, columns)
+# and (3, columns) temporaries then hold at most _NODE_CAP numbers each, 128 KiB.
 _GAUSS_BLOCK = _NODE_CAP // 32
 
 
 @functools.cache
 def _gauss_rule() -> Tuple[np.ndarray, np.ndarray]:
-    """x = t^2 at the nodes of the Gauss-Legendre rule, (1, 32), and the Bernstein basis there times the weights, (32, 4)."""
+    """The powers 1, x, x^2 of x = t^2 at the nodes of the Gauss-Legendre rule, (32, 3), and the Bernstein basis there times the weights, (4, 32)."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     lo, hi = np.array([[0.0], [0.25]]), np.array([[0.25], [1.0]])
     t = (0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes).ravel()
-    rule = ((t * t)[None, :], np.ascontiguousarray((_bernstein_basis(t) * (0.5 * (hi - lo) * weights).ravel()).T))
+    rule = (np.stack((np.ones_like(t), t * t, np.square(t * t)), axis=1), _bernstein_basis(t) * (0.5 * (hi - lo) * weights).ravel())
     for array in rule:
         array.setflags(write=False)
     return rule
 
 
-def _gauss_columns(kernel: np.ndarray, scale: np.ndarray, p1: np.ndarray, p2: np.ndarray | None = None) -> np.ndarray:
-    """Fill the columns of kernel (4, n) whose nearest pole p1 is at least _GAUSS_POLE by `_gauss_rule`; the mask of the others.
+def _gauss_columns(scale: np.ndarray, p1: np.ndarray, p2: np.ndarray | None = None) -> Tuple[np.ndarray, np.ndarray]:
+    """The kernel (4, n) by `_gauss_rule`, and the mask of the columns whose nearest pole p1 is below _GAUSS_POLE; unfilled if all are.
 
     A column takes scale * int_0^1 B_j(t^2) / ((t^2 + p1)(t^2 + p2)) dt, or
-    with no p2 the integral over t^2 + p1 alone. The columns go through the
-    rule in blocks of at most _GAUSS_BLOCK, so its (columns, 32) temporaries
-    stay the same size however many u rows and family members a call has.
-    A block's product has one row per column, in whole tiles (_TILE), so a
-    column keeps its bits in any block.
+    with no p2 over t^2 + p1 alone; the callers overwrite the masked columns
+    with closed forms (p1 >= 0 and x > 0 keep them finite). In contiguous
+    blocks of at most _GAUSS_BLOCK columns, the powers of x times the
+    coefficients (p1 p2, p1 + p2, 1), or (p1, 1), give the denominators, sums
+    of positive terms, and the basis times their reciprocals the kernel: both
+    products take whole tiles (_TILE) of columns, the pad's denominators 1, so
+    a column keeps its bits in any block.
     """
-    near = p1 < _GAUSS_POLE
+    kernel, near = np.empty((4, p1.size)), p1 < _GAUSS_POLE
     if near.all():
-        return near
-    x, basis = _gauss_rule()
-    far = np.flatnonzero(~near) if near.any() else None  # every column, the common case, takes no gather or scatter
-    count = near.size if far is None else far.size
-    for start in range(0, count, _GAUSS_BLOCK):
-        columns = slice(start, start + _GAUSS_BLOCK) if far is None else far[start : start + _GAUSS_BLOCK]
-        n = min(_GAUSS_BLOCK, count - start)
-        denominator = np.empty((n + -n % _TILE, 32))  # whole tiles of rows
-        denominator[n:] = 1.0
-        np.add(p1[columns, None], x, out=denominator[:n])
-        if p2 is not None:
-            denominator[:n] *= p2[columns, None] + x
-        sums = (np.divide(1.0, denominator, out=denominator) @ basis)[:n]
-        kernel[:, columns] = np.multiply(sums, scale[columns, None], out=sums).T
-    return near
+        return kernel, near
+    powers, basis = _gauss_rule()
+    poles = np.stack([p1] if p2 is None else [p1 * p2, p1 + p2])
+    for start in range(0, near.size, _GAUSS_BLOCK):
+        columns = slice(start, start + _GAUSS_BLOCK)
+        n = min(_GAUSS_BLOCK, near.size - start)
+        coefficients = np.zeros((len(poles) + 1, n + -n % _TILE))  # whole tiles of columns
+        coefficients[0, n:] = coefficients[-1, :n] = 1.0  # a pad column's denominator is 1
+        coefficients[:-1, :n] = poles[:, columns]
+        denominator = powers[:, : len(coefficients)] @ coefficients
+        sums = basis @ np.divide(1.0, denominator, out=denominator)
+        np.multiply(sums[:, :n], scale[columns], out=kernel[:, columns])
+    return kernel, near
 
 
 def _from_moments(m0, m1, m2, m3) -> np.ndarray:
@@ -612,9 +612,8 @@ def _single_kernel(c: np.ndarray) -> np.ndarray:
     shrinks the error carried from J_{k-1} by c > 1/_GAUSS_POLE = 25 at
     every step.
     """
-    kernel = np.empty((4, c.size))
     p = 1.0 / c
-    near = _gauss_columns(kernel, p, p)
+    kernel, near = _gauss_columns(p, p)
     if near.any():
         c = c[near]
         root = np.sqrt(c)
@@ -650,9 +649,8 @@ def _cavity_kernel(alpha1, gamma1, alpha2, gamma2, spread) -> np.ndarray:
       and the integrals are theirs over gamma_1 gamma_2; p1 + p2 < 0.58
       keeps the recurrence stable.
     """
-    kernel = np.empty((4, alpha1.size))
     scale, p1, p2 = gamma1 * gamma2, alpha1 / gamma1, alpha2 / gamma2
-    near = _gauss_columns(kernel, 1.0 / scale, p1, p2)
+    kernel, near = _gauss_columns(1.0 / scale, p1, p2)
     if not near.any():
         return kernel
     apart = near & (spread > 0.5 * scale)

@@ -415,11 +415,11 @@ class TestCriticalLambda:
 
 
 def _count_family_calls(monkeypatch, energy=None):
-    """Count critical_lambda's family calls; ``energy``, if given, replaces each member's integral with U(wp*a)."""
-    family, calls = analysis._midgap_energy_family, [0]
+    """Record the wp*a of each of critical_lambda's family calls; ``energy``, if given, replaces each member's integral with U(wp*a)."""
+    family, calls = analysis._midgap_energy_family, []
 
     def counted_family(omega_p_as, cfg):
-        calls[0] += 1
+        calls.append(omega_p_as)
         return SimpleNamespace(value=np.array([[energy(x)] for x in omega_p_as])) if energy else family(omega_p_as, cfg)
 
     monkeypatch.setattr(analysis, "_midgap_energy_family", counted_family)
@@ -452,13 +452,27 @@ class TestRootSearchContract:
         calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root))
         lam = critical_lambda(bracket=bracket, tol=tol)
         assert abs(lam - root) <= 0.5 * tol
-        assert calls[0] <= _call_bound(bracket[1] - bracket[0], tol)
+        assert len(calls) <= _call_bound(bracket[1] - bracket[0], tol)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("root", _ROOTS)
+    def test_later_rounds_integrate_only_the_interior_points(self, monkeypatch, shape, root):
+        # from the second round on, one bracket end is a sample of the round
+        # before and the other a check point: their values are reused
+        calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root))
+        assert abs(critical_lambda(tol=1e-6) - root) <= 0.5e-6
+        samples = calls[0::2]
+        assert [len(x) for x in samples] == [15] + [13] * (len(samples) - 1)
+        for k, x in enumerate(samples[1:], 1):
+            assert {v for call in calls[: 2 * k] for v in call}.isdisjoint(x)
+        if shape != "linear":  # every other stand-in takes more than one round
+            assert len(samples) > 1
 
     def test_exact_zero_is_returned(self, monkeypatch):
         # zero on all of [90, 110], so a sample lands on an exact zero
         calls = _count_family_calls(monkeypatch, lambda x: min(0.0, 110.0 - x) + max(0.0, 90.0 - x))
         lam = critical_lambda()
-        assert 90.0 <= lam <= 110.0 and calls[0] == 1
+        assert 90.0 <= lam <= 110.0 and len(calls) == 1
         _count_family_calls(monkeypatch, lambda x: 100.0 - x)
         assert critical_lambda(bracket=(50.0, 100.0)) == 100.0
 
@@ -468,13 +482,13 @@ class TestRootSearchContract:
         # between adjacent floats
         calls = _count_family_calls(monkeypatch, lambda x: math.copysign(1.0, 96.60661 - x))
         assert abs(critical_lambda(tol=1e-15) - 96.60661) <= 1e-13
-        assert calls[0] <= _call_bound(150.0, 1e-15)
+        assert len(calls) <= _call_bound(150.0, 1e-15)
 
     def test_no_sign_change(self, monkeypatch):
         calls = _count_family_calls(monkeypatch, lambda x: 1.0 + x)
         with pytest.raises(NoSignChange):
             critical_lambda()
-        assert calls[0] == 1
+        assert len(calls) == 1
 
 
 class TestCriticalSeparationPhysical:

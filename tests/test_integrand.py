@@ -708,6 +708,35 @@ class TestExactTIntegrals:
                 np.testing.assert_array_equal(kernel(*factors), whole)
             monkeypatch.undo()
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+    def test_neighbours_do_not_change_bits(self, geometry, references):
+        # every column goes through the Gauss rule, and the callers overwrite the
+        # near-pole ones: a column's bits do not depend on the others in the call
+        kernel = integrand._single_kernel if isinstance(geometry, SingleInterface) else integrand._cavity_kernel
+        mixed = 0
+        for wp in (*_EXACT_WPS, 0.01):
+            factors = references[type(geometry).__name__, wp][0]
+            p1 = 1.0 / factors[0] if isinstance(geometry, SingleInterface) else factors[0] / factors[1]
+            near = p1 < integrand._GAUSS_POLE
+            if near.all() or not near.any():
+                continue
+            mixed += 1
+            whole = kernel(*factors)
+            for columns in (~near, near):  # the near columns alone take the closed forms only
+                np.testing.assert_array_equal(kernel(*(factor[columns] for factor in factors)), whole[:, columns])
+        assert mixed
+
+    @pytest.mark.parametrize("a", (1e-3, 1.0, 1e3))
+    def test_extreme_inputs_stay_finite(self, a):
+        # near-pole columns go through the Gauss rule too before their closed forms
+        # replace them; no value may overflow or warn, from nearly vacuum to nearly
+        # a perfect conductor and from u a = 1e-11 to 1e10
+        u, wps = np.geomspace(1e-8, 1e7, 301), np.geomspace(1e-5, 1e9, 29).tolist()
+        for geometry in (SingleInterface(), Cavity(a)):
+            for kind, z in ((None, None), (FieldKind.ENERGY_DENSITY, 0.5 * a)):
+                coefficients, kernel = integrand._drude_parts(kind, geometry, wps, z)
+                assert np.isfinite(kernel(*coefficients(u)[1])).all(), (geometry, kind)
+
 
 # The Drude kernel's bit-identity contracts, checked in a child process
 # under another OpenBLAS kernel. It prints each contract that fails.
