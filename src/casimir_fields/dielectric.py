@@ -88,16 +88,16 @@ def reflection_values(model: DielectricModel, u, t):
 
     Notes
     -----
-    The Drude forms are evaluated without cancellation:
+    Both come from `_reflection_factors`, as the textbook ratios rewritten
+    without cancellation. For a Drude mirror, with s = u + sqrt(u^2 + wp^2),
 
-        r  = -wp^2 / (u + w)^2,            w = sqrt(u^2 + wp^2)
-        r' = wp^2 (1 - b t^2) / (wp^2 + t^2 u (u + w)),  b = u / (u + w)
+        r  = -wp^2 / s^2
+        r' = (1 - b t^2) / (1 + c t^2),   b = u / s,  c = u s / wp^2
 
-    which are exactly the textbook ratios rewritten so that u = 0 (where
-    r = -1, r' = 1) and u >> wp (where r ~ -wp^2/4u^2) are both regular.
-    For a constant permittivity both coefficients depend on t only, since
-    the vacuum and medium decay constants share the overall factor u; with
-    q = sqrt(1 + (eps - 1) t^2) they are formed as
+    so that u = 0 (where r = -1, r' = 1) and u >> wp (where
+    r ~ -wp^2/4u^2) are both regular. For a constant permittivity both
+    depend on t only, since the vacuum and medium decay constants share the
+    overall factor u; with q = sqrt(1 + (eps - 1) t^2) they are
 
         r  = -(eps - 1) t^2 / (1 + q)^2
         r' = (eps - 1)(eps + 1 - t^2) / (eps + q)^2
@@ -108,26 +108,33 @@ def reflection_values(model: DielectricModel, u, t):
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(u.shape, t.shape)
-    if isinstance(model, Drude):
-        wp = model.plasma_frequency
-        w = np.hypot(u, wp)
-        r = -(wp * wp) / ((u + w) * (u + w))
-        tt = t * t
-        r_prime = wp * wp * (1.0 - (u / (u + w)) * tt) / (wp * wp + tt * u * (u + w))
-    else:
-        r, r_prime = _undispersed_factors(model, t)[:2]
+    r, r_prime = _reflection_factors(model, u, t)[:2]
     return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
 
 
-def _undispersed_factors(model: DielectricModel, t: np.ndarray):
-    """r, r', r + r', 1 - r^2 and 1 - r'^2 of a model whose coefficients depend on t alone, at the shape of t or as scalars.
+def _reflection_factors(model: DielectricModel, u, t):
+    """r, r', r + r', 1 - r^2 and 1 - r'^2 at the nodes (u, t), each at the broadcast shape of what it depends on, or as a scalar.
 
-    For a constant permittivity, with q = sqrt(1 + (eps - 1) t^2), they
-    come from 1 + r = 2/(1 + q), 1 - r = 2q/(1 + q), 1 + r' = 2 eps/(eps + q),
-    1 - r' = 2q/(eps + q) and r + r' = 2 (eps - 1)(1 - t^2)/((1 + q)(eps + q)),
-    so that none is a difference of nearly equal numbers: not as eps -> 1,
+    None is a difference of nearly equal numbers. For a Drude mirror, with
+    the b, c and s of `reflection_values`, x = t^2 and M = 1 + c x:
+    1 + r = 2b, r + r' = 2b (1 - x)/M, 1 - r^2 = (1 + wp^2/s^2) 2b and
+    1 - r'^2 = (c + b) x (2 + (c - b) x)/M^2, with c - b = 2u^2/wp^2. For a
+    constant permittivity they come from 1 + r = 2/(1 + q),
+    1 - r = 2q/(1 + q), 1 + r' = 2 eps/(eps + q), 1 - r' = 2q/(eps + q) and
+    r + r' = 2 (eps - 1)(1 - t^2)/((1 + q)(eps + q)): not as eps -> 1,
     where r and r' vanish, nor as eps grows and -r and r' approach 1.
     """
+    if isinstance(model, Drude):
+        wp = model.plasma_frequency
+        wp2 = wp * wp
+        s = u + np.hypot(u, wp)
+        b, c = u / s, (u * s) / wp2
+        x = t * t
+        m = 1.0 + c * x
+        minus_r = wp2 / (s * s)
+        twice_b = b + b
+        square_p = ((c + b) * x / m) * ((2.0 + (2.0 * (u * u) / wp2) * x) / m)
+        return -minus_r, (1.0 - b * x) / m, twice_b * (1.0 - x) / m, (1.0 + minus_r) * twice_b, square_p
     if isinstance(model, Vacuum):
         return 0.0, 0.0, 0.0, 1.0, 1.0
     if isinstance(model, PerfectConductor):

@@ -21,17 +21,16 @@ profile by the decay scales it hands to the engine.
 
 For a Drude mirror every bracket is a rational function of x = t^2 whose
 coefficients depend on u alone: r' = (1 - b x)/(1 + c x), with b and c
-functions of u and the plasma frequency, while r depends on u only. The
-Drude integrands, fields and bracket form alike, are therefore evaluated
-as numerator / denominator, two polynomials of degree 3 in x. Their
-coefficients in the Bernstein basis x^k (1 - x)^(3-k) are formed on the
-u axis from sign-definite parts, and one matrix product with the basis at
-the t nodes takes both to the (u, t) grid. Unlike the monomial basis,
-whose coefficients cancel catastrophically at large u and t near 1, the
-Bernstein form loses no more accuracy than the bracket arithmetic (Farouki
-and Rajan, Comput. Aided Geom. Des. 4, 1987).
+functions of u and the plasma frequency, while r depends on u only. For
+their t integrals the Drude integrands, fields and bracket form alike, are
+therefore written as a numerator, a polynomial of degree 3 in x, over a
+denominator. The numerator's coefficients in the Bernstein basis
+x^k (1 - x)^(3-k) are formed on the u axis from sign-definite parts.
+Unlike the monomial basis, whose coefficients cancel catastrophically at
+large u and t near 1, the Bernstein form loses no more accuracy than the
+bracket arithmetic (Farouki and Rajan, Comput. Aided Geom. Des. 4, 1987).
 
-The same form gives the t integral exactly. The denominator is 1 + c x
+This form gives the t integral exactly. The denominator is 1 + c x
 outside one mirror and a product of two such factors in a cavity, so the
 integral of each basis polynomial over it is elementary: arctangents and a
 short recurrence where a pole of the denominator lies near t = 0, and a
@@ -50,9 +49,13 @@ t integrals are taken once per model.
 
 Every closure returns, when called with t = `quadrature.T_INTEGRAL`, the
 exact t integral at each u and a bound on the integral of its magnitude,
-and the engine integrates it on the u axis alone. On a (u, t) grid each
-closure returns its values, which `quadrature.integrate_fixed_grid`
-integrates as the independent check of those t integrals.
+and the engine integrates it on the u axis alone. On a (u, t) grid every
+closure, whatever the model, takes its values from one bracket arithmetic
+(`_grid_values`): the brackets of `single_bracket` and `cavity_terms` on
+the cancellation-free reflection factors of `dielectric`, times the
+prefactor and the envelope. `quadrature.integrate_fixed_grid` integrates
+them as the independent check of the t integrals, with none of the
+Bernstein maps, kernels or t rules above.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dielectric import ConstantEpsilon, DielectricModel, Drude, PerfectConductor, Vacuum, _undispersed_factors
+from .dielectric import ConstantEpsilon, DielectricModel, Drude, PerfectConductor, Vacuum, _reflection_factors
 from .errors import DomainError, is_finite_real
 from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE, _real_array, _rule_rows, _t_rows
 
@@ -228,15 +231,15 @@ def integrand_function(
     """Vectorized integrand f(u, t) for the quadrature engine.
 
     With a field ``kind``, the returned callable returns that expectation's
-    integrand at position ``z`` on the grid of u > 0 and t in [0, 1]. u and
-    t vary along different axes, u's first: u of shape (n, 1) against t of
-    shape (1, m) gives the (n, m) grid, and either one may be a scalar, or
-    a 1-D array against a scalar. The values have the broadcast shape, or
-    are a scalar on one node.
+    integrand at position ``z`` at the nodes u > 0 and t in [0, 1], which
+    broadcast against each other: u of shape (n, 1) against t of shape
+    (1, m) gives the (n, m) grid, and u and t of one shape give the values
+    node by node. The values have the broadcast shape, or are a scalar on
+    one node.
 
     With a field ``kind`` and a sequence of K Drude models it returns the
     family ``(None, f_1, ..., f_K)`` instead, f_k being that integrand for
-    the k-th model on the same grid, so one call evaluates every member.
+    the k-th model at the same nodes, so one call evaluates every member.
     The batched engine integrates it with a unit envelope, one field per
     member. A single Drude model is the one-member family, so f_k is
     bit-identical to the k-th model's own integrand.
@@ -260,64 +263,77 @@ def integrand_function(
             raise DomainError("the bracket form does not depend on z; pass z=None")
         if family:
             raise DomainError("the bracket form takes one dielectric model")
-        if isinstance(model, Drude):
-            return _drude_function(None, geometry, [model.plasma_frequency], None)
-        return _undispersed_function(None, geometry, model, None)
-    if family and not (model and all(isinstance(member, Drude) for member in model)):
-        raise DomainError(f"a family of integrands takes one or more Drude models, got {model!r}")
-    _checked_positions(geometry, [z])
-    if not (family or isinstance(model, Drude)):
-        return _undispersed_function(kind, geometry, model, z)
-    members = model if family else [model]
-    field = _drude_function(kind, geometry, [member.plasma_frequency for member in members], z)
-    if family:
-        return lambda u, t: (None, *field(u, t))
-    return lambda u, t: field(u, t)[0]
+    else:
+        if family and not (model and all(isinstance(member, Drude) for member in model)):
+            raise DomainError(f"a family of integrands takes one or more Drude models, got {model!r}")
+        _checked_positions(geometry, [z])
+    models = list(model) if family else [model]
+    if family or isinstance(model, Drude):
+        exact = _drude_rows(kind, geometry, [member.plasma_frequency for member in models], z)
+    else:
+        exact = _undispersed_rows(kind, geometry, model, z)
+
+    def f(u, t):
+        rows = exact(np.asarray(u, dtype=float)) if t is T_INTEGRAL else _grid_values(kind, geometry, models, z, u, t)
+        if kind is None:
+            return tuple(rows)
+        return (None, *rows) if family else rows[0]
+
+    return f
 
 
-def _drude_function(kind: FieldKind | None, geometry: Geometry, plasma_frequencies: list, z):
-    """Drude integrands as f(u, t) of shape (R, *grid): the ``kind`` field at a checked z of K models (R = K), or with kind=None the brackets of one model.
+def _grid_values(kind: FieldKind | None, geometry: Geometry, models: list, z, u, t) -> list:
+    """The values of a closure of `integrand_function` at the nodes (u, t): each member's ``kind`` field at a checked z, or with kind=None the brackets.
 
-    Every value is numerator / denominator, cubics in x = t^2 whose
-    Bernstein coefficients depend on u alone (`_cavity_coefficients`,
-    `_single_coefficients`). On the (u, t) grid one batched product with
-    the basis of `_bernstein_basis` takes both to the grid, its u and t
-    nodes padded to whole tiles (_TILE) with copies of the last. With
-    t = T_INTEGRAL the t integral of each basis polynomial over the
-    denominator is formed exactly instead from the denominator's linear
-    factors (`_single_kernel`, `_cavity_kernel`), and each row is the
-    numerator's coefficients summed against it.
-    The bracket form is the field form with a unit envelope: the single
-    interface has no constant bracket, and its row is None.
+    Every model takes the bracket arithmetic of `_brackets`, times the
+    prefactor u^3, which the constant bracket takes before its division,
+    and the envelope of `position_envelope`.
+    """
+    u, t = np.asarray(u, dtype=float), np.asarray(t, dtype=float)
+    kinds = (FieldKind.E_SQUARED, FieldKind.B_SQUARED) if kind is None else (kind,)
+    if isinstance(geometry, SingleInterface):
+        a, weight = None, SINGLE_PREFACTOR * u**3
+        envelope = None if kind is None else np.exp(-2.0 * u * z)
+    else:
+        a, weight = geometry.width, CAVITY_PREFACTOR * u**3
+        envelope = None if kind is None else _cavity_envelope(u, a, z)
+    fields = []
+    for model in models:
+        constant, *positions = _brackets(kinds, model, u, t, a, weight)
+        positions = [weight * position for position in positions]
+        if kind is None:
+            return [constant, *positions]
+        field = positions[0] * envelope
+        fields.append(field if constant is None else constant + field)
+    return fields
+
+
+def _drude_rows(kind: FieldKind | None, geometry: Geometry, plasma_frequencies: list, z):
+    """The exact t integrals of Drude integrands, u -> rows of u's shape: the ``kind`` field at a checked z of K models, or with kind=None the brackets of one model.
+
+    Each numerator's Bernstein coefficients in x = t^2 (`_cavity_coefficients`,
+    `_single_coefficients`) are summed against the t integrals of the basis
+    over the denominator, formed exactly from its linear factors
+    (`_single_kernel`, `_cavity_kernel`). The bracket form is the field form
+    with a unit envelope; outside one mirror its constant row is None.
     """
     coefficients, kernel = _drude_parts(kind, geometry, plasma_frequencies, z)
 
-    def f_drude(u, t):
-        u, members = np.asarray(u, dtype=float), len(plasma_frequencies)
-        if t is T_INTEGRAL:
-            coef, factors = coefficients(u.ravel())
-            numerator, weights = coef[:-1], kernel(*factors)
-            terms = np.empty(numerator.shape + (2,))
-            np.multiply(numerator, weights, out=terms[..., 0])
-            np.abs(terms[..., 0], out=terms[..., 1])  # the magnitude's terms, as the weights are positive
-            # a sum over a leading axis adds the four terms in order, for every row alike
-            sums = np.add.reduce(terms, axis=1)
-            return sums.view(T_INTEGRAL_DTYPE).reshape(len(sums) * members, *u.shape)
-        t = np.asarray(t, dtype=float)
-        shape = _outer_shape(u, t)
-        u_nodes, t_nodes = (np.pad(x.ravel(), (0, -x.size % _TILE), mode="edge") for x in (u, t))
-        values = coefficients(u_nodes)[0].transpose(0, 2, 1) @ _bernstein_basis(t_nodes)
-        rows = (len(values) - 1) * members
-        f = np.divide(values[:-1], values[-1], out=values[:-1]).reshape(rows, u_nodes.size, t_nodes.size)
-        return f[:, : u.size, : t.size].reshape(rows, *shape)
+    def rows(u):
+        numerator, factors = coefficients(u.ravel())
+        terms = np.empty(numerator.shape + (2,))
+        np.multiply(numerator, kernel(*factors), out=terms[..., 0])
+        np.abs(terms[..., 0], out=terms[..., 1])  # the magnitude's terms, as the weights are positive
+        # a sum over a leading axis adds the four terms in order, for every row alike
+        sums = np.add.reduce(terms, axis=1)
+        out = list(sums.view(T_INTEGRAL_DTYPE).reshape(len(sums) * len(plasma_frequencies), *u.shape))
+        return [None, *out] if kind is None and isinstance(geometry, SingleInterface) else out
 
-    if kind is None and isinstance(geometry, SingleInterface):
-        return lambda u, t: (None, *f_drude(u, t))
-    return f_drude if kind is not None else lambda u, t: tuple(f_drude(u, t))
+    return rows
 
 
 def _drude_parts(kind: FieldKind | None, geometry: Geometry, plasma_frequencies: list, z):
-    """The coefficient function of `_drude_function`, u -> (coefficients, the denominator's factors), and its kernel."""
+    """The coefficient function of `_drude_rows`, u -> (numerators' coefficients, the denominator's factors), and its kernel."""
     wp2 = np.square(np.array(plasma_frequencies, dtype=float))[:, None]
     if isinstance(geometry, SingleInterface):
         rate = 0.0 if kind is None else -2.0 * z
@@ -325,16 +341,6 @@ def _drude_parts(kind: FieldKind | None, geometry: Geometry, plasma_frequencies:
     a = geometry.width
     rates = np.array([-a, -2.0 * a] + ([0.0, 0.0] if kind is None else [-2.0 * (a - z), -2.0 * z]))[:, None]
     return functools.partial(_cavity_coefficients, _CAVITY_MAPS[kind], wp2, rates), _cavity_kernel
-
-
-def _outer_shape(u: np.ndarray, t: np.ndarray) -> tuple:
-    """Broadcast shape of u and t, which must vary along different axes, u's first."""
-    n = max(u.ndim, t.ndim)
-    u_shape, t_shape = (1,) * (n - u.ndim) + u.shape, (1,) * (n - t.ndim) + t.shape
-    last_u = max((i for i, size in enumerate(u_shape) if size > 1), default=-1)
-    if any(size > 1 for size in t_shape[: last_u + 1]):
-        raise DomainError(f"u and t must vary along different axes, u's first; got shapes {u.shape} and {t.shape}")
-    return np.broadcast_shapes(u_shape, t_shape)
 
 
 def _bernstein_basis(t: np.ndarray) -> np.ndarray:
@@ -360,11 +366,11 @@ _Y = np.array([[1.0, 0.0, 0.0], [0.0, 2.0 / 3.0, 0.0], [0.0, 0.0, 1.0 / 3.0], [0
 
 
 def _cavity_map(kind: FieldKind | None) -> np.ndarray:
-    """(8, 14) map from the parts of `_cavity_coefficients` to the numerator's and the denominator's coefficients.
+    """(4, 11) map from the parts of `_cavity_coefficients` to the numerator's coefficients.
 
-    With kind=None the numerators are the constant, E^2 and B^2 brackets', (16, 14).
+    With kind=None the numerators are the constant, E^2 and B^2 brackets', (12, 11).
     """
-    constant = np.zeros((4, 14))
+    constant = np.zeros((4, 11))
     constant[:, 0:3] = constant[:, 3:6] = -_X
 
     def position(kind):
@@ -373,7 +379,7 @@ def _cavity_map(kind: FieldKind | None) -> np.ndarray:
             FieldKind.B_SQUARED: (_X + 2.0 * _Y, -_X),  # (2 - x) A - x N M
             FieldKind.ENERGY_DENSITY: (_Y, _Y),  # (1 - x)(A + N M)
         }[kind]
-        m = np.zeros((4, 14))
+        m = np.zeros((4, 11))
         # the envelope parts carry twice the envelope; N M = (1, w^2/wp^2, w^2/wp^2)
         m[:, 6:9], m[:, 9:11] = -0.5 * a, 0.5 * p @ [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
         return m
@@ -382,15 +388,13 @@ def _cavity_map(kind: FieldKind | None) -> np.ndarray:
         numerators = [constant, position(FieldKind.E_SQUARED), position(FieldKind.B_SQUARED)]
     else:
         numerators = [constant + position(kind)]
-    denominator = np.zeros((4, 14))
-    denominator[:, 11:14] = _X + _Y
-    return np.vstack([CAVITY_PREFACTOR * m for m in numerators] + [denominator])
+    return np.vstack([CAVITY_PREFACTOR * m for m in numerators])
 
 
 def _single_map(kind: FieldKind | None) -> np.ndarray:
-    """(8, 7) map from the parts of `_single_coefficients` to the numerator's and the denominator's coefficients.
+    """(4, 5) map from the parts of `_single_coefficients` to the numerator's coefficients.
 
-    With kind=None the numerators are the E^2 and B^2 brackets', (12, 7).
+    With kind=None the numerators are the E^2 and B^2 brackets', (8, 5).
     """
     quadratics = []
     for field in (FieldKind.E_SQUARED, FieldKind.B_SQUARED) if kind is None else (kind,):
@@ -402,11 +406,7 @@ def _single_map(kind: FieldKind | None) -> np.ndarray:
         else:  # (2b, 0, 0)
             quadratic[0, 4] = 2.0
         quadratics.append(quadratic)
-    m = np.zeros((4 * len(quadratics) + 4, 7))
-    for i, quadratic in enumerate(quadratics):
-        m[4 * i : 4 * i + 4, :5] = SINGLE_PREFACTOR * (_X + _Y) @ quadratic
-    m[-4:, 5:] = (_X + _Y) @ [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]  # M = (1, (1 + M_1)/2, M_1)
-    return m
+    return np.vstack([SINGLE_PREFACTOR * (_X + _Y) @ quadratic for quadratic in quadratics])
 
 
 _CAVITY_MAPS = {kind: _cavity_map(kind) for kind in (*FieldKind, None)}
@@ -443,7 +443,7 @@ def _on_grid(wp2: np.ndarray, u_rows: np.ndarray):
 
 
 def _cavity_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rates: np.ndarray, u: np.ndarray):
-    """Cubic Bernstein coefficients in x = t^2 of cavity numerators and, last, their denominator, (rows + 1, 4, K n_u), and its factors.
+    """Cubic Bernstein coefficients in x = t^2 of cavity numerators, (rows, 4, K n_u), and the factors of their denominator.
 
     ``rates`` holds -a, -2a and the envelope's -2(a - z) and -2z, or 0 and
     0 for the brackets. With r' = N/M (`_on_grid`) and eps = e^{-ua}, the
@@ -468,10 +468,10 @@ def _cavity_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rates: np.ndarra
     with G = (M - N)(M + N) + (1 - e^{-2ua}) N^2 in its quadratic
     Bernstein coefficients, M - N = (c + b) x and M + N = 2 + (c - b) x.
     The numerator is CAVITY_PREFACTOR u^3 (constant + envelope * position),
-    the prefactor applied by the map. The 14 parts, each sign-definite, are
-    the quadratic coefficients of these weighted pieces and of G; one
-    product with `_cavity_map` combines them, so the only cancellation is
-    the one between parts of opposite sign that the brackets carry.
+    the prefactor applied by the map. The 11 parts, each sign-definite, are
+    the quadratic coefficients of these weighted pieces; one product with
+    `_cavity_map` combines them, so the only cancellation is the one
+    between parts of opposite sign that the brackets carry.
     """
     exponents = rates * u
     decay = np.exp(exponents)
@@ -491,9 +491,9 @@ def _cavity_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rates: np.ndarra
     c = (u * s) / wp2
     omega = w2 / wp2
     e = twice_c_plus_b + minus_r * em
-    padded = np.empty((14, w.size + -w.size % _TILE))  # whole tiles of columns
-    padded[:, w.size :], parts = 0.0, padded[:, : w.size].reshape((14,) + w.shape)
-    g = parts[11:]
+    padded = np.empty((11, w.size + -w.size % _TILE))  # whole tiles of columns
+    padded[:, w.size :], parts = 0.0, padded[:, : w.size].reshape((11,) + w.shape)
+    g = np.empty((3,) + w.shape)
     g[0] = em
     np.add(c_plus_b, em * n1, out=g[1])
     n_square = n1 * n1
@@ -513,7 +513,7 @@ def _cavity_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rates: np.ndarra
 
 
 def _single_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rate: float, u: np.ndarray):
-    """Cubic Bernstein coefficients in x = t^2 of single-interface numerators and, last, their denominator M = 1 + c x, (rows + 1, 4, K n_u), and c.
+    """Cubic Bernstein coefficients in x = t^2 of single-interface numerators, (rows, 4, K n_u), and c of their denominator M = 1 + c x.
 
     ``rate`` is -2z, or 0 for the brackets. With r' = N/M (`_on_grid`),
     the brackets times M are
@@ -524,22 +524,20 @@ def _single_coefficients(kind_map: np.ndarray, wp2: np.ndarray, rate: float, u: 
 
     the last because 1 + r = 2b and r c - b = -2b. The numerator carries
     SINGLE_PREFACTOR w, w = u^3 e^{-2uz}, the prefactor applied by the map.
-    The 7 parts are w times 1, 1 - b, -r, -r M_1 and b, with M_1 = 1 + c,
-    then 1 and M_1 for the denominator; one product with `_single_map`
-    combines them.
+    The 5 parts are w times 1, 1 - b, -r, -r M_1 and b, with M_1 = 1 + c;
+    one product with `_single_map` combines them.
     """
     u_rows = np.empty((2, u.size))
     u_rows[0] = u
     np.multiply((u * u) * u, np.exp(rate * u), out=u_rows[1])
     (wp2, u, weight), _, w, s = _on_grid(wp2, u_rows)
     c = (u * s) / wp2
-    padded = np.empty((7, w.size + -w.size % _TILE))  # whole tiles of columns
-    padded[:, w.size :], parts = 0.0, padded[:, : w.size].reshape((7,) + w.shape)
-    parts[0], parts[5] = weight, 1.0
+    padded = np.empty((5, w.size + -w.size % _TILE))  # whole tiles of columns
+    padded[:, w.size :], parts = 0.0, padded[:, : w.size].reshape((5,) + w.shape)
+    parts[0] = weight
     np.multiply(weight, w / s, out=parts[1])
     np.multiply(weight, wp2 / (s * s), out=parts[2])
-    np.add(1.0, c, out=parts[6])
-    np.multiply(parts[2], parts[6], out=parts[3])
+    np.multiply(parts[2], 1.0 + c, out=parts[3])
     np.multiply(weight, u / s, out=parts[4])
     return (kind_map @ padded)[:, : w.size].reshape(len(kind_map) // 4, 4, w.size), (c.ravel(),)
 
@@ -712,11 +710,10 @@ def _t_rule(model: DielectricModel) -> Tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: DielectricModel, z):
-    """The ``kind`` integrand at a checked z, or with kind=None the brackets, of a constant-permittivity, perfectly conducting or vacuum model.
+def _undispersed_rows(kind: FieldKind | None, geometry: Geometry, model: DielectricModel, z):
+    """The exact t integrals of a constant-permittivity, perfectly conducting or vacuum integrand, u -> rows of u's shape: the ``kind`` field at a checked z, or with kind=None the brackets.
 
-    On a (u, t) grid the values are those of `_undispersed_brackets`. With
-    t = T_INTEGRAL the constant and position brackets are integrated on the
+    The constant and position brackets of `_brackets` are integrated on the
     nodes of `_t_rule`, and so are their absolute values; every one of them
     keeps one sign in t, so these are the integrals of their magnitudes to
     roundoff. A field's row is C + e P with the envelope e >= 0, and its
@@ -730,75 +727,67 @@ def _undispersed_function(kind: FieldKind | None, geometry: Geometry, model: Die
     if isinstance(geometry, SingleInterface):
         rule_rows = _single_rows(model, kinds)
 
-        def f_single(u, t):
-            u = np.asarray(u, dtype=float)
+        def single_rows(u):
             w = SINGLE_PREFACTOR * u**3
-            if t is T_INTEGRAL:
-                if kind is not None:
-                    w = w * np.exp(-2.0 * u * z)
-                out = [(w[..., None] * row).view(T_INTEGRAL_DTYPE)[..., 0] for row in rule_rows]
-            else:
-                out = [w * position for position in _undispersed_brackets(kinds, model, u, t, None)[1:]]
-                if kind is not None:
-                    out[0] = out[0] * np.exp(-2.0 * u * z)
-            return out[0] if kind is not None else (None, *out)
+            if kind is not None:
+                w = w * np.exp(-2.0 * u * z)
+            out = [(w[..., None] * row).view(T_INTEGRAL_DTYPE)[..., 0] for row in rule_rows]
+            return out if kind is not None else [None, *out]
 
-        return f_single
+        return single_rows
     if not isinstance(geometry, Cavity):
         raise TypeError(f"unknown geometry {geometry!r}")
     a = geometry.width
     t_rule, weights = _t_rule(model)
 
-    def f_cavity(u, t):
-        u = np.asarray(u, dtype=float)
-        w = CAVITY_PREFACTOR * u**3
-        if t is not T_INTEGRAL:
-            const, *positions = _undispersed_brackets(kinds, model, u, t, a)
-            if kind is None:
-                return w * const, *(w * position for position in positions)
-            return w * (const + positions[0] * _cavity_envelope(u, a, z))
+    def cavity_rows(u):
         column = u.reshape(-1, 1)
-        brackets = _rule_rows(lambda block, t: _undispersed_brackets(kinds, model, block, t, a), column, t_rule, weights)
+        brackets = _rule_rows(lambda block, t: _brackets(kinds, model, block, t, a), column, t_rule, weights)
         rows = np.stack([row.view(float) for row in brackets])  # (brackets, n, 2)
-        rows *= w.reshape(1, -1, 1)
+        rows *= (CAVITY_PREFACTOR * u**3).reshape(1, -1, 1)
         if kind is None:
-            return tuple(row.view(T_INTEGRAL_DTYPE).reshape(u.shape) for row in rows)
+            return [row.view(T_INTEGRAL_DTYPE).reshape(u.shape) for row in rows]
         const, position = rows
         position *= _cavity_envelope(column, a, z)
-        return (const + position).view(T_INTEGRAL_DTYPE).reshape(u.shape)
+        return [(const + position).view(T_INTEGRAL_DTYPE).reshape(u.shape)]
 
-    return f_cavity
+    return cavity_rows
 
 
 @functools.lru_cache(maxsize=32)
 def _single_rows(model: DielectricModel, kinds: tuple) -> np.ndarray:
     """(len(kinds), 2) t integrals of an undispersed model's single-interface brackets and of their magnitudes, read-only."""
     t_rule, weights = _t_rule(model)
-    rows = _t_rows(np.concatenate(_undispersed_brackets(kinds, model, None, t_rule, None)[1:]), weights)
+    rows = _t_rows(np.concatenate(_brackets(kinds, model, None, t_rule, None)[1:]), weights)
     rows.setflags(write=False)
     return rows
 
 
-def _undispersed_brackets(kinds, model: DielectricModel, u, t, a):
-    """The constant bracket, or None outside one mirror (a = None), then each kind's position bracket, without the prefactor.
+def _brackets(kinds, model: DielectricModel, u, t, a, weight=1.0):
+    """The constant bracket times ``weight``, or None outside one mirror (a = None), then each kind's position bracket, without the prefactor.
 
     The cavity's dressing is that of `cavity_terms`, but with 1 - r^2,
-    1 - r'^2 and r + r' from `dielectric._undispersed_factors`, which forms
+    1 - r'^2 and r + r' from `dielectric._reflection_factors`, which forms
     them without cancellation. The energy density's bracket is
     (1 - t^2)(r + r') outside one mirror and (1 - t^2)(r/D + r'/D') in a
     cavity, from r/D + r'/D' = (r + r')(1 - r r' e^{-2ua})/(D D') with
     r r' <= 0: no sum of nearly opposite terms, as |r| and r' both approach
-    1 with eps. The E^2 and B^2 brackets add terms of one sign.
+    1. The E^2 and B^2 brackets add terms of one sign. The constant bracket
+    takes the weight into e^{-2ua} before its products and divisions, which
+    past u a = 354 round in the subnormal range, so the weight does not
+    scale up their roundoff.
     """
-    r, rp, total, square, square_p = _undispersed_factors(model, t)
+    r, rp, total, square, square_p = _reflection_factors(model, u, t)
     tt = t * t
     constant = None
     if a is not None:
         em = -np.expm1(-2.0 * u * a)  # 1 - exp(-2ua), accurate for small ua
         damp = np.exp(-2.0 * u * a)
+        weighted = weight * damp
         dr, drp = square + r * r * em, square_p + rp * rp * em
-        constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
-        total = total * (1.0 - r * rp * damp) / (dr * drp)
+        constant = -tt * (r * r * weighted / dr + rp * rp * weighted / drp)
+        if FieldKind.ENERGY_DENSITY in kinds:
+            total = total * (1.0 - r * rp * damp) / (dr * drp)
         r, rp = r / dr, rp / drp
     positions = [(1.0 - tt) * total if k is FieldKind.ENERGY_DENSITY else single_bracket(k, r, rp, t) for k in kinds]
     return constant, *positions

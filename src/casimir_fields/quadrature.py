@@ -52,8 +52,10 @@ call (`analysis`).
 
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
 (log-u trapezoid against a log-t Simpson rule) used as an oracle for the
-adaptive engine. It evaluates every integrand on its (u, t) grid, so for
-the package integrands it also checks their exact t integrals.
+adaptive engine. It evaluates every integrand on its (u, t) grid, where
+the package integrands take one bracket arithmetic for every model, so it
+also checks their exact t integrals: the Drude maps and kernels and the
+fixed t rules of the other models, none of which that arithmetic uses.
 """
 
 from __future__ import annotations
@@ -178,11 +180,11 @@ _T_INTEGRAL_ROUNDOFF = 16 * np.finfo(float).eps
 # (tracemalloc); the CLI's scan and profiles also ran fastest at this cap
 # among 8,192 to 65,536 (2-vCPU x86 host, numpy 2.4).
 _NODE_CAP = 16_384
-# Largest (u, t) grid of one integrand call in `integrate_fixed_grid`: its
-# finer grid, 1,536 log-u rows by 2,049 log-t nodes, takes two calls. In the
-# bracket form the cavity integrand then peaks at about the memory that one
-# call on the whole plain grid took (tracemalloc).
-_ORACLE_NODE_CAP = 2**21
+# Largest (u, t) grid of one integrand call in `integrate_fixed_grid`: 63 of
+# its 2,049-node log-t rows. A call's temporaries then stay within 1 MiB each,
+# and a Drude cavity's oracle ran 2x faster than at 2**21 nodes, peaking at
+# 11 MiB rather than 128 (tracemalloc; 2-vCPU x86 host, numpy 2.4).
+_ORACLE_NODE_CAP = 2**17
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ class TestProfile:
         def no_evaluation(*args):
             raise AssertionError("integrand evaluated before the positions were checked")
 
-        monkeypatch.setattr("casimir_fields.integrand._undispersed_factors", no_evaluation)
+        monkeypatch.setattr("casimir_fields.integrand._reflection_factors", no_evaluation)
         monkeypatch.setattr("casimir_fields.integrand._cavity_coefficients", no_evaluation)
         monkeypatch.setattr("casimir_fields.integrand._single_coefficients", no_evaluation)
         with pytest.raises(error):

@@ -302,13 +302,14 @@ def _plain_undispersed(model, t):
     return {PerfectConductor: (0.0, 0.0, 0.0), Vacuum: (1.0, 1.0, 0.0)}[type(model)]
 
 
-def _plain_brackets(geometry, r, rp, u, t, undispersed=None):
-    """Constant bracket (None for one wall), each kind's bracket and the reflected pair (r/D, r'/D'), one plain expression each.
+def _plain_brackets(geometry, r, rp, u, t, undispersed=None, weight=1.0):
+    """Constant bracket times ``weight`` (None for one wall), each kind's bracket and the reflected pair (r/D, r'/D'), one plain expression each.
 
     In a cavity 1 - r^2 and 1 - r'^2 are (1 - r)(1 + r) and (1 - r')(1 + r'),
     and the energy density's bracket is (1 - t^2)(r/D + r'/D'); with the
     triple of `_plain_undispersed` as ``undispersed`` they are its squares,
     and the bracket is (1 - t^2)(r + r')(1 - r r' e^{-2ua})/(D D') from its sum.
+    The weight multiplies e^{-2ua} before it enters the constant bracket.
     """
     tt = t * t
     constant = None
@@ -318,7 +319,7 @@ def _plain_brackets(geometry, r, rp, u, t, undispersed=None):
         em, damp = -np.expm1(-2.0 * u * a), np.exp(-2.0 * u * a)
         dr = square_r + r * r * em
         drp = square_rp + rp * rp * em
-        constant = -tt * (r * r * damp / dr + rp * rp * damp / drp)
+        constant = -tt * (r * r * (weight * damp) / dr + rp * rp * (weight * damp) / drp)
         if total is not None:
             total = total * (1.0 - r * rp * damp) / (dr * drp)
         r, rp = r / dr, rp / drp
@@ -335,21 +336,22 @@ def _plain_fields(geometry, r, rp, u, t, z, undispersed=None):
     size of the parts whose cancellation roundoff is measured against, the
     second also where (1 - t^2) makes a bracket vanish.
     """
-    constant, brackets, (gr, grp) = _plain_brackets(geometry, r, rp, u, t, undispersed)
+    cavity = isinstance(geometry, Cavity)
+    w = (CAVITY_PREFACTOR if cavity else SINGLE_PREFACTOR) * u**3
+    constant, brackets, (gr, grp) = _plain_brackets(geometry, r, rp, u, t, undispersed, w)
     tt, gr, grp = t * t, np.abs(gr), np.abs(grp)
     parts = {
         FieldKind.E_SQUARED: tt * gr + (2.0 - tt) * grp,
         FieldKind.B_SQUARED: (2.0 - tt) * gr + tt * grp,
         FieldKind.ENERGY_DENSITY: (1.0 - tt) * (gr + grp),
     }
-    if isinstance(geometry, SingleInterface):
-        w, envelope = SINGLE_PREFACTOR * u**3, np.exp(-2.0 * u * z)
+    if not cavity:
+        envelope = np.exp(-2.0 * u * z)
         fields = {kind: w * b * envelope for kind, b in brackets.items()}
         return fields, {kind: (w * envelope * (gr + grp), w * envelope * parts[kind]) for kind in KINDS}
-    w = CAVITY_PREFACTOR * u**3
     envelope = 0.5 * (np.exp(-2.0 * u * (geometry.width - z)) + np.exp(-2.0 * u * z))
-    fields = {kind: w * (constant + b * envelope) for kind, b in brackets.items()}
-    scales = {kind: tuple(w * (np.abs(constant) + envelope * p) for p in (gr + grp, parts[kind])) for kind in KINDS}
+    fields = {kind: constant + w * b * envelope for kind, b in brackets.items()}
+    scales = {kind: tuple(np.abs(constant) + w * envelope * p for p in (gr + grp, parts[kind])) for kind in KINDS}
     return fields, scales
 
 
@@ -374,41 +376,75 @@ def _parent_field(kind, geometry, model, z, u, t):
     return SINGLE_PREFACTOR * u**3 * single_bracket(kind, r, rp, t) * np.exp(-2.0 * u * z)
 
 
-def _node_errors(geometry, model, z, u, t):
-    """Per kind and per scale of `_plain_fields`, the largest |f - f_ld| / scale of the closure and of the bracket arithmetic.
+def _longdouble_fields(geometry, wp, z, u, t):
+    """`_plain_fields` of Drude(wp) in np.longdouble, and its scales in float64 with inf where they are below 1e-280.
 
-    f_ld is `_plain_fields` in np.longdouble; nodes whose scale is below
-    1e-280 are left out, since float64 underflows there on both sides.
+    float64 underflows on both sides where a scale is that small, so those
+    nodes are left out.
     """
     u_ld, t_ld = np.asarray(u, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble)
-    exact, scales = _plain_fields(geometry, *_drude_reflections_longdouble(model.plasma_frequency, u, t), u_ld, t_ld, z)
+    exact, scales = _plain_fields(geometry, *_drude_reflections_longdouble(wp, u, t), u_ld, t_ld, z)
+    counted = {kind: [np.where(scale > 1e-280, scale, np.inf).astype(float) for scale in pair] for kind, pair in scales.items()}
+    assert all((scale < np.inf).any() for pair in counted.values() for scale in pair)
+    return exact, counted
+
+
+def _scaled_errors(reference, values):
+    """Per kind of ``values`` and per scale of the reference of `_longdouble_fields`, the largest |f - f_ld| / scale of each array f listed for the kind."""
+    exact, scales = reference
     errors = []
-    for kind in KINDS:
-        closure = integrand_function(kind, geometry, model, z)(u, t)
-        bracket_arithmetic = _parent_field(kind, geometry, model, z, u, t)
-        for scale in scales[kind]:
-            counted = scale > 1e-280
-            assert counted.any()
-            relative = [np.abs(got - exact[kind]) / np.where(counted, scale, 1) for got in (closure, bracket_arithmetic)]
-            errors.append([float(np.max(error[counted])) for error in relative])
+    for kind, arrays in values.items():
+        deviations = [np.abs(got - exact[kind]).astype(float) for got in arrays]
+        errors.extend([float(np.max(deviation / scale)) for deviation in deviations] for scale in scales[kind])
     return errors
 
 
-def _bracket_form_errors(geometry, model, z, u, t):
-    """Per field (E^2, B^2) and per scale of `_plain_fields`, the largest |f - f_ld| / scale of the field closure and of the bracket form assembled at z."""
-    u_ld, t_ld = np.asarray(u, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble)
-    exact, scales = _plain_fields(geometry, *_drude_reflections_longdouble(model.plasma_frequency, u, t), u_ld, t_ld, z)
-    constant, *positions = integrand_function(None, geometry, model)(u, t)
+def _node_errors(geometry, model, z, u, t, reference=None):
+    """`_scaled_errors` of the closure and of the bracket arithmetic, per kind and scale."""
+    reference = reference or _longdouble_fields(geometry, model.plasma_frequency, z, u, t)
+    values = {kind: [integrand_function(kind, geometry, model, z)(u, t), _parent_field(kind, geometry, model, z, u, t)] for kind in KINDS}
+    return _scaled_errors(reference, values)
+
+
+def _assembled(geometry, z, u, brackets):
+    """E^2 and B^2 at z from the brackets (constant, e2_position, b2_position) at u."""
+    constant, *positions = brackets
     envelope = position_envelope(geometry, [z])(np.ravel(u))[0].reshape(np.shape(u))
-    errors = []
-    for kind, position in zip(KINDS, positions):
-        assembled = envelope * position if constant is None else constant + envelope * position
-        closure = integrand_function(kind, geometry, model, z)(u, t)
-        for scale in scales[kind]:
-            counted = scale > 1e-280
-            relative = [np.abs(got - exact[kind]) / np.where(counted, scale, 1) for got in (closure, assembled)]
-            errors.append([float(np.max(error[counted])) for error in relative])
-    return errors
+    return {kind: envelope * p if constant is None else constant + envelope * p for kind, p in zip(KINDS, positions)}
+
+
+def _bracket_form_errors(geometry, model, z, u, t, reference=None):
+    """`_scaled_errors` of the field closure and of the bracket form assembled at z, per field (E^2, B^2) and scale."""
+    reference = reference or _longdouble_fields(geometry, model.plasma_frequency, z, u, t)
+    assembled = _assembled(geometry, z, u, integrand_function(None, geometry, model)(u, t))
+    values = {kind: [integrand_function(kind, geometry, model, z)(u, t), form] for kind, form in assembled.items()}
+    return _scaled_errors(reference, values)
+
+
+def _map_values(kind, geometry, wp, z, u, t):
+    """The Drude integrands of the Bernstein maps at the nodes (u (n, 1), t (1, m)), (rows, n, m); the bracket form's as its tuple.
+
+    Each numerator is the coefficients of `integrand._drude_parts` times
+    `integrand._bernstein_basis`. The denominator is built from the factors
+    returned with them, (alpha_1 + gamma_1 x)(alpha_2 + gamma_2 x) in a
+    cavity and 1 + c x outside one mirror, x = t^2, in the same basis: the
+    factors' product from their values at x = 0 and 1, raised to a cubic.
+    """
+    numerators, factors = integrand._drude_parts(kind, geometry, [wp], z)[0](np.ravel(u))
+    if isinstance(geometry, SingleInterface):
+        (c,) = factors
+        lines = [(np.ones_like(c), 1.0 + c), (1.0, 1.0)]
+    else:
+        alpha1, gamma1, alpha2, gamma2, _ = factors
+        lines = [(alpha1, alpha1 + gamma1), (alpha2, alpha2 + gamma2)]
+    (p0, p1), (q0, q1) = lines
+    quadratic = np.stack([p0 * q0, 0.5 * (p0 * q1 + p1 * q0), p1 * q1])
+    basis = integrand._bernstein_basis(np.ravel(t))
+    denominator = ((integrand._X + integrand._Y) @ quadratic).T @ basis
+    values = numerators.transpose(0, 2, 1) @ basis / denominator
+    if kind is not None:
+        return values
+    return (None, *values) if isinstance(geometry, SingleInterface) else tuple(values)
 
 
 def _engine_grid(geometry, z):
@@ -420,39 +456,69 @@ def _engine_grid(geometry, z):
 _ORACLE_GRID = (np.geomspace(1e-8, 600.0, 240)[:, None], np.geomspace(1e-16, 1.0, 160)[None, :])
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double")
-@pytest.mark.parametrize(
-    "geometry, z",
-    [(Cavity(1.0), 0.02), (Cavity(1.0), 0.35), (Cavity(1.0), 0.5), (SingleInterface(), 1e-3), (SingleInterface(), 0.3)],
-    ids=("cavity-0.02", "cavity-0.35", "cavity-0.5", "single-1e-3", "single-0.3"),
-)
-def test_drude_closures_are_as_accurate_as_the_bracket_arithmetic(geometry, z):
-    # the Drude field closures evaluate rational functions of t^2; against the
-    # plain expressions in extended precision, their worst node error, relative
-    # to the size of the parts that cancel, is at most twice that of the
-    # bracket arithmetic on the engine's grids and on the oracle's ranges
-    for wp in (0.3, 2.0, 96.60661, 200.0, 1e4):
-        for u, t in (_engine_grid(geometry, z), _ORACLE_GRID):
-            for closure, bracket_arithmetic in _node_errors(geometry, Drude(wp), z, u, t):
-                assert closure <= 2.0 * bracket_arithmetic, (wp, u.shape, t.shape)
+_NEEDS_LONGDOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double")
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double")
-@pytest.mark.parametrize(
-    "geometry, z",
-    [(Cavity(1.0), 0.02), (Cavity(1.0), 0.35), (Cavity(1.0), 0.5), (SingleInterface(), 1e-3), (SingleInterface(), 0.3)],
+@pytest.fixture(
+    scope="module",
+    params=[(Cavity(1.0), 0.02), (Cavity(1.0), 0.35), (Cavity(1.0), 0.5), (SingleInterface(), 1e-3), (SingleInterface(), 0.3)],
     ids=("cavity-0.02", "cavity-0.35", "cavity-0.5", "single-1e-3", "single-0.3"),
 )
-def test_drude_bracket_form_is_as_accurate_as_the_field_closures(geometry, z):
-    # the bracket form runs on the same rational kernel as the field closures:
+def drude_nodes(request):
+    """A geometry, a position and, for each plasma frequency on the engine's and on the oracle's grids, (wp, u, t, reference of `_longdouble_fields`).
+
+    Module-scoped and parametrized, so the accuracy tests of one position
+    share its references, and one position's are held at a time.
+    """
+    geometry, z = request.param
+    grids = (_engine_grid(geometry, z), _ORACLE_GRID)
+    return geometry, z, [(wp, u, t, _longdouble_fields(geometry, wp, z, u, t)) for wp in (0.3, 2.0, 96.60661, 200.0, 1e4) for u, t in grids]
+
+
+@_NEEDS_LONGDOUBLE
+def test_drude_closures_are_as_accurate_as_the_bracket_arithmetic(drude_nodes):
+    # the Drude field closures take the bracket arithmetic on reflection factors
+    # formed without cancellation; against the plain expressions in extended
+    # precision, their worst node error, relative to the size of the parts that
+    # cancel, is at most twice that of the textbook bracket arithmetic on the
+    # engine's grids and on the oracle's ranges
+    geometry, z, nodes = drude_nodes
+    for wp, u, t, reference in nodes:
+        for closure, bracket_arithmetic in _node_errors(geometry, Drude(wp), z, u, t, reference):
+            assert closure <= 2.0 * bracket_arithmetic, (wp, u.shape, t.shape)
+
+
+@_NEEDS_LONGDOUBLE
+def test_drude_bracket_form_is_as_accurate_as_the_field_closures(drude_nodes):
+    # the bracket form runs on the same arithmetic as the field closures:
     # assembled at z, E^2 and B^2 meet twice the closures' worst node error,
     # also at u down to 1e-8 on the oracle's grid, where 1 + r taken by
     # subtraction used to lose 3.1e-8 of the scale
-    for wp in (0.3, 2.0, 96.60661, 200.0, 1e4):
-        for u, t in (_engine_grid(geometry, z), _ORACLE_GRID):
-            for closure, bracket_form in _bracket_form_errors(geometry, Drude(wp), z, u, t):
-                assert bracket_form <= max(2.0 * closure, 4 * np.finfo(float).eps), (wp, u.shape, t.shape)
-                assert bracket_form < 1e-10
+    geometry, z, nodes = drude_nodes
+    for wp, u, t, reference in nodes:
+        for closure, bracket_form in _bracket_form_errors(geometry, Drude(wp), z, u, t, reference):
+            assert bracket_form <= max(2.0 * closure, 4 * np.finfo(float).eps), (wp, u.shape, t.shape)
+            assert bracket_form < 1e-10
+
+
+@_NEEDS_LONGDOUBLE
+def test_drude_maps_are_as_accurate_as_the_bracket_arithmetic(drude_nodes):
+    # the Bernstein coefficient maps, whose exact t integrals the engine sums,
+    # evaluated at the nodes: each field within twice the textbook bracket
+    # arithmetic's worst node error, and the bracket form assembled at z within
+    # twice the field's, the bounds of the two tests above
+    geometry, z, nodes = drude_nodes
+    for wp, u, t, reference in nodes:
+        assembled = _assembled(geometry, z, u, _map_values(None, geometry, wp, None, u, t))
+        values = {
+            kind: [_map_values(kind, geometry, wp, z, u, t)[0], _parent_field(kind, geometry, Drude(wp), z, u, t)]
+            + ([assembled[kind]] if kind in assembled else [])
+            for kind in KINDS
+        }
+        for by_map, bracket_arithmetic, *bracket_form in _scaled_errors(reference, values):
+            assert by_map <= 2.0 * bracket_arithmetic, (wp, u.shape, t.shape)
+            for error in bracket_form:
+                assert error <= max(2.0 * by_map, 4 * np.finfo(float).eps) and error < 1e-10, (wp, u.shape, t.shape)
 
 
 @pytest.mark.parametrize("geometry", (SingleInterface(), Cavity(1.0)), ids=("single", "cavity"))
@@ -468,10 +534,10 @@ def test_drude_bracket_form_is_as_accurate_as_the_field_closures(geometry, z):
 )
 def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
     # the closures write products over their own temporaries; that must not change
-    # a bit. The Drude closures evaluate rational functions of t^2 instead and
-    # meet the extended-precision bounds of the tests above on these shapes; on
-    # a few nodes the bracket arithmetic can land within an ulp by chance, so the
-    # bound there is at least 4 float64 ulps of the scale
+    # a bit. The Drude closures, whose reflection factors the plain expressions do
+    # not form, meet the extended-precision bounds of the tests above on these
+    # shapes; on a few nodes the bracket arithmetic can land within an ulp by
+    # chance, so the bound there is at least 4 float64 ulps of the scale
     z = 0.3
     eps = np.finfo(float).eps
     for model in (*MODELS, Drude(97.0)):
@@ -485,13 +551,9 @@ def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
                 assert closure <= max(2.0 * bracket_arithmetic, 4 * eps)
             continue
         undispersed = _plain_undispersed(model, np.asarray(t, dtype=float))
-        constant, brackets, _ = _plain_brackets(geometry, *reflection_values(model, u, t), u, t, undispersed)
-        if isinstance(geometry, SingleInterface):
-            w = SINGLE_PREFACTOR * u**3
-            form = (None, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
-        else:
-            w = CAVITY_PREFACTOR * u**3
-            form = (w * constant, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
+        w = (CAVITY_PREFACTOR if isinstance(geometry, Cavity) else SINGLE_PREFACTOR) * u**3
+        constant, brackets, _ = _plain_brackets(geometry, *reflection_values(model, u, t), u, t, undispersed, w)
+        form = (constant, w * brackets[FieldKind.E_SQUARED], w * brackets[FieldKind.B_SQUARED])
         for got, expected in zip(integrand_function(None, geometry, model)(u, t), form, strict=True):
             if expected is None:
                 assert got is None
@@ -502,13 +564,23 @@ def test_closures_match_plain_expressions_bit_for_bit(geometry, u, t):
             np.testing.assert_array_equal(integrand_function(kind, geometry, model, z)(u, t), expected, strict=True)
 
 
-def test_drude_closures_take_u_and_t_on_different_axes():
-    f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(2.0), 0.5)
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=("single", "cavity"))
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_closures_take_u_and_t_that_broadcast(geometry, model):
+    # every closure evaluates at the broadcast nodes: u and t of one shape give
+    # the diagonal of their grid, and a third axis the same values
     u, t = np.geomspace(0.1, 10.0, 4), np.linspace(0.1, 0.9, 4)
-    for bad_u, bad_t in ((u, t), (u[None, :], t[:, None]), (u[None, :, None], t[:, None, None])):
-        with pytest.raises(DomainError):
-            f(bad_u, bad_t)
-    np.testing.assert_array_equal(f(u[:, None, None], t[None, None, :])[:, 0], f(u[:, None], t[None, :]))
+    closures = [integrand_function(kind, geometry, model, 0.5) for kind in KINDS] + [integrand_function(None, geometry, model)]
+    for f in closures:
+        for node, grid in zip(*(_bracket_tuple(f(*nodes)) for nodes in ((u, t), (u[:, None], t[None, :])))):
+            np.testing.assert_array_equal(node, np.diagonal(grid), strict=True)
+        for deep, grid in zip(*(_bracket_tuple(f(*nodes)) for nodes in ((u[:, None, None], t[None, None, :]), (u[:, None], t[None, :])))):
+            np.testing.assert_array_equal(deep[:, 0], grid, strict=True)
+
+
+def _bracket_tuple(out):
+    """Every bracket of one closure call, without a None constant."""
+    return [bracket for bracket in (out if isinstance(out, tuple) else (out,)) if bracket is not None]
 
 
 @pytest.mark.parametrize("geometry, z", [(SingleInterface(), 0.3), (Cavity(1.0), 0.5)], ids=("single", "cavity"))
@@ -640,7 +712,7 @@ class TestExactTIntegrals:
         for wp in _EXACT_WPS:
             reference = references[type(geometry).__name__, wp][1]
             for kind, z in [(kind, z) for kind in KINDS for z in zs] + [(None, None)]:
-                numerators = integrand._drude_parts(kind, geometry, [wp], z)[0](_EXACT_U)[0][:-1]
+                numerators = integrand._drude_parts(kind, geometry, [wp], z)[0](_EXACT_U)[0]
                 out = integrand_function(kind, geometry, Drude(wp), z)(_EXACT_U[:, None], quadrature.T_INTEGRAL)
                 rows = [out] if kind is not None else [row for row in out if row is not None]
                 assert len(rows) == len(numerators)
@@ -954,7 +1026,7 @@ class TestUndispersedTIntegrals:
         def refused(*args):
             raise AssertionError("reflection factors computed for T_INTEGRAL")
 
-        monkeypatch.setattr(integrand, "_undispersed_factors", refused)
+        monkeypatch.setattr(integrand, "_reflection_factors", refused)
         for f, rows in zip(closures(), want):
             got = f(_EXACT_U[:, None], quadrature.T_INTEGRAL)
             if isinstance(rows, tuple):

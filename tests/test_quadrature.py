@@ -804,3 +804,17 @@ class TestLiftedRule:
             errors = [float(abs(row["integral"] - exact(u))) for u, (row,) in zip(self._U, rows)]
         assert np.all(np.array(errors) <= quadrature._T_INTEGRAL_ROUNDOFF * rows["magnitude"][:, 0])
 
+
+    @pytest.mark.parametrize("model", (PerfectConductor(), ConstantEpsilon(4.0), Drude(200.0)), ids=("pc", "eps4", "drude200"))
+    def test_cavity_bracket_forms_meet_the_roundoff_allowance(self, model):
+        # every bracket of a cavity's bracket form, at the seed rows of a 25-point
+        # profile, on the lift's rule against its check's: the constant bracket
+        # takes u^3 into e^{-2ua} before it rounds in the subnormal range, past
+        # u a = 354, where weighting it afterwards once left gaps of 3e4 ulps
+        geometry = Cavity(1.0)
+        f = integrand_function(None, geometry, model)
+        scales = np.array([decay_scale_for(geometry, z) for z in np.linspace(0.02, 0.98, 25)])
+        levels = quadrature._SEED_SPLITS + math.ceil(math.log2(scales.max() / scales.min()))
+        _, seed_u, _ = quadrature._seed_mesh(QuadratureConfig().tail_exponent_budget / scales.min(), levels)
+        rows = quadrature._lifted(f)(seed_u[:, None], quadrature.T_INTEGRAL)
+        assert quadrature._lift_gap(f, seed_u, rows) <= quadrature._T_INTEGRAL_ROUNDOFF
