@@ -226,17 +226,17 @@ def critical_lambda(
 
     Each round samples the bracket at its _FAMILY_SIZE Chebyshev-Lobatto
     points, ends included, integrating in one family (`_midgap_energy_family`)
-    all but the ends known from the round before, and takes the first gap
+    those that no earlier family integrated, and takes the first gap
     [a, b] between samples where the sign changes. There the root r of the
     interpolating polynomial (Boyd, SIAM J. Numer. Anal. 40, 2002) comes from
     a sign search on a grid of the gap, a linear step and a Newton step, and
-    is kept tol / 2 inside [a, b]. A 2-member family at r - tol / 2 and
-    r + tol / 2 checks it: if the sign changes there, r is returned; otherwise
-    the next round searches the part of [a, b] that holds the change, at most
-    0.1113 of the bracket for 15 points. A gap at most ``tol`` wide, or
-    between adjacent floats, returns its midpoint. So the root lies within
-    tol / 2 of the value, up to rounding. A sample or check of exactly zero
-    is returned at once.
+    is kept tol / 2 inside [a, b]. r - tol / 2 and r + tol / 2, the new ones
+    in one family, check it: if the sign changes there, r is returned;
+    otherwise the next round searches the part of [a, b] that holds the
+    change, at most 0.1113 of the bracket for 15 points. A gap at most
+    ``tol`` wide, or between adjacent floats, returns its midpoint. So the
+    root lies within tol / 2 of the value, up to rounding. A sample or check
+    of exactly zero is returned at once.
 
     Raises
     ------
@@ -260,11 +260,19 @@ def critical_lambda(
     nodes, halves = np.cos(theta), np.ones(n)
     halves[[0, -1]] = 0.5
     dct = (2.0 / (n - 1)) * halves[:, None] * np.cos(np.outer(np.arange(n), theta)) * halves
-    ends = ()  # from the second round on, the values at lo and hi: a sample and a check of the round before
+    known = {}  # every wp*a integrated so far and its value; a later round's ends are among them
+
+    def energies(points: list) -> list:
+        """U at each wp*a of points, integrating in one family those not yet known, each once; none if all are."""
+        new = list(dict.fromkeys(v for v in points if v not in known))
+        if new:
+            known.update(zip(new, _midgap_energy_family(new, cfg).value[:, 0].tolist()))
+        return [known[v] for v in points]
+
     while True:
         x = lo + (hi - lo) * (0.5 + 0.5 * nodes)
         x[-1] = hi
-        f = np.concatenate((ends[:1], _midgap_energy_family((x[1:-1] if ends else x).tolist(), cfg).value[:, 0], ends[1:]))
+        f = np.array(energies(x.tolist()))
         if (f == 0.0).any():
             return float(x[np.argmax(f == 0.0)])
         changes = np.flatnonzero((f[:-1] > 0) != (f[1:] > 0))
@@ -286,10 +294,10 @@ def critical_lambda(
         if abs(value) < abs(slope) * (grid[j + 1] - grid[j]):
             t -= value / slope
         r = min(max(lo + (hi - lo) * (0.5 + 0.5 * t), a + half_tol), b - half_tol)
-        f_left, f_right = _midgap_energy_family([r - half_tol, r + half_tol], cfg).value[:, 0].tolist()
+        f_left, f_right = energies([r - half_tol, r + half_tol])
         if f_left == 0.0 or f_right == 0.0 or (f_left > 0) != (f_right > 0):
             return r
-        lo, hi, ends = (r + half_tol, b, (f_right, f[i + 1])) if (f_left > 0) == (f[i] > 0) else (a, r - half_tol, (f[i], f_left))
+        lo, hi = (r + half_tol, b) if (f_left > 0) == (f[i] > 0) else (a, r - half_tol)
 
 
 def critical_separation_physical(

@@ -7,8 +7,8 @@ the order-3 polygamma function, and the single-interface limits
 +-3/(16 pi^2 z^4). For the Drude model the leading near-wall behavior
 of each expectation is known analytically. Everything here is cheap,
 self-contained, and independent of the quadrature engine. Every argument
-is checked with `errors.is_finite_real` (or `is_integer`), so bools and
-non-numbers raise DomainError, and is taken as a float.
+is checked with `errors.is_finite_real`, so bools and non-numbers raise
+DomainError, and is taken as a float.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dielectric import DielectricModel, Drude
-from .errors import DivergesAtBoundary, DomainError, is_finite_real, is_integer
+from .errors import DivergesAtBoundary, DomainError, is_finite_real
 
 __all__ = [
     "AsymptoteReport",
@@ -41,7 +41,6 @@ class AsymptoteReport:
 
     leading_coefficient: float
     power: int
-    formula_id: str
 
     def __post_init__(self):
         if self.power not in (-2, -3, -4):
@@ -121,28 +120,20 @@ def pc_cavity_b2_polygamma(z: float, a: float) -> float:
     return pc_cavity_energy(a) - _pc_cavity_polygamma_term(z, a)
 
 
-def polygamma3(x: float, terms: int = 32) -> float:
-    """Order-3 polygamma function, psi'''(x) = 6 sum_{n>=0} (x + n)^-4.
+def polygamma3(x: float) -> float:
+    """Order-3 polygamma function, psi'''(x) = 6 sum_{n>=0} (x + n)^-4, for x > 0.
 
-    The first ``terms`` terms are summed directly (smallest first) and the
+    The first 32 terms are summed directly (smallest first) and the
     remainder is replaced by its Euler-Maclaurin expansion through the
-    (x + terms)^-9 term, which keeps the truncation error below 1e-12
-    relative for x in (0, 1] already at the default depth.
-
-    Parameters
-    ----------
-    x : float
-        Argument, x > 0 (the function has poles at 0, -1, -2, ...).
-    terms : int
-        Number of directly summed terms; at least 8.
+    (x + 32)^-9 term, which keeps the truncation error below 1e-12
+    relative for x in (0, 1]. The poles at 0, -1, -2, ... and every other
+    x that is not a positive finite number raise DomainError.
     """
     if not (is_finite_real(x) and x > 0):
         raise DomainError(f"polygamma3 requires x > 0, got {x!r}")
-    if not (is_integer(terms) and terms >= 8):
-        raise DomainError(f"terms must be an integer of at least 8, got {terms!r}")
-    x, terms = float(x), int(terms)
-    direct = math.fsum((x + n) ** -4 for n in reversed(range(terms)))
-    y = x + terms
+    x = float(x)
+    direct = math.fsum((x + n) ** -4 for n in reversed(range(32)))
+    y = x + 32
     tail = y**-3 / 3.0 + y**-4 / 2.0 + y**-5 / 3.0 - y**-7 / 6.0 + 2.0 * y**-9 / 9.0
     return 6.0 * (direct + tail)
 
@@ -181,7 +172,7 @@ def near_wall_asymptotes(model: DielectricModel) -> NearWallAsymptotes:
     # The z^-2 coefficient is -5 wp^2 / (96 pi^2): direct evaluation of the
     # double integral confirms pi^2 here, not the sometimes-quoted 96 pi.
     return NearWallAsymptotes(
-        e2=AsymptoteReport(math.sqrt(2.0) * wp / (32.0 * math.pi), -3, "near_wall_e2"),
-        b2=AsymptoteReport(-5.0 * wp * wp / (96.0 * math.pi**2), -2, "near_wall_b2"),
-        u=AsymptoteReport(math.sqrt(2.0) * wp / (64.0 * math.pi), -3, "near_wall_u"),
+        e2=AsymptoteReport(math.sqrt(2.0) * wp / (32.0 * math.pi), -3),
+        b2=AsymptoteReport(-5.0 * wp * wp / (96.0 * math.pi**2), -2),
+        u=AsymptoteReport(math.sqrt(2.0) * wp / (64.0 * math.pi), -3),
     )

@@ -108,12 +108,16 @@ def reflection_values(model: DielectricModel, u, t):
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
     shape = np.broadcast_shapes(u.shape, t.shape)
-    r, r_prime = _reflection_factors(model, u, t)[:2]
+    r, r_prime = _reflection_factors(model, u, t, total=False, squares=False)[:2]
     return np.broadcast_to(r, shape), np.broadcast_to(r_prime, shape)
 
 
-def _reflection_factors(model: DielectricModel, u, t):
+def _reflection_factors(model: DielectricModel, u, t, total: bool, squares: bool):
     """r, r', r + r', 1 - r^2 and 1 - r'^2 at the nodes (u, t), each at the broadcast shape of what it depends on, or as a scalar.
+
+    A Drude mirror forms r + r' only if ``total`` and the squares only if
+    ``squares``, giving None otherwise: on a (u, t) grid they are most of
+    its work, and outside one mirror nothing reads the squares.
 
     None is a difference of nearly equal numbers. For a Drude mirror, with
     the b, c and s of `reflection_values`, x = t^2 and M = 1 + c x:
@@ -133,8 +137,12 @@ def _reflection_factors(model: DielectricModel, u, t):
         m = 1.0 + c * x
         minus_r = wp2 / (s * s)
         twice_b = b + b
-        square_p = ((c + b) * x / m) * ((2.0 + (2.0 * (u * u) / wp2) * x) / m)
-        return -minus_r, (1.0 - b * x) / m, twice_b * (1.0 - x) / m, (1.0 + minus_r) * twice_b, square_p
+        r_sum = twice_b * (1.0 - x) / m if total else None
+        square = square_p = None
+        if squares:
+            square = (1.0 + minus_r) * twice_b
+            square_p = ((c + b) * x / m) * ((2.0 + (2.0 * (u * u) / wp2) * x) / m)
+        return -minus_r, (1.0 - b * x) / m, r_sum, square, square_p
     if isinstance(model, Vacuum):
         return 0.0, 0.0, 0.0, 1.0, 1.0
     if isinstance(model, PerfectConductor):

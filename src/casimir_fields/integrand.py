@@ -777,7 +777,8 @@ def _brackets(kinds, model: DielectricModel, u, t, a, weight=1.0):
     past u a = 354 round in the subnormal range, so the weight does not
     scale up their roundoff.
     """
-    r, rp, total, square, square_p = _reflection_factors(model, u, t)
+    energy_density = FieldKind.ENERGY_DENSITY in kinds
+    r, rp, total, square, square_p = _reflection_factors(model, u, t, total=energy_density, squares=a is not None)
     tt = t * t
     constant = None
     if a is not None:
@@ -786,7 +787,7 @@ def _brackets(kinds, model: DielectricModel, u, t, a, weight=1.0):
         weighted = weight * damp
         dr, drp = square + r * r * em, square_p + rp * rp * em
         constant = -tt * (r * r * weighted / dr + rp * rp * weighted / drp)
-        if FieldKind.ENERGY_DENSITY in kinds:
+        if energy_density:
             total = total * (1.0 - r * rp * damp) / (dr * drp)
         r, rp = r / dr, rp / drp
     positions = [(1.0 - tt) * total if k is FieldKind.ENERGY_DENSITY else single_bracket(k, r, rp, t) for k in kinds]

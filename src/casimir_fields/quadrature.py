@@ -185,6 +185,10 @@ _NODE_CAP = 16_384
 # and a Drude cavity's oracle ran 2x faster than at 2**21 nodes, peaking at
 # 11 MiB rather than 128 (tracemalloc; 2-vCPU x86 host, numpy 2.4).
 _ORACLE_NODE_CAP = 2**17
+# Smallest decay scale the engine accepts, in the caller's length unit: the
+# field integrands genuinely diverge as the field point reaches a wall, so
+# smaller scales raise DivergesAtBoundary rather than being attempted.
+_DECAY_SCALE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -201,17 +205,15 @@ class QuadratureConfig:
         neglected envelope is exp(-budget) of its value at the origin.
     max_subdivisions : int
         Adaptive panel splits allowed beyond the initial seeding.
-    decay_scale_floor : float
-        Smallest decay scale accepted, in the caller's length unit; the
-        integrands genuinely diverge as the field point reaches a wall,
-        so arbitrarily small scales are refused rather than attempted.
+
+    Each is a CLI flag. Decay scales below the fixed floor of 1e-6 raise
+    DivergesAtBoundary whatever the config.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-14
     tail_exponent_budget: float = 60.0
     max_subdivisions: int = 2000
-    decay_scale_floor: float = 1e-6
 
     def __post_init__(self):
         if not (is_finite_real(self.rel_tol) and self.rel_tol > 0):
@@ -222,8 +224,6 @@ class QuadratureConfig:
             raise DomainError(f"tail_exponent_budget must be finite and at least 30, got {self.tail_exponent_budget!r}")
         if not (is_integer(self.max_subdivisions) and self.max_subdivisions >= 10):
             raise DomainError(f"max_subdivisions must be an integer of at least 10, got {self.max_subdivisions!r}")
-        if not (is_finite_real(self.decay_scale_floor) and self.decay_scale_floor > 0):
-            raise DomainError(f"decay_scale_floor must be a positive finite number, got {self.decay_scale_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -272,14 +272,14 @@ def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     return (mid[:, None] + half[:, None] * _XK15).ravel(), half
 
 
-def _log_simpson_rule(intervals: int, t_floor: float = 1e-16):
-    """Uniform composite Simpson rule in log(t) on [t_floor, 1]; the oracle's t rule.
+def _log_simpson_rule(intervals: int):
+    """Uniform composite Simpson rule in log(t) on [1e-16, 1]; the oracle's t rule.
 
     In the log variable the spike near t = 0 and its power-law tail both
     have order-one width at every u, so a uniform mesh resolves them; the
-    neglected piece below t_floor contributes at most max|f| * t_floor.
+    neglected piece below 1e-16 contributes at most max|f| * 1e-16.
     """
-    s = np.linspace(math.log(t_floor), 0.0, intervals + 1)
+    s = np.linspace(math.log(1e-16), 0.0, intervals + 1)
     h = s[1] - s[0]
     coeff = np.ones(intervals + 1)
     coeff[1:-1:2] = 4.0
@@ -372,7 +372,7 @@ def integrate_semi_infinite(
     InvalidDecayScale
         If a decay scale is not a positive finite number.
     DivergesAtBoundary
-        If a decay scale is below the configured floor.
+        If a decay scale is below 1e-6, the floor of the field integrands.
     NonConvergence
         If the subdivision budget is exhausted first, or at once if the
         t term or the tail bound alone exceeds the tolerance, since
@@ -395,7 +395,7 @@ def integrate_semi_infinite(
     if cfg is None:
         cfg = QuadratureConfig()
     batched = envelope is not None
-    scales = _checked_scales(decay_scale if batched else (decay_scale,), cfg.decay_scale_floor)
+    scales = _checked_scales(decay_scale if batched else (decay_scale,), _DECAY_SCALE_FLOOR)
     if scales.size == 0:
         raise DomainError("a batched integral needs at least one decay scale")
     envelope = envelope if batched else unit_envelope
@@ -607,22 +607,19 @@ def integrate_fixed_grid(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray | tuple],
     decay_scale: float,
     n_u: int = 768,
-    budget: float = 60.0,
-    u_min_factor: float = 1e-8,
     envelope: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> IntegralResult:
     """Brute-force fixed-grid evaluation of the same double integral.
 
-    Trapezoid rule in log(u) on [u_min_factor, budget] / decay_scale,
-    crossed with a uniform composite Simpson rule in log(t). The integral
+    Trapezoid rule in log(u) on [1e-8, 60] / decay_scale, crossed with a
+    uniform composite Simpson rule in log(t) on [1e-16, 1]. The integral
     is evaluated on n_u log-u points against 1,024 log-t intervals, and on
     2 n_u points against 2,048 intervals; the finer value is returned and
     the difference, which refines both axes, is the reported error gauge.
     Node placement, weights and refinement are all disjoint from the
     adaptive engine, which this function cross-checks. f is called on
     whole log-u rows, at most _ORACLE_NODE_CAP nodes at a time. n_u must
-    be an integer of at least 16, budget positive and finite, and
-    u_min_factor positive and below budget; DomainError otherwise.
+    be an integer of at least 16; DomainError otherwise.
 
     With ``envelope`` f is in the batched form of `integrate_semi_infinite`
     and field k at position j integrates ``constant + envelope(u)[j] *
@@ -632,14 +629,9 @@ def integrate_fixed_grid(
     _checked_scales((decay_scale,), 0.0)
     if not (is_integer(n_u) and n_u >= 16):
         raise DomainError(f"n_u must be an integer of at least 16, got {n_u!r}")
-    if not (is_finite_real(budget) and budget > 0):
-        raise DomainError(f"budget must be a positive finite number, got {budget!r}")
-    if not (is_finite_real(u_min_factor) and 0 < u_min_factor < budget):
-        raise DomainError(f"u_min_factor must be a positive finite number below the budget, got {u_min_factor!r}")
     batched = envelope is not None
     envelope = envelope if batched else unit_envelope
-    u_lo = u_min_factor / decay_scale
-    u_hi = budget / decay_scale
+    u_lo, u_hi = 1e-8 / decay_scale, 60.0 / decay_scale
     evaluations = 0
 
     def once(n: int, t_intervals: int) -> np.ndarray:

@@ -468,6 +468,22 @@ class TestRootSearchContract:
         if shape != "linear":  # every other stand-in takes more than one round
             assert len(samples) > 1
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("root", _ROOTS)
+    @pytest.mark.parametrize("bracket, tol", [((50.0, 200.0), 0.5), ((10.0, 1e4), 0.5), ((50.0, 200.0), 1e-6), ((50.0, 200.0), 1e-15)])
+    def test_no_wp_a_is_integrated_twice(self, monkeypatch, shape, root, bracket, tol):
+        calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root))
+        critical_lambda(bracket=bracket, tol=tol)
+        members = [v for call in calls for v in call]
+        assert len(members) == len(set(members)) and all(calls)
+
+    def test_a_check_point_on_a_known_sample_is_not_integrated_again(self, monkeypatch):
+        # the root 199.9 puts r + tol/2 on the bracket end 200.0, a sample of the first family
+        calls = _count_family_calls(monkeypatch, lambda x: 199.9 - x)
+        assert abs(critical_lambda(bracket=(50.0, 200.0), tol=0.5) - 199.9) <= 0.25
+        assert [len(call) for call in calls] == [15, 1]
+        assert calls[0][-1] == 200.0 and calls[1] == [199.5]
+
     def test_exact_zero_is_returned(self, monkeypatch):
         # zero on all of [90, 110], so a sample lands on an exact zero
         calls = _count_family_calls(monkeypatch, lambda x: min(0.0, 110.0 - x) + max(0.0, 90.0 - x))

@@ -84,6 +84,20 @@ class TestProfileCommand:
         assert code == 2
         assert "wp" in err
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("profile --geometry cavity --model pc --a 1 --points 1", "--points"),
+            ("profile --geometry cavity --model pc --points 3", "--a"),
+            ("profile --geometry single --model pc --zmin 0.5 --points 3", "--zmax"),
+        ],
+        ids=("one-point", "cavity-without-a", "single-without-zmax"),
+    )
+    def test_missing_or_bad_geometry_flag_is_one_line_usage_error(self, capsys, integrals, command, flag):
+        code, out, err = run_cli(command.split(), capsys)
+        assert code == 2 and out == "" and integrals == []
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
     def test_bad_window_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             "profile --geometry single --model vacuum --zmin 2 --zmax 1".split(), capsys

@@ -32,12 +32,10 @@ from casimir_fields import (
         pytest.param(lambda: casimir_polder(1.0, True), DomainError, id="polarizability-bool"),
         pytest.param(lambda: near_wall_asymptotes(Drude(1.0)).u.evaluate(True), DomainError, id="asymptote-bool"),
         pytest.param(lambda: pc_cavity_e2("a", 1.0), DomainError, id="cavity-z-str"),
-        pytest.param(lambda: polygamma3(0.5, 8.5), DomainError, id="polygamma-float-terms"),
         pytest.param(lambda: pc_cavity_energy(np.float32(1.0)), lambda: pc_cavity_energy(1.0), id="energy-float32"),
         pytest.param(lambda: pc_cavity_energy(np.int64(2)), lambda: pc_cavity_energy(2.0), id="energy-int64"),
         pytest.param(lambda: pc_single_e2(np.float32(0.5)), lambda: pc_single_e2(0.5), id="single-float32"),
         pytest.param(lambda: polygamma3(np.float32(0.5)), lambda: polygamma3(0.5), id="polygamma-float32"),
-        pytest.param(lambda: polygamma3(0.5, np.int64(16)), lambda: polygamma3(0.5, 16), id="polygamma-int64-terms"),
     ],
 )
 def test_arguments_are_real_numbers(call, expected):
@@ -128,21 +126,15 @@ class TestPolygamma3:
             tail_hi = 6.0 * (x + n - 1) ** -3 / 3.0
             assert partial < polygamma3(x) < partial + tail_hi
 
-    def test_truncation_stability(self):
-        for x in (0.05, 0.4, 0.97):
-            assert polygamma3(x, terms=32) == pytest.approx(polygamma3(x, terms=64), rel=1e-12)
-
     def test_matches_scipy(self):
-        for x in np.linspace(0.05, 0.95, 10):
-            assert polygamma3(float(x)) == pytest.approx(float(scipy.special.polygamma(3, x)), rel=1e-12)
+        for x in [*np.linspace(0.05, 0.95, 10).tolist(), 0.4, 0.97]:
+            assert polygamma3(x) == pytest.approx(float(scipy.special.polygamma(3, x)), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             polygamma3(0.0)
         with pytest.raises(DomainError):
             polygamma3(-1.0)
-        with pytest.raises(DomainError):
-            polygamma3(0.5, terms=4)
 
     def test_recurrence_region(self):
         # series form remains valid for x > 1
@@ -219,10 +211,10 @@ class TestNearWallAsymptotes:
 
     def test_report_validation(self):
         with pytest.raises(DomainError):
-            AsymptoteReport(1.0, -5, "bad")
+            AsymptoteReport(1.0, -5)
         with pytest.raises(DomainError):
-            AsymptoteReport(math.inf, -3, "bad")
-        report = AsymptoteReport(2.0, -2, "ok")
+            AsymptoteReport(math.inf, -3)
+        report = AsymptoteReport(2.0, -2)
         assert report.evaluate(0.5) == pytest.approx(8.0)
         with pytest.raises(DomainError):
             report.evaluate(0.0)

@@ -611,6 +611,11 @@ def test_family_takes_drude_models_only(kind, models):
         integrand_function(kind, Cavity(1.0), models, None if kind is None else 0.5)
 
 
+def test_bracket_form_takes_no_position():
+    with pytest.raises(DomainError, match="z=None"):
+        integrand_function(None, Cavity(1.0), PerfectConductor(), 0.5)
+
+
 def _bernstein_from_moments(m):
     """Integrals of the cubic Bernstein basis in x from those of 1, x, x^2 and x^3, exactly."""
     m0, m1, m2, m3 = m

@@ -47,7 +47,6 @@ def test_engine_knobs_and_result_fields_are_pinned():
         "abs_tol",
         "tail_exponent_budget",
         "max_subdivisions",
-        "decay_scale_floor",
     ]
     assert [field.name for field in dataclasses.fields(IntegralResult)] == [
         "value",
@@ -55,6 +54,13 @@ def test_engine_knobs_and_result_fields_are_pinned():
         "evaluations",
         "truncation_u",
     ]
+
+
+def test_reference_knobs_are_pinned():
+    # the oracle's u range, the polygamma depth and an asymptote's name are constants or gone
+    assert list(inspect.signature(casimir_fields.integrate_fixed_grid).parameters) == ["f", "decay_scale", "n_u", "envelope"]
+    assert list(inspect.signature(casimir_fields.polygamma3).parameters) == ["x"]
+    assert [field.name for field in dataclasses.fields(casimir_fields.AsymptoteReport)] == ["leading_coefficient", "power"]
 
 
 def test_benchmark_boundaries_resolve():

@@ -42,14 +42,12 @@ class TestConfigValidation:
             {"abs_tol": -1.0},
             {"tail_exponent_budget": 29.0},
             {"max_subdivisions": 9},
-            {"decay_scale_floor": 0.0},
             # non-finite floats would "converge" with a meaningless err or burn every split on NaN
             {"rel_tol": math.inf},
             {"rel_tol": math.nan},
             {"abs_tol": math.inf},
             {"tail_exponent_budget": math.inf},
             {"tail_exponent_budget": math.nan},
-            {"decay_scale_floor": math.inf},
             {"rel_tol": "1e-8"},
             {"rel_tol": True},
             # counts must be integers
@@ -57,7 +55,6 @@ class TestConfigValidation:
             {"max_subdivisions": True},
             {"max_subdivisions": np.float64(2000.0)},
             {"abs_tol": math.nan},
-            {"decay_scale_floor": math.nan},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -69,7 +66,7 @@ class TestConfigValidation:
         [
             {"max_subdivisions": np.int32(100)},
             {"rel_tol": np.float32(1e-6), "abs_tol": 0},
-            {"tail_exponent_budget": 30, "decay_scale_floor": np.float64(1e-3)},
+            {"tail_exponent_budget": np.float64(30)},
             {"max_subdivisions": np.int64(100)},
         ],
     )
@@ -120,12 +117,12 @@ class TestEngineBasics:
 
     def test_decay_scale_below_floor(self):
         f = lambda u, t: u * 0.0 + t * 0.0
-        with pytest.raises(DivergesAtBoundary):
-            integrate_semi_infinite(f, 1e-9)
-        # a custom floor moves the refusal point
-        cfg = QuadratureConfig(decay_scale_floor=1e-2)
-        with pytest.raises(DivergesAtBoundary):
-            integrate_semi_infinite(f, 1e-3, cfg)
+        for below in (1e-9, 9.9e-7):
+            with pytest.raises(DivergesAtBoundary, match=r"below the floor 1e-06"):
+                integrate_semi_infinite(f, below)
+        with pytest.raises(DivergesAtBoundary, match=r"decay scale 9\.9e-07 is below"):
+            integrate_semi_infinite(f, [1.0, 9.9e-7], envelope=lambda u: np.ones((2, u.size)))
+        assert integrate_semi_infinite(f, 1e-6).value == 0.0
 
     def test_nonconvergence_carries_best_result(self):
         calls = []
@@ -739,7 +736,7 @@ class TestFixedGridOracle:
         f = lambda u, t: u * 0.0 + t * 0.0
         with pytest.raises(InvalidDecayScale):
             integrate_fixed_grid(f, 0.0)
-        assert integrate_fixed_grid(f, 1.0, n_u=np.int64(16), budget=30, u_min_factor=np.float32(1e-6)).value == 0.0
+        assert integrate_fixed_grid(f, 1.0, n_u=np.int64(16)).value == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -748,15 +745,6 @@ class TestFixedGridOracle:
             # unchecked, a float count fails with a TypeError inside numpy's linspace
             {"n_u": 20.0},
             {"n_u": True},
-            # unchecked, NaN gives NaN, a reversed range a wrong value and these a bare math domain error
-            {"budget": math.nan},
-            {"budget": math.inf},
-            {"budget": -1.0},
-            {"budget": "60"},
-            {"u_min_factor": 0.0},
-            {"u_min_factor": math.nan},
-            {"u_min_factor": 60.0},
-            {"u_min_factor": 100.0},
         ],
     )
     def test_oracle_inputs_are_checked(self, kwargs):
@@ -765,6 +753,19 @@ class TestFixedGridOracle:
 
         with pytest.raises(DomainError):
             integrate_fixed_grid(never, 1.0, **kwargs)
+
+    def test_the_u_range_is_fixed_over_the_decay_scale(self):
+        # [1e-8, 60] / decay_scale: the first and last log-u nodes, and the reported truncation point
+        seen = []
+
+        def recording(u, t):
+            seen.append(u.ravel())
+            return u * t
+
+        res = integrate_fixed_grid(recording, 4.0, n_u=16)
+        first = seen[0]  # the coarse pass, in one call
+        assert first[0] == pytest.approx(0.25e-8, rel=1e-14) and first[-1] == pytest.approx(15.0, rel=1e-14)
+        assert res.truncation_u == 15.0
 
 
 def _spike_t_integral(width, narrow_at_small_u, u):
