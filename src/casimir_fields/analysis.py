@@ -158,14 +158,16 @@ def profile(
     return profile_at(geometry, model, zs, cfg)
 
 
-# wp*a values per midgap family, one engine call: the scan's groups and the
-# Chebyshev-Lobatto points of `critical_lambda`. A member costs about 40 kB of
-# traced peak memory: a midgap pass (a 40-value scan and the critical root)
-# peaked at 0.57 MB with 5 members, 0.87 MB with 11, 1.00 MB with 15 and
-# 1.11 MB with 20. Against 5-member families the scan took 0.79x the time
-# with 11 members, 0.74x with 15, 0.75x with 20 and 0.90x with 40 (2-vCPU
-# x86 host, numpy 2.4).
-_FAMILY_SIZE = 15
+# wp*a values per engine call of `midpoint_scan`. On the 151-row seed every
+# group of the default 10-1000 scan converges without a panel split, so each
+# group is one integrand call. A member costs about 40 kB of traced peak
+# memory: a midgap pass (a 40-value scan and the critical root) peaked at
+# 0.90 MB in groups of 15, 1.10 MB in groups of 20 and 2.01 MB in one group of
+# 40. Against groups of 15 the scan took 0.85x the time in groups of 20 and
+# 0.86x in one group of 40 (2-vCPU x86 host, numpy 2.4).
+_SCAN_GROUP = 20
+# Chebyshev-Lobatto points per round of `critical_lambda`, ends included.
+_CRITICAL_POINTS = 15
 
 
 def _midgap_energy_family(omega_p_as: Sequence[float], cfg: QuadratureConfig) -> IntegralResult:
@@ -190,7 +192,7 @@ def midpoint_scan(
     The scaled value decreases monotonically with wp*a and approaches the
     perfect-conductor constant -pi^2/720 from above for large arguments.
 
-    Consecutive grid values are integrated in groups of _FAMILY_SIZE (15),
+    Consecutive grid values are integrated in groups of _SCAN_GROUP (20),
     one engine call per group, whatever the settings of ``cfg``. A row can
     differ from the same wp*a integrated alone at the last digits, always
     within the sum of both ``err``.
@@ -210,8 +212,8 @@ def midpoint_scan(
         raise DomainError(f"spacing must be 'log' or 'linear', got {spacing!r}")
     cfg = cfg or QuadratureConfig()
     points = []
-    for start in range(0, n, _FAMILY_SIZE):
-        group = grid[start : start + _FAMILY_SIZE].tolist()
+    for start in range(0, n, _SCAN_GROUP):
+        group = grid[start : start + _SCAN_GROUP].tolist()
         res = _midgap_energy_family(group, cfg)
         points += map(ScanPoint, group, res.value[:, 0].tolist(), res.error_estimate[:, 0].tolist())
     return points
@@ -224,7 +226,7 @@ def critical_lambda(
 ) -> float:
     """The wp*a at which the midgap energy density changes sign, by Chebyshev interpolation and a sign check.
 
-    Each round samples the bracket at its _FAMILY_SIZE Chebyshev-Lobatto
+    Each round samples the bracket at its _CRITICAL_POINTS (15) Chebyshev-Lobatto
     points, ends included, integrating in one family (`_midgap_energy_family`)
     those that no earlier family integrated, and takes the first gap
     [a, b] between samples where the sign changes. There the root r of the
@@ -253,7 +255,7 @@ def critical_lambda(
         raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     cfg = cfg or QuadratureConfig()
-    half_tol, n = 0.5 * tol, _FAMILY_SIZE
+    half_tol, n = 0.5 * tol, _CRITICAL_POINTS
     # Lobatto points cos(theta) of [-1, 1] in ascending order, and the DCT-I
     # that takes values there to Chebyshev coefficients, its end terms halved
     theta = np.linspace(np.pi, 0.0, n)

@@ -10,7 +10,8 @@ transverse-magnetic (``r_prime``) polarizations of a planar
 vacuum/dielectric interface. On the imaginary axis they are real, with
 -1 <= r <= 0 and 0 <= r_prime <= 1 for the models implemented here.
 `reflection_values` evaluates them on arrays of nodes; scalars u and t
-give one node.
+give one node. A model stores its parameter as a Python float, a numpy real
+as the float it equals, so no numpy scalar type reaches the arithmetic.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ class Drude:
         wp = self.plasma_frequency
         if not (is_finite_real(wp) and wp > 0):
             raise DomainError(f"plasma_frequency must be positive and finite, got {wp!r}")
+        object.__setattr__(self, "plasma_frequency", float(wp))
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class ConstantEpsilon:
         eps = self.epsilon
         if not (is_finite_real(eps) and eps > 1):
             raise DomainError(f"epsilon must be finite and greater than 1, got {eps!r}")
+        object.__setattr__(self, "epsilon", float(eps))
 
 
 @dataclass(frozen=True)

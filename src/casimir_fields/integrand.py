@@ -102,6 +102,7 @@ class Cavity:
     def __post_init__(self):
         if not (is_finite_real(self.width) and self.width > 0):
             raise DomainError(f"cavity width must be positive and finite, got {self.width!r}")
+        object.__setattr__(self, "width", float(self.width))
 
 
 Geometry = Union[SingleInterface, Cavity]

@@ -129,7 +129,11 @@ _KGK_WEIGHTS[1, 1::2] -= np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
 # below the truncation point, down to u_max / 2^8, before adaptive refinement
 # starts. 16 splits left the midgap values within 1e-15 relative of these on
 # nearly twice the seed nodes; 4 saved nodes but brought back panel splits,
-# one integrand call each, and ran slower (2-vCPU x86 host, numpy 2.4).
+# one integrand call each, and ran slower (2-vCPU x86 host, numpy 2.4). The
+# seed also halves [u_max / 4, u_max / 2], 15 decay lengths at the default
+# budget: whole, that panel failed its Kronrod-Gauss test in 3 of the 5
+# engine calls of a 40-value midgap scan and the critical root, a refinement
+# round each.
 _SEED_SPLITS = 8
 
 # The lift's fixed t rule (`_lifted`): _T_RULE_ORDER-point Gauss-Legendre on
@@ -246,10 +250,11 @@ class IntegralResult:
 def _seed_mesh(u_max: float, levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The seed mesh of [0, u_max]: edges, Kronrod nodes and half widths.
 
-    The edges are 0 and u_max 2^-j for j = levels .. 0; the Kronrod nodes
-    are the panels' 15 nodes, panel by panel, then the tail node u_max.
+    The edges are 0, u_max 2^-j for j = levels .. 2, 3 u_max / 8, u_max / 2
+    and u_max, so no panel below u_max / 2 is wider than u_max / 8: 15
+    (levels + 2) Kronrod nodes, panel by panel, then the tail node u_max.
     """
-    edges = np.array([0.0] + [u_max * 2.0**-j for j in range(levels, 0, -1)] + [u_max])
+    edges = np.array([0.0] + [u_max * 2.0**-j for j in range(levels, 1, -1)] + [0.375 * u_max, 0.5 * u_max, u_max])
     nodes, half = _kronrod_nodes(edges[:-1], edges[1:])
     mesh = (edges, np.append(nodes, u_max), half)
     for array in mesh:
@@ -381,9 +386,10 @@ def integrate_semi_infinite(
 
     Notes
     -----
-    The seed panels form one ratio-2 geometric mesh from u_max down to
+    The seed panels form one ratio-2 geometric mesh from u_max / 4 down to
     2**-8 of the smallest truncation point of any position, so each
-    position gets at least the seeding it would get alone. Refinement
+    position gets at least the seeding it would get alone, then
+    [u_max / 4, u_max / 2] in two halves and [u_max / 2, u_max]. Refinement
     then goes in rounds until every (field, position) pair meets its
     tolerance. Each round takes, for every pair above it, the fewest of
     that pair's largest-error panels whose removal would bring it within

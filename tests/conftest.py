@@ -21,10 +21,11 @@ def engine_calls(monkeypatch):
     """Counts of the engine calls the analysis drivers make and of the integrand calls within them.
 
     Wraps `analysis.integrate_semi_infinite` and every integrand passed to
-    it: ``engine`` counts engine calls, ``integrand`` integrand calls and
-    ``evaluations`` the evaluations the engine's results report.
+    it: ``engine`` counts engine calls, ``integrand`` integrand calls,
+    ``rows`` lists the u rows of each integrand call in order and
+    ``evaluations`` sums the evaluations the engine's results report.
     """
-    counts = SimpleNamespace(engine=0, integrand=0, evaluations=0)
+    counts = SimpleNamespace(engine=0, integrand=0, rows=[], evaluations=0)
     integrate = analysis.integrate_semi_infinite
 
     def counted_integrate(f, *args, **kwargs):
@@ -32,6 +33,7 @@ def engine_calls(monkeypatch):
 
         def counted_f(u, t):
             counts.integrand += 1
+            counts.rows.append(np.shape(u)[0])
             return f(u, t)
 
         result = integrate(counted_f, *args, **kwargs)

@@ -305,9 +305,10 @@ class TestMidpointScan:
             midpoint_scan(*args)
 
     def test_rows_match_single_integrals(self, engine_calls):
-        # 16 values in groups of _FAMILY_SIZE (15) and 1, one engine call per group
+        # 16 values fit in one group of _SCAN_GROUP (20): one engine call on the 151 seed rows
         points = midpoint_scan(10.0, 1000.0, 16)
-        assert engine_calls.engine == -(-16 // analysis._FAMILY_SIZE) == 2
+        assert engine_calls.engine == engine_calls.integrand == 1
+        assert engine_calls.rows == [151]
         cfg = QuadratureConfig()
         for point in points:
             single = integrate_semi_infinite(_midgap_closure(point.omega_p_a), 1.0, cfg)
@@ -325,9 +326,10 @@ class TestMidpointScan:
 
     def test_forty_values_take_one_engine_call_per_family(self, engine_calls):
         midpoint_scan(10.0, 1000.0, 40)
-        assert engine_calls.engine == -(-40 // analysis._FAMILY_SIZE) == 3
-        # 3 seed calls and the one round of panel splits of the default scan
-        assert engine_calls.integrand <= 4
+        assert engine_calls.engine == -(-40 // analysis._SCAN_GROUP) == 2
+        # two seed calls: no group of the default scan splits a panel
+        assert engine_calls.integrand == 2
+        assert engine_calls.rows == [151, 151]
 
     def test_reproducible(self):
         first = midpoint_scan(50.0, 150.0, 3)
@@ -339,27 +341,30 @@ class TestWorkloadShapes:
     """Integrand calls and evaluations of the benchmark's three workload shapes, and the peak memory of a profile."""
 
     def test_cavity_profile(self, engine_calls):
-        # a 101-point Drude cavity profile and a 25-point perfect-conductor one: 211 u rows each
+        # a 101-point Drude cavity profile and a 25-point perfect-conductor one: 226 u rows each
         profile(Cavity(1.0), Drude(200.0), 101)
         profile(Cavity(1.0), PerfectConductor(), 25)
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 422)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 452)
 
     def test_single_decades(self, engine_calls):
-        # single-interface profiles over 3.7 decades: 331 u rows each
+        # single-interface profiles over 3.7 decades: 346 u rows each
         for model, n in ((Drude(1.0), 64), (ConstantEpsilon(4.0), 16), (PerfectConductor(), 16)):
             profile_at(SingleInterface(), model, np.geomspace(1e-3, 5.0, n))
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 993)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 1038)
 
     def test_midgap_root(self, engine_calls):
-        # a 40-value scan in 3 families and the root from a 15-member family and a 2-member check
+        # a 40-value scan in 2 groups and the root from a 15-member family and a 2-member check:
+        # each family converges on its 151 seed rows but the check, which takes one round of 4 splits
         midpoint_scan(10.0, 1000.0, 40)
         critical_lambda()
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (5, 8, 830)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (4, 5, 664)
+        assert engine_calls.rows == [151, 151, 151, 151, 60]
 
     def test_cavity_profile_peak_memory(self):
         # the Kronrod sums take the envelope in one matrix product per panel, with
-        # no (fields, positions, u nodes) grid: about 540 KB, against about 700 KB
-        # with that grid (tracemalloc, numpy 2.4)
+        # no (fields, positions, u nodes) grid: about 576 KB on the 151-row seed
+        # (538 KB on a 136-row one), against about 700 KB with that grid on the
+        # 136-row seed (tracemalloc, numpy 2.4)
         profile(Cavity(1.0), Drude(200.0), 101)  # builds the cached mesh and rules
         tracemalloc.start()
         try:

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from casimir_fields import (
+    Cavity,
     ConstantEpsilon,
     DomainError,
     Drude,
+    FieldKind,
     PerfectConductor,
     Vacuum,
+    compute_point,
+    integrand_function,
 )
 from casimir_fields.dielectric import reflection_values
 
@@ -29,6 +33,48 @@ class TestModelValidation:
             ConstantEpsilon(0.5)
         with pytest.raises(DomainError):
             ConstantEpsilon(math.nan)
+
+    @pytest.mark.parametrize(
+        "make, field, value",
+        [
+            (Drude, "plasma_frequency", np.float32(200.3)),
+            (ConstantEpsilon, "epsilon", np.float32(3.7)),
+            (Drude, "plasma_frequency", np.int64(4_000_000_000)),
+            (Cavity, "width", np.float32(1.1)),
+        ],
+        ids=("drude-float32", "eps-float32", "drude-int64", "cavity-float32"),
+    )
+    def test_numpy_parameters_are_stored_as_floats(self, make, field, value):
+        # a numpy real is taken as the float it equals, so no float32 or int64
+        # arithmetic reaches the integrands: int64 wp * wp would overflow
+        stored = make(value)
+        assert type(getattr(stored, field)) is float and stored == make(float(value))
+
+    @pytest.mark.parametrize(
+        "numpy_model, model",
+        [
+            (Drude(np.float32(200.3)), Drude(float(np.float32(200.3)))),
+            (ConstantEpsilon(np.float32(3.7)), ConstantEpsilon(float(np.float32(3.7)))),
+            (Drude(np.int64(4_000_000_000)), Drude(4e9)),
+        ],
+        ids=("drude-float32", "eps-float32", "drude-int64"),
+    )
+    def test_numpy_parameters_give_the_floats_values(self, numpy_model, model):
+        u, t = np.geomspace(1e-3, 1e3, 7)[:, None], np.linspace(0.0, 1.0, 5)[None, :]
+        for a, b in zip(reflection_values(numpy_model, u, t), reflection_values(model, u, t)):
+            assert a.tobytes() == b.tobytes()
+        grid = [integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), m, 0.3)(u, t) for m in (numpy_model, model)]
+        assert grid[0].tobytes() == grid[1].tobytes()
+        assert compute_point(Cavity(1.0), numpy_model, 0.3) == compute_point(Cavity(1.0), model, 0.3)
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [(Drude, np.float32(-1.0)), (ConstantEpsilon, np.float32(0.5)), (Cavity, np.int64(0))],
+    )
+    def test_errors_name_the_callers_value(self, make, value):
+        with pytest.raises(DomainError) as excinfo:
+            make(value)
+        assert str(excinfo.value).endswith(f"got {value!r}")
 
 
 def node(model, u, t):

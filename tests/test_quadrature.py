@@ -140,10 +140,10 @@ class TestEngineBasics:
         assert result.error_estimate > 0.0
         # exact value: (1/2)(1 + 1/(1 + 6400))
         assert result.value == pytest.approx(0.5 * (1.0 + 1.0 / 6401.0), rel=1e-2)
-        # the lifted callable runs on the fixed t rule; after the 136 seed rows
+        # the lifted callable runs on the fixed t rule; after the 151 seed rows
         # every split adds 30, and the splits use up the budget, never more
         panel_rows = sum(rows for rows, width in calls if width == calls[-1][1])
-        assert panel_rows - 136 == 30 * cfg.max_subdivisions
+        assert panel_rows - 151 == 30 * cfg.max_subdivisions
 
     def test_rounds_cut_short_by_the_budget_split_the_worst_panels(self):
         # a round splits at most half the splits left, its largest-error panels
@@ -161,7 +161,7 @@ class TestEngineBasics:
         cfg = QuadratureConfig(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=10)
         with pytest.raises(NonConvergence, match="after 10 subdivisions"):
             integrate_semi_infinite(wiggly, 1.0, cfg)
-        assert rows == [136, 30 * 5, 30 * 3, 30, 30]
+        assert rows == [151, 30 * 5, 30 * 3, 30, 30]
 
 
 class TestRefinementRounds:
@@ -305,11 +305,11 @@ class TestPlainCallable:
     def test_is_lifted_onto_the_fixed_t_rule(self):
         # the benchmark's set-up integral: a plain callable has no exact t
         # integrals, so the engine lifts it onto its fixed t rule; its integral
-        # is 6 * 2/3, and it converges on the 136 u rows of the seed mesh, which
+        # is 6 * 2/3, and it converges on the 151 u rows of the seed mesh, which
         # the check on the halved t panels counts twice more
         res = integrate_semi_infinite(lambda u, t: u**3 * np.exp(-u) * (1.0 - t * t), 1.0)
         assert abs(res.value - 4.0) <= res.error_estimate
-        assert res.evaluations == 3 * 136
+        assert res.evaluations == 3 * 151
 
 
 def _plain(f):
@@ -381,7 +381,7 @@ class TestTRuleError:
         f = lambda u, t: np.exp(-u) / (1.0 + ((t - 0.5) / width) ** 2)
         with pytest.raises(NonConvergence, match="not resolved by the fixed t rule") as excinfo:
             integrate_semi_infinite(f, 1.0)
-        assert excinfo.value.result.evaluations == 3 * 136
+        assert excinfo.value.result.evaluations == 3 * 151
         res = integrate_semi_infinite(f, 1.0, QuadratureConfig(rel_tol=1.0, abs_tol=1.0))
         assert abs(res.value - 2.0 * width * math.atan(0.5 / width)) <= res.error_estimate
 
@@ -397,7 +397,7 @@ class TestTRuleError:
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
         with pytest.raises(NonConvergence, match="roundoff allowance") as excinfo:
             _energy_density(Cavity(1.0), Drude(200.0), [0.5], cfg)
-        assert excinfo.value.result.evaluations == 136
+        assert excinfo.value.result.evaluations == 151
 
 
 def _spike_integrand(width, narrow_at_small_u=False):
@@ -434,6 +434,20 @@ class TestTRuleDepth:
 
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the seed's bottom panel [0, u_max / 256] holds the small-u structure of a weak mirror, "
+    "which K15 and G7 both miss: the true error is 56x err",
+)
+def test_err_bounds_b2_beside_a_weak_drude_mirror():
+    # <B^2> at the midpoint of a Drude(1e-3) unit cavity; the truth is the engine
+    # at rel_tol 1e-14, which a tanh-sinh t rule matched to 3.3e-15
+    f = integrand_function(FieldKind.B_SQUARED, Cavity(1.0), Drude(1e-3), 0.5)
+    res = integrate_semi_infinite(f, 1.0)
+    truth = integrate_semi_infinite(f, 1.0, QuadratureConfig(rel_tol=1e-14, abs_tol=0.0)).value
+    assert abs(res.value - truth) <= res.error_estimate
+
+
 class TestRootAdjacentIntegrals:
     # Midgap integrals beside the sign change of U: their err sits within 30% of
     # abs_tol, so roundoff added to the t term would raise NonConvergence. They
@@ -441,7 +455,7 @@ class TestRootAdjacentIntegrals:
     # must meet the tolerance.
     @pytest.mark.parametrize(
         "wp, evaluations, err",
-        [(96.60661, 286, 7.1159e-15), (97.0, 196, 4.3939e-13)],
+        [(96.60661, 271, 7.1155e-15), (97.0, 181, 4.3939e-13)],
         ids=("root", "beside-root"),
     )
     def test_plain_integral(self, wp, evaluations, err):
@@ -452,7 +466,8 @@ class TestRootAdjacentIntegrals:
         assert res.error_estimate <= max(cfg.rel_tol * abs(res.value), cfg.abs_tol)
 
     def test_splits_in_two_rounds(self):
-        # the 5 panel splits of the root take one integrand call per round
+        # at abs_tol 1e-15 the root's 6 panel splits take one integrand call per round:
+        # 5 in the first, 1 in the second
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(96.60661), 0.5)
         rows = []
 
@@ -460,17 +475,18 @@ class TestRootAdjacentIntegrals:
             rows.append(np.shape(u)[0])
             return f(u, t)
 
-        res = integrate_semi_infinite(counted, 1.0)
-        assert res.evaluations == sum(rows) == 286
-        assert rows[0] == 136 and len(rows) - 1 <= 2
-        assert res.error_estimate <= QuadratureConfig().abs_tol
+        cfg = QuadratureConfig(abs_tol=1e-15)
+        res = integrate_semi_infinite(counted, 1.0, cfg)
+        assert res.evaluations == sum(rows) == 331
+        assert rows == [151, 30 * 5, 30]
+        assert res.error_estimate <= cfg.abs_tol
 
     def test_family(self):
         wps = (95.0, 96.0, 96.60661, 97.0, 98.0)
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
         res = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
-        assert res.evaluations == 286
-        expected = [7.1924e-15, 7.1420e-15, 7.1159e-15, 7.0907e-15, 7.0479e-15]
+        assert res.evaluations == 271
+        expected = [7.1943e-15, 7.1430e-15, 7.1152e-15, 7.0888e-15, 7.0458e-15]
         np.testing.assert_allclose(res.error_estimate[:, 0], expected, rtol=1e-2)
         assert np.all(res.error_estimate <= QuadratureConfig().abs_tol)
 
@@ -529,6 +545,34 @@ class TestEvaluationCount:
         assert res.evaluations == nodes[0]
 
 
+class TestSeedMesh:
+    # edges 0, u_max 2^-levels, ..., u_max / 4, 3 u_max / 8, u_max / 2, u_max: the
+    # decades below u_max / 4 geometric, and no panel below u_max / 2 wider than u_max / 8
+    @pytest.mark.parametrize("budget", [60.0, 30.0])
+    @pytest.mark.parametrize("scales", [[1.0], [2.0, 0.25]], ids=("one-scale", "three-more-levels"))
+    def test_shape(self, budget, scales):
+        rows = []
+
+        def f(u, t):
+            rows.append(np.shape(u)[0])
+            row = np.exp(-u)
+            return np.stack((row, row), axis=-1).view(quadrature.T_INTEGRAL_DTYPE)[..., 0]
+
+        cfg = QuadratureConfig(tail_exponent_budget=budget, rel_tol=1.0, abs_tol=1.0)
+        integrate_semi_infinite(f, scales, cfg, envelope=lambda u: np.ones((len(scales), u.size)))
+        u_max = budget / min(scales)
+        levels = quadrature._SEED_SPLITS + 3 * (len(scales) - 1)
+        edges, nodes, half = quadrature._seed_mesh(u_max, levels)
+        widths = np.diff(edges)
+        assert edges[0] == 0.0 and edges[1] == u_max * 2.0**-levels
+        assert widths[edges[1:] <= 0.5 * u_max].max() == u_max / 8
+        assert edges[-4:].tolist() == [0.25 * u_max, 0.375 * u_max, 0.5 * u_max, u_max]
+        assert nodes.size == 15 * (levels + 2) + 1 and nodes[-1] == u_max
+        assert np.array_equal(half, 0.5 * widths)
+        # the engine's one call: the seed mesh and the tail node
+        assert rows == [nodes.size]
+
+
 class TestSetUpCaches:
     def test_cached_grids_are_read_only(self):
         cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS), quadrature._tail_factor(60.0, (1.0, 0.5))]
@@ -544,10 +588,10 @@ class TestSetUpCaches:
 
         envelope = lambda u: np.exp(-np.outer(scales, u))
         first = integrate_semi_infinite(g, scales, envelope=envelope)
-        # after the t-integral call, the lifted callable takes the 226 seed rows
-        # on the fixed rule and again on the check's, then 19 splits of 30 rows,
+        # after the t-integral call, the lifted callable takes the 241 seed rows
+        # on the fixed rule and again on the check's, then 18 splits of 30 rows,
         # in blocks of whole rows within the node cap
-        assert rows[0] == 226 and sum(rows[1:]) == 2 * 226 + 30 * 19
+        assert rows[0] == 241 and sum(rows[1:]) == 2 * 241 + 30 * 18
         second = integrate_semi_infinite(g, scales, envelope=envelope)
         assert first.evaluations == second.evaluations
         assert first.value.tobytes() == second.value.tobytes()
