@@ -2,14 +2,17 @@
 
 The cavity energy density obeys the scaling U(z; a, wp) * a^4 = F(z/a, wp*a),
 so midgap scans are computed at unit width with the dimensionless product
-wp*a as the only knob. A profile is one batched engine call: the reflection
-brackets are evaluated once per u node for every position and both squared
-fields, and the energy density is their mean. Everything runs serially in
-input order, so output is deterministic for a fixed configuration.
+wp*a as the only knob; the critical wp*a is a Chebyshev root search whose
+checks are sign tests, integrated at rel_tol 1/2. A profile is one batched
+engine call: the reflection brackets are evaluated once per u node for every
+position and both squared fields, and the energy density is their mean.
+Everything runs serially in input order, so output is deterministic for a
+fixed configuration.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -144,6 +147,7 @@ def profile(
     """
     if not (is_finite_real(margin) and 0 < margin < 0.5):
         raise DomainError(f"margin must lie in (0, 0.5), got {margin!r}")
+    margin = float(margin)
     if not (is_integer(n_points) and n_points >= 2):
         raise DomainError(f"n_points must be an integer of at least 2 points, got {n_points!r}")
     if isinstance(geometry, Cavity):
@@ -168,6 +172,9 @@ def profile(
 _SCAN_GROUP = 20
 # Chebyshev-Lobatto points per round of `critical_lambda`, ends included.
 _CRITICAL_POINTS = 15
+# rel_tol floor of `critical_lambda`'s check integrals, which only read a sign:
+# an error estimate at most |U| / 2 leaves the sign of U fixed.
+_SIGN_REL_TOL = 0.5
 
 
 def _midgap_energy_family(omega_p_as: Sequence[float], cfg: QuadratureConfig) -> IntegralResult:
@@ -232,13 +239,17 @@ def critical_lambda(
     [a, b] between samples where the sign changes. There the root r of the
     interpolating polynomial (Boyd, SIAM J. Numer. Anal. 40, 2002) comes from
     a sign search on a grid of the gap, a linear step and a Newton step, and
-    is kept tol / 2 inside [a, b]. r - tol / 2 and r + tol / 2, the new ones
-    in one family, check it: if the sign changes there, r is returned;
-    otherwise the next round searches the part of [a, b] that holds the
-    change, at most 0.1113 of the bracket for 15 points. A gap at most
-    ``tol`` wide, or between adjacent floats, returns its midpoint. So the
-    root lies within tol / 2 of the value, up to rounding. A sample or check
-    of exactly zero is returned at once.
+    is kept tol / 2 inside [a, b]. A sign test at r - tol / 2 and r + tol / 2
+    checks it: the points not yet integrated go into one family at rel_tol
+    max(cfg.rel_tol, 1/2), whose error estimate fixes a sign and nothing
+    more. If the sign changes there, r is returned; otherwise the next round
+    searches the part of [a, b] that holds the change, at most 0.1113 of the
+    bracket for 15 points, and integrates at full accuracy its 13 interior
+    points and the failed check's point: sign-test values never become
+    samples. A gap at most ``tol`` wide, or between adjacent floats, returns
+    its midpoint. So the root lies within tol / 2 of the value, up to
+    rounding. A sample or check of exactly zero is returned at once. The
+    default bracket takes 2 engine passes and 2 integrand calls.
 
     Raises
     ------
@@ -253,7 +264,7 @@ def critical_lambda(
         raise DomainError(f"bracket must be two finite numbers with 0 < lo < hi, got {bracket!r}")
     if not (is_finite_real(tol) and tol > 0):
         raise DomainError(f"tol must be a positive finite number, got {tol!r}")
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi, tol = float(bracket[0]), float(bracket[1]), float(tol)
     cfg = cfg or QuadratureConfig()
     half_tol, n = 0.5 * tol, _CRITICAL_POINTS
     # Lobatto points cos(theta) of [-1, 1] in ascending order, and the DCT-I
@@ -262,19 +273,21 @@ def critical_lambda(
     nodes, halves = np.cos(theta), np.ones(n)
     halves[[0, -1]] = 0.5
     dct = (2.0 / (n - 1)) * halves[:, None] * np.cos(np.outer(np.arange(n), theta)) * halves
-    known = {}  # every wp*a integrated so far and its value; a later round's ends are among them
+    sign_cfg = dataclasses.replace(cfg, rel_tol=max(cfg.rel_tol, _SIGN_REL_TOL))
+    # every wp*a integrated so far, at cfg (known) or, by checks only, at sign_cfg (signs)
+    known, signs = {}, {}
 
-    def energies(points: list) -> list:
-        """U at each wp*a of points, integrating in one family those not yet known, each once; none if all are."""
-        new = list(dict.fromkeys(v for v in points if v not in known))
+    def energies(points: list, values: dict, accuracy: QuadratureConfig) -> list:
+        """U at each wp*a of points, integrating at accuracy into values, in one family, those in neither map."""
+        new = list(dict.fromkeys(v for v in points if v not in known and v not in values))
         if new:
-            known.update(zip(new, _midgap_energy_family(new, cfg).value[:, 0].tolist()))
-        return [known[v] for v in points]
+            values.update(zip(new, _midgap_energy_family(new, accuracy).value[:, 0].tolist()))
+        return [known[v] if v in known else values[v] for v in points]
 
     while True:
         x = lo + (hi - lo) * (0.5 + 0.5 * nodes)
         x[-1] = hi
-        f = np.array(energies(x.tolist()))
+        f = np.array(energies(x.tolist(), known, cfg))
         if (f == 0.0).any():
             return float(x[np.argmax(f == 0.0)])
         changes = np.flatnonzero((f[:-1] > 0) != (f[1:] > 0))
@@ -296,7 +309,7 @@ def critical_lambda(
         if abs(value) < abs(slope) * (grid[j + 1] - grid[j]):
             t -= value / slope
         r = min(max(lo + (hi - lo) * (0.5 + 0.5 * t), a + half_tol), b - half_tol)
-        f_left, f_right = energies([r - half_tol, r + half_tol])
+        f_left, f_right = energies([r - half_tol, r + half_tol], signs, sign_cfg)
         if f_left == 0.0 or f_right == 0.0 or (f_left > 0) != (f_right > 0):
             return r
         lo, hi = (r + half_tol, b) if (f_left > 0) == (f[i] > 0) else (a, r - half_tol)
@@ -319,7 +332,7 @@ def critical_separation_physical(
         lambda_c = critical_lambda(cfg)
     elif not (is_finite_real(lambda_c) and lambda_c > 0):
         raise DomainError(f"lambda_c must be a positive finite number, got {lambda_c!r}")
-    return lambda_c * HBAR_C_EV_NM / omega_p_ev / 1000.0
+    return float(lambda_c) * HBAR_C_EV_NM / float(omega_p_ev) / 1000.0
 
 
 def wall_reduction_check(

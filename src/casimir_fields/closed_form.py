@@ -47,6 +47,8 @@ class AsymptoteReport:
             raise DomainError(f"power must be one of -2, -3, -4, got {self.power!r}")
         if not is_finite_real(self.leading_coefficient):
             raise DomainError(f"leading coefficient must be finite, got {self.leading_coefficient!r}")
+        object.__setattr__(self, "leading_coefficient", float(self.leading_coefficient))
+        object.__setattr__(self, "power", int(self.power))
 
     def evaluate(self, z: float) -> float:
         """The asymptote's value at distance z > 0."""

@@ -143,6 +143,12 @@ class TestProfile:
             with pytest.raises(DomainError, match="margin"):
                 profile(Cavity(1.0), PerfectConductor(), 3, margin=margin)
 
+    def test_numpy_margin_is_taken_as_its_float(self):
+        # a float32 margin would run linspace in float32: the middle z read 0.49999997
+        got = profile(Cavity(1.0), PerfectConductor(), 3, margin=np.float32(0.1))
+        assert got == profile(Cavity(1.0), PerfectConductor(), 3, margin=float(np.float32(0.1)))
+        assert [type(p.z) for p in got.points] == [float] * 3 and got.points[1].z == 0.5
+
     def test_profile_at_requires_increasing_grid(self):
         with pytest.raises(DomainError):
             profile_at(SingleInterface(), Vacuum(), [0.5, 0.5])
@@ -353,12 +359,12 @@ class TestWorkloadShapes:
         assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 1038)
 
     def test_midgap_root(self, engine_calls):
-        # a 40-value scan in 2 groups and the root from a 15-member family and a 2-member check:
-        # each family converges on its 151 seed rows but the check, which takes one round of 4 splits
+        # a 40-value scan in 2 groups and the root from a 15-member family and a 2-member
+        # check at the sign tolerance: every family converges on its 151 seed rows
         midpoint_scan(10.0, 1000.0, 40)
         critical_lambda()
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (4, 5, 664)
-        assert engine_calls.rows == [151, 151, 151, 151, 60]
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (4, 4, 604)
+        assert engine_calls.rows == [151] * 4
 
     def test_cavity_profile_peak_memory(self):
         # the Kronrod sums take the envelope in one matrix product per panel, with
@@ -406,10 +412,11 @@ class TestCriticalLambda:
 
     def test_default_bracket_integrand_calls(self, engine_calls):
         # one 15-member family at the Lobatto points of the bracket and one 2-member
-        # check about the interpolant's root; each refinement round is one integrand call
+        # check about the interpolant's root, which only reads signs: both converge
+        # on the seed, one integrand call each
         critical_lambda()
         assert engine_calls.engine == 2
-        assert engine_calls.integrand <= 4
+        assert engine_calls.integrand == 2
 
     def test_default_bracket_root_within_1e_4_of_the_reference(self):
         # Brent's method to 1e-10 puts the root at 96.6066069
@@ -418,13 +425,29 @@ class TestCriticalLambda:
     def test_tol_1e_6_root_within_half_tol_of_the_reference(self):
         assert abs(critical_lambda(tol=1e-6) - 96.6066069) <= 5e-7
 
+    @pytest.mark.parametrize("rel_tol, sign_rel_tol", [(1e-6, 0.5), (0.7, 0.7)])
+    def test_checks_integrate_at_the_sign_tolerance(self, monkeypatch, rel_tol, sign_rel_tol):
+        # the samples take the caller's cfg; the checks take its rel_tol raised
+        # to at least 1/2 and every other field as given
+        cfgs = []
+        _count_family_calls(monkeypatch, lambda x: (96.60661 / x) ** 8 - 1.0, cfgs)
+        fields = {"abs_tol": 1e-15, "tail_exponent_budget": 40.0, "max_subdivisions": 100}
+        critical_lambda(QuadratureConfig(rel_tol, **fields), tol=1e-6)
+        rounds = [QuadratureConfig(rel_tol, **fields), QuadratureConfig(sign_rel_tol, **fields)]
+        assert len(cfgs) > 2 and cfgs == rounds * (len(cfgs) // 2)
 
-def _count_family_calls(monkeypatch, energy=None):
-    """Record the wp*a of each of critical_lambda's family calls; ``energy``, if given, replaces each member's integral with U(wp*a)."""
+
+def _count_family_calls(monkeypatch, energy=None, cfgs=None):
+    """Record the wp*a of each of critical_lambda's family calls, and its cfg in ``cfgs`` if given.
+
+    ``energy``, if given, replaces each member's integral with U(wp*a).
+    """
     family, calls = analysis._midgap_energy_family, []
 
     def counted_family(omega_p_as, cfg):
         calls.append(omega_p_as)
+        if cfgs is not None:
+            cfgs.append(cfg)
         return SimpleNamespace(value=np.array([[energy(x)] for x in omega_p_as])) if energy else family(omega_p_as, cfg)
 
     monkeypatch.setattr(analysis, "_midgap_energy_family", counted_family)
@@ -461,26 +484,71 @@ class TestRootSearchContract:
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("root", _ROOTS)
-    def test_later_rounds_integrate_only_the_interior_points(self, monkeypatch, shape, root):
-        # from the second round on, one bracket end is a sample of the round
-        # before and the other a check point: their values are reused
+    def test_later_rounds_integrate_the_interior_points_and_the_failed_check(self, monkeypatch, shape, root):
+        # from the second round on, one bracket end is a sample of the round before,
+        # whose value is reused, and the other the failed check's point, known only
+        # at the sign tolerance: the round integrates it with the 13 interior points
         calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root))
         assert abs(critical_lambda(tol=1e-6) - root) <= 0.5e-6
         samples = calls[0::2]
-        assert [len(x) for x in samples] == [15] + [13] * (len(samples) - 1)
+        assert [len(x) for x in samples] == [15] + [14] * (len(samples) - 1)
         for k, x in enumerate(samples[1:], 1):
-            assert {v for call in calls[: 2 * k] for v in call}.isdisjoint(x)
+            assert len(set(calls[2 * k - 1]) & set(x)) == 1
+            assert {v for call in calls[: 2 * k - 1] for v in call}.isdisjoint(x)
         if shape != "linear":  # every other stand-in takes more than one round
             assert len(samples) > 1
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("root", _ROOTS)
     @pytest.mark.parametrize("bracket, tol", [((50.0, 200.0), 0.5), ((10.0, 1e4), 0.5), ((50.0, 200.0), 1e-6), ((50.0, 200.0), 1e-15)])
-    def test_no_wp_a_is_integrated_twice(self, monkeypatch, shape, root, bracket, tol):
-        calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root))
+    def test_no_wp_a_is_integrated_twice_at_one_tolerance(self, monkeypatch, shape, root, bracket, tol):
+        cfgs = []
+        calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root), cfgs)
         critical_lambda(bracket=bracket, tol=tol)
-        members = [v for call in calls for v in call]
+        members = [(v, cfg) for call, cfg in zip(calls, cfgs) for v in call]
         assert len(members) == len(set(members)) and all(calls)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("root", _ROOTS)
+    def test_sign_values_never_become_samples(self, monkeypatch, shape, root):
+        # at the sign tolerance the stand-in keeps the sign of U but not its
+        # magnitude: the root equals the one from honest values, bit for bit
+        _count_family_calls(monkeypatch, self.SHAPES[shape](root))
+        honest = critical_lambda(tol=1e-6)
+        calls = _count_family_calls(monkeypatch, self.SHAPES[shape](root))
+        counted_family = analysis._midgap_energy_family
+
+        def garbled_family(omega_p_as, cfg):
+            res = counted_family(omega_p_as, cfg)
+            if cfg.rel_tol == analysis._SIGN_REL_TOL:
+                return SimpleNamespace(value=np.sign(res.value) * (12345.0 + np.arange(len(omega_p_as)))[:, None])
+            return res
+
+        monkeypatch.setattr(analysis, "_midgap_energy_family", garbled_family)
+        assert critical_lambda(tol=1e-6) == honest
+        if shape != "linear":  # a check failed, so its point was integrated at both tolerances
+            assert len(calls) > 2
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("root", _ROOTS)
+    @pytest.mark.parametrize("bracket", [(50.0, 200.0), (10.0, 1e4)])
+    @pytest.mark.parametrize("tol", [np.float32(1e-6), np.float16(1e-3)], ids=("float32", "float16"))
+    def test_numpy_scalar_tol_is_taken_as_its_float(self, monkeypatch, shape, root, bracket, tol):
+        # in float32 or float16 arithmetic the check points r -+ tol/2 round onto r
+        # and the bracket stops shrinking; a round counter turns such a loop into a failure
+        _count_family_calls(monkeypatch, self.SHAPES[shape](root))
+        expected = critical_lambda(bracket=bracket, tol=float(tol))
+        derivative, rounds = analysis.chebder, []
+
+        def counted_chebder(coefficients):
+            rounds.append(None)
+            if len(rounds) > 200:
+                raise AssertionError("critical_lambda did not end within 200 rounds")
+            return derivative(coefficients)
+
+        monkeypatch.setattr(analysis, "chebder", counted_chebder)
+        lam = critical_lambda(bracket=bracket, tol=tol)
+        assert type(lam) is float and lam == expected
 
     def test_a_check_point_on_a_known_sample_is_not_integrated_again(self, monkeypatch):
         # the root 199.9 puts r + tol/2 on the bracket end 200.0, a sample of the first family
@@ -530,6 +598,16 @@ class TestCriticalSeparationPhysical:
     def test_invalid_lambda_c(self, lambda_c):
         with pytest.raises(DomainError, match="lambda_c"):
             critical_separation_physical(14.8, lambda_c=lambda_c)
+
+    @pytest.mark.parametrize(
+        "omega_p_ev, lambda_c",
+        [(np.float32(14.8), 96.6), (14.8, np.float32(96.6)), (np.int64(15), np.float16(96.6))],
+        ids=("wp-float32", "lambda-float32", "wp-int64-lambda-float16"),
+    )
+    def test_numpy_arguments_are_taken_as_their_floats(self, omega_p_ev, lambda_c):
+        width = critical_separation_physical(omega_p_ev, lambda_c=lambda_c)
+        assert type(width) is float
+        assert width == critical_separation_physical(float(omega_p_ev), lambda_c=float(lambda_c))
 
     def test_computed_value_in_window(self):
         a_c = critical_separation_physical(14.8)

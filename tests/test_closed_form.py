@@ -218,3 +218,16 @@ class TestNearWallAsymptotes:
         assert report.evaluate(0.5) == pytest.approx(8.0)
         with pytest.raises(DomainError):
             report.evaluate(0.0)
+
+    @pytest.mark.parametrize(
+        "coefficient, power",
+        [(np.float32(0.1), -3), (np.float64(-2.5), np.int64(-4)), (np.int64(3), np.float32(-2.0))],
+        ids=("coefficient-float32", "power-int64", "coefficient-int64-power-float32"),
+    )
+    def test_report_stores_a_float_and_an_int(self, coefficient, power):
+        # numpy scalars are taken as the float and int they equal, so evaluate returns a float
+        report = AsymptoteReport(coefficient, power)
+        assert type(report.leading_coefficient) is float and type(report.power) is int
+        assert report == AsymptoteReport(float(coefficient), int(power))
+        assert type(report.evaluate(2.0)) is float
+        assert report.evaluate(2.0) == float(coefficient) * 2.0 ** int(power)

@@ -23,7 +23,7 @@ from casimir_fields import (
     integrate_fixed_grid,
     integrate_semi_infinite,
 )
-from casimir_fields import quadrature
+from casimir_fields import analysis, quadrature
 from casimir_fields.integrand import position_envelope
 
 
@@ -446,6 +446,19 @@ def test_err_bounds_b2_beside_a_weak_drude_mirror():
     res = integrate_semi_infinite(f, 1.0)
     truth = integrate_semi_infinite(f, 1.0, QuadratureConfig(rel_tol=1e-14, abs_tol=0.0)).value
     assert abs(res.value - truth) <= res.error_estimate
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the Kronrod estimate has no roundoff floor: the engine spends all 2,000 subdivisions "
+    "(22 integrand calls, 60,151 u rows) on an err that roundoff holds at 1.43e-16, above abs_tol",
+)
+def test_roundoff_bound_tolerance_raises_within_the_seed_and_one_round(engine_calls):
+    # the midgap U at its root, asked for 1e-12 relative with abs_tol 1e-16
+    with pytest.raises(NonConvergence):
+        analysis._midgap_energy_family([96.60660691377], QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16))
+    assert engine_calls.integrand <= 2
 
 
 class TestRootAdjacentIntegrals:
