@@ -209,6 +209,7 @@ def midpoint_scan(
             raise DomainError(f"{name} must be a finite real number, got {value!r}")
     if not (0 < lambda_min < lambda_max):
         raise DomainError(f"need 0 < lambda_min < lambda_max, got {lambda_min!r}, {lambda_max!r}")
+    lambda_min, lambda_max = float(lambda_min), float(lambda_max)
     if not (is_integer(n) and n >= 2):
         raise DomainError(f"n must be an integer of at least 2 scan points, got {n!r}")
     if spacing == "log":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -54,15 +55,12 @@ __all__ = ["main", "build_parser"]
 
 PC_LIMIT_SCALED = -(math.pi**2) / 720.0
 
-_QUAD_DEFAULTS = QuadratureConfig()
-
 
 def _add_quadrature_args(p: argparse.ArgumentParser) -> None:
+    """One ``--field-name`` flag for each field of `QuadratureConfig`, with its default."""
     g = p.add_argument_group("quadrature")
-    g.add_argument("--rel-tol", type=float, default=_QUAD_DEFAULTS.rel_tol)
-    g.add_argument("--abs-tol", type=float, default=_QUAD_DEFAULTS.abs_tol)
-    g.add_argument("--tail-budget", type=float, default=_QUAD_DEFAULTS.tail_exponent_budget)
-    g.add_argument("--max-subdivisions", type=int, default=_QUAD_DEFAULTS.max_subdivisions)
+    for field in dataclasses.fields(QuadratureConfig):
+        g.add_argument(f"--{field.name.replace('_', '-')}", type=type(field.default), default=field.default)
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -130,12 +128,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        tail_exponent_budget=args.tail_budget,
-        max_subdivisions=args.max_subdivisions,
-    )
+    return QuadratureConfig(**{field.name: getattr(args, field.name) for field in dataclasses.fields(QuadratureConfig)})
 
 
 def _fmt(value) -> str:

@@ -33,10 +33,10 @@ class InvalidDecayScale(CasimirFieldsError, ValueError):
 class NonConvergence(CasimirFieldsError):
     """Adaptive integration could not meet its tolerance.
 
-    Either the subdivision budget ran out, or the t term (the roundoff
-    allowance of the t integrals, or a lifted callable's t-rule error
-    estimate) or the tail bound alone exceeds the tolerance. The best
-    available estimate is attached as ``result``.
+    Either the engine's 2,000 panel splits ran out, or the tail bound and
+    the t term (the roundoff allowance of the t integrals, or a lifted
+    callable's t-rule error estimate) together exceed the tolerance, which
+    no split reduces. The best available estimate is attached as ``result``.
     """
 
     def __init__(self, message, result=None):

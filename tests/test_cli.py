@@ -309,18 +309,26 @@ class TestParserBasics:
         assert excinfo.value.code == 2
         assert "--inner-order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--tail-budget", "--max-subdivisions"])
+    @pytest.mark.parametrize("command", ["profile --geometry cavity --model pc --a 1", "scan", "critical", "limits"])
+    def test_budget_flags_are_refused(self, command, flag, capsys):
+        # the truncation point and the split budget are the engine's constants
+        with pytest.raises(SystemExit) as excinfo:
+            main(command.split() + [flag, "60"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_recorded_commands_carry_the_quadrature_flags(self, capsys):
         code, out, _ = run_cli(PC_PROFILE, capsys)
         assert code == 0
         assert out.splitlines()[0] == (
             "# command: casimir-fields profile --geometry cavity --a 1.0 --model pc --points 3 --margin 0.02 "
-            "--format csv --rel-tol 1e-08 --abs-tol 1e-14 --tail-budget 60.0 --max-subdivisions 2000"
+            "--format csv --rel-tol 1e-08 --abs-tol 1e-14"
         )
         code, out, _ = run_cli("limits --json".split(), capsys)
         assert code == 0
         assert json.loads(out)["config"]["command"] == (
-            "casimir-fields limits --tolerance 0.01 --rel-tol 1e-08 --abs-tol 1e-14 --tail-budget 60.0 "
-            "--max-subdivisions 2000"
+            "casimir-fields limits --tolerance 0.01 --rel-tol 1e-08 --abs-tol 1e-14"
         )
 
     def test_a_declared_flag_is_recorded_with_no_second_declaration(self, capsys, monkeypatch):
@@ -336,10 +344,10 @@ class TestParserBasics:
         for argv in (PC_PROFILE, "scan --points 2".split()):
             code, out, _ = run_cli(argv, capsys)
             assert code == 0
-            assert out.splitlines()[0].endswith("--max-subdivisions 2000 --extra-flag 0.25")
+            assert out.splitlines()[0].endswith("--abs-tol 1e-14 --extra-flag 0.25")
         code, out, _ = run_cli("limits --json".split(), capsys)
         assert code == 0
-        assert json.loads(out)["config"]["command"].endswith("--max-subdivisions 2000 --extra-flag 0.25")
+        assert json.loads(out)["config"]["command"].endswith("--abs-tol 1e-14 --extra-flag 0.25")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

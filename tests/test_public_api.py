@@ -45,8 +45,6 @@ def test_engine_knobs_and_result_fields_are_pinned():
     assert [field.name for field in dataclasses.fields(QuadratureConfig)] == [
         "rel_tol",
         "abs_tol",
-        "tail_exponent_budget",
-        "max_subdivisions",
     ]
     assert [field.name for field in dataclasses.fields(IntegralResult)] == [
         "value",
