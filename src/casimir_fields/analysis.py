@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
 from .dielectric import DielectricModel, Drude, PerfectConductor, Vacuum
-from .errors import DomainError, NoSignChange, NotApplicableError, is_finite_real, is_integer
+from .errors import DomainError, NoSignChange, NotApplicableError, checked_float, is_finite_real, is_integer
 from .integrand import (
     Cavity,
     FieldKind,
@@ -145,17 +145,13 @@ def profile(
     interface. The walls themselves are excluded because the squared
     fields diverge there.
     """
-    if not (is_finite_real(margin) and 0 < margin < 0.5):
-        raise DomainError(f"margin must lie in (0, 0.5), got {margin!r}")
-    margin = float(margin)
+    margin = checked_float(margin, "margin", high=0.5)
     if not (is_integer(n_points) and n_points >= 2):
         raise DomainError(f"n_points must be an integer of at least 2 points, got {n_points!r}")
     if isinstance(geometry, Cavity):
         length = geometry.width
     elif isinstance(geometry, SingleInterface):
-        if not (is_finite_real(window) and window > 0):
-            raise DomainError("single-interface profiles need a positive window length")
-        length = float(window)
+        length = checked_float(window, "window")
     else:
         raise TypeError(f"unknown geometry {geometry!r}")
     zs = np.linspace(margin * length, (1.0 - margin) * length, n_points)
@@ -204,12 +200,8 @@ def midpoint_scan(
     differ from the same wp*a integrated alone at the last digits, always
     within the sum of both ``err``.
     """
-    for name, value in (("lambda_min", lambda_min), ("lambda_max", lambda_max)):
-        if not is_finite_real(value):
-            raise DomainError(f"{name} must be a finite real number, got {value!r}")
-    if not (0 < lambda_min < lambda_max):
-        raise DomainError(f"need 0 < lambda_min < lambda_max, got {lambda_min!r}, {lambda_max!r}")
-    lambda_min, lambda_max = float(lambda_min), float(lambda_max)
+    lambda_min = checked_float(lambda_min, "lambda_min")
+    lambda_max = checked_float(lambda_max, "lambda_max", low=lambda_min)
     if not (is_integer(n) and n >= 2):
         raise DomainError(f"n must be an integer of at least 2 scan points, got {n!r}")
     if spacing == "log":
@@ -263,9 +255,7 @@ def critical_lambda(
     pair = isinstance(bracket, (tuple, list, np.ndarray)) and len(bracket) == 2
     if not (pair and all(is_finite_real(end) for end in bracket) and 0 < bracket[0] < bracket[1]):
         raise DomainError(f"bracket must be two finite numbers with 0 < lo < hi, got {bracket!r}")
-    if not (is_finite_real(tol) and tol > 0):
-        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
-    lo, hi, tol = float(bracket[0]), float(bracket[1]), float(tol)
+    lo, hi, tol = float(bracket[0]), float(bracket[1]), checked_float(tol, "tol")
     cfg = cfg or QuadratureConfig()
     half_tol, n = 0.5 * tol, _CRITICAL_POINTS
     # Lobatto points cos(theta) of [-1, 1] in ascending order, and the DCT-I
@@ -327,13 +317,9 @@ def critical_separation_physical(
     via hbar*c = 197.3269804 eV nm; if ``lambda_c`` is not supplied it is
     computed with `critical_lambda` at default settings.
     """
-    if not (is_finite_real(omega_p_ev) and omega_p_ev > 0):
-        raise DomainError(f"plasma frequency must be positive, got {omega_p_ev!r}")
-    if lambda_c is None:
-        lambda_c = critical_lambda(cfg)
-    elif not (is_finite_real(lambda_c) and lambda_c > 0):
-        raise DomainError(f"lambda_c must be a positive finite number, got {lambda_c!r}")
-    return float(lambda_c) * HBAR_C_EV_NM / float(omega_p_ev) / 1000.0
+    omega_p_ev = checked_float(omega_p_ev, "omega_p_ev")
+    lambda_c = critical_lambda(cfg) if lambda_c is None else checked_float(lambda_c, "lambda_c")
+    return lambda_c * HBAR_C_EV_NM / omega_p_ev / 1000.0
 
 
 def wall_reduction_check(
@@ -351,8 +337,7 @@ def wall_reduction_check(
     if isinstance(model, (PerfectConductor, Vacuum)):
         raise NotApplicableError("the single-interface energy density vanishes identically for this model")
     cavity = Cavity(a)
-    if not (is_finite_real(z_small) and 0 < z_small < a):
-        raise DomainError(f"z_small must lie inside the gap (0, {a!r}), got {z_small!r}")
+    z_small = checked_float(z_small, "z_small", high=cavity.width)
     u_cavity = compute_point(cavity, model, z_small, cfg).u
     u_single = compute_point(SingleInterface(), model, z_small, cfg).u
     if u_single == 0.0:

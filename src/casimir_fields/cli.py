@@ -47,7 +47,7 @@ from .closed_form import (
     polygamma3,
 )
 from .dielectric import ConstantEpsilon, Drude, PerfectConductor, Vacuum
-from .errors import CasimirFieldsError, DomainError, is_finite_real
+from .errors import CasimirFieldsError, DomainError, checked_float
 from .integrand import Cavity, SingleInterface
 from .quadrature import QuadratureConfig
 
@@ -215,8 +215,8 @@ def cmd_profile(args) -> int:
     else:
         if args.zmin is None or args.zmax is None:
             raise DomainError("single-interface profiles need --zmin and --zmax")
-        if not (0 < args.zmin < args.zmax):
-            raise DomainError(f"need 0 < zmin < zmax, got {args.zmin!r}, {args.zmax!r}")
+        zmin = checked_float(args.zmin, "--zmin")
+        checked_float(args.zmax, "--zmax", low=zmin)
         args.a = args.margin = None
         zs = np.linspace(args.zmin, args.zmax, args.points)
         result = profile_at(SingleInterface(), model, zs, cfg=cfg)
@@ -233,16 +233,10 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _check_positive(flag: str, value) -> None:
-    """Refuse a flag's value unless it is a positive finite number, before any integral is computed."""
-    if not (is_finite_real(value) and value > 0):
-        raise DomainError(f"--{flag} must be a positive finite number, got {value!r}")
-
-
 def cmd_critical(args) -> int:
     cfg = _quad_config(args)
     if args.wp_ev is not None:
-        _check_positive("wp-ev", args.wp_ev)
+        checked_float(args.wp_ev, "--wp-ev")
     lam = critical_lambda(cfg, bracket=(args.bracket_lo, args.bracket_hi), tol=args.tol)
     report = {"critical_lambda": lam, "bracket": [args.bracket_lo, args.bracket_hi], "tol": args.tol}
     if args.wp_ev is not None:
@@ -321,7 +315,7 @@ def _limit_checks(cfg: QuadratureConfig, window: float) -> list[dict]:
 
 def cmd_limits(args) -> int:
     cfg = _quad_config(args)
-    _check_positive("tolerance", args.tolerance)
+    checked_float(args.tolerance, "--tolerance")
     checks = _limit_checks(cfg, args.tolerance)
     failed = [c for c in checks if not c["passed"]]
     if args.json:

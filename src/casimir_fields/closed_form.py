@@ -7,8 +7,8 @@ the order-3 polygamma function, and the single-interface limits
 +-3/(16 pi^2 z^4). For the Drude model the leading near-wall behavior
 of each expectation is known analytically. Everything here is cheap,
 self-contained, and independent of the quadrature engine. Every argument
-is checked with `errors.is_finite_real`, so bools and non-numbers raise
-DomainError, and is taken as a float.
+goes through `errors.checked_float`, so bools, non-numbers and values
+outside its interval raise DomainError, and is taken as a float.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .dielectric import DielectricModel, Drude
-from .errors import DivergesAtBoundary, DomainError, is_finite_real
+from .errors import DivergesAtBoundary, DomainError, checked_float, is_finite_real
 
 __all__ = [
     "AsymptoteReport",
@@ -45,14 +45,12 @@ class AsymptoteReport:
     def __post_init__(self):
         if self.power not in (-2, -3, -4):
             raise DomainError(f"power must be one of -2, -3, -4, got {self.power!r}")
-        if not is_finite_real(self.leading_coefficient):
-            raise DomainError(f"leading coefficient must be finite, got {self.leading_coefficient!r}")
-        object.__setattr__(self, "leading_coefficient", float(self.leading_coefficient))
+        object.__setattr__(self, "leading_coefficient", checked_float(self.leading_coefficient, "leading coefficient", low=-math.inf))
         object.__setattr__(self, "power", int(self.power))
 
     def evaluate(self, z: float) -> float:
         """The asymptote's value at distance z > 0."""
-        return self.leading_coefficient * _positive(z, "z") ** self.power
+        return self.leading_coefficient * checked_float(z, "z") ** self.power
 
 
 @dataclass(frozen=True)
@@ -64,26 +62,17 @@ class NearWallAsymptotes:
     u: AsymptoteReport
 
 
-def _positive(x, name: str) -> float:
-    """x as a float, after checking that it is a finite real number above 0."""
-    if not (is_finite_real(x) and x > 0):
-        raise DomainError(f"{name} must be positive and finite, got {x!r}")
-    return float(x)
-
-
 def _interior(z, a) -> tuple[float, float]:
     """z and a as floats, after checking that a is a gap width and z lies strictly inside the gap."""
-    a = _positive(a, "gap width")
+    a = checked_float(a, "gap width")
     if is_finite_real(z) and (z == 0 or z == a):
         raise DivergesAtBoundary(f"squared fields diverge at the walls, got z = {z!r}")
-    if not (is_finite_real(z) and 0 < z < a):
-        raise DomainError(f"z must lie inside the gap (0, {a!r}), got {z!r}")
-    return float(z), a
+    return checked_float(z, "z", high=a), a
 
 
 def pc_cavity_energy(a: float) -> float:
     """Energy density between perfect conductors: -pi^2 / (720 a^4), any z."""
-    return -(math.pi**2) / (720.0 * _positive(a, "gap width") ** 4)
+    return -(math.pi**2) / (720.0 * checked_float(a, "gap width") ** 4)
 
 
 def _pc_cavity_profile_term(z: float, a: float) -> float:
@@ -131,9 +120,7 @@ def polygamma3(x: float) -> float:
     relative for x in (0, 1]. The poles at 0, -1, -2, ... and every other
     x that is not a positive finite number raise DomainError.
     """
-    if not (is_finite_real(x) and x > 0):
-        raise DomainError(f"polygamma3 requires x > 0, got {x!r}")
-    x = float(x)
+    x = checked_float(x, "x")
     direct = math.fsum((x + n) ** -4 for n in reversed(range(32)))
     y = x + 32
     tail = y**-3 / 3.0 + y**-4 / 2.0 + y**-5 / 3.0 - y**-7 / 6.0 + 2.0 * y**-9 / 9.0
@@ -142,7 +129,7 @@ def polygamma3(x: float) -> float:
 
 def pc_single_e2(z: float) -> float:
     """Squared electric field outside a single perfect conductor: 3/(16 pi^2 z^4)."""
-    return 3.0 / (16.0 * math.pi**2 * _positive(z, "z") ** 4)
+    return 3.0 / (16.0 * math.pi**2 * checked_float(z, "z") ** 4)
 
 
 def pc_single_b2(z: float) -> float:
@@ -156,9 +143,7 @@ def casimir_polder(z: float, alpha0: float) -> float:
     Equals -alpha0/2 times the squared electric field outside a perfect
     conductor, which is how it is cross-checked.
     """
-    if not is_finite_real(alpha0):
-        raise DomainError(f"polarizability must be finite, got {alpha0!r}")
-    return -0.5 * float(alpha0) * pc_single_e2(z)
+    return -0.5 * checked_float(alpha0, "polarizability", low=-math.inf) * pc_single_e2(z)
 
 
 def near_wall_asymptotes(model: DielectricModel) -> NearWallAsymptotes:

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, is_finite_real
+from .errors import checked_float
 
 __all__ = [
     "Drude",
@@ -40,10 +40,7 @@ class Drude:
     plasma_frequency: float
 
     def __post_init__(self):
-        wp = self.plasma_frequency
-        if not (is_finite_real(wp) and wp > 0):
-            raise DomainError(f"plasma_frequency must be positive and finite, got {wp!r}")
-        object.__setattr__(self, "plasma_frequency", float(wp))
+        object.__setattr__(self, "plasma_frequency", checked_float(self.plasma_frequency, "plasma_frequency"))
 
 
 @dataclass(frozen=True)
@@ -53,10 +50,7 @@ class ConstantEpsilon:
     epsilon: float
 
     def __post_init__(self):
-        eps = self.epsilon
-        if not (is_finite_real(eps) and eps > 1):
-            raise DomainError(f"epsilon must be finite and greater than 1, got {eps!r}")
-        object.__setattr__(self, "epsilon", float(eps))
+        object.__setattr__(self, "epsilon", checked_float(self.epsilon, "epsilon", low=1.0))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,16 @@
-"""Exception types, and the number checks behind every input validation."""
+"""Exception types, and the number checks behind every input validation.
+
+A scalar input with an open interval goes through `checked_float`: a finite
+real number, not bool, strictly inside the interval, kept as the Python float
+it equals, so no numpy scalar type reaches the arithmetic. Anything else raises
+DomainError "{name} must be a finite number in ({low!r}, {high!r}), got
+{value!r}". `real_array` is the rule's first step for a sequence.
+"""
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "CasimirFieldsError",
@@ -33,10 +42,11 @@ class InvalidDecayScale(CasimirFieldsError, ValueError):
 class NonConvergence(CasimirFieldsError):
     """Adaptive integration could not meet its tolerance.
 
-    Either the engine's 2,000 panel splits ran out, or the tail bound and
-    the t term (the roundoff allowance of the t integrals, or a lifted
-    callable's t-rule error estimate) together exceed the tolerance, which
-    no split reduces. The best available estimate is attached as ``result``.
+    Either the engine's 2,000 panel splits ran out, or a value or error
+    estimate is not finite (NaN or infinite), or the tail bound and the t
+    term (the roundoff allowance of the t integrals, or a lifted callable's
+    t-rule error estimate) together exceed the tolerance, which no split
+    reduces. The best available estimate is attached as ``result``.
     """
 
     def __init__(self, message, result=None):
@@ -55,6 +65,25 @@ class NotApplicableError(CasimirFieldsError):
 def is_finite_real(value) -> bool:
     """True for a finite Python or numpy real number; False for bool, NaN and infinities."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def checked_float(value, name: str, low: float = 0.0, high: float = math.inf) -> float:
+    """value as a Python float, after checking that it is a finite real number, not bool, with low < value < high.
+
+    The bounds are compared with that float, not in the value's own
+    precision. DomainError names ``name`` and the caller's value.
+    """
+    x = float(value) if is_finite_real(value) else math.nan
+    if not low < x < high:
+        raise DomainError(f"{name} must be a finite number in ({low!r}, {high!r}), got {value!r}")
+    return x
+
+
+def real_array(values) -> np.ndarray:
+    """values as a float array: a float array as it is, otherwise element by element, NaN for anything but a real number (bool included)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return values.astype(float, copy=False)
+    return np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in values], dtype=float)
 
 
 def is_integer(value) -> bool:

@@ -69,8 +69,8 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .dielectric import ConstantEpsilon, DielectricModel, Drude, PerfectConductor, Vacuum, _reflection_factors
-from .errors import DomainError, is_finite_real
-from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE, _real_array, _rule_rows, _t_rows
+from .errors import DomainError, checked_float, real_array
+from .quadrature import _NODE_CAP, T_INTEGRAL, T_INTEGRAL_DTYPE, _rule_rows, _t_rows
 
 __all__ = [
     "SingleInterface",
@@ -100,9 +100,7 @@ class Cavity:
     width: float
 
     def __post_init__(self):
-        if not (is_finite_real(self.width) and self.width > 0):
-            raise DomainError(f"cavity width must be positive and finite, got {self.width!r}")
-        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "width", checked_float(self.width, "cavity width"))
 
 
 Geometry = Union[SingleInterface, Cavity]
@@ -196,7 +194,7 @@ def _checked_positions(geometry: Geometry, z_values) -> tuple[np.ndarray, np.nda
         a = geometry.width
     else:
         raise TypeError(f"unknown geometry {geometry!r}")
-    z = _real_array(z_values)
+    z = real_array(z_values)
     inside = (0.0 < z) & (z < a)
     if not inside.all():
         bad = z_values[int(np.argmin(inside))]

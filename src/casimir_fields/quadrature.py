@@ -32,11 +32,10 @@ splits left, the largest-error panels first, so a budget that runs out
 still ends on the worst panels halved again.
 
 What does not depend on the integrand is built once and kept read-only:
-the lift's graded t rule and its check's; the seed mesh (edges, Kronrod nodes with the tail
-node, half widths) per truncation point and seed depth; and the tail
-bound's factor per truncation point and scales. The last two sit in small
-bounded caches, so a run of integrals with one decay scale builds its mesh
-once.
+the lift's graded t rule and its check's, and the seed mesh (edges, Kronrod
+nodes with the tail node, half widths) per truncation point and seed depth.
+The mesh sits in a small bounded cache, so a run of integrals with one
+decay scale builds it once.
 
 In batched form one call integrates constant(u, t) + envelope_j(u) *
 position_k(u, t) for every position j and field k. The brackets are
@@ -62,13 +61,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import DivergesAtBoundary, DomainError, InvalidDecayScale, NonConvergence, is_finite_real, is_integer
+from .errors import DivergesAtBoundary, DomainError, InvalidDecayScale, NonConvergence, checked_float, is_finite_real, is_integer, real_array
 
 __all__ = [
     "QuadratureConfig",
@@ -220,10 +218,10 @@ class QuadratureConfig:
     abs_tol: float = 1e-14
 
     def __post_init__(self):
-        if not (is_finite_real(self.rel_tol) and self.rel_tol > 0):
-            raise DomainError(f"rel_tol must be a positive finite number, got {self.rel_tol!r}")
+        object.__setattr__(self, "rel_tol", checked_float(self.rel_tol, "rel_tol"))
         if not (is_finite_real(self.abs_tol) and self.abs_tol >= 0):
             raise DomainError(f"abs_tol must be a nonnegative finite number, got {self.abs_tol!r}")
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))
 
 
 @dataclass(frozen=True)
@@ -258,15 +256,6 @@ def _seed_mesh(u_max: float, levels: int) -> Tuple[np.ndarray, np.ndarray, np.nd
     return mesh
 
 
-@functools.lru_cache(maxsize=16)
-def _tail_factor(u_max: float, scales: tuple) -> np.ndarray:
-    """1 + 3/b + 6/b^2 + 6/b^3 of the tail bound per position, b = u_max * scale."""
-    budget = u_max * np.array(scales)
-    factor = 1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3
-    factor.setflags(write=False)
-    return factor
-
-
 def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The 15 Kronrod nodes of each panel [lo, hi], panel by panel, and the panels' half widths."""
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -289,13 +278,6 @@ def _log_simpson_rule(intervals: int):
     return nodes, coeff * (h / 3.0) * nodes  # dt = t ds
 
 
-def _real_array(values) -> np.ndarray:
-    """values as a float array: a float array as it is, otherwise element by element, NaN for anything but a real number (bool included)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
-        return values.astype(float, copy=False)
-    return np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in values], dtype=float)
-
-
 def _checked_scales(values, floor) -> np.ndarray:
     """The decay scales as a float array, after checking that each is a positive finite number at least ``floor``.
 
@@ -306,7 +288,7 @@ def _checked_scales(values, floor) -> np.ndarray:
     included), DivergesAtBoundary if it is below the floor.
     """
     values = values.ravel() if isinstance(values, np.ndarray) else values
-    scales = _real_array(values)
+    scales = real_array(values)
     valid = np.isfinite(scales) & (scales > 0)
     failing = ~valid | (scales < floor)
     if failing.any():
@@ -375,10 +357,10 @@ def integrate_semi_infinite(
     DivergesAtBoundary
         If a decay scale is below 1e-6, the floor of the field integrands.
     NonConvergence
-        If the 2,000 panel splits are spent first, or at once if the tail
-        bound and the t term together exceed the tolerance, since
-        splitting panels reduces neither; the best estimate rides on
-        the exception as ``result``.
+        If the 2,000 panel splits are spent first; at once if a value or
+        error estimate is not finite, or if the tail bound and the t term
+        together exceed the tolerance, since splitting panels reduces
+        neither. The best estimate rides on the exception as ``result``.
 
     Notes
     -----
@@ -449,9 +431,11 @@ def integrate_semi_infinite(
     panel, g_tail = eval_panels(seed, seed_u, seed_half)
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
-    # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin.
-    # |constant + e * position| <= |constant| + e |position| bounds it per position.
-    tail = 2.0 * g_tail * _tail_factor(u_max, tuple(scales.tolist())) / scales
+    # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin:
+    # 2 g (1 + 3/b + 6/b^2 + 6/b^3) / s, b = u_max s. |constant + e * position|
+    # <= |constant| + e |position| bounds it per position.
+    budget = u_max * scales
+    tail = 2.0 * g_tail * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / scales
 
     splits = 0
     while True:
@@ -461,6 +445,11 @@ def integrate_semi_infinite(
         # check's largest relative gap if that is more.
         t_err = t_rate * magnitude
         err_total = kronrod_err + tail + t_err
+        if not (np.isfinite(total).all() and np.isfinite(err_total).all()):
+            raise NonConvergence(
+                "the integrand is not finite: a value or error estimate is NaN or infinite",
+                result=_result(batched, total, err_total, evaluations, u_max),
+            )
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
         failing = err_total > tol
         if not failing.any():

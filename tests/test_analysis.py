@@ -13,6 +13,7 @@ from casimir_fields import (
     DomainError,
     Drude,
     FieldKind,
+    NonConvergence,
     NoSignChange,
     NotApplicableError,
     PerfectConductor,
@@ -68,6 +69,12 @@ class TestComputePoint:
     def test_propagates_domain_errors(self):
         with pytest.raises(DomainError):
             compute_point(Cavity(1.0), Drude(1.0), 1.5)
+
+    def test_non_finite_integrand_raises(self):
+        # wp a = 1e-100 overflows the Drude cavity arithmetic, which gave an all-NaN
+        # point; the engine refuses it (numpy's overflow warnings are not under test)
+        with np.errstate(all="ignore"), pytest.raises(NonConvergence, match="not finite"):
+            compute_point(Cavity(1.0), Drude(1e-100), 0.5)
 
     def test_cavity_midgap_drude200_matches_frozen_oracle(self):
         # frozen from the fixed-grid evaluator at its default resolution

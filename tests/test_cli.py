@@ -90,13 +90,34 @@ class TestProfileCommand:
             ("profile --geometry cavity --model pc --a 1 --points 1", "--points"),
             ("profile --geometry cavity --model pc --points 3", "--a"),
             ("profile --geometry single --model pc --zmin 0.5 --points 3", "--zmax"),
+            # a NaN or infinite end reached linspace, whose RuntimeWarning came before the error
+            ("profile --geometry single --model pc --zmin 1 --zmax inf --points 3", "--zmax must be a finite number in (1.0, inf), got inf"),
+            ("profile --geometry single --model pc --zmin nan --zmax 1 --points 3", "--zmin must be a finite number in (0.0, inf), got nan"),
+            ("profile --geometry single --model pc --zmin 0 --zmax 1 --points 3", "--zmin"),
+            ("profile --geometry single --model pc --zmin 1 --zmax 1 --points 3", "--zmax"),
         ],
-        ids=("one-point", "cavity-without-a", "single-without-zmax"),
+        ids=("one-point", "cavity-without-a", "single-without-zmax", "zmax-inf", "zmin-nan", "zmin-zero", "zmax-at-zmin"),
     )
     def test_missing_or_bad_geometry_flag_is_one_line_usage_error(self, capsys, integrals, command, flag):
         code, out, err = run_cli(command.split(), capsys)
         assert code == 2 and out == "" and integrals == []
         assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "profile --geometry cavity --model drude --wp 1e-300 --a 1 --points 3",
+            "scan --lmin 1e-200 --lmax 1 --points 2",
+        ],
+        ids=("profile", "scan"),
+    )
+    def test_non_finite_integrand_is_one_line_error(self, capsys, command):
+        # the Drude cavity arithmetic overflows at wp a this small, which printed NaN rows and
+        # exited 0; the engine now refuses them (numpy's overflow warnings are not under test)
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(command.split(), capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "not finite" in err
 
     def test_bad_window_is_usage_error(self, capsys):
         code, _, _ = run_cli(
@@ -248,9 +269,9 @@ class TestCriticalCommand:
         assert 95.0 <= payload["critical_lambda"] <= 103.0
         assert 1.25 <= payload["critical_separation_um"] <= 1.35
 
-    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf", "-inf"])
     def test_invalid_plasma_frequency_fails_before_any_integral(self, capsys, integrals, value):
-        code, _, err = run_cli(["critical", "--wp-ev", value], capsys)
+        code, _, err = run_cli(["critical", f"--wp-ev={value}"], capsys)
         assert code == 2
         assert "--wp-ev" in err
         assert integrals == []
@@ -273,9 +294,9 @@ class TestLimitsCommand:
         assert code == 1
         assert any(line.startswith("FAIL near_wall") for line in out.splitlines())
 
-    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf"])
     def test_invalid_tolerance_fails_before_any_integral(self, capsys, integrals, value):
-        code, out, err = run_cli(["limits", "--tolerance", value], capsys)
+        code, out, err = run_cli(["limits", f"--tolerance={value}"], capsys)
         assert code == 2
         assert "--tolerance" in err
         assert out == "" and integrals == []

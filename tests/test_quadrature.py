@@ -405,6 +405,22 @@ class TestTRuleError:
             integrate_semi_infinite(f, 1.0, QuadratureConfig(abs_tol=5e-14))
         assert excinfo.value.result.evaluations == 151
 
+    def test_non_finite_integrand_stops_at_once(self):
+        # NaN fails no tolerance test, so without a check it would read as converged
+        rows = []
+
+        def nan(u, t):
+            rows.append((np.shape(u)[0], np.shape(t)[-1]))
+            return np.full(np.broadcast_shapes(np.shape(u), np.shape(t)), math.nan)
+
+        with pytest.raises(NonConvergence, match="not finite") as excinfo:
+            integrate_semi_infinite(nan, 1.0)
+        result = excinfo.value.result
+        assert math.isnan(result.value) and math.isnan(result.error_estimate)
+        # the t-integral call, then the 151 seed rows on the lift's rule and on its check's, and no split
+        assert result.evaluations == 3 * 151
+        assert rows[0] == (151, 0) and sum(n for n, m in rows[1:]) == 2 * 151
+
     def test_roundoff_allowance_above_tolerance_stops_at_once(self):
         # exact t integrals carry 16 ulps of the magnitude; a tolerance below that cannot be met
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
@@ -615,7 +631,7 @@ class TestSeedMesh:
 
 class TestSetUpCaches:
     def test_cached_grids_are_read_only(self):
-        cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS), quadrature._tail_factor(60.0, (1.0, 0.5))]
+        cached = [*quadrature._seed_mesh(60.0, quadrature._SEED_SPLITS)]
         cached += [*quadrature._T_RULE, *quadrature._T_CHECK_RULE]
         assert all(not array.flags.writeable for array in cached)
 
