@@ -119,9 +119,9 @@ def profile_at(
 ) -> Profile:
     """Profile on an explicit, strictly increasing grid of positions.
 
-    All positions share one engine call and one u mesh, each with its own
+    All positions share one engine call and its u rows, each with its own
     error control, so a row can differ from `compute_point` at the same z
-    by about 1e-13 relative, always within ``err``.
+    by about 2e-14 relative, always within ``err``.
     """
     if np.ndim(z_values) != 1:
         raise DomainError(f"z_values must be a sequence of positions, got {z_values!r}")
@@ -158,8 +158,8 @@ def profile(
     return profile_at(geometry, model, zs, cfg)
 
 
-# wp*a values per engine call of `midpoint_scan`. On the 151-row seed every
-# group of the default 10-1000 scan converges without a panel split, so each
+# wp*a values per engine call of `midpoint_scan`. Every group of the default
+# 10-1000 scan converges on the engine's first call, 159 u rows, so each
 # group is one integrand call. A member costs about 40 kB of traced peak
 # memory: a midgap pass (a 40-value scan and the critical root) peaked at
 # 0.90 MB in groups of 15, 1.10 MB in groups of 20 and 2.01 MB in one group of
@@ -176,7 +176,7 @@ _SIGN_REL_TOL = 0.5
 def _midgap_energy_family(omega_p_as: Sequence[float], cfg: QuadratureConfig) -> IntegralResult:
     """U(1/2) of a unit-width Drude cavity, by scaling U(a/2) a^4, at each wp*a of a group; value, err are (K, 1).
 
-    One engine call: the group shares one u mesh, refined until every member
+    One engine call: the group shares its u rows, refined until every member
     meets its own tolerance, and each member keeps its own error estimate.
     """
     f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(lam) for lam in omega_p_as], 0.5)

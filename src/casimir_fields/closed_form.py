@@ -75,10 +75,16 @@ def pc_cavity_energy(a: float) -> float:
     return -(math.pi**2) / (720.0 * checked_float(a, "gap width") ** 4)
 
 
+def _nearer_wall(z: float, a: float) -> float:
+    """min(z, a - z) / a: the profiles are symmetric under z -> a - z, and a - z is exact for z >= a / 2, so no digits go as z nears a."""
+    return min(z, a - z) / a
+
+
 def _pc_cavity_profile_term(z: float, a: float) -> float:
     # (pi^2 / 16 a^4) (1 + 2 cos^2(pi z/a)) / sin^4(pi z/a)
-    s = math.sin(math.pi * z / a)
-    c = math.cos(math.pi * z / a)
+    x = _nearer_wall(z, a)
+    s = math.sin(math.pi * x)
+    c = math.cos(math.pi * x)
     return (math.pi**2 / (16.0 * a**4)) * (1.0 + 2.0 * c * c) / s**4
 
 
@@ -95,7 +101,7 @@ def pc_cavity_b2(z: float, a: float) -> float:
 
 
 def _pc_cavity_polygamma_term(z: float, a: float) -> float:
-    x = z / a
+    x = _nearer_wall(z, a)
     return (polygamma3(x) + polygamma3(1.0 - x)) / (32.0 * math.pi**2 * a**4)
 
 

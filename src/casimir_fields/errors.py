@@ -40,13 +40,14 @@ class InvalidDecayScale(CasimirFieldsError, ValueError):
 
 
 class NonConvergence(CasimirFieldsError):
-    """Adaptive integration could not meet its tolerance.
+    """The integration could not meet its tolerance.
 
-    Either the engine's 2,000 panel splits ran out, or a value or error
-    estimate is not finite (NaN or infinite), or the tail bound and the t
-    term (the roundoff allowance of the t integrals, or a lifted callable's
-    t-rule error estimate) together exceed the tolerance, which no split
-    reduces. The best available estimate is attached as ``result``.
+    Either 8 refinements of the engine's u rule left it unmet, or a value or
+    error estimate is not finite (NaN or infinite), or the tail bound and the
+    roundoff allowances (of the t integrals, or a lifted callable's t-rule
+    error estimate, and of the u sums) together exceed the tolerance, which
+    no finer step reduces. The best available estimate is attached as
+    ``result``.
     """
 
     def __init__(self, message, result=None):
@@ -63,8 +64,13 @@ class NotApplicableError(CasimirFieldsError):
 
 
 def is_finite_real(value) -> bool:
-    """True for a finite Python or numpy real number; False for bool, NaN and infinities."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite Python or numpy real number; False for bool, NaN, infinities and a Python int beyond the float range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int above about 1.8e308
+        return False
 
 
 def checked_float(value, name: str, low: float = 0.0, high: float = math.inf) -> float:
@@ -80,10 +86,10 @@ def checked_float(value, name: str, low: float = 0.0, high: float = math.inf) ->
 
 
 def real_array(values) -> np.ndarray:
-    """values as a float array: a float array as it is, otherwise element by element, NaN for anything but a real number (bool included)."""
+    """values as a float array: a float array as it is, otherwise element by element, NaN for anything but a finite real number (bool and an int beyond the float range included)."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         return values.astype(float, copy=False)
-    return np.array([v if isinstance(v, numbers.Real) and not isinstance(v, bool) else math.nan for v in values], dtype=float)
+    return np.array([v if is_finite_real(v) else math.nan for v in values], dtype=float)
 
 
 def is_integer(value) -> bool:

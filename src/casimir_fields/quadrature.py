@@ -2,11 +2,14 @@
 
 The integrands handled here live on u in [0, inf) times t in [0, 1], decay
 like exp(-u * decay_scale) in u, and are smooth in t except for a possible
-spike at t = 0 whose width shrinks like 1/u. The engine integrates the
-u axis adaptively with a Gauss-Kronrod 7-15 pair on panels of [0, u_max],
-u_max = 60 / decay_scale (`_TAIL_BUDGET`). At every u node it needs only
-the t integral of the integrand and of its magnitude, so the integral runs
-on the u axis alone.
+spike at t = 0 whose width shrinks like 1/u. At every u row the engine needs
+only the t integral of the integrand and of its magnitude, so the integral
+runs on the u axis alone: a trapezoid rule in x = log u from u_max = 60 /
+decay_scale (`_TAIL_BUDGET`) down to 1e-5 / decay_scale (`_HEAD`), at step
+0.1 and, on every other row, at 0.2, from one integrand call. Their gap,
+with bounds on the head and the tail and roundoff allowances, is the error
+estimate; a pair above its tolerance halves the step, one call on the
+midpoints.
 
 The integrand supplies those rows when called with t = `T_INTEGRAL`. Every
 integrand of `integrand.integrand_function` does: the Drude ones in closed
@@ -17,41 +20,25 @@ each panel of a geometrically graded t mesh, so the t spike stays resolved
 at every scale without 2-D adaptivity. Either way ``evaluations`` counts u
 rows, and the t part of the error estimate is a fixed roundoff allowance,
 16 ulps of the t integral of the magnitude. The lift's rule is not adapted
-to the integrand, so the engine checks it once (`_lift_gap`): at the seed
-rows it takes the t integrals again on the same rule with every panel
-halved, and their largest gap relative to the magnitude, if above the
-allowance, takes its place.
-
-Refinement goes in rounds, one integrand call each (split only at a fixed
-node cap). In every round each (field, position) pair above its tolerance
-names the fewest of its largest-error panels whose removal would bring its
-Kronrod error, with its tail bound and t term, within the tolerance, and
-the round halves all of them at once, in the manner of scipy's
-``quad_vec``. A round takes at most half of the _MAX_SUBDIVISIONS (2,000)
-splits left, the largest-error panels first, so a budget that runs out
-still ends on the worst panels halved again.
-
-What does not depend on the integrand is built once and kept read-only:
-the lift's graded t rule and its check's, and the seed mesh (edges, Kronrod
-nodes with the tail node, half widths) per truncation point and seed depth.
-The mesh sits in a small bounded cache, so a run of integrals with one
-decay scale builds it once.
+to the integrand, so the engine checks it once (`_lift_gap`): at the first
+call's rows it takes the t integrals again on the same rule with every
+panel halved, and their largest gap relative to the magnitude, if above
+the allowance, takes its place.
 
 In batched form one call integrates constant(u, t) + envelope_j(u) *
 position_k(u, t) for every position j and field k. The brackets are
-t-integrated once per u node; on each panel one matrix product takes the
-position brackets' t integrals, weighted by the Kronrod and Gauss rules, to
-the envelope of every position, and the constant's panel sums, the same at
-every position, are added. Every (position, field) pair keeps its own
-Kronrod error, tail bound, t term and tolerance test on the shared panels.
-A family ``(None, f_1, ..., f_K)`` under `unit_envelope` is the same form
-with one position: K integrands sharing one decay scale go through one
-u mesh, which is how a midgap scan integrates a group of wp*a values per
-call (`analysis`).
+t-integrated once per u row; one matrix product takes the position
+brackets' t integrals, weighted by the rule at both steps, to the envelope
+of every position, and the constant's sums, the same at every position,
+are added. Every (position, field) pair keeps its own error estimate and
+tolerance test on the shared rows. A family ``(None, f_1, ..., f_K)`` under
+`unit_envelope` is the same form with one position: K integrands sharing
+one decay scale go through one set of rows, which is how a midgap scan
+integrates a group of wp*a values per call (`analysis`).
 
 `integrate_fixed_grid` is a deliberately independent brute-force evaluator
-(log-u trapezoid against a log-t Simpson rule) used as an oracle for the
-adaptive engine. It evaluates every integrand on its (u, t) grid, where
+(log-u trapezoid on its own nodes against a log-t Simpson rule) used as an
+oracle for the engine. It evaluates every integrand on its (u, t) grid, where
 the package integrands take one bracket arithmetic for every model, so it
 also checks their exact t integrals: the Drude maps and kernels and the
 fixed t rules of the other models, none of which that arithmetic uses.
@@ -59,7 +46,6 @@ fixed t rules of the other models, none of which that arithmetic uses.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -88,51 +74,6 @@ T_INTEGRAL = np.empty((1, 0))
 T_INTEGRAL.setflags(write=False)
 T_INTEGRAL_DTYPE = np.dtype([("integral", float), ("magnitude", float)])
 
-# Gauss-Kronrod 7-15 pair, positive abscissae from x_max down to 0.
-_K15_ABSCISSAE = np.array([
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-])
-_K15_WEIGHTS = np.array([
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-])
-
-_XK15 = np.concatenate((-_K15_ABSCISSAE[:-1], _K15_ABSCISSAE[::-1]))
-# Rows for a panel's Kronrod sum of the t integrals, its Kronrod - Gauss
-# difference and its Kronrod sum of their magnitudes: the Kronrod-15 weights,
-# the same less the Gauss-7 weights on every second node, the Kronrod-15 weights.
-_KGK_WEIGHTS = np.tile(np.concatenate((_K15_WEIGHTS[:-1], _K15_WEIGHTS[::-1])), (3, 1))
-_KGK_WEIGHTS[1, 1::2] -= np.concatenate((_G7_WEIGHTS[:-1], _G7_WEIGHTS[::-1]))
-
-# Number of geometric seed splits of [0, u_max]; pre-resolves the decades
-# below the truncation point, down to u_max / 2^8, before adaptive refinement
-# starts. 16 splits left the midgap values within 1e-15 relative of these on
-# nearly twice the seed nodes; 4 saved nodes but brought back panel splits,
-# one integrand call each, and ran slower (2-vCPU x86 host, numpy 2.4). The
-# seed also halves [u_max / 4, u_max / 2], 15 decay lengths: whole, that
-# panel failed its Kronrod-Gauss test in 3 of the 5 engine calls of a
-# 40-value midgap scan and the critical root, a refinement round each.
-_SEED_SPLITS = 8
-
 # The lift's fixed t rule (`_lifted`): _T_RULE_ORDER-point Gauss-Legendre on
 # each panel of a graded mesh, [8^-k-1, 8^-k] for k < 16 above the bottom
 # panel [0, 8^-16], 544 nodes in all. Against mpmath it stays within 4.5
@@ -158,8 +99,8 @@ def _gauss_panels(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 _T_RULE = _gauss_panels(_T_RULE_LO, _T_RULE_HI)
 # The lift's check (`_lift_gap`): the same rule on the halved panels, 1,088
-# nodes, which a plain callable meets at the seed rows wherever the lift
-# resolves its t dependence.
+# nodes, which a plain callable meets at the first call's rows wherever the
+# lift resolves its t dependence.
 _T_RULE_MID = 0.5 * (_T_RULE_LO + _T_RULE_HI)
 _T_CHECK_RULE = _gauss_panels(np.append(_T_RULE_LO, _T_RULE_MID), np.append(_T_RULE_MID, _T_RULE_HI))
 
@@ -173,10 +114,9 @@ _T_CHECK_RULE = _gauss_panels(np.append(_T_RULE_LO, _T_RULE_MID), np.append(_T_R
 # within 5.2 on the integrands above.
 _T_INTEGRAL_ROUNDOFF = 16 * np.finfo(float).eps
 
-# Largest (u, t) grid of one integrand call. Panel evaluation calls f on
-# whole panels whose u rows stay within it, and a fixed t rule (`_rule_rows`)
-# on whole u rows whose nodes stay within it; the Kronrod sums form no grid
-# of their own. It bounds the temporaries of a seed mesh evaluated at once,
+# Largest (u, t) grid of one call of a fixed t rule (`_rule_rows`), which
+# takes whole u rows whose nodes stay within it. It bounds the temporaries of
+# a lifted call, and of the constant-eps and perfect-conductor cavity rows,
 # which peaked at about 43 B per node in the cavity bracket form
 # (tracemalloc); the CLI's scan and profiles also ran fastest at this cap
 # among 8,192 to 65,536 (2-vCPU x86 host, numpy 2.4).
@@ -195,9 +135,27 @@ _DECAY_SCALE_FLOOR = 1e-6
 # commands and the benchmark's library calls the tail bound stayed within
 # 2.1e-11 of the tolerance (midgap scan; profiles 6.6e-14).
 _TAIL_BUDGET = 60.0
-# Panel splits allowed beyond the seed mesh. In those runs no integral split
-# more than 3 panels (the limit checks), and the others split none.
-_MAX_SUBDIVISIONS = 2000
+# The u rule: the trapezoid rule in x = log u, at step _STEP and at twice
+# that step on every other row, both from one integrand call. The rows run
+# down from u_max by an even number of steps to at most _HEAD / s_max, u s of
+# 1e-5 at the fastest decay. There the head bound, u |g(u)| at the lowest row,
+# stayed within 7.1e-11 of the value on the battery's cases (weak Drude
+# mirrors; 1.8e-16 on the other profiles); from 1e-8 a midgap call took 44%
+# more rows (227 against 159). Step 0.1 meets the default tolerances on the
+# CLI's and the benchmark's integrals, which all stop at the first call.
+_STEP = 0.1
+_HEAD = 1e-5
+# Where the head bound alone fails the tolerance, as for an integrand with
+# g(0) != 0, the lowest row moves down by _HEAD_DROP in one more call;
+# otherwise a failing pair halves the step, one call on the new midpoints.
+# At most _MAX_REFINEMENTS calls follow the first.
+_HEAD_DROP = 1e3
+_MAX_REFINEMENTS = 8
+# Relative roundoff allowed for the u sums, times the u integral of the
+# magnitude. Against long double sums of the same rows, weights and envelope
+# the sums stayed within 1.5 ulps of it (the battery's profiles and midgap
+# families, tests/test_err_battery.py), so 4 leaves a margin of 2.7.
+_U_SUM_ROUNDOFF = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -210,7 +168,7 @@ class QuadratureConfig:
         The integration stops once the error estimate drops below
         max(rel_tol * |value|, abs_tol).
 
-    Each is a CLI flag. The truncation point, the split budget and the
+    Each is a CLI flag. The u rule, its truncation points and the
     decay-scale floor (1e-6) are the engine's constants.
     """
 
@@ -230,36 +188,15 @@ class IntegralResult:
 
     A batched call returns one result whose value and error_estimate are
     arrays of shape (fields, positions). ``evaluations`` counts the u rows
-    at which the engine took t integrals, a lifted callable's check rows
-    twice each; `integrate_fixed_grid` counts its (u, t) nodes.
+    at which the engine took t integrals over all its integrand calls, a
+    lifted callable's check rows twice each; `integrate_fixed_grid` counts
+    its (u, t) nodes.
     """
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
     truncation_u: float
-
-
-@functools.lru_cache(maxsize=16)
-def _seed_mesh(u_max: float, levels: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The seed mesh of [0, u_max]: edges, Kronrod nodes and half widths.
-
-    The edges are 0, u_max 2^-j for j = levels .. 2, 3 u_max / 8, u_max / 2
-    and u_max, so no panel below u_max / 2 is wider than u_max / 8: 15
-    (levels + 2) Kronrod nodes, panel by panel, then the tail node u_max.
-    """
-    edges = np.array([0.0] + [u_max * 2.0**-j for j in range(levels, 1, -1)] + [0.375 * u_max, 0.5 * u_max, u_max])
-    nodes, half = _kronrod_nodes(edges[:-1], edges[1:])
-    mesh = (edges, np.append(nodes, u_max), half)
-    for array in mesh:
-        array.setflags(write=False)
-    return mesh
-
-
-def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The 15 Kronrod nodes of each panel [lo, hi], panel by panel, and the panels' half widths."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid[:, None] + half[:, None] * _XK15).ravel(), half
 
 
 def _log_simpson_rule(intervals: int):
@@ -314,18 +251,19 @@ def integrate_semi_infinite(
     Parameters
     ----------
     f : callable
-        Vectorized integrand, called with u of shape (n, 1) at interior
-        nodes only, so endpoint singularities at u = 0, t = 0 or t = 1 are
-        never touched. Must be finite on (0, u_max] x (0, 1). Called with
-        t = `T_INTEGRAL`, it returns at each u the t integral and a bound on
-        that of the magnitude, as arrays of dtype `T_INTEGRAL_DTYPE`; in
-        batched form, a tuple of such brackets ``(constant, position_1,
-        ..., position_K)``, where ``constant`` may be None for zero. A plain
-        callable, which returns its values on a (u, t) grid instead, is
-        lifted once onto the engine's fixed t rule, graded toward t = 0,
-        and checked at the seed rows against the same rule on halved t
-        panels. It is first called with the empty t row `T_INTEGRAL`, so
-        it must be elementwise in t (``t.max()`` fails on that row).
+        Vectorized integrand, called with u of shape (n, 1), ascending, at
+        interior nodes only, so endpoint singularities at u = 0, t = 0 or
+        t = 1 are never touched. Must be finite on (0, u_max] x (0, 1).
+        Called with t = `T_INTEGRAL`, it returns at each u the t integral
+        and a bound on that of the magnitude, as arrays of dtype
+        `T_INTEGRAL_DTYPE`; in batched form, a tuple of such brackets
+        ``(constant, position_1, ..., position_K)``, where ``constant`` may
+        be None for zero. A plain callable, which returns its values on a
+        (u, t) grid instead, is lifted once onto the engine's fixed t rule,
+        graded toward t = 0, and checked at the first call's rows against
+        the same rule on halved t panels. It is first called with the empty
+        t row `T_INTEGRAL`, so it must be elementwise in t (``t.max()``
+        fails on that row).
     decay_scale : float or sequence of float
         The exponential scale of the integrand, exp(-u * decay_scale);
         for the field integrands this is 2z (single interface) or
@@ -341,14 +279,14 @@ def integrate_semi_infinite(
     Returns
     -------
     IntegralResult
-        The error estimate is the sum of the Kronrod panel estimates, a
-        bound on the truncated tail beyond u_max and a roundoff allowance
-        for the t integrals, 16 ulps of the integral of the magnitude, or
-        for a lifted callable its check's largest relative gap if that is
-        more; ``evaluations`` counts u rows, the check's twice each. In
-        batched form value and
-        error_estimate have shape (K, positions) and every position is
-        integrated up to the u_max of the slowest decay.
+        The value is the trapezoid sum at the last step; the error estimate
+        adds its gap to the sum at twice the step, bounds on the tail beyond
+        u_max and on the head below the lowest row (u |g| there), and
+        roundoff allowances of the integral of the magnitude: 16 ulps for
+        the t integrals (a lifted callable's check gap if that is more) and
+        4 for the u sums. In batched form value and error_estimate have
+        shape (K, positions), every position on the rows of the slowest and
+        the fastest decay.
 
     Raises
     ------
@@ -357,25 +295,10 @@ def integrate_semi_infinite(
     DivergesAtBoundary
         If a decay scale is below 1e-6, the floor of the field integrands.
     NonConvergence
-        If the 2,000 panel splits are spent first; at once if a value or
-        error estimate is not finite, or if the tail bound and the t term
-        together exceed the tolerance, since splitting panels reduces
-        neither. The best estimate rides on the exception as ``result``.
-
-    Notes
-    -----
-    The seed panels form one ratio-2 geometric mesh from u_max / 4 down to
-    2**-8 of the smallest truncation point of any position, so each
-    position gets at least the seeding it would get alone, then
-    [u_max / 4, u_max / 2] in two halves and [u_max / 2, u_max]. Refinement
-    then goes in rounds until every (field, position) pair meets its
-    tolerance. Each round takes, for every pair above it, the fewest of
-    that pair's largest-error panels whose removal would bring it within
-    the tolerance, and halves the union of them with one integrand call;
-    the halves take their parents' place in order of u. The split budget,
-    _MAX_SUBDIVISIONS, counts halved panels: a round takes at most half of
-    those left, its largest-error panels first, and NonConvergence is raised
-    once none are.
+        If 8 refinements leave a pair above its tolerance; at once if a value
+        or error estimate is not finite, or if the tail bound and roundoff
+        allowances alone exceed the tolerance. The best estimate rides on
+        the exception as ``result``.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -385,135 +308,100 @@ def integrate_semi_infinite(
         raise DomainError("a batched integral needs at least one decay scale")
     envelope = envelope if batched else unit_envelope
     u_max = _TAIL_BUDGET / float(scales.min())
-    levels = _SEED_SPLITS + max(0, math.ceil(math.log2(scales.max() / scales.min())))
-    edges, seed_u, seed_half = _seed_mesh(u_max, levels)
-    seed = f(seed_u[:, None], T_INTEGRAL)
-    evaluations = seed_u.size
+    step = _STEP
+
+    def rows_at(k: np.ndarray) -> np.ndarray:
+        """The rows u_max e^{-k step} of the current step."""
+        return u_max * np.exp(-step * k)
+
+    # k = steps .. 0: an even number of steps down to at most _HEAD / s_max
+    steps = 2 * math.ceil(math.log(u_max * float(scales.max()) / _HEAD) / (2 * step))
+    u = rows_at(np.arange(steps, -1, -1.0))
+    out = f(u[:, None], T_INTEGRAL)
+    evaluations = u.size
     t_rate = _T_INTEGRAL_ROUNDOFF
-    if not all(getattr(getattr(bracket, "dtype", None), "names", None) == T_INTEGRAL_DTYPE.names for bracket in _bracket_list(seed)):
+    if not all(getattr(getattr(bracket, "dtype", None), "names", None) == T_INTEGRAL_DTYPE.names for bracket in _bracket_list(out)):
         plain, f = f, _lifted(f)  # an empty grid: a plain callable
-        seed = f(seed_u[:, None], T_INTEGRAL)
-        t_rate = max(t_rate, _lift_gap(plain, seed_u, seed))
+        out = f(u[:, None], T_INTEGRAL)
+        t_rate = max(t_rate, _lift_gap(plain, u, out))
         evaluations *= 3  # the check's rule is twice the lift's, so each of its rows counts as two
-    panels_per_call = max(1, _NODE_CAP // 15)
-
-    def eval_panels(out, u: np.ndarray, half: np.ndarray):
-        """Kronrod value, |Kronrod - Gauss| and Kronrod sum of the t integral of |C| + e|P| on each panel.
-
-        out holds one f call's rows at u: the 15 Kronrod nodes of each panel,
-        panel by panel, then for the seed the tail node u_max; half holds the
-        panels' half widths. The first result is (panels, 3, fields,
-        positions), C-contiguous: one matrix product per panel takes the
-        weighted t integrals (3 x fields, 15) to the envelope (15, positions),
-        and the constant's sums are added to every position. The second is the
-        t-integrated magnitude at the last u node, (fields, positions), which
-        for the seed is the tail node.
-        """
-        has_constant = isinstance(out, tuple) and out[0] is not None
-        # rows (n, 1) of integral and magnitude, viewed as (brackets, n, 2)
-        reduced = np.stack([bracket.view(float) for bracket in _bracket_list(out)])
-        weights = envelope(u)  # (positions, n)
-        p, n = half.size, 15 * half.size
-        # (p, 3, brackets, 15): each bracket's t integrals weighted by K15 and K15 - G7, its magnitudes by K15
-        left = reduced[:, :n].reshape(-1, p, 15, 2).transpose(1, 3, 0, 2)[:, [0, 0, 1]]
-        left *= _KGK_WEIGHTS[:, None]
-        panel = left[:, :, has_constant:].reshape(p, -1, 15) @ weights[:, :n].reshape(-1, p, 15).transpose(1, 2, 0)
-        panel = panel.reshape(p, 3, -1, weights.shape[0])
-        if has_constant:  # the same for every position
-            panel += left[:, :, 0].sum(axis=-1)[..., None, None]
-        panel *= half[:, None, None, None]
-        np.abs(panel[:, 1], out=panel[:, 1])
-        magnitude = reduced[:, -1, 1]
-        return panel, (magnitude[0] if has_constant else 0.0) + weights[:, -1] * magnitude[has_constant:, None]
-
-    # panel: (panels, 3, fields, positions), panels sorted by lo; along its second
-    # axis the Kronrod value, its error |Kronrod - Gauss| and the magnitude sum
-    panel, g_tail = eval_panels(seed, seed_u, seed_half)
+    has_constant = isinstance(out, tuple) and out[0] is not None
+    rows = _stacked(out)
 
     # Tail bound: the t-integrated magnitude at the truncation point, carried
     # forward under |g(u)| <= C u^3 exp(-u s) with a factor-2 safety margin:
     # 2 g (1 + 3/b + 6/b^2 + 6/b^3) / s, b = u_max s. |constant + e * position|
     # <= |constant| + e |position| bounds it per position.
     budget = u_max * scales
-    tail = 2.0 * g_tail * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / scales
+    tail_factor = 2.0 * (1.0 + 3.0 / budget + 6.0 / budget**2 + 6.0 / budget**3) / scales
 
-    splits = 0
+    refinements = 0
     while True:
-        total, kronrod_err, magnitude = panel.sum(axis=0)
+        # rows of weights: the sums at step and at twice it on the t integrals, then on
+        # their magnitudes the sum at step, u at the lowest row (the head bound) and
+        # the top row; one product takes the weighted position brackets (5, fields,
+        # n) to the envelope (n, positions), and the constant's sums are added
+        weights = np.zeros((5, u.size))
+        weights[0] = step * u
+        weights[0, [0, -1]] *= 0.5
+        weights[1, ::2] = 2.0 * weights[0, ::2]
+        weights[2] = weights[0]
+        weights[3, 0], weights[4, -1] = u[0], 1.0
+        left = rows[:, :, [0, 0, 1, 1, 1]].transpose(2, 0, 1) * weights[:, None, :]
+        sums = left[:, has_constant:] @ envelope(u).T
+        if has_constant:  # the same for every position
+            sums += left[:, :1].sum(axis=-1)[..., None]
+        total, coarse, magnitude, head, g_tail = sums
+        tail = tail_factor * g_tail
         # The t term is 16 ulps of the t integral of |C| + e|P|, so an integrand
         # that changes sign in t is covered too; a lifted callable's is its
         # check's largest relative gap if that is more.
-        t_err = t_rate * magnitude
-        err_total = kronrod_err + tail + t_err
+        t_err, u_err = t_rate * magnitude, _U_SUM_ROUNDOFF * magnitude
+        err_total = np.abs(total - coarse) + head + tail + t_err + u_err
         if not (np.isfinite(total).all() and np.isfinite(err_total).all()):
             raise NonConvergence(
                 "the integrand is not finite: a value or error estimate is NaN or infinite",
                 result=_result(batched, total, err_total, evaluations, u_max),
             )
         tol = np.maximum(cfg.rel_tol * np.abs(total), cfg.abs_tol)
-        failing = err_total > tol
-        if not failing.any():
+        if not (err_total > tol).any():
             break
-        unreducible = tail + t_err  # splitting panels reduces neither
+        unreducible = tail + t_err + u_err  # no finer step reduces them
         if (unreducible > tol).any():
             pair = np.unravel_index(np.argmax(unreducible - tol), tol.shape)
             hint = "the fixed t rule does not resolve f in t" if t_rate > _T_INTEGRAL_ROUNDOFF else "loosen rel_tol or abs_tol"
             raise NonConvergence(
-                f"tail bound {float(tail[pair]):.3e} and t term {float(t_err[pair]):.3e} exceed the tolerance "
-                f"{float(tol[pair]):.3e}, and no panel split reduces them; {hint}",
+                f"tail bound {float(tail[pair]):.3e}, t term {float(t_err[pair]):.3e} and u-sum roundoff "
+                f"{float(u_err[pair]):.3e} exceed the tolerance {float(tol[pair]):.3e}, which no finer step reduces; {hint}",
                 result=_result(batched, total, err_total, evaluations, u_max),
             )
-        if splits >= _MAX_SUBDIVISIONS:
-            total_max = float(np.max(np.abs(total)))
+        if refinements == _MAX_REFINEMENTS:
             raise NonConvergence(
-                f"error estimate {float(np.max(err_total)):.3e} still above tolerance after "
-                f"{splits} subdivisions (largest value {total_max:.6e})",
+                f"error estimate {float(np.max(err_total)):.3e} still above tolerance after {refinements} "
+                f"refinements of the u rule (step {step:.3e}, largest value {float(np.max(np.abs(total))):.6e})",
                 result=_result(batched, total, err_total, evaluations, u_max),
             )
-        # a round takes at most half the splits left, so a budget that runs out
-        # ends on the worst panels split again, not on one wide round
-        most = -(-(_MAX_SUBDIVISIONS - splits) // 2)
-        split = _panels_to_split(panel[:, 1, failing], (tol - tail - t_err)[failing], most)
-        lo, hi = edges[split], edges[split + 1]
-        mid = 0.5 * (lo + hi)
-        halves_lo = np.stack((lo, mid), axis=1).ravel()
-        u, half = _kronrod_nodes(halves_lo, np.stack((mid, hi), axis=1).ravel())
-        blocks = []
-        for start in range(0, half.size, panels_per_call):  # whole panels, one f call each up to the node cap
-            rows = slice(15 * start, 15 * (start + panels_per_call))
-            blocks.append(eval_panels(f(u[rows, None], T_INTEGRAL), u[rows], half[start : start + panels_per_call])[0])
-        evaluations += u.size
-        halves = np.concatenate(blocks)
-        # the halves take their parents' place, in order of u
-        kept = np.ones(panel.shape[0], dtype=bool)
-        kept[split] = False
-        panel_lo = np.concatenate((edges[:-1][kept], halves_lo))
-        by_lo = np.argsort(panel_lo, kind="stable")
-        edges = np.append(panel_lo[by_lo], u_max)
-        panel = np.concatenate((panel[kept], halves))[by_lo]
-        splits += split.size
+        refinements += 1
+        if (unreducible + head > tol).any():  # the lowest row moves down by _HEAD_DROP
+            drop = 2 * math.ceil(math.log(_HEAD_DROP) / (2 * step))
+            new = rows_at(np.arange(steps + drop, steps, -1.0))
+            rows = np.concatenate((_stacked(f(new[:, None], T_INTEGRAL)), rows), axis=1)
+            steps += drop
+        else:  # the step halves: the old rows are the even ones of the new
+            step, steps = 0.5 * step, 2 * steps
+            new = rows_at(np.arange(steps - 1, 0, -2.0))
+            halved = np.empty((rows.shape[0], steps + 1, 2))
+            halved[:, ::2], halved[:, 1::2] = rows, _stacked(f(new[:, None], T_INTEGRAL))
+            rows = halved
+        evaluations += new.size
+        u = rows_at(np.arange(steps, -1, -1.0))
 
     return _result(batched, total, err_total, evaluations, u_max)
 
 
-def _panels_to_split(errors: np.ndarray, allowance: np.ndarray, most: int) -> np.ndarray:
-    """Ascending indices of the panels to split in one refinement round, at most ``most`` of them.
-
-    errors holds the Kronrod error of every panel for each (field, position)
-    pair above its tolerance, (panels, pairs), and allowance what each pair
-    may keep of it: its tolerance less its tail bound and t term. Each pair
-    takes the fewest of its largest-error panels whose removal leaves the
-    rest of its Kronrod error within the allowance, and at least one; every
-    panel if no number does. If the union holds more than ``most`` panels,
-    those with the largest error over the pairs are kept, ties by position.
-    """
-    ranked = np.sort(errors, axis=0)
-    # sums of the smallest errors never fall as a panel is added, so those that may stay come first
-    stay = np.minimum(np.count_nonzero(np.cumsum(ranked, axis=0) <= allowance, axis=0), errors.shape[0] - 1)
-    panels = np.flatnonzero((errors >= ranked[stay, np.arange(errors.shape[1])]).any(axis=1))
-    if panels.size > most:
-        panels = np.sort(panels[np.argsort(-errors[panels].max(axis=1), kind="stable")[:most]])
-    return panels
+def _stacked(out) -> np.ndarray:
+    """One integrand call's `T_INTEGRAL` rows, integral and magnitude, as one (brackets, n, 2) array; a None constant is left out."""
+    return np.stack([bracket.view(float).reshape(-1, 2) for bracket in _bracket_list(out)])
 
 
 def _lifted(f):
@@ -602,7 +490,7 @@ def integrate_fixed_grid(
     2 n_u points against 2,048 intervals; the finer value is returned and
     the difference, which refines both axes, is the reported error gauge.
     Node placement, weights and refinement are all disjoint from the
-    adaptive engine, which this function cross-checks. f is called on
+    engine's, which this function cross-checks. f is called on
     whole log-u rows, at most _ORACLE_NODE_CAP nodes at a time. n_u must
     be an integer of at least 16; DomainError otherwise.
 

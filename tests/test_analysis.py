@@ -318,10 +318,10 @@ class TestMidpointScan:
             midpoint_scan(*args)
 
     def test_rows_match_single_integrals(self, engine_calls):
-        # 16 values fit in one group of _SCAN_GROUP (20): one engine call on the 151 seed rows
+        # 16 values fit in one group of _SCAN_GROUP (20): one engine call on 159 u rows
         points = midpoint_scan(10.0, 1000.0, 16)
         assert engine_calls.engine == engine_calls.integrand == 1
-        assert engine_calls.rows == [151]
+        assert engine_calls.rows == [159]
         cfg = QuadratureConfig()
         for point in points:
             single = integrate_semi_infinite(_midgap_closure(point.omega_p_a), 1.0, cfg)
@@ -330,7 +330,7 @@ class TestMidpointScan:
 
     @pytest.mark.parametrize("omega_p_a", [10.0, 50.0, 96.60661, 123.4, 200.0, 1000.0])
     def test_one_member_family_is_the_plain_integral(self, omega_p_a):
-        # a family of one takes the same u mesh as the plain closure: the same value, err and evaluations, bit for bit
+        # a family of one takes the same u rows as the plain closure: the same value, err and evaluations, bit for bit
         cfg = QuadratureConfig()
         single = integrate_semi_infinite(_midgap_closure(omega_p_a), 1.0, cfg)
         family = analysis._midgap_energy_family([omega_p_a], cfg)
@@ -340,9 +340,9 @@ class TestMidpointScan:
     def test_forty_values_take_one_engine_call_per_family(self, engine_calls):
         midpoint_scan(10.0, 1000.0, 40)
         assert engine_calls.engine == -(-40 // analysis._SCAN_GROUP) == 2
-        # two seed calls: no group of the default scan splits a panel
+        # no group of the default scan refines the u rule
         assert engine_calls.integrand == 2
-        assert engine_calls.rows == [151, 151]
+        assert engine_calls.rows == [159, 159]
 
     @pytest.mark.parametrize("spacing", ["log", "linear"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
@@ -361,31 +361,31 @@ class TestWorkloadShapes:
     """Integrand calls and evaluations of the benchmark's three workload shapes, and the peak memory of a profile."""
 
     def test_cavity_profile(self, engine_calls):
-        # a 101-point Drude cavity profile and a 25-point perfect-conductor one: 226 u rows each
+        # a 101-point Drude cavity profile and a 25-point perfect-conductor one: 191 u rows each
         profile(Cavity(1.0), Drude(200.0), 101)
         profile(Cavity(1.0), PerfectConductor(), 25)
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 452)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 382)
 
     def test_single_decades(self, engine_calls):
-        # single-interface profiles over 3.7 decades: 346 u rows each
+        # single-interface profiles over 3.7 decades: 243 u rows each
         for model, n in ((Drude(1.0), 64), (ConstantEpsilon(4.0), 16), (PerfectConductor(), 16)):
             profile_at(SingleInterface(), model, np.geomspace(1e-3, 5.0, n))
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 1038)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 729)
 
     def test_midgap_root(self, engine_calls):
         # a 40-value scan in 2 groups and the root from a 15-member family and a 2-member
-        # check at the sign tolerance: every family converges on its 151 seed rows
+        # check at the sign tolerance: every family converges on its first call, 159 rows
         midpoint_scan(10.0, 1000.0, 40)
         critical_lambda()
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (4, 4, 604)
-        assert engine_calls.rows == [151] * 4
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (4, 4, 636)
+        assert engine_calls.rows == [159] * 4
 
     def test_cavity_profile_peak_memory(self):
-        # the Kronrod sums take the envelope in one matrix product per panel, with
-        # no (fields, positions, u nodes) grid: about 576 KB on the 151-row seed
-        # (538 KB on a 136-row one), against about 700 KB with that grid on the
-        # 136-row seed (tracemalloc, numpy 2.4)
-        profile(Cavity(1.0), Drude(200.0), 101)  # builds the cached mesh and rules
+        # the trapezoid sums take the envelope in one matrix product, with no
+        # (fields, positions, u nodes) grid: about 498 KB on the 191 rows of the
+        # first call, against 576 KB for 151 Kronrod rows in panels and about
+        # 700 KB with that grid on 136 (tracemalloc, numpy 2.4)
+        profile(Cavity(1.0), Drude(200.0), 101)  # builds the cached rules
         tracemalloc.start()
         try:
             profile(Cavity(1.0), Drude(200.0), 101)
@@ -427,7 +427,7 @@ class TestCriticalLambda:
     def test_default_bracket_integrand_calls(self, engine_calls):
         # one 15-member family at the Lobatto points of the bracket and one 2-member
         # check about the interpolant's root, which only reads signs: both converge
-        # on the seed, one integrand call each
+        # on the first call
         critical_lambda()
         assert engine_calls.engine == 2
         assert engine_calls.integrand == 2

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -80,6 +81,21 @@ class TestPcCavityProfiles:
         for z in (0.1, 0.23, 0.4):
             assert pc_cavity_e2(z, 1.0) == pytest.approx(pc_cavity_e2(1.0 - z, 1.0), rel=1e-12)
             assert pc_cavity_b2(z, 1.0) == pytest.approx(pc_cavity_b2(1.0 - z, 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "z, a",
+        [(1e-3, 1.0), (0.02, 1.0), (0.98, 1.0), (0.999, 1.0), (1.0 - 1e-6, 1.0), (0.941976, 0.9612), (2.999, 3.0)],
+    )
+    def test_both_walls_against_mpmath(self, z, a):
+        # the forms take min(z, a - z) / a, so sin(pi z / a) loses no digits as z nears
+        # the far wall: at z = 0.999 it once lost 9.7e-14 relative, at 1 - 1e-6 2.5e-11
+        with mpmath.workdps(40):
+            x = mpmath.mpf(z) / a
+            energy = -mpmath.pi**2 / (720 * mpmath.mpf(a) ** 4)
+            term = mpmath.pi**2 / (16 * mpmath.mpf(a) ** 4) * (1 + 2 * mpmath.cos(mpmath.pi * x) ** 2) / mpmath.sin(mpmath.pi * x) ** 4
+            exact = {1: energy + term, -1: energy - term}
+        for form, sign in ((pc_cavity_e2, 1), (pc_cavity_b2, -1), (pc_cavity_e2_polygamma, 1), (pc_cavity_b2_polygamma, -1)):
+            assert abs(form(z, a) - float(exact[sign])) <= 2e-15 * abs(float(exact[sign]))
 
     def test_polygamma_route_agrees_with_trig(self):
         for z in np.linspace(0.02, 0.98, 50):

@@ -448,9 +448,15 @@ def _map_values(kind, geometry, wp, z, u, t):
 
 
 def _engine_grid(geometry, z):
-    """(u, t) of the engine's seed mesh on the fixed t rule of its lift."""
-    _, seed_u, _ = quadrature._seed_mesh(60.0 / decay_scale_for(geometry, z), quadrature._SEED_SPLITS)
-    return seed_u[:, None], quadrature._T_RULE[0]
+    """(u, t) of the engine's first integrand call at z, on the fixed t rule of its lift."""
+    seen = []
+
+    def zero(u, t):
+        seen.append(u)
+        return np.zeros(u.shape, quadrature.T_INTEGRAL_DTYPE)
+
+    quadrature.integrate_semi_infinite(zero, decay_scale_for(geometry, z))
+    return seen[0], quadrature._T_RULE[0]
 
 
 _ORACLE_GRID = (np.geomspace(1e-8, 600.0, 240)[:, None], np.geomspace(1e-16, 1.0, 160)[None, :])

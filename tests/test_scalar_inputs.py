@@ -11,6 +11,7 @@ from casimir_fields import (
     ConstantEpsilon,
     DomainError,
     Drude,
+    InvalidDecayScale,
     PerfectConductor,
     QuadratureConfig,
     SingleInterface,
@@ -24,8 +25,10 @@ from casimir_fields import (
     pc_single_e2,
     polygamma3,
     profile,
+    profile_at,
     wall_reduction_check,
 )
+from casimir_fields.quadrature import integrate_semi_infinite
 from casimir_fields.errors import checked_float
 
 # Each site: a call of one value, the name its DomainError gives, the bounds of
@@ -53,7 +56,13 @@ SITES = {
     "polarizability": (lambda v: casimir_polder(1.0, v), "polarizability", (), 2.0),
 }
 
-REFUSED = [(site, value) for site, (_, _, bounds, _) in SITES.items() for value in (True, math.nan, math.inf, -math.inf, "x", *bounds)]
+# a Python int beyond the float range fails math.isfinite with OverflowError
+HUGE = 10**400
+REFUSED = [
+    (site, value)
+    for site, (_, _, bounds, _) in SITES.items()
+    for value in (True, math.nan, math.inf, -math.inf, "x", HUGE, -HUGE, *bounds)
+]
 NUMPY = [
     (site, kind)
     for site, (_, _, _, inside) in SITES.items()
@@ -62,7 +71,7 @@ NUMPY = [
 ]
 
 
-@pytest.mark.parametrize("site, value", REFUSED, ids=[f"{site}-{value!r}" for site, value in REFUSED])
+@pytest.mark.parametrize("site, value", REFUSED, ids=[f"{site}-{'huge' if value in (HUGE, -HUGE) else repr(value)}" for site, value in REFUSED])
 def test_refused_values_raise_one_message_naming_the_parameter(site, value):
     call, name, _, _ = SITES[site]
     with pytest.raises(DomainError) as excinfo:
@@ -84,3 +93,24 @@ def test_bounds_are_compared_with_the_float():
     assert checked_float(np.float32(0.1), "x", low=0.1) == float(np.float32(0.1))
     with pytest.raises(DomainError):
         checked_float(np.float32(0.1), "x", high=0.1)
+
+
+# The array inputs: positions and decay scales, each one huge int among floats.
+ARRAY_SITES = {
+    "single-z": (lambda v: profile_at(SingleInterface(), Drude(1.0), [v]), DomainError, "must lie in the vacuum region"),
+    "cavity-z": (lambda v: profile_at(Cavity(1.0), Drude(1.0), [0.5, v]), DomainError, "must lie strictly inside the gap"),
+    "decay-scale": (lambda v: integrate_semi_infinite(lambda u, t: u * t, v), InvalidDecayScale, "decay scale must be"),
+    "decay-scales": (
+        lambda v: integrate_semi_infinite(lambda u, t: u * t, [1.0, v], envelope=lambda u: np.ones((2, u.size))),
+        InvalidDecayScale,
+        "decay scale must be",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", ARRAY_SITES)
+@pytest.mark.parametrize("value", [HUGE, -HUGE], ids=("huge", "minus-huge"))
+def test_huge_ints_in_arrays_raise_the_domain_error(site, value):
+    call, error, message = ARRAY_SITES[site]
+    with pytest.raises(error, match=message):
+        call(value)
