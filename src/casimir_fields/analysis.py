@@ -196,9 +196,9 @@ def midpoint_scan(
     perfect-conductor constant -pi^2/720 from above for large arguments.
 
     Consecutive grid values are integrated in groups of _SCAN_GROUP (20),
-    one engine call per group, whatever the settings of ``cfg``. A row can
-    differ from the same wp*a integrated alone at the last digits, always
-    within the sum of both ``err``.
+    one engine call per group, whatever the settings of ``cfg``. A row has
+    the bits of the same wp*a integrated alone when the group stops where
+    it would alone, as every group of the default scan does.
     """
     lambda_min = checked_float(lambda_min, "lambda_min")
     lambda_max = checked_float(lambda_max, "lambda_max", low=lambda_min)

@@ -27,8 +27,8 @@ the allowance, takes its place.
 
 In batched form one call integrates constant(u, t) + envelope_j(u) *
 position_k(u, t) for every position j and field k. The brackets are
-t-integrated once per u row; one matrix product takes the position
-brackets' t integrals, weighted by the rule at both steps, to the envelope
+t-integrated once per u row; one matrix product per field takes its
+position bracket's t integrals, weighted at both steps, to the envelope
 of every position, and the constant's sums, the same at every position,
 are added. Every (position, field) pair keeps its own error estimate and
 tolerance test on the shared rows. A family ``(None, f_1, ..., f_K)`` under
@@ -36,12 +36,12 @@ tolerance test on the shared rows. A family ``(None, f_1, ..., f_K)`` under
 one decay scale go through one set of rows, which is how a midgap scan
 integrates a group of wp*a values per call (`analysis`).
 
-`integrate_fixed_grid` is a deliberately independent brute-force evaluator
-(log-u trapezoid on its own nodes against a log-t Simpson rule) used as an
-oracle for the engine. It evaluates every integrand on its (u, t) grid, where
-the package integrands take one bracket arithmetic for every model, so it
-also checks their exact t integrals: the Drude maps and kernels and the
-fixed t rules of the other models, none of which that arithmetic uses.
+`integrate_fixed_grid` is a brute-force evaluator used as an oracle for the
+engine: a log-u trapezoid like the engine's, on its own range, against its
+own log-t Simpson rule. It evaluates every integrand on its (u, t) grid,
+where the package integrands take one bracket arithmetic for every model,
+so it also checks their exact t integrals: the Drude maps and kernels and
+the fixed t rules of the other models, none of which that arithmetic uses.
 """
 
 from __future__ import annotations
@@ -138,11 +138,12 @@ _TAIL_BUDGET = 60.0
 # The u rule: the trapezoid rule in x = log u, at step _STEP and at twice
 # that step on every other row, both from one integrand call. The rows run
 # down from u_max by an even number of steps to at most _HEAD / s_max, u s of
-# 1e-5 at the fastest decay. There the head bound, u |g(u)| at the lowest row,
-# stayed within 7.1e-11 of the value on the battery's cases (weak Drude
-# mirrors; 1.8e-16 on the other profiles); from 1e-8 a midgap call took 44%
-# more rows (227 against 159). Step 0.1 meets the default tolerances on the
-# CLI's and the benchmark's integrals, which all stop at the first call.
+# 1e-5 at the fastest decay. The head bound, u |g(u)| at the lowest row, holds
+# where |g| does not rise below it (p >= 0 for |g| ~ u^p; unchecked, p is 1 to
+# 2 at the battery's weak Drude mirrors), and stayed within 7.1e-11 of the
+# value there (1.8e-16 on the other profiles); from 1e-8 a midgap call took
+# 44% more rows (227 against 159). Step 0.1 meets the default tolerances on
+# the CLI's and the benchmark's integrals, which all stop at the first call.
 _STEP = 0.1
 _HEAD = 1e-5
 # Where the head bound alone fails the tolerance, as for an integrand with
@@ -281,12 +282,12 @@ def integrate_semi_infinite(
     IntegralResult
         The value is the trapezoid sum at the last step; the error estimate
         adds its gap to the sum at twice the step, bounds on the tail beyond
-        u_max and on the head below the lowest row (u |g| there), and
-        roundoff allowances of the integral of the magnitude: 16 ulps for
-        the t integrals (a lifted callable's check gap if that is more) and
-        4 for the u sums. In batched form value and error_estimate have
-        shape (K, positions), every position on the rows of the slowest and
-        the fastest decay.
+        u_max and on the head below the lowest row (u |g| there, if |g| does
+        not rise below it), and roundoff allowances of the magnitude's
+        integral: 16 ulps for the t integrals (a lifted callable's check gap
+        if more) and 4 for the u sums. In batched form value and
+        error_estimate have shape (K, positions), every position on the rows
+        of the slowest and the fastest decay.
 
     Raises
     ------
@@ -339,19 +340,19 @@ def integrate_semi_infinite(
     while True:
         # rows of weights: the sums at step and at twice it on the t integrals, then on
         # their magnitudes the sum at step, u at the lowest row (the head bound) and
-        # the top row; one product takes the weighted position brackets (5, fields,
-        # n) to the envelope (n, positions), and the constant's sums are added
+        # the top row. One product per field takes its weighted bracket (5, n) to the
+        # envelope (n, positions), so a family member sums as alone; the constant is added
         weights = np.zeros((5, u.size))
         weights[0] = step * u
         weights[0, [0, -1]] *= 0.5
         weights[1, ::2] = 2.0 * weights[0, ::2]
         weights[2] = weights[0]
         weights[3, 0], weights[4, -1] = u[0], 1.0
-        left = rows[:, :, [0, 0, 1, 1, 1]].transpose(2, 0, 1) * weights[:, None, :]
-        sums = left[:, has_constant:] @ envelope(u).T
+        left = rows[:, :, [0, 0, 1, 1, 1]].transpose(0, 2, 1) * weights
+        sums = left[has_constant:] @ envelope(u).T
         if has_constant:  # the same for every position
-            sums += left[:, :1].sum(axis=-1)[..., None]
-        total, coarse, magnitude, head, g_tail = sums
+            sums += left[0].sum(axis=-1)[:, None]
+        total, coarse, magnitude, head, g_tail = sums.transpose(1, 0, 2)
         tail = tail_factor * g_tail
         # The t term is 16 ulps of the t integral of |C| + e|P|, so an integrand
         # that changes sign in t is covered too; a lifted callable's is its
@@ -489,10 +490,11 @@ def integrate_fixed_grid(
     is evaluated on n_u log-u points against 1,024 log-t intervals, and on
     2 n_u points against 2,048 intervals; the finer value is returned and
     the difference, which refines both axes, is the reported error gauge.
-    Node placement, weights and refinement are all disjoint from the
-    engine's, which this function cross-checks. f is called on
-    whole log-u rows, at most _ORACLE_NODE_CAP nodes at a time. n_u must
-    be an integer of at least 16; DomainError otherwise.
+    Only the t rule and the u range are the oracle's own: its u rule, like
+    the engine's, is a log-u trapezoid gauged by two levels, so aliasing in
+    log u or a head truncation would fool both. f is called on whole log-u
+    rows, at most _ORACLE_NODE_CAP nodes at a time. n_u must be an integer
+    of at least 16; DomainError otherwise.
 
     With ``envelope`` f is in the batched form of `integrate_semi_infinite`
     and field k at position j integrates ``constant + envelope(u)[j] *
@@ -526,6 +528,4 @@ def integrate_fixed_grid(
 
     coarse = once(n_u, 1024)
     fine = once(2 * n_u, 2048)
-    if batched:
-        return IntegralResult(fine, np.abs(fine - coarse), evaluations, u_hi)
-    return IntegralResult(float(fine[0, 0]), abs(float(fine[0, 0]) - float(coarse[0, 0])), evaluations, u_hi)
+    return _result(batched, fine, np.abs(fine - coarse), evaluations, u_hi)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from casimir_fields import QuadratureConfig, analysis
+from casimir_fields import QuadratureConfig, analysis, quadrature
 
 
 @pytest.fixture
@@ -42,3 +42,15 @@ def engine_calls(monkeypatch):
 
     monkeypatch.setattr(analysis, "integrate_semi_infinite", counted_integrate)
     return counts
+
+
+def first_rows(scales):
+    """The u rows of the engine's first integrand call at these decay scales, (n,)."""
+    seen = []
+
+    def zero(u, t):
+        seen.append(u[:, 0])
+        return np.zeros(u.shape, quadrature.T_INTEGRAL_DTYPE)
+
+    quadrature.integrate_semi_infinite(zero, scales, envelope=lambda u: np.ones((len(scales), u.size)))
+    return seen[0]

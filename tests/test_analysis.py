@@ -325,7 +325,8 @@ class TestMidpointScan:
         cfg = QuadratureConfig()
         for point in points:
             single = integrate_semi_infinite(_midgap_closure(point.omega_p_a), 1.0, cfg)
-            assert abs(point.u_mid_scaled - single.value) <= point.err + single.error_estimate
+            # a member's rows and sums round as they do alone
+            assert (point.u_mid_scaled, point.err) == (single.value, single.error_estimate)
             assert isinstance(point.u_mid_scaled, float) and isinstance(point.err, float)
 
     @pytest.mark.parametrize("omega_p_a", [10.0, 50.0, 96.60661, 123.4, 200.0, 1000.0])

@@ -13,6 +13,14 @@ That engine's Kronrod weights carry 15 digits, so its truths sit up to
 about 3.5e-15 relative from the exact value (on the perfect-conductor
 cavity against mpmath); most of the gap between the engine and these
 literals is theirs. The worst true error over the battery is 0.75 err.
+Where err is roundoff, about 20 ulps of the magnitude (4.4e-15 relative),
+these cases show coverage only to the truths' precision: they measure
+agreement with that engine, and a reordered sum could take a ratio past 1
+with no real fault. Truths from a sharper oracle are still to come.
+
+The U case at a weak Drude cavity takes its truth from mpmath's tanh-sinh
+rule over log u on the package's own t-integral rows, so it checks the u
+rule and its head bound alone.
 """
 
 import numpy as np
@@ -102,6 +110,8 @@ PINNED = {
             [-1.319835684063737e-11, -8.7701108539376e-14, -4.221714109414457e-14, -1.3198356840637348e-11],
         ],
     ),
+    # U at wp*a = 1e-6 (`scan --lmin`), where the head bound carries most of err
+    "drude1e-6-midpoint-U": (lambda: _midgap([1e-6]), (0,), [[1.1449371283741811e-07]]),
     # decay scale 1e-6, the engine's floor
     "drude1-wall-5e-7": (lambda: _profile(SingleInterface(), Drude(1.0), [5e-7]), (0,), [[1.1253949308078322e17], [-21108565858.08085]]),
     "drude1e8-cavity": (

@@ -28,6 +28,7 @@ from casimir_fields import (
 from casimir_fields import integrand, quadrature
 from casimir_fields.dielectric import reflection_values
 from casimir_fields.integrand import cavity_terms, position_envelope, single_bracket
+from conftest import first_rows
 
 KINDS = (FieldKind.E_SQUARED, FieldKind.B_SQUARED, FieldKind.ENERGY_DENSITY)
 MODELS = (Drude(3.0), ConstantEpsilon(4.0), PerfectConductor(), Vacuum())
@@ -449,14 +450,7 @@ def _map_values(kind, geometry, wp, z, u, t):
 
 def _engine_grid(geometry, z):
     """(u, t) of the engine's first integrand call at z, on the fixed t rule of its lift."""
-    seen = []
-
-    def zero(u, t):
-        seen.append(u)
-        return np.zeros(u.shape, quadrature.T_INTEGRAL_DTYPE)
-
-    quadrature.integrate_semi_infinite(zero, decay_scale_for(geometry, z))
-    return seen[0], quadrature._T_RULE[0]
+    return first_rows([decay_scale_for(geometry, z)])[:, None], quadrature._T_RULE[0]
 
 
 _ORACLE_GRID = (np.geomspace(1e-8, 600.0, 240)[:, None], np.geomspace(1e-16, 1.0, 160)[None, :])

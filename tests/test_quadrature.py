@@ -25,6 +25,7 @@ from casimir_fields import (
 )
 from casimir_fields import analysis, quadrature
 from casimir_fields.integrand import position_envelope
+from conftest import first_rows
 
 
 class TestConfigValidation:
@@ -225,9 +226,7 @@ class TestBatchedEngine:
         assert family.value.shape == family.error_estimate.shape == (3, 1)
         for (value,), (err,), single in zip(family.value, family.error_estimate, alone):
             assert abs(value - single.value) <= err + single.error_estimate
-            # the members' err lie 3x and more apart; the root's step gap is
-            # roundoff, which the family's product rounds its own way
-            assert err == pytest.approx(single.error_estimate, rel=0.05)
+            assert err <= (1.0 + 1e-3) * single.error_estimate
 
     def test_batched_scales_are_checked_before_evaluation(self):
         def never(u, t):
@@ -818,18 +817,6 @@ class TestFixedGridOracle:
         assert narrow == wide and type(narrow.truncation_u) is float
 
 
-def _first_rows(scales):
-    """The u rows of the engine's first integrand call at these decay scales, (n,)."""
-    seen = []
-
-    def zero(u, t):
-        seen.append(u[:, 0])
-        return np.zeros(u.shape, quadrature.T_INTEGRAL_DTYPE)
-
-    integrate_semi_infinite(zero, scales, envelope=lambda u: np.ones((len(scales), u.size)))
-    return seen[0]
-
-
 def _spike_t_integral(width, narrow_at_small_u, u):
     """e^-u s arctan(1 / s) in mpmath, the t integral of `_spike_integrand` at u."""
     s = mpmath.mpf(width) * u if narrow_at_small_u else mpmath.mpf(width) / u
@@ -876,6 +863,6 @@ class TestLiftedRule:
         # past u a = 354, where weighting it afterwards once left gaps of 3e4 ulps
         geometry = Cavity(1.0)
         f = integrand_function(None, geometry, model)
-        u = _first_rows([decay_scale_for(geometry, z) for z in np.linspace(0.02, 0.98, 25)])
+        u = first_rows([decay_scale_for(geometry, z) for z in np.linspace(0.02, 0.98, 25)])
         rows = quadrature._lifted(f)(u[:, None], quadrature.T_INTEGRAL)
         assert quadrature._lift_gap(f, u, rows) <= quadrature._T_INTEGRAL_ROUNDOFF
