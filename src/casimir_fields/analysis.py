@@ -6,8 +6,9 @@ wp*a as the only knob; the critical wp*a is a Chebyshev root search whose
 checks are sign tests, integrated at rel_tol 1/2. A profile is one batched
 engine call: the reflection brackets are evaluated once per u node for every
 position and both squared fields, and the energy density is their mean.
-Everything runs serially in input order, so output is deterministic for a
-fixed configuration.
+Outside one mirror that does not disperse, the u integral is 3 / (8 z^4) and
+no engine call runs. Everything runs serially in input order, so output is
+deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -20,18 +21,29 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebval
 
-from .dielectric import DielectricModel, Drude, PerfectConductor, Vacuum
-from .errors import DomainError, NoSignChange, NotApplicableError, checked_float, is_finite_real, is_integer
+from .dielectric import ConstantEpsilon, DielectricModel, Drude, PerfectConductor, Vacuum
+from .errors import DomainError, NoSignChange, NonConvergence, NotApplicableError, checked_float, is_finite_real, is_integer
 from .integrand import (
+    SINGLE_PREFACTOR,
     Cavity,
     FieldKind,
     Geometry,
     SingleInterface,
     _checked_positions,
+    _single_rows,
     integrand_function,
     position_envelope,
 )
-from .quadrature import IntegralResult, QuadratureConfig, integrate_semi_infinite, unit_envelope
+from .quadrature import (
+    _DECAY_SCALE_FLOOR,
+    _T_INTEGRAL_ROUNDOFF,
+    _U_SUM_ROUNDOFF,
+    IntegralResult,
+    QuadratureConfig,
+    _checked_scales,
+    integrate_semi_infinite,
+    unit_envelope,
+)
 
 __all__ = [
     "HBAR_C_EV_NM",
@@ -81,7 +93,7 @@ class ScanPoint:
 def _field_points(
     geometry: Geometry, model: DielectricModel, z_values: Sequence[float], cfg: QuadratureConfig | None
 ) -> list[FieldPoint]:
-    """<E^2>, <B^2> and U at every position, from one batched engine call.
+    """<E^2>, <B^2> and U at every position, from one batched engine call, or in closed form outside one undispersed mirror.
 
     The positions are checked once, before any integral: real numbers in
     the vacuum region, strictly increasing.
@@ -89,22 +101,56 @@ def _field_points(
     zs, scales = _checked_positions(geometry, z_values)
     if not (zs[1:] > zs[:-1]).all():
         raise DomainError("profile positions must be strictly increasing")
-    f = integrand_function(None, geometry, model)
-    res = integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
-    (e2, b2), (err_e2, err_b2) = res.value.tolist(), res.error_estimate.tolist()
+    if isinstance(geometry, SingleInterface) and isinstance(model, (ConstantEpsilon, PerfectConductor, Vacuum)):
+        value, err = _single_wall_fields(model, zs, scales, cfg or QuadratureConfig())
+    else:
+        f = integrand_function(None, geometry, model)
+        res = integrate_semi_infinite(f, scales, cfg, envelope=position_envelope(geometry, zs))
+        value, err = res.value, res.error_estimate
+    (e2, b2), (err_e2, err_b2) = value.tolist(), err.tolist()
     return [
         FieldPoint(z, e, b, 0.5 * (e + b), max(ee, eb)) for z, e, b, ee, eb in zip(zs.tolist(), e2, b2, err_e2, err_b2)
     ]
 
 
+def _single_wall_fields(model: DielectricModel, zs: np.ndarray, scales: np.ndarray, cfg: QuadratureConfig):
+    """<E^2> and <B^2> outside one constant-eps, perfectly conducting or vacuum mirror: value and err, each (2, positions).
+
+    There r and r' do not depend on u, so each field is SINGLE_PREFACTOR
+    times the t integral of its bracket (`integrand._single_rows`) times
+    the integral of u^3 e^{-2uz} over u > 0, 3 / (8 z^4). ``err`` is the
+    engine's roundoff allowances, 16 ulps for the t integral and 4 for a
+    u sum, of the magnitude. The engine's input checks hold: the
+    decay-scale floor, and NonConvergence where ``err`` alone exceeds the
+    tolerance.
+    """
+    _checked_scales(scales, _DECAY_SCALE_FLOOR)
+    inverse = 1.0 / zs
+    # z^-4 by products, the constant first, so no accepted z overflows; a result below the float range rounds to 0
+    constant = (0.375 * SINGLE_PREFACTOR) * _single_rows(model, (FieldKind.E_SQUARED, FieldKind.B_SQUARED)).T[:, :, None]
+    value, magnitude = constant * inverse * inverse * inverse * inverse
+    err = (_T_INTEGRAL_ROUNDOFF + _U_SUM_ROUNDOFF) * magnitude
+    tol = np.maximum(cfg.rel_tol * np.abs(value), cfg.abs_tol)
+    if (err > tol).any():
+        pair = np.unravel_index(np.argmax(err - tol), tol.shape)
+        raise NonConvergence(
+            f"roundoff allowance {float(err[pair]):.3e} exceeds the tolerance {float(tol[pair]):.3e}; loosen rel_tol or abs_tol",
+            result=IntegralResult(value, err, 0, math.inf),
+        )
+    return value, err
+
+
 def compute_point(
     geometry: Geometry, model: DielectricModel, z: float, cfg: QuadratureConfig | None = None
 ) -> FieldPoint:
-    """All three expectations at one field point, by quadrature.
+    """All three expectations at one field point, by quadrature or, outside one undispersed mirror, in closed form.
 
-    <E^2> and <B^2> come from one engine call on the shared brackets; the
-    energy density is their mean, which holds exactly in the bracket
-    algebra (the U bracket is the mean of the E^2 and B^2 brackets).
+    <E^2> and <B^2> come from one engine call on the shared brackets;
+    outside one constant-eps, perfectly conducting or vacuum mirror they
+    are the t integrals of the brackets times 3 / (8 z^4), with no engine
+    call (`_single_wall_fields`). The energy density is their mean, which
+    holds exactly in the bracket algebra (the U bracket is the mean of the
+    E^2 and B^2 brackets).
     ``err`` is the larger of the two error estimates and also bounds the
     error of U.
     """
@@ -121,7 +167,9 @@ def profile_at(
 
     All positions share one engine call and its u rows, each with its own
     error control, so a row can differ from `compute_point` at the same z
-    by about 2e-14 relative, always within ``err``.
+    by about 2e-14 relative, always within ``err``. Outside one
+    constant-eps, perfectly conducting or vacuum mirror no engine call
+    runs: each row is in closed form, as `compute_point` takes it.
     """
     if np.ndim(z_values) != 1:
         raise DomainError(f"z_values must be a sequence of positions, got {z_values!r}")
@@ -315,11 +363,15 @@ def critical_separation_physical(
 
     Converts the dimensionless critical product wp*a to a physical length
     via hbar*c = 197.3269804 eV nm; if ``lambda_c`` is not supplied it is
-    computed with `critical_lambda` at default settings.
+    computed with `critical_lambda` at default settings. A width above the
+    float range raises DomainError; one below it rounds to 0.0.
     """
     omega_p_ev = checked_float(omega_p_ev, "omega_p_ev")
     lambda_c = critical_lambda(cfg) if lambda_c is None else checked_float(lambda_c, "lambda_c")
-    return lambda_c * HBAR_C_EV_NM / omega_p_ev / 1000.0
+    width = lambda_c * HBAR_C_EV_NM / omega_p_ev / 1000.0
+    if math.isinf(width):
+        raise DomainError(f"omega_p_ev = {omega_p_ev!r} with lambda_c = {lambda_c!r} puts the width outside the float range")
+    return width
 
 
 def wall_reduction_check(

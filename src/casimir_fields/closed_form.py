@@ -8,7 +8,9 @@ the order-3 polygamma function, and the single-interface limits
 of each expectation is known analytically. Everything here is cheap,
 self-contained, and independent of the quadrature engine. Every argument
 goes through `errors.checked_float`, so bools, non-numbers and values
-outside its interval raise DomainError, and is taken as a float.
+outside its interval raise DomainError, and is taken as a float. Powers
+are formed by products: a result below the float range rounds to 0.0, and
+one above it raises DomainError naming the argument.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ class AsymptoteReport:
 
     def evaluate(self, z: float) -> float:
         """The asymptote's value at distance z > 0."""
-        return self.leading_coefficient * checked_float(z, "z") ** self.power
+        z = checked_float(z, "z")
+        return _over_power(self.leading_coefficient, z, -self.power, f"z = {z!r}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,23 @@ class NearWallAsymptotes:
     e2: AsymptoteReport
     b2: AsymptoteReport
     u: AsymptoteReport
+
+
+def _finite(value: float, what: str) -> float:
+    """value, unless it is above the float range: DomainError naming ``what``."""
+    if math.isinf(value):
+        raise DomainError(f"{what} puts the result outside the float range")
+    return value
+
+
+def _over_power(c: float, x: float, n: int, what: str) -> float:
+    """c / x^n by products, c first, so no step leaves the float range unless the result does; `_finite` names ``what``."""
+    if c == 0.0:  # also where x^-n is above the float range
+        return c
+    inverse = 1.0 / x if x else math.inf
+    for _ in range(n):
+        c *= inverse
+    return _finite(c, what)
 
 
 def _interior(z, a) -> tuple[float, float]:
@@ -72,7 +92,8 @@ def _interior(z, a) -> tuple[float, float]:
 
 def pc_cavity_energy(a: float) -> float:
     """Energy density between perfect conductors: -pi^2 / (720 a^4), any z."""
-    return -(math.pi**2) / (720.0 * checked_float(a, "gap width") ** 4)
+    a = checked_float(a, "gap width")
+    return _over_power(-(math.pi**2) / 720.0, a, 4, f"gap width {a!r}")
 
 
 def _nearer_wall(z: float, a: float) -> float:
@@ -85,7 +106,7 @@ def _pc_cavity_profile_term(z: float, a: float) -> float:
     x = _nearer_wall(z, a)
     s = math.sin(math.pi * x)
     c = math.cos(math.pi * x)
-    return (math.pi**2 / (16.0 * a**4)) * (1.0 + 2.0 * c * c) / s**4
+    return _over_power((math.pi**2 / 16.0) * (1.0 + 2.0 * c * c), a * s, 4, f"z = {z!r} in a gap of width {a!r}")
 
 
 def pc_cavity_e2(z: float, a: float) -> float:
@@ -102,7 +123,11 @@ def pc_cavity_b2(z: float, a: float) -> float:
 
 def _pc_cavity_polygamma_term(z: float, a: float) -> float:
     x = _nearer_wall(z, a)
-    return (polygamma3(x) + polygamma3(1.0 - x)) / (32.0 * math.pi**2 * a**4)
+    try:
+        terms = polygamma3(x) + polygamma3(1.0 - x)
+    except DomainError:  # x = z / a so near 0 that polygamma3(x) is above the float range: name z, not x
+        raise DomainError(f"z = {z!r} in a gap of width {a!r} puts the result outside the float range") from None
+    return _over_power(terms / (32.0 * math.pi**2), a, 4, f"gap width {a!r}")
 
 
 def pc_cavity_e2_polygamma(z: float, a: float) -> float:
@@ -127,15 +152,22 @@ def polygamma3(x: float) -> float:
     x that is not a positive finite number raise DomainError.
     """
     x = checked_float(x, "x")
-    direct = math.fsum((x + n) ** -4 for n in reversed(range(32)))
+    # Each term is a correctly rounded power, which products are not: the direct
+    # sum matches a brute-force series bit for bit. x + n > 0, so a term can
+    # overflow, which only the first term near the pole does, but never divide by zero
+    try:
+        direct = math.fsum((x + n) ** -4 for n in reversed(range(32)))
+    except OverflowError:
+        direct = math.inf
     y = x + 32
     tail = y**-3 / 3.0 + y**-4 / 2.0 + y**-5 / 3.0 - y**-7 / 6.0 + 2.0 * y**-9 / 9.0
-    return 6.0 * (direct + tail)
+    return _finite(6.0 * (direct + tail), f"x = {x!r}")
 
 
 def pc_single_e2(z: float) -> float:
     """Squared electric field outside a single perfect conductor: 3/(16 pi^2 z^4)."""
-    return 3.0 / (16.0 * math.pi**2 * checked_float(z, "z") ** 4)
+    z = checked_float(z, "z")
+    return _over_power(3.0 / (16.0 * math.pi**2), z, 4, f"z = {z!r}")
 
 
 def pc_single_b2(z: float) -> float:
@@ -149,7 +181,8 @@ def casimir_polder(z: float, alpha0: float) -> float:
     Equals -alpha0/2 times the squared electric field outside a perfect
     conductor, which is how it is cross-checked.
     """
-    return -0.5 * checked_float(alpha0, "polarizability", low=-math.inf) * pc_single_e2(z)
+    alpha0 = checked_float(alpha0, "polarizability", low=-math.inf)
+    return _finite(-0.5 * alpha0 * pc_single_e2(z), f"polarizability {alpha0!r} at z = {z!r}")
 
 
 def near_wall_asymptotes(model: DielectricModel) -> NearWallAsymptotes:

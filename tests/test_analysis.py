@@ -35,6 +35,7 @@ from casimir_fields import (
     wall_reduction_check,
 )
 from casimir_fields import analysis, quadrature
+from casimir_fields.integrand import position_envelope
 
 
 def _midgap_closure(omega_p_a):
@@ -271,6 +272,52 @@ class TestProfile:
         assert first.points == second.points
 
 
+UNDISPERSED_MIRRORS = [ConstantEpsilon(1.0 + 1e-9), ConstantEpsilon(4.0), ConstantEpsilon(1e12), PerfectConductor(), Vacuum()]
+UNDISPERSED_IDS = ("eps-1+1e-9", "eps4", "eps1e12", "pc", "vacuum")
+
+
+class TestUndispersedWall:
+    """Outside one constant-eps, perfectly conducting or vacuum mirror the u integral is 3 / (8 z^4), with no engine call."""
+
+    @pytest.mark.parametrize("model", UNDISPERSED_MIRRORS, ids=UNDISPERSED_IDS)
+    def test_matches_the_engine(self, model):
+        # every row within the sum of both errors of the engine's bracket-form integral,
+        # from the decay-scale floor to z = 1e30, and compute_point equal to its row
+        zs = np.geomspace(5e-7, 1e30, 15)
+        f = integrand_function(None, SingleInterface(), model)
+        engine = integrate_semi_infinite(f, 2.0 * zs, envelope=position_envelope(SingleInterface(), zs))
+        points = profile_at(SingleInterface(), model, zs).points
+        value = np.array([[p.e2 for p in points], [p.b2 for p in points]])
+        err = np.array([p.err for p in points])
+        assert (np.abs(value - engine.value) <= err + engine.error_estimate).all()
+        assert compute_point(SingleInterface(), model, zs[7]) == points[7]
+
+    @pytest.mark.parametrize("model", UNDISPERSED_MIRRORS, ids=UNDISPERSED_IDS)
+    def test_below_the_decay_scale_floor(self, model):
+        with pytest.raises(DivergesAtBoundary):
+            compute_point(SingleInterface(), model, 4e-7)
+        with pytest.raises(DivergesAtBoundary):
+            profile_at(SingleInterface(), model, [4e-7, 1.0])
+
+    @pytest.mark.parametrize("model", UNDISPERSED_MIRRORS, ids=UNDISPERSED_IDS)
+    def test_far_point_rounds_to_zero(self, model):
+        # z^-4 is formed by products: no overflow, and a result below the float range is 0
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            point = compute_point(SingleInterface(), model, 1e100)
+        assert (point.e2, point.b2, point.u, point.err) == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("model", [ConstantEpsilon(4.0), PerfectConductor()], ids=("eps4", "pc"))
+    def test_roundoff_above_the_tolerance_raises(self, model):
+        # the roundoff allowances alone exceed rel_tol 1e-17, on the engine path too
+        cfg = QuadratureConfig(rel_tol=1e-17, abs_tol=0.0)
+        with pytest.raises(NonConvergence, match="exceeds the tolerance") as raised:
+            compute_point(SingleInterface(), model, 1.0, cfg)
+        assert raised.value.result.value.shape == (2, 1)
+        f = integrand_function(None, SingleInterface(), model)
+        with pytest.raises(NonConvergence):
+            integrate_semi_infinite(f, [2.0], cfg, envelope=position_envelope(SingleInterface(), [1.0]))
+
+
 class TestMidpointScan:
     def test_signs_bracket_the_root(self):
         points = midpoint_scan(50.0, 200.0, 2)
@@ -368,10 +415,11 @@ class TestWorkloadShapes:
         assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 382)
 
     def test_single_decades(self, engine_calls):
-        # single-interface profiles over 3.7 decades: 243 u rows each
+        # single-interface profiles over 3.7 decades: 243 u rows for the Drude wall; the
+        # constant-eps and perfect-conductor walls are in closed form, with no engine call
         for model, n in ((Drude(1.0), 64), (ConstantEpsilon(4.0), 16), (PerfectConductor(), 16)):
             profile_at(SingleInterface(), model, np.geomspace(1e-3, 5.0, n))
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (3, 3, 729)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (1, 1, 243)
 
     def test_midgap_root(self, engine_calls):
         # a 40-value scan in 2 groups and the root from a 15-member family and a 2-member
@@ -789,4 +837,6 @@ def test_every_package_integral_takes_its_t_integral_exactly(monkeypatch, geomet
     for kind in FieldKind:
         f = integrand_function(kind, geometry, model, zs[1])
         results.append(integrate_semi_infinite(f, decay_scale_for(geometry, zs[1])))
-    assert len(results) == 5
+    # outside one undispersed mirror the profile and the point are in closed form
+    closed_form = isinstance(geometry, SingleInterface) and not isinstance(model, Drude)
+    assert len(results) == (3 if closed_form else 5)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from casimir_fields import (
     DomainError,
     Drude,
     casimir_polder,
+    critical_separation_physical,
     near_wall_asymptotes,
     pc_cavity_b2,
     pc_cavity_b2_polygamma,
@@ -47,6 +49,37 @@ def test_arguments_are_real_numbers(call, expected):
     else:
         value = call()
         assert type(value) is float and value == expected()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: pc_single_e2(1e-100), "z = 1e-100", id="single-near"),
+        pytest.param(lambda: pc_cavity_energy(1e-100), "gap width 1e-100", id="energy-narrow"),
+        pytest.param(lambda: pc_cavity_e2(0.5e-100, 1e-100), "gap width 1e-100", id="cavity-narrow"),
+        pytest.param(lambda: pc_cavity_e2(1e-300, 1.0), "z = 1e-300 in a gap of width 1.0", id="cavity-near-wall"),
+        pytest.param(lambda: pc_cavity_b2_polygamma(1e-100, 1.0), "z = 1e-100 in a gap of width 1.0", id="polygamma-route-near-wall"),
+        pytest.param(lambda: casimir_polder(1e-100, 1.0), "z = 1e-100", id="casimir-polder-near"),
+        pytest.param(lambda: casimir_polder(1e-5, 1e300), "polarizability 1e+300", id="casimir-polder-huge"),
+        pytest.param(lambda: polygamma3(1e-100), "x = 1e-100", id="polygamma-near-pole"),
+        pytest.param(lambda: near_wall_asymptotes(Drude(1.0)).b2.evaluate(1e-200), "z = 1e-200", id="asymptote-near"),
+        pytest.param(lambda: critical_separation_physical(1e-320, lambda_c=97.0), "omega_p_ev = 1e-320", id="width-huge"),
+        pytest.param(lambda: pc_single_e2(1e100), 0.0, id="single-far"),
+        pytest.param(lambda: pc_cavity_energy(1e100), 0.0, id="energy-wide"),
+        pytest.param(lambda: pc_cavity_e2(0.5e100, 1e100), 0.0, id="cavity-wide"),
+        pytest.param(lambda: polygamma3(1e200), 0.0, id="polygamma-far"),
+        pytest.param(lambda: near_wall_asymptotes(Drude(1.0)).b2.evaluate(1e200), 0.0, id="asymptote-far"),
+        pytest.param(lambda: AsymptoteReport(0.0, -4).evaluate(1e-320), 0.0, id="asymptote-zero"),
+        pytest.param(lambda: critical_separation_physical(1e300, lambda_c=1e-300), 0.0, id="width-tiny"),
+    ],
+)
+def test_results_outside_the_float_range(call, expected):
+    """Powers are formed by products: a result above the float range raises DomainError naming the argument, one below rounds to 0."""
+    if isinstance(expected, str):
+        with pytest.raises(DomainError, match=f"^{re.escape(expected)}.* outside the float range"):
+            call()
+    else:
+        assert call() == expected
 
 
 class TestPcCavityEnergy:

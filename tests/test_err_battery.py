@@ -21,8 +21,16 @@ with no real fault. Truths from a sharper oracle are still to come.
 The U case at a weak Drude cavity takes its truth from mpmath's tanh-sinh
 rule over log u on the package's own t-integral rows, so it checks the u
 rule and its head bound alone.
+
+Outside one constant-eps wall `profile_at` takes the u integral in closed
+form, 3 / (8 z^4). There the truth is exact: mpmath's t integral of the
+textbook bracket, times that factor and 1 / (4 pi^2), at 40 digits, so
+those rows check coverage to roundoff, with no literal's error in the way.
 """
 
+import functools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -40,6 +48,7 @@ from casimir_fields import (
     pc_cavity_e2,
     pc_single_b2,
     pc_single_e2,
+    profile_at,
 )
 from casimir_fields.integrand import position_envelope
 from casimir_fields.quadrature import unit_envelope
@@ -181,6 +190,45 @@ def test_err_covers_the_perfect_conductor_closed_forms(geometry, zs):
     else:
         exact = [[pc_single_e2(z) for z in zs], [pc_single_b2(z) for z in zs]]
     assert _ratio(value, err, np.array(exact)) <= 1.0
+
+
+@functools.cache
+def _textbook_wall_integrals(epsilon: float) -> tuple:
+    """At 40 digits, the t integrals of the textbook <E^2> and <B^2> brackets outside a constant-eps wall.
+
+    The brackets are -t^2 r + (2 - t^2) r' and (2 - t^2) r - t^2 r', with
+    r = (1 - q)/(1 + q), r' = (eps - q)/(eps + q), q = sqrt(1 + (eps - 1) t^2).
+    In s, t = sinh(s)/sqrt(eps - 1), q = cosh(s), and the integrands are
+    smooth on panels at most 1 wide.
+    """
+    with mpmath.workdps(40):
+        eps = mpmath.mpf(epsilon)
+        root = mpmath.sqrt(eps - 1)
+        s_max = mpmath.asinh(root)
+        edges = mpmath.linspace(0, s_max, int(mpmath.ceil(s_max)) + 1)
+
+        def integral(e_squared: bool):
+            def integrand(s):
+                t, q = mpmath.sinh(s) / root, mpmath.cosh(s)
+                r, rp, tt = (1 - q) / (1 + q), (eps - q) / (eps + q), t * t
+                bracket = -tt * r + (2 - tt) * rp if e_squared else (2 - tt) * r - tt * rp
+                return bracket * q / root
+
+            return mpmath.quad(integrand, edges)
+
+        return integral(True), integral(False)
+
+
+@pytest.mark.parametrize("epsilon", [1.0 + 1e-9, 4.0, 1e12])
+def test_err_covers_the_exact_constant_epsilon_wall(epsilon):
+    # every row of WALL_16: <E^2> and <B^2> against the 40-digit truth, 3 / (8 z^4)
+    # times the bracket's t integral and 1 / (4 pi^2)
+    points = profile_at(SingleInterface(), ConstantEpsilon(epsilon), WALL_16).points
+    with mpmath.workdps(40):
+        factors = [3 / (8 * mpmath.mpf(z) ** 4) / (4 * mpmath.pi**2) for z in WALL_16]
+        truth = np.array([[float(f * i) for f in factors] for i in _textbook_wall_integrals(epsilon)])
+    value = np.array([[p.e2 for p in points], [p.b2 for p in points]])
+    assert _ratio(value, np.array([p.err for p in points]), truth) <= 1.0
 
 
 def test_err_covers_an_oscillating_integrand():

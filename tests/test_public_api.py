@@ -20,6 +20,8 @@ from casimir_fields import (
     SingleInterface,
     Vacuum,
     analysis,
+    integrand,
+    quadrature,
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -74,22 +76,35 @@ def test_benchmark_boundaries_resolve():
 def test_traced_runs_count_every_evaluation():
     # the tracer replaces each closure of integrand_function by a plain wrapper and
     # counts the nodes of its values: u rows for the exact t integrals of every
-    # package integrand; the engine's evaluations must agree
+    # package integrand; the engine's evaluations must agree. A single
+    # constant-eps wall runs the engine on its bracket form, called through the
+    # modules so the tracer's wrappers are the ones called; its profile is in
+    # closed form and calls neither
     spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
-    for run in (
-        lambda: analysis.midpoint_scan(50.0, 150.0, 7),
-        lambda: analysis.profile_at(Cavity(1.0), Drude(200.0), np.linspace(0.1, 0.9, 9)),
-        lambda: analysis.profile_at(Cavity(1.0), PerfectConductor(), [0.3, 0.5]),
-        lambda: analysis.profile_at(SingleInterface(), ConstantEpsilon(4.0), np.geomspace(1e-3, 5.0, 16)),
-        lambda: analysis.profile_at(Cavity(1.0), ConstantEpsilon(100.0), np.linspace(0.1, 0.9, 9)),
-        lambda: analysis.profile_at(Cavity(1.0), Vacuum(), [0.3, 0.5]),
+    wall = np.geomspace(1e-3, 5.0, 16)
+    for run, engine in (
+        (lambda: analysis.midpoint_scan(50.0, 150.0, 7), True),
+        (lambda: analysis.profile_at(Cavity(1.0), Drude(200.0), np.linspace(0.1, 0.9, 9)), True),
+        (lambda: analysis.profile_at(Cavity(1.0), PerfectConductor(), [0.3, 0.5]), True),
+        (lambda: analysis.profile_at(SingleInterface(), ConstantEpsilon(4.0), wall), False),
+        (
+            lambda: quadrature.integrate_semi_infinite(
+                integrand.integrand_function(None, SingleInterface(), ConstantEpsilon(4.0)),
+                2.0 * wall,
+                envelope=integrand.position_envelope(SingleInterface(), wall),
+            ),
+            True,
+        ),
+        (lambda: analysis.profile_at(Cavity(1.0), ConstantEpsilon(100.0), np.linspace(0.1, 0.9, 9)), True),
+        (lambda: analysis.profile_at(Cavity(1.0), Vacuum(), [0.3, 0.5]), True),
     ):
         tracer.begin_request()
         with tracer.installed():
             run()
         counts = tracer.counts[-1]
-        assert counts["integrand.f.nodes"] == counts["quadrature.integrate_semi_infinite.evaluations"] > 0
+        assert counts["integrand.f.nodes"] == counts["quadrature.integrate_semi_infinite.evaluations"]
+        assert (counts["quadrature.integrate_semi_infinite.calls"] > 0) == (counts["integrand.f.nodes"] > 0) == engine
         assert counts["quadrature.integrate_semi_infinite.nonconvergence"] == 0
