@@ -207,12 +207,12 @@ def profile(
 
 
 # wp*a values per engine call of `midpoint_scan`. Every group of the default
-# 10-1000 scan converges on the engine's first call, 159 u rows, so each
-# group is one integrand call. A member costs about 40 kB of traced peak
+# 10-1000 scan converges on the engine's first call, 81 u rows, so each
+# group is one integrand call. A member costs about 21 kB of traced peak
 # memory: a midgap pass (a 40-value scan and the critical root) peaked at
-# 0.90 MB in groups of 15, 1.10 MB in groups of 20 and 2.01 MB in one group of
-# 40. Against groups of 15 the scan took 0.85x the time in groups of 20 and
-# 0.86x in one group of 40 (2-vCPU x86 host, numpy 2.4).
+# 0.63 MB in groups of 15, 0.73 MB in groups of 20 and 1.16 MB in one group of
+# 40. Against groups of 15 the scan took 0.8x the time in groups of 20 and
+# 0.64x in one group of 40 (2-vCPU x86 host, numpy 2.4).
 _SCAN_GROUP = 20
 # Chebyshev-Lobatto points per round of `critical_lambda`, ends included.
 _CRITICAL_POINTS = 15

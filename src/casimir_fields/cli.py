@@ -131,10 +131,6 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(**{field.name: getattr(args, field.name) for field in dataclasses.fields(QuadratureConfig)})
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 # Parsed values the recorded command leaves out: argparse's own, where the
 # bytes go (--output, the stream `main` sets) and the boolean --json.
 _UNRECORDED = frozenset({"command", "func", "output", "json", "stream"})
@@ -147,7 +143,7 @@ def _recorded_command(args) -> str:
     declared, so ``vars(args)`` and the record follow ``--help``. A command
     sets the flags it ignores to None, which keeps them out.
     """
-    flags = (f"--{k.replace('_', '-')} {_fmt(v)}" for k, v in vars(args).items() if k not in _UNRECORDED and v is not None)
+    flags = (f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items() if k not in _UNRECORDED and v is not None)
     return " ".join((f"casimir-fields {args.command}", *flags))
 
 
@@ -168,10 +164,10 @@ def _output(args):
 def _emit_table(args, columns: list[str], rows: list[list[float]], extra: dict | None = None, checks: Sequence[dict] = ()) -> None:
     """A table headed by its recorded command, the generator and ``extra``'s entries; JSON unless --format says csv."""
     command, generator = _recorded_command(args), f"casimir-fields {__version__}"
-    extra = {key: _fmt(value) for key, value in (extra or {}).items()}
+    extra = {key: str(value) for key, value in (extra or {}).items()}
     if getattr(args, "format", "json") == "csv":
         lines = [f"# command: {command}", f"# generator: {generator}", *(f"# {key} = {value}" for key, value in extra.items())]
-        lines += [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
+        lines += [",".join(columns), *(",".join(map(str, row)) for row in rows)]
         args.stream.write("\n".join(lines) + "\n")
     else:
         config = {"command": command, "generator": generator, **extra}

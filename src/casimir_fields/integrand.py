@@ -201,7 +201,8 @@ def _checked_positions(geometry: Geometry, z_values) -> tuple[np.ndarray, np.nda
         if isinstance(geometry, SingleInterface):
             raise DomainError(f"field point must lie in the vacuum region, got z = {bad!r}")
         raise DomainError(f"field point must lie strictly inside the gap, got z = {bad!r} with a = {a!r}")
-    return z, 2.0 * np.minimum(z, a - z)
+    with np.errstate(over="ignore"):  # past half the float range the scale is inf, which the engine refuses
+        return z, 2.0 * np.minimum(z, a - z)
 
 
 def position_envelope(geometry: Geometry, z_values) -> Callable[[np.ndarray], np.ndarray]:

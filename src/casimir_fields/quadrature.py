@@ -6,10 +6,14 @@ spike at t = 0 whose width shrinks like 1/u. At every u row the engine needs
 only the t integral of the integrand and of its magnitude, so the integral
 runs on the u axis alone: a trapezoid rule in x = log u from u_max = 60 /
 decay_scale (`_TAIL_BUDGET`) down to 1e-5 / decay_scale (`_HEAD`), at step
-0.1 and, on every other row, at 0.2, from one integrand call. Their gap,
-with bounds on the head and the tail and roundoff allowances, is the error
-estimate; a pair above its tolerance halves the step, one call on the
-midpoints.
+0.2 and, on every other row, at 0.4, from one integrand call. Halving the
+step squares a geometric rule's error, so their gap, squared over the
+magnitude's integral while the rule is in that regime, with bounds on the
+head and the tail and roundoff allowances, is the error estimate; a pair
+above its tolerance halves the step, one call on the midpoints. That
+assumes an integrand analytic in a strip about the real log-u axis, as the
+field integrands are; a lifted plain callable (below) need not be, so it
+starts at step 0.1 and its estimate keeps the gap itself.
 
 The integrand supplies those rows when called with t = `T_INTEGRAL`. Every
 integrand of `integrand.integrand_function` does: the Drude ones in closed
@@ -138,14 +142,31 @@ _TAIL_BUDGET = 60.0
 # The u rule: the trapezoid rule in x = log u, at step _STEP and at twice
 # that step on every other row, both from one integrand call. The rows run
 # down from u_max by an even number of steps to at most _HEAD / s_max, u s of
-# 1e-5 at the fastest decay. The head bound, u |g(u)| at the lowest row, holds
-# where |g| does not rise below it (p >= 0 for |g| ~ u^p; unchecked, p is 1 to
-# 2 at the battery's weak Drude mirrors), and stayed within 7.1e-11 of the
-# value there (1.8e-16 on the other profiles); from 1e-8 a midgap call took
-# 44% more rows (227 against 159). Step 0.1 meets the default tolerances on
-# the CLI's and the benchmark's integrals, which all stop at the first call.
-_STEP = 0.1
+# 1e-5 at the fastest decay. The head bound, 2 u |g(u)| at the lowest row with
+# the tail bound's factor-2 margin, holds where |g| does not rise below it
+# (p >= 0 for |g| ~ u^p; unchecked, p is 1 to 2 at the battery's weak Drude
+# mirrors); u |g| alone fell short of the true error where g(0) != 0 and the
+# level gap counts squared (the battery's cos^2(5u) e^-u as exact t rows,
+# true/err 1.00001). From 1e-8 a midgap call took 44% more rows (227
+# against 159 at step 0.1). Step 0.2 meets the default tolerances on the CLI's
+# and the benchmark's integrals, which all stop at the first call.
+_STEP = 0.2
 _HEAD = 1e-5
+# The trapezoid rule on a function analytic in a strip about the real x axis
+# converges like e^{-2 pi d / h} (Trefethen and Weideman, SIAM Rev. 56, 2014),
+# so halving the step squares the error. Where the gap between the two steps
+# is at most _GEOMETRIC of the magnitude's integral M, the rule is taken to be
+# in that regime and the finer sum's error estimate is gap^2 / M; above it,
+# the gap. The field integrands are analytic in u > 0. A plain callable need
+# not be: with a kink in u the rule converges like h^2 and its error is about
+# the gap; at default tolerances gap^2 / M fell short of the true error of
+# |u - c| e^-u at each of 61 kinks c in [0.05, 7.4]. A third sum, at 4h, did
+# not tell the regimes apart: the field integrands' (4h gap)^2 / M fell up
+# to 1.6e3 times below their h gap, while max(u - c, 0)^2 e^-u, whose f''
+# jumps, passed that test and under-covered by up to 6e6. So a lifted
+# callable keeps the gap, from step _LIFTED_STEP.
+_GEOMETRIC = 1e-3
+_LIFTED_STEP = 0.1
 # Where the head bound alone fails the tolerance, as for an integrand with
 # g(0) != 0, the lowest row moves down by _HEAD_DROP in one more call;
 # otherwise a failing pair halves the step, one call on the new midpoints.
@@ -232,6 +253,7 @@ def _checked_scales(values, floor) -> np.ndarray:
     if failing.any():
         first = int(np.argmax(failing))
         bad = values[first]
+        bad = bad.item() if isinstance(bad, np.generic) else bad  # a float, not np.float64(...)
         if not valid[first]:
             raise InvalidDecayScale(f"decay scale must be a positive finite number, got {bad!r}")
         raise DivergesAtBoundary(
@@ -264,7 +286,10 @@ def integrate_semi_infinite(
         graded toward t = 0, and checked at the first call's rows against
         the same rule on halved t panels. It is first called with the empty
         t row `T_INTEGRAL`, so it must be elementwise in t (``t.max()``
-        fails on that row).
+        fails on that row). The rows of the `T_INTEGRAL` form must be
+        analytic in u > 0 (in a strip about the real log-u axis), since
+        their level gap counts squared; a plain callable may have a kink in
+        u, as its level gap counts as it is.
     decay_scale : float or sequence of float
         The exponential scale of the integrand, exp(-u * decay_scale);
         for the field integrands this is 2z (single interface) or
@@ -281,13 +306,16 @@ def integrate_semi_infinite(
     -------
     IntegralResult
         The value is the trapezoid sum at the last step; the error estimate
-        adds its gap to the sum at twice the step, bounds on the tail beyond
-        u_max and on the head below the lowest row (u |g| there, if |g| does
-        not rise below it), and roundoff allowances of the magnitude's
-        integral: 16 ulps for the t integrals (a lifted callable's check gap
-        if more) and 4 for the u sums. In batched form value and
-        error_estimate have shape (K, positions), every position on the rows
-        of the slowest and the fastest decay.
+        adds the rule's term (gap^2 / M, gap being the difference from the
+        sum at twice the step and M the magnitude's integral, while the gap
+        is at most 1e-3 M; the gap itself above that and for a lifted plain
+        callable), bounds on the tail beyond u_max and on the head below the
+        lowest row (2 u |g| there, if |g| does not rise below it), and
+        roundoff allowances of the magnitude's integral: 16 ulps for the t
+        integrals (a lifted callable's check gap if more) and 4 for the u
+        sums. In batched form value and error_estimate have shape (K,
+        positions), every position on the rows of the slowest and the
+        fastest decay.
 
     Raises
     ------
@@ -315,17 +343,22 @@ def integrate_semi_infinite(
         """The rows u_max e^{-k step} of the current step."""
         return u_max * np.exp(-step * k)
 
-    # k = steps .. 0: an even number of steps down to at most _HEAD / s_max
-    steps = 2 * math.ceil(math.log(u_max * float(scales.max()) / _HEAD) / (2 * step))
-    u = rows_at(np.arange(steps, -1, -1.0))
+    def first_rows() -> tuple[int, np.ndarray]:
+        """k = steps .. 0: an even number of steps down to at most _HEAD / s_max, and their rows."""
+        steps = 2 * math.ceil(math.log(u_max * float(scales.max()) / _HEAD) / (2 * step))
+        return steps, rows_at(np.arange(steps, -1, -1.0))
+
+    steps, u = first_rows()
     out = f(u[:, None], T_INTEGRAL)
-    evaluations = u.size
-    t_rate = _T_INTEGRAL_ROUNDOFF
+    evaluations, t_rate, lifted = u.size, _T_INTEGRAL_ROUNDOFF, False
     if not all(getattr(getattr(bracket, "dtype", None), "names", None) == T_INTEGRAL_DTYPE.names for bracket in _bracket_list(out)):
-        plain, f = f, _lifted(f)  # an empty grid: a plain callable
+        # an empty grid: a plain callable, lifted onto the fixed t rule. Nothing
+        # says it is analytic in u, so it starts at half the step (_LIFTED_STEP)
+        plain, f, lifted, step = f, _lifted(f), True, _LIFTED_STEP
+        steps, u = first_rows()
         out = f(u[:, None], T_INTEGRAL)
         t_rate = max(t_rate, _lift_gap(plain, u, out))
-        evaluations *= 3  # the check's rule is twice the lift's, so each of its rows counts as two
+        evaluations = 3 * u.size  # the check's rule is twice the lift's, so each of its rows counts as two
     has_constant = isinstance(out, tuple) and out[0] is not None
     rows = _stacked(out)
 
@@ -339,7 +372,7 @@ def integrate_semi_infinite(
     refinements = 0
     while True:
         # rows of weights: the sums at step and at twice it on the t integrals, then on
-        # their magnitudes the sum at step, u at the lowest row (the head bound) and
+        # their magnitudes the sum at step, 2u at the lowest row (the head bound) and
         # the top row. One product per field takes its weighted bracket (5, n) to the
         # envelope (n, positions), so a family member sums as alone; the constant is added
         weights = np.zeros((5, u.size))
@@ -347,7 +380,7 @@ def integrate_semi_infinite(
         weights[0, [0, -1]] *= 0.5
         weights[1, ::2] = 2.0 * weights[0, ::2]
         weights[2] = weights[0]
-        weights[3, 0], weights[4, -1] = u[0], 1.0
+        weights[3, 0], weights[4, -1] = 2.0 * u[0], 1.0
         left = rows[:, :, [0, 0, 1, 1, 1]].transpose(0, 2, 1) * weights
         sums = left[has_constant:] @ envelope(u).T
         if has_constant:  # the same for every position
@@ -358,7 +391,11 @@ def integrate_semi_infinite(
         # that changes sign in t is covered too; a lifted callable's is its
         # check's largest relative gap if that is more.
         t_err, u_err = t_rate * magnitude, _U_SUM_ROUNDOFF * magnitude
-        err_total = np.abs(total - coarse) + head + tail + t_err + u_err
+        # the rule's term: gap^2 / M in the geometric regime, else the gap (gap = 0
+        # where M = 0); a lifted callable's is always the gap
+        gap = np.abs(total - coarse)
+        ratio = gap / np.maximum(magnitude, np.finfo(float).tiny)
+        err_total = np.where((ratio <= _GEOMETRIC) & (not lifted), gap * ratio, gap) + head + tail + t_err + u_err
         if not (np.isfinite(total).all() and np.isfinite(err_total).all()):
             raise NonConvergence(
                 "the integrand is not finite: a value or error estimate is NaN or infinite",

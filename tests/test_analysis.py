@@ -13,6 +13,7 @@ from casimir_fields import (
     DomainError,
     Drude,
     FieldKind,
+    InvalidDecayScale,
     NonConvergence,
     NoSignChange,
     NotApplicableError,
@@ -99,7 +100,8 @@ class TestComputePoint:
     def test_near_wall_divergence_propagates(self):
         from casimir_fields import DivergesAtBoundary
 
-        with pytest.raises(DivergesAtBoundary):
+        # the message names the decay scale as a float, not as np.float64(2e-08)
+        with pytest.raises(DivergesAtBoundary, match=r"^decay scale 2e-08 is below"):
             compute_point(SingleInterface(), Drude(1.0), 1e-8)
 
     def test_near_wall_ratio_battery(self):
@@ -365,10 +367,10 @@ class TestMidpointScan:
             midpoint_scan(*args)
 
     def test_rows_match_single_integrals(self, engine_calls):
-        # 16 values fit in one group of _SCAN_GROUP (20): one engine call on 159 u rows
+        # 16 values fit in one group of _SCAN_GROUP (20): one engine call on 81 u rows
         points = midpoint_scan(10.0, 1000.0, 16)
         assert engine_calls.engine == engine_calls.integrand == 1
-        assert engine_calls.rows == [159]
+        assert engine_calls.rows == [81]
         cfg = QuadratureConfig()
         for point in points:
             single = integrate_semi_infinite(_midgap_closure(point.omega_p_a), 1.0, cfg)
@@ -390,7 +392,7 @@ class TestMidpointScan:
         assert engine_calls.engine == -(-40 // analysis._SCAN_GROUP) == 2
         # no group of the default scan refines the u rule
         assert engine_calls.integrand == 2
-        assert engine_calls.rows == [159, 159]
+        assert engine_calls.rows == [81, 81]
 
     @pytest.mark.parametrize("spacing", ["log", "linear"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
@@ -409,29 +411,29 @@ class TestWorkloadShapes:
     """Integrand calls and evaluations of the benchmark's three workload shapes, and the peak memory of a profile."""
 
     def test_cavity_profile(self, engine_calls):
-        # a 101-point Drude cavity profile and a 25-point perfect-conductor one: 191 u rows each
+        # a 101-point Drude cavity profile and a 25-point perfect-conductor one: 97 u rows each
         profile(Cavity(1.0), Drude(200.0), 101)
         profile(Cavity(1.0), PerfectConductor(), 25)
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 382)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (2, 2, 194)
 
     def test_single_decades(self, engine_calls):
-        # single-interface profiles over 3.7 decades: 243 u rows for the Drude wall; the
+        # single-interface profiles over 3.7 decades: 123 u rows for the Drude wall; the
         # constant-eps and perfect-conductor walls are in closed form, with no engine call
         for model, n in ((Drude(1.0), 64), (ConstantEpsilon(4.0), 16), (PerfectConductor(), 16)):
             profile_at(SingleInterface(), model, np.geomspace(1e-3, 5.0, n))
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (1, 1, 243)
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (1, 1, 123)
 
     def test_midgap_root(self, engine_calls):
         # a 40-value scan in 2 groups and the root from a 15-member family and a 2-member
-        # check at the sign tolerance: every family converges on its first call, 159 rows
+        # check at the sign tolerance: every family converges on its first call, 81 rows
         midpoint_scan(10.0, 1000.0, 40)
         critical_lambda()
-        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (4, 4, 636)
-        assert engine_calls.rows == [159] * 4
+        assert (engine_calls.engine, engine_calls.integrand, engine_calls.evaluations) == (4, 4, 324)
+        assert engine_calls.rows == [81] * 4
 
     def test_cavity_profile_peak_memory(self):
         # the trapezoid sums take the envelope in one matrix product, with no
-        # (fields, positions, u nodes) grid: about 498 KB on the 191 rows of the
+        # (fields, positions, u nodes) grid: about 323 KB on the 97 rows of the
         # first call, against 576 KB for 151 Kronrod rows in panels and about
         # 700 KB with that grid on 136 (tracemalloc, numpy 2.4)
         profile(Cavity(1.0), Drude(200.0), 101)  # builds the cached rules
@@ -812,6 +814,14 @@ def test_huge_permittivity_approaches_the_perfect_conductor(geometry, zs):
         ):
             assert dielectric.e2 == pytest.approx(conductor.e2, rel=1e-12)
             assert dielectric.b2 == pytest.approx(conductor.b2, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", [ConstantEpsilon(4.0), Drude(1.0)], ids=("eps", "drude"))
+def test_position_past_half_the_float_range_has_an_infinite_scale(model):
+    # 2 z overflows to inf without a RuntimeWarning (any fails the test), and
+    # the infinite decay scale is refused as the engine refuses any other
+    with pytest.raises(InvalidDecayScale, match="decay scale must be a positive finite number, got inf$"):
+        compute_point(SingleInterface(), model, 1.7e308)
 
 
 @pytest.mark.parametrize("geometry, zs", GEOMETRY_CASES, ids=("single", "cavity"))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -220,6 +221,14 @@ class TestOutputReproducibility:
         code, out, err = run_cli(argv + ["--output", str(target)], capsys)
         assert (code, out, err) == (0, "", "")
         assert target.read_bytes() == printed.encode()
+
+    def test_numpy_floats_print_as_floats(self):
+        # np.float64 subclasses float, and under numpy 2 its repr reads np.float64(1.5)
+        args = cli.build_parser().parse_args("profile --geometry cavity --model pc --a 1 --points 3 --format csv".split())
+        args.stream = io.StringIO()
+        cli._emit_table(args, ["z", "e2"], [[np.float64(1.5), 0.25]], extra={"lambda": np.float64(1.5)})
+        lines = args.stream.getvalue().splitlines()
+        assert "# lambda = 1.5" in lines and lines[-1] == "1.5,0.25"
 
 
 class TestScanCommand:

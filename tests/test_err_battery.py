@@ -1,4 +1,4 @@
-"""The engine's ``err`` against the truth, at default tolerances.
+"""The engine's ``err`` against the truth, at default and at tight tolerances.
 
 Every case runs as the package runs it, one engine call for all its
 positions or family members, and at a few of them ``err`` must cover the
@@ -12,7 +12,7 @@ stopped on its seed mesh, so their truth is its value at abs_tol 1e-16, the
 That engine's Kronrod weights carry 15 digits, so its truths sit up to
 about 3.5e-15 relative from the exact value (on the perfect-conductor
 cavity against mpmath); most of the gap between the engine and these
-literals is theirs. The worst true error over the battery is 0.75 err.
+literals is theirs. The worst true error over the battery is 0.73 err.
 Where err is roundoff, about 20 ulps of the magnitude (4.4e-15 relative),
 these cases show coverage only to the truths' precision: they measure
 agreement with that engine, and a reordered sum could take a ratio past 1
@@ -26,6 +26,13 @@ Outside one constant-eps wall `profile_at` takes the u integral in closed
 form, 3 / (8 z^4). There the truth is exact: mpmath's t integral of the
 textbook bracket, times that factor and 1 / (4 pi^2), at 40 digits, so
 those rows check coverage to roundoff, with no literal's error in the way.
+
+The tight-tolerance cases, at abs_tol 0, take only exact truths: the
+perfect-conductor cavity's closed forms at rel_tol 1e-12 and 1e-13, and
+cos^2(5u) e^{-u} at 1e-10 and 1e-12, where the step halves until the
+level gap meets the tolerance. That integrand runs in two forms: as a plain
+callable, whose level gap counts as it is, and as exact t rows, whose gap
+counts squared.
 """
 
 import functools
@@ -40,6 +47,7 @@ from casimir_fields import (
     Drude,
     FieldKind,
     PerfectConductor,
+    QuadratureConfig,
     SingleInterface,
     decay_scale_for,
     integrand_function,
@@ -51,16 +59,16 @@ from casimir_fields import (
     profile_at,
 )
 from casimir_fields.integrand import position_envelope
-from casimir_fields.quadrature import unit_envelope
+from casimir_fields.quadrature import T_INTEGRAL_DTYPE, unit_envelope
 
 CAVITY_25 = np.linspace(0.02, 0.98, 25)
 WALL_16 = np.geomspace(1e-3, 5.0, 16)
 
 
-def _profile(geometry, model, zs):
+def _profile(geometry, model, zs, cfg=None):
     """<E^2> and <B^2> at every z of zs from one batched call: value and err, each (2, len(zs))."""
     f = integrand_function(None, geometry, model)
-    res = integrate_semi_infinite(f, [decay_scale_for(geometry, z) for z in zs], envelope=position_envelope(geometry, zs))
+    res = integrate_semi_infinite(f, [decay_scale_for(geometry, z) for z in zs], cfg, envelope=position_envelope(geometry, zs))
     return res.value, res.error_estimate
 
 
@@ -231,9 +239,41 @@ def test_err_covers_the_exact_constant_epsilon_wall(epsilon):
     assert _ratio(value, np.array([p.err for p in points]), truth) <= 1.0
 
 
-def test_err_covers_an_oscillating_integrand():
-    # cos^2(5u) e^{-u}, constant in t: (1/2)(1 + 1/101). The Kronrod panels once
-    # returned an error of 5.3e-8 with err 4.7e-9; on the log-u trapezoid it takes
-    # the head down twice (g(0) = 1) and halves the step until the levels agree
-    res = integrate_semi_infinite(lambda u, t: np.cos(5.0 * u) ** 2 * np.exp(-u) * np.ones_like(t), 1.0)
+def _oscillating(form):
+    """cos^2(5u) e^{-u}, constant in t, as a plain callable or as exact t rows (`T_INTEGRAL`), whose level gap counts squared."""
+    g = lambda u: np.cos(5.0 * u) ** 2 * np.exp(-u)
+    if form == "plain":
+        return lambda u, t: g(u) * np.ones_like(t)
+
+    def exact(u, t):
+        row = g(u[:, 0])
+        return np.stack((row, np.abs(row)), axis=-1).view(T_INTEGRAL_DTYPE)[:, 0]
+
+    return exact
+
+
+@pytest.mark.parametrize("form", ["plain", "exact-t"])
+def test_err_covers_an_oscillating_integrand(form):
+    # (1/2)(1 + 1/101). The Kronrod panels once returned an error of 5.3e-8 with
+    # err 4.7e-9; on the log-u trapezoid it takes the head down (g(0) = 1) and
+    # halves the step until the levels agree. In exact-t form the head bound
+    # needs its factor 2: u |g| alone gave true/err 1.00001
+    res = integrate_semi_infinite(_oscillating(form), 1.0)
+    assert abs(res.value - 0.5 * (1.0 + 1.0 / 101.0)) <= res.error_estimate
+
+
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-13])
+def test_err_covers_the_perfect_conductor_cavity_at_tight_tolerances(rel_tol):
+    # the first call meets both tolerances, its err mostly the roundoff
+    # allowances; the closed forms are exact to about 1e-15 (true/err 0.11)
+    value, err = _profile(Cavity(1.0), PerfectConductor(), CAVITY_25, QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0))
+    exact = [[pc_cavity_e2(z, 1.0) for z in CAVITY_25], [pc_cavity_b2(z, 1.0) for z in CAVITY_25]]
+    assert _ratio(value, err, np.array(exact)) <= 1.0
+
+
+@pytest.mark.parametrize("form", ["plain", "exact-t"])
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12])
+def test_err_covers_an_oscillating_integrand_at_tight_tolerances(rel_tol, form):
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_tol=0.0)
+    res = integrate_semi_infinite(_oscillating(form), 1.0, cfg)
     assert abs(res.value - 0.5 * (1.0 + 1.0 / 101.0)) <= res.error_estimate

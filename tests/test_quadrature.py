@@ -135,9 +135,10 @@ class TestEngineBasics:
         assert result.error_estimate > 0.0
         # exact value: (1/2)(1 + 1/(1 + 6400))
         assert result.value == pytest.approx(0.5 * (1.0 + 1.0 / 6401.0), rel=1e-2)
-        # the lifted callable runs on the fixed t rule: the first call's 159 rows,
-        # which its check counts twice more, then 70 rows each time the head
-        # drops (3 times) and 368, 736, ..., 5,888 on the midpoints of 5 halvings
+        # the lifted callable runs on the fixed t rule from step 0.1: the first
+        # call's 159 rows, which its check counts twice more, then 70 rows each
+        # time the head drops (3 times) and 368, 736, ..., 5,888 on the midpoints
+        # of 5 halvings
         lifted_rows = sum(rows for rows, width in calls if width == calls[-1][1])
         later = 3 * 70 + 368 * (2**5 - 1)
         assert lifted_rows == 159 + later and result.evaluations == 3 * 159 + later
@@ -158,27 +159,57 @@ class TestURule:
     @pytest.mark.parametrize("budget", [60.0, 30.0])
     @pytest.mark.parametrize("scales", [[1.0], [2.0, 0.25]], ids=("one-scale", "two-scales"))
     def test_first_call(self, monkeypatch, budget, scales):
-        # rows at u_max e^{-0.1 k}, k = N .. 0 ascending, N even, the lowest at most 1e-5 / s_max
+        # rows at u_max e^{-0.2 k}, k = N .. 0 ascending, N even, the lowest at most 1e-5 / s_max
         monkeypatch.setattr(quadrature, "_TAIL_BUDGET", budget)
         rows = []
         self._integrate(lambda u: np.exp(-min(scales) * u), scales, QuadratureConfig(rel_tol=1.0, abs_tol=1.0), rows)
         (u,) = rows
         u_max, u_head = budget / min(scales), 1e-5 / max(scales)
         assert u[-1] == u_max and u.size % 2 == 1
-        assert u[0] <= u_head < u[0] * math.exp(0.2)
-        np.testing.assert_allclose(np.diff(np.log(u)), 0.1, rtol=1e-9)
+        assert u[0] <= u_head < u[0] * math.exp(0.4)
+        np.testing.assert_allclose(np.diff(np.log(u)), 0.2, rtol=1e-9)
 
     def test_head_drops_then_step_halves(self):
-        # g(0) = 1: the head bound u |g| at the lowest row fails 1e-13 relative
-        # until the head has dropped three times by 1e3, 70 rows of step 0.1 each;
+        # g(0) = 1: the head bound 2 u |g| at the lowest row fails 1e-13 relative
+        # until the head has dropped three times by 1e3, 36 rows of step 0.2 each;
         # then the step halves, one call on the midpoints, until the cap of 8
         cfg, rows = QuadratureConfig(rel_tol=1e-13, abs_tol=0.0), []
         with pytest.raises(NonConvergence, match="after 8 refinements"):
             self._integrate(lambda u: np.cos(40.0 * u) ** 2 * np.exp(-u), [1.0], cfg, rows)
-        assert [r.size for r in rows] == [159, 70, 70, 70, 368, 736, 1472, 2944, 5888]
+        assert [r.size for r in rows] == [81, 36, 36, 36, 188, 376, 752, 1504, 3008]
         grid = np.concatenate(rows[3::-1])  # the drops go below the rows before them
-        np.testing.assert_allclose(np.diff(np.log(grid)), 0.1, rtol=1e-9)
+        np.testing.assert_allclose(np.diff(np.log(grid)), 0.2, rtol=1e-9)
         np.testing.assert_allclose(rows[4], np.sqrt(grid[:-1] * grid[1:]), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "c, lifted, geometric", [(1e-4, False, True), (1e-2, False, False), (1e-4, True, False)], ids=("squared", "plain", "lifted")
+    )
+    def test_level_gap_term_on_the_first_call(self, c, lifted, geometric):
+        # u^2 e^-u (1 + c (-1)^k) on the rows u_max e^{-h k}, h = 0.2 (0.1 for a
+        # lifted callable): the odd rows, which only the step-h sum takes, move
+        # the gap to about c times the magnitude sum M. At most 1e-3 M the rule
+        # is in its geometric regime and the gap's term is gap^2 / M; above it,
+        # and always for a lifted callable, which need not be analytic in u, the
+        # gap itself
+        h, u_max, rows = (0.1 if lifted else 0.2), quadrature._TAIL_BUDGET, []
+        g = lambda u: u**2 * np.exp(-u) * (1.0 + c * np.cos(np.pi * np.log(u / u_max) / h))
+        if lifted:
+            res = integrate_semi_infinite(lambda u, t: g(u) * np.ones_like(t), 1.0, QuadratureConfig(rel_tol=0.5))
+            steps = 2 * math.ceil(math.log(u_max / 1e-5) / (2 * h))
+            u = u_max * np.exp(-h * np.arange(steps, -1, -1.0))
+        else:
+            res = self._integrate(g, [1.0], QuadratureConfig(rel_tol=0.5), rows)
+            (u,) = rows
+        weights = h * u
+        weights[[0, -1]] *= 0.5
+        fine, coarse, magnitude = weights @ g(u), 2.0 * weights[::2] @ g(u[::2]), weights @ np.abs(g(u))
+        gap = abs(fine - coarse)
+        assert bool(gap <= 1e-3 * magnitude) == (c < 1e-3) and gap == pytest.approx(c * magnitude, rel=0.1)
+        head = 2.0 * u[0] * g(u[0])
+        tail = 2.0 * g(u[-1]) * (1.0 + 3.0 / u_max + 6.0 / u_max**2 + 6.0 / u_max**3)
+        roundoff = (quadrature._T_INTEGRAL_ROUNDOFF + quadrature._U_SUM_ROUNDOFF) * magnitude
+        level = res.error_estimate - (head + tail + roundoff)
+        assert level == pytest.approx(gap**2 / magnitude if geometric else gap, rel=1e-5)
 
 
 class TestBatchedEngine:
@@ -302,11 +333,23 @@ class TestPlainCallable:
     def test_is_lifted_onto_the_fixed_t_rule(self):
         # the benchmark's set-up integral: a plain callable has no exact t
         # integrals, so the engine lifts it onto its fixed t rule; its integral
-        # is 6 * 2/3, and it converges on the 159 u rows of the first call, which
-        # the check on the halved t panels counts twice more
+        # is 6 * 2/3, and it converges on the 159 u rows of the first call at
+        # step 0.1, which the check on the halved t panels counts twice more
         res = integrate_semi_infinite(lambda u, t: u**3 * np.exp(-u) * (1.0 - t * t), 1.0)
         assert abs(res.value - 4.0) <= res.error_estimate
         assert res.evaluations == 3 * 159
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_kinked_callable_is_not_taken_as_converged(self, c):
+        # |u - c| e^-u has a kink at u = c: there the rule converges like h^2, and
+        # its error is about the gap, not gap^2 / M. The lifted callable keeps the
+        # gap, so the step halves to the cap, and the err of the best estimate
+        # still covers the true error, c - 1 + 2 e^-c
+        f = lambda u, t: np.abs(u - c) * np.exp(-u) * np.ones_like(t)
+        with pytest.raises(NonConvergence, match="after 8 refinements") as excinfo:
+            integrate_semi_infinite(f, 1.0)
+        result = excinfo.value.result
+        assert abs(result.value - (c - 1.0 + 2.0 * math.exp(-c))) <= result.error_estimate
 
 
 def _plain(f):
@@ -388,7 +431,7 @@ class TestTRuleError:
         cfg = QuadratureConfig(rel_tol=1e-10)
         with pytest.raises(NonConvergence, match="tail bound .* exceed the tolerance .*, which no finer step reduces") as excinfo:
             _energy_density(SingleInterface(), Drude(1.0), [0.5], cfg)
-        assert excinfo.value.result.evaluations == 151
+        assert excinfo.value.result.evaluations == 77
 
     def test_tail_and_roundoff_together_above_tolerance_stop_at_once(self, monkeypatch):
         # t integrals 0 and magnitudes u^3 e^-u: no step gap, and at u_max = 43 a
@@ -402,7 +445,7 @@ class TestTRuleError:
         match = r"tail bound 3\.6\d\de-14, t term 2\.1\d\de-14 and u-sum roundoff 5\.3\d\de-15 exceed the tolerance 5\.000e-14.*loosen rel_tol or abs_tol"
         with pytest.raises(NonConvergence, match=match) as excinfo:
             integrate_semi_infinite(f, 1.0, QuadratureConfig(abs_tol=5e-14))
-        assert excinfo.value.result.evaluations == 155
+        assert excinfo.value.result.evaluations == 79
 
     def test_non_finite_integrand_stops_at_once(self):
         # NaN fails no tolerance test, so without a check it would read as converged
@@ -416,16 +459,17 @@ class TestTRuleError:
             integrate_semi_infinite(nan, 1.0)
         result = excinfo.value.result
         assert math.isnan(result.value) and math.isnan(result.error_estimate)
-        # the t-integral call, then the first call's 159 rows on the lift's rule and on its check's, and no more
+        # the t-integral call on the 81 rows of step 0.2, then the first call's
+        # 159 rows of step 0.1 on the lift's rule and on its check's, and no more
         assert result.evaluations == 3 * 159
-        assert rows[0] == (159, 0) and sum(n for n, m in rows[1:]) == 2 * 159
+        assert rows[0] == (81, 0) and sum(n for n, m in rows[1:]) == 2 * 159
 
     def test_roundoff_allowance_above_tolerance_stops_at_once(self):
         # exact t integrals carry 16 ulps of the magnitude; a tolerance below that cannot be met
         cfg = QuadratureConfig(rel_tol=1e-16, abs_tol=0.0)
         with pytest.raises(NonConvergence, match="t term .* loosen rel_tol or abs_tol") as excinfo:
             _energy_density(Cavity(1.0), Drude(200.0), [0.5], cfg)
-        assert excinfo.value.result.evaluations == 159
+        assert excinfo.value.result.evaluations == 81
 
 
 def _spike_integrand(width, narrow_at_small_u=False):
@@ -494,20 +538,22 @@ def test_plain_callable_that_reduces_over_t():
 
 class TestRootAdjacentIntegrals:
     # Midgap integrals beside the sign change of U, where abs_tol governs. They
-    # take the exact t integrals and stop on the first call's 159 rows; their err,
-    # about 1.2e-16, is mostly the t and u-sum roundoff allowances, 20 ulps of
-    # the u integral of the magnitude, and must meet the tolerance.
-    @pytest.mark.parametrize("wp, err", [(96.60661, 1.1800e-16), (97.0, 1.1954e-16)], ids=("root", "beside-root"))
+    # take the exact t integrals and stop on the first call's 81 rows; their err,
+    # about 2.2e-15, is mostly the squared gap of steps 0.2 and 0.4, with the
+    # t and u-sum roundoff allowances, 20 ulps of the u integral of the
+    # magnitude, and must meet the tolerance.
+    @pytest.mark.parametrize("wp, err", [(96.60661, 2.1754e-15), (97.0, 2.1580e-15)], ids=("root", "beside-root"))
     def test_plain_integral(self, wp, err):
         res = _energy_density(Cavity(1.0), Drude(wp), [0.5])
-        assert res.evaluations == 159
+        assert res.evaluations == 81
         assert res.error_estimate == pytest.approx(err, rel=1e-2)
         cfg = QuadratureConfig()
         assert res.error_estimate <= max(cfg.rel_tol * abs(res.value), cfg.abs_tol)
 
-    def test_one_call_at_a_tighter_abs_tol(self):
+    def test_two_calls_at_a_tighter_abs_tol(self):
         # at abs_tol 1e-15, where the Kronrod panels took two refinement rounds,
-        # the root still stops on its first integrand call
+        # the root's first err, 2.2e-15, fails it; one halving of the step, a
+        # call on the 80 midpoints, meets it
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), Drude(96.60661), 0.5)
         rows = []
 
@@ -517,15 +563,15 @@ class TestRootAdjacentIntegrals:
 
         cfg = QuadratureConfig(abs_tol=1e-15)
         res = integrate_semi_infinite(counted, 1.0, cfg)
-        assert res.evaluations == sum(rows) == 159 and rows == [159]
+        assert res.evaluations == sum(rows) == 161 and rows == [81, 80]
         assert res.error_estimate <= cfg.abs_tol
 
     def test_family(self):
         wps = (95.0, 96.0, 96.60661, 97.0, 98.0)
         f = integrand_function(FieldKind.ENERGY_DENSITY, Cavity(1.0), [Drude(wp) for wp in wps], 0.5)
         res = integrate_semi_infinite(f, [1.0], envelope=quadrature.unit_envelope)
-        assert res.evaluations == 159
-        expected = [1.1916e-16, 1.2040e-16, 1.1757e-16, 1.1890e-16, 1.1871e-16]
+        assert res.evaluations == 81
+        expected = [2.2488e-15, 2.2027e-15, 2.1754e-15, 2.1580e-15, 2.1147e-15]
         np.testing.assert_allclose(res.error_estimate[:, 0], expected, rtol=1e-2)
         assert np.all(res.error_estimate <= QuadratureConfig().abs_tol)
 
@@ -598,11 +644,12 @@ class TestSetUpCaches:
 
         envelope = lambda u: np.exp(-np.outer(scales, u))
         first = integrate_semi_infinite(g, scales, envelope=envelope)
-        # after the t-integral call, the lifted callable takes the first call's
-        # 197 rows on the fixed rule and again on the check's, then 70 rows as
-        # the head drops once and the midpoints of three halvings, in blocks of
-        # whole rows within the node cap
-        assert rows[0] == 197 and sum(rows[1:]) == 2 * 197 + 70 + 266 * (1 + 2 + 4)
+        # after the t-integral call on the 99 rows of step 0.2, the lifted
+        # callable takes the first call's 197 rows of step 0.1 on the fixed rule
+        # and again on the check's, then 70 rows each time the head drops (twice)
+        # and the midpoints of three halvings, in blocks of whole rows within the
+        # node cap
+        assert rows[0] == 99 and sum(rows[1:]) == 2 * 197 + 2 * 70 + 336 * (1 + 2 + 4)
         second = integrate_semi_infinite(g, scales, envelope=envelope)
         assert first.evaluations == second.evaluations
         assert first.value.tobytes() == second.value.tobytes()
@@ -650,18 +697,21 @@ class TestSetUpCaches:
 def _trapezoid_loop(f, scales, envelope, lifted):
     """Value, error estimate, magnitude sum and rows of an integral that stops on its first call, node by node.
 
-    The rows lie at u_max e^{-0.1 k}, k = N .. 0, with N even and the lowest
-    row at most 1e-5 / s_max. The trapezoid sums at steps 0.1 and 0.2 take
+    The rows lie at u_max e^{-h k}, k = N .. 0, with N even and the lowest
+    row at most 1e-5 / s_max. The trapezoid sums at steps h and 2h take
     constant + e_j position_k at every node for every (field, position), in a
     plain loop: the reference for the engine's one matrix product. With
-    ``lifted`` f is reduced on the lift's fixed t rule; otherwise f gives its
-    exact t integrals. The head and tail bounds and the roundoff allowances
-    are added as the engine does.
+    ``lifted`` f is reduced on the lift's fixed t rule, h is 0.1 and the
+    level-gap term is the gap; otherwise f gives its exact t integrals, h is
+    0.2 and the term is gap^2 / M where the gap is at most 1e-3 of the
+    magnitude sum M, else the gap. The head bound 2 u |g|, the tail bound and
+    the roundoff allowances are added as the engine does.
     """
     scales = np.asarray(scales, dtype=float)
     u_max = quadrature._TAIL_BUDGET / scales.min()
-    steps = 2 * math.ceil(math.log(u_max * scales.max() / 1e-5) / 0.2)
-    nodes = u_max * np.exp(-0.1 * np.arange(steps, -1, -1.0))
+    h = 0.1 if lifted else 0.2
+    steps = 2 * math.ceil(math.log(u_max * scales.max() / 1e-5) / (2 * h))
+    nodes = u_max * np.exp(-h * np.arange(steps, -1, -1.0))
     t, w = quadrature._T_RULE
     out = f(nodes[:, None], t if lifted else quadrature.T_INTEGRAL)
     rows = []
@@ -678,7 +728,7 @@ def _trapezoid_loop(f, scales, envelope, lifted):
     g_abs = lambda k: c_abs[k] + e[None, :, k] * p_abs[:, None, k]
     fine = coarse = magnitude = 0.0
     for k in range(nodes.size):
-        weight = 0.1 * nodes[k] * (0.5 if k in (0, steps) else 1.0)
+        weight = h * nodes[k] * (0.5 if k in (0, steps) else 1.0)
         g = c[k] + e[None, :, k] * p[:, None, k]
         fine, magnitude = fine + weight * g, magnitude + weight * g_abs(k)
         if k % 2 == 0:
@@ -686,7 +736,9 @@ def _trapezoid_loop(f, scales, envelope, lifted):
     b = u_max * scales
     tail = 2.0 * g_abs(-1) * (1.0 + 3.0 / b + 6.0 / b**2 + 6.0 / b**3) / scales
     roundoff = (quadrature._T_INTEGRAL_ROUNDOFF + quadrature._U_SUM_ROUNDOFF) * magnitude
-    return fine, np.abs(fine - coarse) + nodes[0] * g_abs(0) + tail + roundoff, magnitude, nodes.size
+    gap = np.abs(fine - coarse)
+    level = np.where((gap <= 1e-3 * magnitude) & (not lifted), gap**2 / magnitude, gap)
+    return fine, level + 2.0 * nodes[0] * g_abs(0) + tail + roundoff, magnitude, nodes.size
 
 
 def _midgap_family(wps):
@@ -723,10 +775,10 @@ class TestTrapezoidContraction:
 
         res = integrate_semi_infinite(recorded, scales, envelope=envelope)
         value, err, magnitude, first_rows = _trapezoid_loop(f, scales, envelope, lifted)
-        # no refinement: the T_INTEGRAL call and, lifted, its rows in blocks on
-        # the fixed rule and on the check's, whose gap stays within the roundoff
-        # allowance
-        assert rows[0] == first_rows and sum(rows) == (1 + 2 * lifted) * first_rows
+        # no refinement: the T_INTEGRAL call and, lifted, the rows of step 0.1 in
+        # blocks on the fixed rule and on the check's, whose gap stays within the
+        # roundoff allowance
+        assert (sum(rows[1:]) == 2 * first_rows) if lifted else (rows == [first_rows])
         assert res.value.shape == value.shape and value.shape[1] == len(scales)
         ulps = 4 * np.finfo(float).eps * magnitude
         assert np.all(np.abs(res.value - value) <= ulps)
